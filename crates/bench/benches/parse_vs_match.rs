@@ -1,7 +1,9 @@
 //! The cost asymmetry that motivates CIAO (paper §I, §IV): full JSON
 //! parsing vs raw substring matching per record. Partial loading pays
 //! the left column only for admitted records; clients pay only the
-//! right column.
+//! right column. In between sits what a query over parked records
+//! pays: the projected scan, which validates a whole record but builds
+//! only the fields asked for.
 
 use ciao_client::raw_eval::CompiledClause;
 use ciao_datagen::Dataset;
@@ -27,6 +29,31 @@ fn bench_parse_vs_match(c: &mut Criterion) {
                     let mut fields = 0usize;
                     for r in records {
                         let v = ciao_json::parse(black_box(r)).expect("valid");
+                        fields += v.as_object().map_or(0, <[_]>::len);
+                    }
+                    fields
+                })
+            },
+        );
+
+        // Two top-level fields, as a filter-plus-group-by statement
+        // reads; `full_parse` above is its reference.
+        let first = ciao_json::parse(&records[0]).expect("valid");
+        let keys: Vec<&str> = first
+            .as_object()
+            .expect("object")
+            .iter()
+            .take(2)
+            .map(|(k, _)| k.as_str())
+            .collect();
+        group.bench_with_input(
+            BenchmarkId::new("projected_scan", ds.name()),
+            &records,
+            |b, records| {
+                b.iter(|| {
+                    let mut fields = 0usize;
+                    for r in records {
+                        let v = ciao_json::parse_projected(black_box(r), &keys).expect("valid");
                         fields += v.as_object().map_or(0, <[_]>::len);
                     }
                     fields

@@ -33,7 +33,7 @@ pub struct HotpathRow {
     /// Row id, stable across runs (the gate joins on it).
     pub name: String,
     /// Kernel family ("search", "prefilter", "bitvec", "columnar",
-    /// "parallel").
+    /// "json", "parallel").
     pub group: String,
     /// Median wall-clock of the optimized path, nanoseconds.
     pub median_ns: f64,
@@ -269,6 +269,42 @@ fn columnar_zone_row(records: usize) -> HotpathRow {
     row("columnar/dict_zone_prune", "columnar", timings, bytes, true)
 }
 
+/// The two fields each `json/projected2_*` row builds per record.
+const YCSB_KEYS: [&str; 2] = ["linear_score", "age_group"];
+const WINLOG_KEYS: [&str; 2] = ["pid", "level"];
+
+/// The parked-record scan's kernel: [`ciao_json::parse_projected`]
+/// building two top-level fields (the shape of the ledger's ad-hoc
+/// statements: one range column, one label column) and validating the
+/// rest, vs the full [`ciao_json::parse`] it replaced there — which
+/// stays as the reference and the loader's parser.
+fn json_projected_row(tag: &str, text: &str, keys: [&str; 2]) -> HotpathRow {
+    let records: Vec<&str> = text.lines().collect();
+    let timings = interleaved_median_ns(
+        || {
+            records
+                .iter()
+                .map(|r| ciao_json::parse_projected(r, &keys).expect("valid record"))
+                .map(|v| keys.iter().filter(|k| v.has_key(k)).count() as u64)
+                .sum()
+        },
+        || {
+            records
+                .iter()
+                .map(|r| ciao_json::parse(r).expect("valid record"))
+                .map(|v| keys.iter().filter(|k| v.has_key(k)).count() as u64)
+                .sum()
+        },
+    );
+    row(
+        &format!("json/projected2_{tag}"),
+        "json",
+        timings,
+        text.len(),
+        true,
+    )
+}
+
 /// Shard-scaling row: 2-worker parallel prefilter vs serial. Recorded
 /// for the trajectory but **not gated** — on a 1-core runner the
 /// "speedup" is pure coordination tax, which is not a regression.
@@ -308,6 +344,12 @@ pub fn run(scale: ExperimentScale) -> Vec<HotpathRow> {
     rows.push(bitvec_and_all_row());
     rows.push(bitvec_count_and_row());
     rows.push(columnar_zone_row(scale.records.min(20_000)));
+    rows.push(json_projected_row(
+        "ycsb",
+        &ndjson(Dataset::Ycsb, scale),
+        YCSB_KEYS,
+    ));
+    rows.push(json_projected_row("winlog", env.text(), WINLOG_KEYS));
     rows.push(parallel_row(&env));
     rows
 }
@@ -324,7 +366,7 @@ mod tests {
             sample: 100,
         };
         let rows = run(scale);
-        assert_eq!(rows.len(), 9);
+        assert_eq!(rows.len(), 11);
         for r in &rows {
             assert!(r.median_ns > 0.0, "{}: zero median", r.name);
             assert!(r.baseline_ns > 0.0, "{}: zero baseline", r.name);
@@ -337,6 +379,18 @@ mod tests {
         );
         let names: std::collections::BTreeSet<_> = rows.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names.len(), rows.len(), "row names must be unique");
+    }
+
+    #[test]
+    fn projected_rows_find_their_fields() {
+        // Every generated record has both keys, so the rows measure
+        // the work they claim to: two fields built, the rest skipped.
+        for (dataset, keys) in [(Dataset::Ycsb, YCSB_KEYS), (Dataset::WinLog, WINLOG_KEYS)] {
+            for r in dataset.generate_ndjson(9, 50).lines() {
+                let projected = ciao_json::parse_projected(r, &keys).unwrap();
+                assert_eq!(projected.as_object().unwrap().len(), 2, "{r}");
+            }
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl Executor {
     /// * query has ≥1 pushed clause → scan only the columnar side with
     ///   the pushed bitvectors as a skip mask (no parked record can
     ///   satisfy a pushed clause, so the parked side contributes 0);
-    /// * no pushed clause → full columnar scan **plus** JIT parse-scan
+    /// * no pushed clause → full columnar scan **plus** projected scan
     ///   of every parked record.
     pub fn execute_count<S: AsRef<str>>(
         &self,
@@ -220,7 +220,7 @@ mod tests {
         assert_eq!(out.metrics.raw_scan.records_parsed, 40);
         assert_eq!(out.metrics.raw_scan.rows_matched, 10);
         assert_eq!(out.metrics.table_scan.rows_matched, 0);
-        // The JIT parse-scan fallback is timed separately.
+        // The parked-record fallback is timed separately.
         assert!(out.metrics.raw_scan_time > std::time::Duration::ZERO);
     }
 

@@ -10,10 +10,13 @@
 //! Two scan paths exist:
 //!
 //! * [`scan`] — over the columnar table, with optional skipping;
-//! * [`raw_scan`] — over parked raw JSON records, each JIT-parsed then
-//!   evaluated. This path runs only when a query has **no** pushed
-//!   clause: if any clause was pushed, no parked record can satisfy it
-//!   (no false negatives), so the parked side is skipped wholesale.
+//! * [`raw_scan`] — over parked raw JSON records: one projected scan
+//!   per record (the whole record validated, only the fields the query
+//!   reads built), then evaluated — the one parked-record loop, shared
+//!   by counts, selects and plans. This path runs only when a query has
+//!   **no** pushed clause: if any clause was pushed, no parked record
+//!   can satisfy it (no false negatives), so the parked side is skipped
+//!   wholesale.
 //!
 //! [`exec::Executor`] ties the two together and reports [`metrics`].
 //!

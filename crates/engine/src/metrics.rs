@@ -15,7 +15,7 @@ pub struct ScanMetrics {
     pub rows_skipped: usize,
     /// Rows that satisfied the query.
     pub rows_matched: usize,
-    /// Raw records JIT-parsed (raw scans only).
+    /// Raw records the projected scan went through (raw scans only).
     pub records_parsed: usize,
 }
 
@@ -58,7 +58,7 @@ pub struct QueryMetrics {
     /// Time spent scanning the columnar side (includes the skip-mask
     /// evaluation when `used_skipping` is set).
     pub table_scan_time: Duration,
-    /// Time spent in the JIT parse-scan fallback over parked raw rows
+    /// Time spent in the projected-scan fallback over parked raw rows
     /// (zero when the parked side was skipped wholesale).
     pub raw_scan_time: Duration,
 }

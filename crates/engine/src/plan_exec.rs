@@ -8,7 +8,11 @@
 //! the scan consumes fused bitvec skip-masks and never touches the
 //! parked side; zone maps prune blocks on both paths. The difference
 //! is what happens per surviving row — instead of counting, rows feed
-//! a projection buffer or per-group aggregate states.
+//! a projection buffer or per-group aggregate states, through one
+//! operator feed whichever side the row came from. The parked side is
+//! [`crate::raw_scan`]'s projected scan: each record is validated whole
+//! but only the fields the WHERE clauses and the operator read are
+//! built, with the errors and the values a full parse would give.
 //!
 //! Execution is deliberately split in two so a sharded service can
 //! fan out: [`Executor::execute_plan`] produces a mergeable
@@ -22,11 +26,13 @@
 use crate::exec::Executor;
 use crate::metrics::QueryMetrics;
 use crate::profile::{ClauseProfile, QueryProfile};
+use crate::raw_scan::scan_parked;
 use crate::result::{ColumnDesc, QueryResult};
-use ciao_columnar::{Block, Table};
-use ciao_predicate::{clauses_from_sql, eval_clause, Query};
+use ciao_columnar::Table;
+use ciao_predicate::{clauses_from_sql, Query};
 use ciao_sql::{
-    AggArgRef, AggCall, AggFunc, OutputSource, PhysicalOp, PhysicalPlan, SqlType, SqlValue,
+    AggArgRef, AggCall, AggFunc, ColumnRef, OutputSource, PhysicalOp, PhysicalPlan, SqlType,
+    SqlValue,
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -286,44 +292,52 @@ impl PartialResult {
     }
 }
 
-/// How the operator reads one block: pre-resolved column indices so
-/// the per-row loop never does name lookups.
-enum BlockCols {
-    Project(Vec<Option<usize>>),
-    Aggregate {
-        group: Vec<Option<usize>>,
-        args: Vec<BlockArg>,
-    },
-}
-
-enum BlockArg {
-    Star,
-    Col(Option<usize>),
-}
-
-fn resolve_block_cols(op: &PhysicalOp, block: &Block) -> BlockCols {
-    let idx = |name: &str| block.schema().index_of(name);
+/// The columns the operator reads, one slot per read: a projection's
+/// columns, or an aggregation's group keys then the argument of each
+/// aggregate that has one. The columnar side resolves the slots to
+/// block column indices once per block, not per row.
+fn operator_inputs(op: &PhysicalOp) -> Vec<&ColumnRef> {
     match op {
-        PhysicalOp::ProjectScan { columns } => {
-            BlockCols::Project(columns.iter().map(|c| idx(&c.name)).collect())
+        PhysicalOp::ProjectScan { columns } => columns.iter().collect(),
+        PhysicalOp::HashAggregate { group, aggs } => {
+            let args = aggs.iter().filter_map(|a| match &a.arg {
+                AggArgRef::Star => None,
+                AggArgRef::Column(c) => Some(c),
+            });
+            group.iter().chain(args).collect()
         }
-        PhysicalOp::HashAggregate { group, aggs } => BlockCols::Aggregate {
-            group: group.iter().map(|c| idx(&c.name)).collect(),
-            args: aggs
-                .iter()
-                .map(|a| match &a.arg {
-                    AggArgRef::Star => BlockArg::Star,
-                    AggArgRef::Column(c) => BlockArg::Col(idx(&c.name)),
-                })
-                .collect(),
-        },
     }
 }
 
-fn block_value(block: &Block, row: usize, idx: Option<usize>) -> SqlValue {
-    idx.map_or(SqlValue::Null, |i| {
-        SqlValue::from_cell(block.column(i).cell(row))
-    })
+/// Feeds one matching row to the operator; `input(slot)` is the row's
+/// value for the slot-th column of [`operator_inputs`].
+fn feed_operator(
+    data: &mut PartialData,
+    op: &PhysicalOp,
+    mut input: impl FnMut(usize) -> SqlValue,
+) {
+    match (data, op) {
+        (PartialData::Rows(rows), PhysicalOp::ProjectScan { columns }) => {
+            rows.push((0..columns.len()).map(input).collect());
+        }
+        (PartialData::Groups(groups), PhysicalOp::HashAggregate { group, aggs }) => {
+            let key: Vec<SqlValue> = (0..group.len()).map(&mut input).collect();
+            let states = groups
+                .entry(key)
+                .or_insert_with(|| aggs.iter().map(AggState::new).collect());
+            let mut slot = group.len();
+            for (state, call) in states.iter_mut().zip(aggs) {
+                match call.arg {
+                    AggArgRef::Star => state.update(&SqlValue::Int(1)),
+                    AggArgRef::Column(_) => {
+                        state.update(&input(slot));
+                        slot += 1;
+                    }
+                }
+            }
+        }
+        _ => unreachable!("operator/partial shape mismatch"),
+    }
 }
 
 impl Executor {
@@ -333,11 +347,12 @@ impl Executor {
     /// Routing matches [`Executor::execute_count`]: with ≥1 pushed
     /// WHERE clause the scan uses the pushed bitvectors as a fused
     /// skip-mask and never reads the parked side; otherwise it scans
-    /// the whole table and JIT-parses every parked record. Zone maps
-    /// prune blocks on both paths — including pure aggregate scans, so
-    /// data skipping accelerates aggregates, not just filters. Every
-    /// surviving row is re-verified with full typed evaluation before
-    /// it feeds the operator (client bits admit false positives).
+    /// the whole table and runs the projected scan over every parked
+    /// record. Zone maps prune blocks on both paths — including pure
+    /// aggregate scans, so data skipping accelerates aggregates, not
+    /// just filters. Every surviving row is re-verified with full typed
+    /// evaluation before it feeds the operator (client bits admit false
+    /// positives).
     pub fn execute_plan<S: AsRef<str>>(
         &self,
         table: &Table,
@@ -358,14 +373,7 @@ impl Executor {
                 rows_passed: 0,
             })
             .collect();
-        let group_count = match &plan.op {
-            PhysicalOp::HashAggregate { group, .. } => group.len(),
-            PhysicalOp::ProjectScan { .. } => 0,
-        };
-        let aggs = match &plan.op {
-            PhysicalOp::HashAggregate { aggs, .. } => aggs.clone(),
-            PhysicalOp::ProjectScan { .. } => Vec::new(),
-        };
+        let inputs = operator_inputs(&plan.op);
 
         // Columnar side: the scan_count loop with an operator feed
         // instead of a counter.
@@ -379,7 +387,10 @@ impl Executor {
                 continue;
             }
             out.metrics.table_scan.blocks_visited += 1;
-            let cols = resolve_block_cols(&plan.op, block);
+            let cols: Vec<Option<usize>> = inputs
+                .iter()
+                .map(|c| block.schema().index_of(&c.name))
+                .collect();
             let mask = if pushed_ids.is_empty() {
                 None
             } else {
@@ -411,25 +422,11 @@ impl Executor {
                 }
                 out.metrics.table_scan.rows_matched += 1;
                 out.profile.rows_matched += 1;
-                match (&mut out.data, &cols) {
-                    (PartialData::Rows(rows), BlockCols::Project(idxs)) => {
-                        rows.push(idxs.iter().map(|&i| block_value(block, row, i)).collect());
-                    }
-                    (PartialData::Groups(groups), BlockCols::Aggregate { group, args }) => {
-                        let key: Vec<SqlValue> =
-                            group.iter().map(|&i| block_value(block, row, i)).collect();
-                        let states = groups
-                            .entry(key)
-                            .or_insert_with(|| aggs.iter().map(AggState::new).collect());
-                        for (state, arg) in states.iter_mut().zip(args) {
-                            match arg {
-                                BlockArg::Star => state.update(&SqlValue::Int(1)),
-                                BlockArg::Col(i) => state.update(&block_value(block, row, *i)),
-                            }
-                        }
-                    }
-                    _ => unreachable!("operator/partial shape mismatch"),
-                }
+                feed_operator(&mut out.data, &plan.op, |slot| {
+                    cols[slot].map_or(SqlValue::Null, |i| {
+                        SqlValue::from_cell(block.column(i).cell(row))
+                    })
+                });
             };
             match &mask {
                 Some(mask) => {
@@ -451,52 +448,21 @@ impl Executor {
         if pushed_ids.is_empty() {
             let raw_start = Instant::now();
             out.metrics.scanned_parked = true;
-            'parked: for rec in parked {
-                out.metrics.raw_scan.records_parsed += 1;
-                out.metrics.raw_scan.rows_scanned += 1;
-                out.profile.parked_rows_parsed += 1;
-                let Ok(value) = ciao_json::parse(rec.as_ref()) else {
-                    // Malformed parked record: cannot match anything.
-                    continue;
-                };
-                for (ci, clause) in query.clauses.iter().enumerate() {
-                    out.profile.clauses[ci].rows_evaluated += 1;
-                    if !eval_clause(clause, &value) {
-                        continue 'parked;
-                    }
-                    out.profile.clauses[ci].rows_passed += 1;
-                }
-                out.metrics.raw_scan.rows_matched += 1;
-                out.profile.parked_rows_matched += 1;
-                match (&mut out.data, &plan.op) {
-                    (PartialData::Rows(rows), PhysicalOp::ProjectScan { columns }) => {
-                        rows.push(
-                            columns
-                                .iter()
-                                .map(|c| SqlValue::from_json(value.get(&c.name), c.ty))
-                                .collect(),
-                        );
-                    }
-                    (PartialData::Groups(groups), PhysicalOp::HashAggregate { group, .. }) => {
-                        let key: Vec<SqlValue> = group
-                            .iter()
-                            .map(|c| SqlValue::from_json(value.get(&c.name), c.ty))
-                            .collect();
-                        debug_assert_eq!(key.len(), group_count);
-                        let states = groups
-                            .entry(key)
-                            .or_insert_with(|| aggs.iter().map(AggState::new).collect());
-                        for (state, call) in states.iter_mut().zip(&aggs) {
-                            match &call.arg {
-                                AggArgRef::Star => state.update(&SqlValue::Int(1)),
-                                AggArgRef::Column(c) => {
-                                    state.update(&SqlValue::from_json(value.get(&c.name), c.ty))
-                                }
-                            }
-                        }
-                    }
-                    _ => unreachable!("operator/partial shape mismatch"),
-                }
+            let scan = scan_parked(parked, &query.clauses, &plan.needed_columns, |_, record| {
+                feed_operator(&mut out.data, &plan.op, |slot| {
+                    let column = inputs[slot];
+                    SqlValue::from_json(record.get(&column.name), column.ty)
+                });
+            });
+            out.metrics.raw_scan = scan.metrics;
+            out.profile.parked_rows_parsed = scan.metrics.records_parsed as u64;
+            out.profile.parked_rows_matched = scan.metrics.rows_matched as u64;
+            out.profile.parked_fields_projected = scan.fields_projected as u64;
+            for (clause, (evaluated, passed)) in
+                out.profile.clauses.iter_mut().zip(scan.clause_counts)
+            {
+                clause.rows_evaluated += evaluated;
+                clause.rows_passed += passed;
             }
             out.metrics.raw_scan_time = raw_start.elapsed();
         } else {
@@ -789,7 +755,7 @@ mod tests {
         // Every surviving skip-mask row re-verified true.
         assert_eq!(covered.profile.clauses[0].selectivity(), Some(1.0));
 
-        // Uncovered path: full scan plus the parked JIT fallback, with
+        // Uncovered path: full scan plus the parked-record fallback, with
         // short-circuited per-clause counters.
         let uncovered = run(&e, r#"SELECT name FROM t WHERE stars < 3 AND city = "c0""#);
         assert!(

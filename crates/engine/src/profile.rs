@@ -5,7 +5,7 @@
 //! aggregate; [`QueryProfile`] splits the same execution into the
 //! stories EXPLAIN ANALYZE and the service's workload collector need:
 //! blocks pruned by zone maps vs. blocks whose pushed skip-mask was
-//! all-zero, rows skipped by each mechanism, the parked JIT fallback,
+//! all-zero, rows skipped by each mechanism, the parked-record scan,
 //! and a per-WHERE-clause hit/selectivity counter pair. Profiles merge
 //! across shards exactly like [`crate::PartialResult`]s (counters add,
 //! clauses combine positionally), and
@@ -74,11 +74,14 @@ pub struct QueryProfile {
     pub rows_scanned: u64,
     /// Columnar rows that satisfied every clause.
     pub rows_matched: u64,
-    /// Parked raw records JIT-parsed by the fallback scan (0 whenever
-    /// ≥1 clause was pushed).
+    /// Parked raw records the fallback's projected scan validated (0
+    /// whenever ≥1 clause was pushed).
     pub parked_rows_parsed: u64,
     /// Parked rows that satisfied every clause.
     pub parked_rows_matched: u64,
+    /// Distinct top-level fields that scan built per record: the WHERE
+    /// clauses' keys plus the operator's columns (0 if it did not run).
+    pub parked_fields_projected: u64,
     /// One entry per WHERE clause, in plan order.
     pub clauses: Vec<ClauseProfile>,
 }
@@ -103,6 +106,10 @@ impl QueryProfile {
         self.rows_matched += other.rows_matched;
         self.parked_rows_parsed += other.parked_rows_parsed;
         self.parked_rows_matched += other.parked_rows_matched;
+        // Per record, and the same on every shard that scanned.
+        self.parked_fields_projected = self
+            .parked_fields_projected
+            .max(other.parked_fields_projected);
         if self.clauses.is_empty() {
             self.clauses = other.clauses.clone();
         } else if !other.clauses.is_empty() {

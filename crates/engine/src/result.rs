@@ -57,9 +57,11 @@ impl QueryResult {
                 "rows: scanned={} skipped_zone={} skipped_mask={}",
                 p.rows_scanned, p.rows_skipped_zone, p.rows_skipped_mask
             ),
+            // `parsed` keeps the counter's name: records the projected
+            // scan went through, of which it built `fields` fields each.
             format!(
-                "parked fallback: parsed={} matched={}",
-                p.parked_rows_parsed, p.parked_rows_matched
+                "parked fallback: projected scan fields={} parsed={} matched={}",
+                p.parked_fields_projected, p.parked_rows_parsed, p.parked_rows_matched
             ),
         ];
         for c in &p.clauses {

@@ -4,15 +4,17 @@
 //! cost), but a usable system must also return rows. This module adds
 //! the materializing twin of [`crate::scan`]: matching rows come back
 //! as reconstructed JSON records, from both the columnar side (cheap
-//! column-to-record assembly) and the parked raw side (JIT parse).
+//! column-to-record assembly) and the parked raw side (projected scan,
+//! then a full parse of each match).
 //! All skipping/pruning machinery applies unchanged.
 
 use crate::metrics::ScanMetrics;
+use crate::raw_scan::scan_parked;
 use crate::row_eval::eval_query_on_block;
 use crate::scan::ScanOptions;
 use ciao_columnar::Table;
 use ciao_json::{parse, JsonValue};
-use ciao_predicate::{eval_query, Query};
+use ciao_predicate::Query;
 
 /// Matching rows plus scan counters.
 #[derive(Debug, Clone)]
@@ -63,23 +65,18 @@ pub fn select_from_table(table: &Table, query: &Query, options: &ScanOptions) ->
     SelectResult { records, metrics }
 }
 
-/// Materializes every parked raw record satisfying `query` (JIT parse).
+/// Materializes every parked raw record satisfying `query`: the
+/// shared projected scan finds the matches, and only those are parsed
+/// whole.
 pub fn select_from_raw<S: AsRef<str>>(records: &[S], query: &Query) -> SelectResult {
-    let mut metrics = ScanMetrics::default();
     let mut out = Vec::new();
-    for rec in records {
-        metrics.records_parsed += 1;
-        metrics.rows_scanned += 1;
-        if let Ok(value) = parse(rec.as_ref()) {
-            if eval_query(query, &value) {
-                metrics.rows_matched += 1;
-                out.push(value);
-            }
-        }
-    }
+    let scan = scan_parked(records, &query.clauses, &[], |raw, _| {
+        // `Ok`: the scan validated the whole record.
+        out.extend(parse(raw));
+    });
     SelectResult {
         records: out,
-        metrics,
+        metrics: scan.metrics,
     }
 }
 

@@ -61,59 +61,97 @@ impl std::error::Error for UnescapeError {}
 /// (quotes already stripped). Handles `\uXXXX` including surrogate
 /// pairs.
 pub fn unescape(s: &str) -> Result<String, UnescapeError> {
-    if !s.contains('\\') {
+    let Some(mut at) = s.find('\\') else {
         return Ok(s.to_owned());
-    }
+    };
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        let esc = chars.next().ok_or(UnescapeError::TrailingBackslash)?;
-        match esc {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            '/' => out.push('/'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'b' => out.push('\x08'),
-            'f' => out.push('\x0c'),
-            'u' => {
-                let hi = read_hex4(&mut chars)?;
-                let scalar = if (0xD800..0xDC00).contains(&hi) {
-                    // High surrogate: must be followed by \uDC00..\uDFFF.
-                    if chars.next() != Some('\\') || chars.next() != Some('u') {
-                        return Err(UnescapeError::LoneSurrogate);
-                    }
-                    let lo = read_hex4(&mut chars)?;
-                    if !(0xDC00..0xE000).contains(&lo) {
-                        return Err(UnescapeError::LoneSurrogate);
-                    }
-                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                } else if (0xDC00..0xE000).contains(&hi) {
-                    return Err(UnescapeError::LoneSurrogate);
-                } else {
-                    hi
-                };
-                out.push(char::from_u32(scalar).ok_or(UnescapeError::LoneSurrogate)?);
-            }
-            other => return Err(UnescapeError::InvalidEscape(other)),
+    let mut copied = 0;
+    loop {
+        out.push_str(&s[copied..at]);
+        let (c, len) = decode_escape(&s[at..])?;
+        out.push(c);
+        copied = at + len;
+        match s[copied..].find('\\') {
+            Some(next) => at = copied + next,
+            None => break,
         }
     }
+    out.push_str(&s[copied..]);
     Ok(out)
 }
 
-fn read_hex4(chars: &mut std::str::Chars<'_>) -> Result<u32, UnescapeError> {
+/// Decodes the one escape sequence `s` starts with (at a backslash):
+/// the character it stands for and the sequence's length in bytes — 2,
+/// 6, or 12 for a surrogate pair. This is the only place escapes are
+/// interpreted: [`unescape`] builds strings from it, and the parser's
+/// string scanner validates with it (discarding the character) so a
+/// skipped string is checked without being built.
+pub(crate) fn decode_escape(s: &str) -> Result<(char, usize), UnescapeError> {
+    let esc = s[1..].chars().next();
+    let simple = match esc.ok_or(UnescapeError::TrailingBackslash)? {
+        '"' => '"',
+        '\\' => '\\',
+        '/' => '/',
+        'n' => '\n',
+        'r' => '\r',
+        't' => '\t',
+        'b' => '\x08',
+        'f' => '\x0c',
+        'u' => return decode_unicode_escape(s.as_bytes()),
+        other => return Err(UnescapeError::InvalidEscape(other)),
+    };
+    Ok((simple, 2))
+}
+
+fn decode_unicode_escape(bytes: &[u8]) -> Result<(char, usize), UnescapeError> {
+    let hi = read_hex4(bytes, 2)?;
+    let (scalar, len) = if (0xD800..0xDC00).contains(&hi) {
+        // High surrogate: must be followed by \uDC00..\uDFFF.
+        if bytes.get(6) != Some(&b'\\') || bytes.get(7) != Some(&b'u') {
+            return Err(UnescapeError::LoneSurrogate);
+        }
+        let lo = read_hex4(bytes, 8)?;
+        if !(0xDC00..0xE000).contains(&lo) {
+            return Err(UnescapeError::LoneSurrogate);
+        }
+        (0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00), 12)
+    } else if (0xDC00..0xE000).contains(&hi) {
+        return Err(UnescapeError::LoneSurrogate);
+    } else {
+        (hi, 6)
+    };
+    let c = char::from_u32(scalar).ok_or(UnescapeError::LoneSurrogate)?;
+    Ok((c, len))
+}
+
+fn read_hex4(bytes: &[u8], at: usize) -> Result<u32, UnescapeError> {
     let mut v = 0u32;
-    for _ in 0..4 {
-        let c = chars.next().ok_or(UnescapeError::InvalidUnicodeEscape)?;
-        let d = c.to_digit(16).ok_or(UnescapeError::InvalidUnicodeEscape)?;
-        v = v * 16 + d;
+    for i in at..at + 4 {
+        let digit = bytes.get(i).and_then(|&b| char::from(b).to_digit(16));
+        v = v * 16 + digit.ok_or(UnescapeError::InvalidUnicodeEscape)?;
     }
     Ok(v)
+}
+
+/// Whether `raw` — the contents of a string literal whose escapes
+/// [`decode_escape`] accepts — unescapes to `target`, decided without
+/// building the unescaped string.
+pub(crate) fn unescapes_to(mut raw: &str, mut target: &str) -> bool {
+    while let Some(plain) = raw.chars().next() {
+        let (c, len) = if plain == '\\' {
+            let Ok(decoded) = decode_escape(raw) else {
+                return false;
+            };
+            decoded
+        } else {
+            (plain, plain.len_utf8())
+        };
+        let Some(rest) = target.strip_prefix(c) else {
+            return false;
+        };
+        (raw, target) = (&raw[len..], rest);
+    }
+    target.is_empty()
 }
 
 #[cfg(test)]
@@ -173,6 +211,35 @@ mod tests {
         assert_eq!(
             unescape("\\ud83d\\u0041").unwrap_err(),
             UnescapeError::LoneSurrogate
+        );
+    }
+
+    #[test]
+    fn unescapes_to_agrees_with_unescape() {
+        for (raw, target) in [
+            ("", ""),
+            ("plain", "plain"),
+            ("a\\u0062c", "abc"),
+            ("\\ud83d\\ude00!", "😀!"),
+            ("h\u{e9}\\n", "hé\n"),
+            ("abc", "ab"),
+            ("ab", "abc"),
+            ("\\u0041", "B"),
+        ] {
+            assert_eq!(
+                unescapes_to(raw, target),
+                unescape(raw).unwrap() == target,
+                "{raw:?} vs {target:?}"
+            );
+        }
+        assert!(!unescapes_to("\\q", "q"));
+    }
+
+    #[test]
+    fn invalid_escape_names_the_whole_character() {
+        assert_eq!(
+            unescape("\\é").unwrap_err(),
+            UnescapeError::InvalidEscape('é')
         );
     }
 

@@ -5,14 +5,23 @@
 //! This crate supplies both sides of that asymmetry:
 //!
 //! * a **DOM + recursive-descent parser + serializer** ([`JsonValue`],
-//!   [`parse`], [`to_string`]) used at load time and for JIT parsing of
-//!   parked records, and
+//!   [`parse`], [`to_string`]) used where whole records are needed: at
+//!   load time, by the compactor, and to materialize a parked record
+//!   that matched a query,
+//! * a **projected scan** ([`parse_projected`]) for queries over parked
+//!   records: one validating pass that builds only the top-level
+//!   fields the query reads and skips the rest without allocating, and
 //! * **raw chunking** ([`chunk::RecordChunk`]) that splits
 //!   newline-delimited JSON into per-record byte slices *without*
 //!   parsing, which is all the client ever does.
 //!
 //! The parser is strict RFC 8259 except where noted (it accepts any
-//! top-level value, not just objects/arrays).
+//! top-level value, not just objects/arrays). The projected scan's
+//! exactness contract — `Err` exactly when [`parse`] is `Err`, and for
+//! every requested key the value `parse(..).get(key)` returns — is
+//! what lets a query answer from it as if every record had been
+//! parsed; [`parse`] stays as its differential oracle
+//! (`tests/differential.rs`).
 //!
 //! # Example
 //!
@@ -22,6 +31,10 @@
 //! let v = parse(r#"{"name":"Bob","age":22}"#).unwrap();
 //! assert_eq!(v.get("name").and_then(JsonValue::as_str), Some("Bob"));
 //! assert_eq!(v.get("age").and_then(JsonValue::as_i64), Some(22));
+//!
+//! let p = ciao_json::parse_projected(r#"{"name":"Bob","age":22}"#, &["age"]).unwrap();
+//! assert_eq!(p.get("age"), v.get("age"));
+//! assert_eq!(p.get("name"), None);
 //! ```
 
 #![warn(missing_docs)]
@@ -36,6 +49,6 @@ mod value;
 pub use chunk::{ChunkError, ChunkReader, RecordChunk};
 pub use escape::{escape, escape_into, unescape, UnescapeError};
 pub use number::JsonNumber;
-pub use parse::{parse, parse_bytes, ParseError, ParserOptions};
+pub use parse::{parse, parse_bytes, parse_projected, ParseError, ParserOptions};
 pub use ser::{to_pretty_string, to_string, write_value};
 pub use value::JsonValue;
