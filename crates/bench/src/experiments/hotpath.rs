@@ -21,6 +21,7 @@ use ciao_datagen::Dataset;
 use ciao_engine::{scan_count, ScanOptions};
 use ciao_json::RecordChunk;
 use ciao_predicate::{compile_clause, parse_clause, parse_query, ClausePattern};
+use ciao_storage::wal::frame_prefix;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -33,7 +34,7 @@ pub struct HotpathRow {
     /// Row id, stable across runs (the gate joins on it).
     pub name: String,
     /// Kernel family ("search", "prefilter", "bitvec", "columnar",
-    /// "json", "parallel").
+    /// "json", "storage", "parallel").
     pub group: String,
     /// Median wall-clock of the optimized path, nanoseconds.
     pub median_ns: f64,
@@ -305,6 +306,84 @@ fn json_projected_row(tag: &str, text: &str, keys: [&str; 2]) -> HotpathRow {
     )
 }
 
+/// The bit-at-a-time CRC-32 loop (8 shift/xor rounds per byte) the
+/// durable path ran before [`ciao_columnar::crc32`] went table-driven.
+/// It is on no runtime path any more; it lives here as the reference
+/// both `storage/*` rows are measured against.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc: u32 = !0;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(crc & 1));
+        }
+    }
+    !crc
+}
+
+/// One ingest chunk the size the ledger logs: 1024 YCSB records,
+/// ≈ 640 KB of NDJSON.
+fn wal_chunk() -> RecordChunk {
+    RecordChunk::from_ndjson(&Dataset::Ycsb.generate_ndjson(7, 1024))
+        .split(1024)
+        .remove(0)
+}
+
+/// The checksum under every WAL frame, snapshot page and recovery
+/// read: the table-driven [`ciao_columnar::crc32`] vs the bitwise loop.
+fn storage_crc32_row(chunk: &RecordChunk) -> HotpathRow {
+    let bytes = chunk.as_ndjson().as_bytes();
+    let timings = interleaved_median_ns(
+        || u64::from(ciao_columnar::crc32(bytes)),
+        || u64::from(crc32_bitwise(bytes)),
+    );
+    row("storage/crc32_640k", "storage", timings, bytes.len(), true)
+}
+
+/// Framing one chunk for the log, up to the bytes the `write` takes.
+/// Now: an incremental checksum over the routing header and the
+/// chunk's borrowed text ([`frame_prefix`]), then header and text
+/// handed over as they lie (the copy into `sink` stands in for the
+/// kernel's). Before: serialize the chunk (`to_ndjson`), copy it into
+/// an owned record (`to_vec`), copy that into a frame buffer, and
+/// checksum the frame bit by bit.
+fn storage_wal_frame_row(chunk: &RecordChunk) -> HotpathRow {
+    let (seq, shard) = (41u64, 1u32);
+    let mut sink: Vec<u8> = Vec::new();
+    let timings = interleaved_median_ns(
+        || {
+            let text = chunk.as_ndjson().as_bytes();
+            let prefix = frame_prefix(seq, shard, text).expect("chunk is under the record limit");
+            sink.clear();
+            sink.extend_from_slice(&prefix);
+            sink.extend_from_slice(text);
+            black_box(&sink);
+            u64::from(u32::from_le_bytes(prefix[4..8].try_into().unwrap()))
+        },
+        || {
+            let payload = chunk.to_ndjson();
+            let record: Vec<u8> = payload.as_bytes().to_vec();
+            let mut frame = Vec::with_capacity(20 + record.len());
+            frame.extend_from_slice(&((12 + record.len()) as u32).to_le_bytes());
+            frame.extend_from_slice(&[0; 4]);
+            frame.extend_from_slice(&seq.to_le_bytes());
+            frame.extend_from_slice(&shard.to_le_bytes());
+            frame.extend_from_slice(&record);
+            let crc = crc32_bitwise(&frame[8..]);
+            frame[4..8].copy_from_slice(&crc.to_le_bytes());
+            black_box(&frame);
+            u64::from(crc)
+        },
+    );
+    row(
+        "storage/wal_frame_640k",
+        "storage",
+        timings,
+        chunk.as_ndjson().len(),
+        true,
+    )
+}
+
 /// Shard-scaling row: 2-worker parallel prefilter vs serial. Recorded
 /// for the trajectory but **not gated** — on a 1-core runner the
 /// "speedup" is pure coordination tax, which is not a regression.
@@ -350,6 +429,9 @@ pub fn run(scale: ExperimentScale) -> Vec<HotpathRow> {
         YCSB_KEYS,
     ));
     rows.push(json_projected_row("winlog", env.text(), WINLOG_KEYS));
+    let chunk = wal_chunk();
+    rows.push(storage_crc32_row(&chunk));
+    rows.push(storage_wal_frame_row(&chunk));
     rows.push(parallel_row(&env));
     rows
 }
@@ -366,7 +448,7 @@ mod tests {
             sample: 100,
         };
         let rows = run(scale);
-        assert_eq!(rows.len(), 11);
+        assert_eq!(rows.len(), 13);
         for r in &rows {
             assert!(r.median_ns > 0.0, "{}: zero median", r.name);
             assert!(r.baseline_ns > 0.0, "{}: zero baseline", r.name);
@@ -391,6 +473,21 @@ mod tests {
                 assert_eq!(projected.as_object().unwrap().len(), 2, "{r}");
             }
         }
+    }
+
+    #[test]
+    fn storage_rows_frame_the_same_bytes_both_ways() {
+        // The two sides of `storage/wal_frame_640k` must agree on the
+        // frame, or the row compares different work.
+        let chunk = wal_chunk();
+        assert_eq!(chunk.as_ndjson(), chunk.to_ndjson());
+        let text = chunk.as_ndjson().as_bytes();
+        let prefix = frame_prefix(41, 1, text).unwrap();
+        let crc = u32::from_le_bytes(prefix[4..8].try_into().unwrap());
+        let mut payload = prefix[8..].to_vec();
+        payload.extend_from_slice(text);
+        assert_eq!(crc, crc32_bitwise(&payload));
+        assert_eq!(ciao_columnar::crc32(text), crc32_bitwise(text));
     }
 
     #[test]

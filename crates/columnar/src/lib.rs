@@ -28,8 +28,8 @@ pub mod table;
 pub use block::{Block, BlockBuilder};
 pub use column::{Cell, Column, ColumnBuilder, ColumnValues};
 pub use io::{
-    crc32, read_block, read_schema, read_table, write_block, write_schema, write_table, IoError,
-    PageReader, PageWriter,
+    crc32, read_block, read_schema, read_table, write_block, write_schema, write_table, Crc32,
+    IoError, PageReader, PageWriter,
 };
 pub use metadata::{BlockMetadata, ColumnStats, STR_DICT_STATS_MAX};
 pub use schema::{DataType, Field, Schema, SchemaError};

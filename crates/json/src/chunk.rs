@@ -42,31 +42,45 @@ pub struct RecordChunk {
     spans: Vec<(u32, u32)>,
 }
 
+/// Byte ranges of the non-blank lines of `text` (CR/LF excluded).
+fn line_spans(text: &str) -> Vec<(u32, u32)> {
+    let mut spans = Vec::new();
+    let mut start = 0usize;
+    let bytes = text.as_bytes();
+    for i in 0..=bytes.len() {
+        if i == bytes.len() || bytes[i] == b'\n' {
+            let mut end = i;
+            // Tolerate CRLF producers.
+            if end > start && bytes[end - 1] == b'\r' {
+                end -= 1;
+            }
+            if text[start..end].trim().is_empty() {
+                start = i + 1;
+                continue;
+            }
+            spans.push((start as u32, end as u32));
+            start = i + 1;
+        }
+    }
+    spans
+}
+
 impl RecordChunk {
     /// Splits NDJSON text into one chunk containing every non-blank line.
     pub fn from_ndjson(text: &str) -> RecordChunk {
-        let mut spans = Vec::new();
-        let mut start = 0usize;
-        let bytes = text.as_bytes();
-        for i in 0..=bytes.len() {
-            if i == bytes.len() || bytes[i] == b'\n' {
-                let mut end = i;
-                // Tolerate CRLF producers.
-                if end > start && bytes[end - 1] == b'\r' {
-                    end -= 1;
-                }
-                if text[start..end].trim().is_empty() {
-                    start = i + 1;
-                    continue;
-                }
-                spans.push((start as u32, end as u32));
-                start = i + 1;
-            }
-        }
+        let spans = line_spans(text);
         RecordChunk {
             text: text.to_owned(),
             spans,
         }
+    }
+
+    /// [`RecordChunk::from_ndjson`] for a caller that already owns the
+    /// text (a replayed log payload): the chunk takes the buffer as it
+    /// is instead of copying it.
+    pub fn from_ndjson_owned(text: String) -> RecordChunk {
+        let spans = line_spans(&text);
+        RecordChunk { text, spans }
     }
 
     /// Builds a chunk from individual record strings.
@@ -123,6 +137,18 @@ impl RecordChunk {
             out.push('\n');
         }
         out
+    }
+
+    /// The chunk's own NDJSON text, borrowed: what a durable log
+    /// persists without serializing anything. Unlike
+    /// [`RecordChunk::to_ndjson`] it is not normalized — a producer's
+    /// blank lines and CRLFs are still in it — but
+    /// `from_ndjson(c.as_ndjson())` yields a chunk with identical
+    /// records, which is all a replay needs. For chunks built by
+    /// [`RecordChunk::from_records`] or [`RecordChunk::split`] the two
+    /// forms are byte-identical.
+    pub fn as_ndjson(&self) -> &str {
+        &self.text
     }
 
     /// Total payload size in bytes (records only, no framing).
@@ -294,6 +320,20 @@ mod tests {
             c.iter().collect::<Vec<_>>()
         );
         assert_eq!(RecordChunk::from_ndjson("").to_ndjson(), "");
+    }
+
+    #[test]
+    fn as_ndjson_replays_to_identical_records() {
+        // Not normalized, but replay-equivalent...
+        let messy = "{\"a\":1}\r\n\n{\"b\":2}\n   \n{\"c\":3}";
+        let c = RecordChunk::from_ndjson(messy);
+        assert_eq!(c.as_ndjson(), messy);
+        let back = RecordChunk::from_ndjson_owned(c.as_ndjson().to_owned());
+        assert_eq!(back, c);
+        // ...and already canonical for chunks built from records.
+        for part in c.split(2) {
+            assert_eq!(part.as_ndjson(), part.to_ndjson());
+        }
     }
 
     #[test]

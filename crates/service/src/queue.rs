@@ -154,6 +154,16 @@ impl IngestQueue {
         Ok(seq)
     }
 
+    /// The sequence number the next accepted chunk will get, `None`
+    /// when a push right now would be refused (full or closed). Only
+    /// a caller that excludes every other producer can rely on the
+    /// answer; the durable service does so to log a chunk under its
+    /// seq *before* handing the chunk to the queue.
+    pub fn next_seq_if_space(&self) -> Option<u64> {
+        let st = self.state.lock().unwrap();
+        (!st.closed && st.jobs.len() < self.capacity).then_some(st.next_seq)
+    }
+
     /// Blocks until the queue has free capacity or is closed; returns
     /// `false` on close. Space is not reserved — a competing producer
     /// can take it first, so callers loop over [`IngestQueue::try_push`].
@@ -250,6 +260,20 @@ mod tests {
         assert_eq!(q.push(0, c, f), EnqueueResult::QueueFull { capacity: 2 });
         assert_eq!(q.depth(), 2);
         assert_eq!(q.accepted(), 2);
+    }
+
+    #[test]
+    fn next_seq_if_space_predicts_the_push() {
+        let q = IngestQueue::with_first_seq(1, 7);
+        assert_eq!(q.next_seq_if_space(), Some(7));
+        let (c, f) = job_parts();
+        assert_eq!(q.try_push(0, c, f).unwrap(), 7);
+        assert_eq!(q.next_seq_if_space(), None, "full");
+        let _job = q.try_pop().unwrap();
+        q.complete();
+        assert_eq!(q.next_seq_if_space(), Some(8));
+        q.close();
+        assert_eq!(q.next_seq_if_space(), None, "closed");
     }
 
     #[test]

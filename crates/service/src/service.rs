@@ -14,7 +14,7 @@ use ciao_engine::{ColumnDesc, PartialResult, QueryOutcome, QueryResult};
 use ciao_json::RecordChunk;
 use ciao_predicate::Query;
 use ciao_sql::{SqlError, SqlType, SqlValue, Statement};
-use ciao_storage::{CheckpointStats, RecoveryReport, ShardSnapshot, StorageError, Store};
+use ciao_storage::{CheckpointStats, RecoveryReport, SnapshotView, StorageError, Store};
 use ciao_telemetry::{SpanTree, TelemetrySnapshot};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,12 +38,13 @@ struct Inner {
     blocked_nanos: AtomicU64,
     telemetry: Option<Arc<ServiceTelemetry>>,
     /// The durable store, `None` for a purely in-memory service. The
-    /// mutex serializes WAL appends and checkpoints; ingest workers
+    /// mutex serializes WAL appends (each with the queue push it
+    /// precedes, see `push_logged`) and checkpoints; ingest workers
     /// never touch it (logging happens on the producer's thread,
     /// before the ack).
     storage: Option<Mutex<Store>>,
     /// Producer/checkpoint exclusion. Producers hold it shared across
-    /// `queue.push` + WAL append, so the two are atomic as seen by a
+    /// WAL append + `queue.push`, so the two are atomic as seen by a
     /// checkpoint; [`Service::checkpoint`] holds it exclusively across
     /// ceiling-read + drain + shard seal. Without the gate a chunk
     /// enqueued mid-checkpoint could land both in a snapshot and above
@@ -95,24 +96,51 @@ impl Inner {
         self.queue.complete();
     }
 
-    /// Write-ahead-logs one accepted chunk before its ack is returned
-    /// to the producer. `payload` is `None` when storage is off (the
-    /// serialization is skipped entirely then).
+    /// Offers one chunk to the queue and — for a durable service —
+    /// write-ahead-logs it, as one step: `Ok(seq)` means queued *and*
+    /// logged, `Err` hands the untouched job back (queue full or
+    /// closed, nothing logged).
+    ///
+    /// The log frames the chunk's own text, borrowed from the chunk
+    /// the producer still holds: it is appended under the seq the
+    /// queue is about to assign and only then moved into the queue, so
+    /// nothing is serialized or copied on the way to the `write`. That
+    /// is sound because every durable push happens under the store
+    /// lock taken here — no other producer can claim the seq or the
+    /// free slot in between (workers only ever add space) — and it
+    /// makes log order, seq order and queue order one order.
     ///
     /// Panics on a WAL write failure: returning `Enqueued` for a chunk
     /// the log could not take would turn "acked" into a lie, and the
     /// producer's thread is where that contract breaks.
-    fn log_durable(&self, seq: u64, shard: usize, payload: Option<&str>) {
-        let (Some(storage), Some(payload)) = (&self.storage, payload) else {
-            return;
+    fn push_logged(
+        &self,
+        shard: usize,
+        chunk: RecordChunk,
+        filter: ChunkFilterResult,
+    ) -> Result<u64, (RecordChunk, ChunkFilterResult)> {
+        let Some(storage) = &self.storage else {
+            return self.queue.try_push(shard, chunk, filter);
         };
-        storage
-            .lock()
-            .append(seq, shard as u32, payload.as_bytes())
+        let mut store = storage.lock();
+        let Some(seq) = self.queue.next_seq_if_space() else {
+            return Err((chunk, filter));
+        };
+        store
+            .append(seq, shard as u32, chunk.as_ndjson().as_bytes())
             .expect("write-ahead log append failed");
+        let timing = store.last_append();
+        let pushed = self.queue.try_push(shard, chunk, filter).ok();
+        drop(store);
+        assert_eq!(pushed, Some(seq), "a logged chunk must enter the queue");
         if let Some(t) = &self.telemetry {
             t.wal_appends.inc();
+            t.wal_append.record_duration(timing.write);
+            if let Some(sync) = timing.sync {
+                t.wal_sync.record_duration(sync);
+            }
         }
+        Ok(seq)
     }
 }
 
@@ -218,27 +246,33 @@ impl Service {
         let mut wal_replayed = 0u64;
         if let Some(storage_config) = &config.storage {
             let (store, recovery) = Store::open(storage_config.clone(), config.shards as u32)?;
-            for recovered in &recovery.shards {
-                if let Some(snap) = &recovered.snapshot {
-                    shards[recovered.shard as usize].restore(
-                        snap.table(),
-                        snap.parked.clone(),
-                        snap.stats,
-                        snap.sealed_epochs as usize,
-                    );
+            // The recovery is consumed by value: restored tables, parked
+            // records and replayed chunks move into the shards, and each
+            // log payload is freed as soon as it has been re-applied.
+            let mut ceilings = vec![0u64; config.shards];
+            for recovered in recovery.shards {
+                ceilings[recovered.shard as usize] = recovered.ceiling;
+                if let Some(snap) = recovered.snapshot {
+                    let (stats, sealed_epochs) = (snap.stats, snap.sealed_epochs as usize);
+                    let (table, parked) = snap.into_table_and_parked();
+                    shards[recovered.shard as usize].restore(table, parked, stats, sealed_epochs);
                 }
             }
             // Re-apply the WAL tail through the normal ingest path —
             // the prefilter is deterministic, so re-running it beats
-            // persisting filter bitvectors in the log.
-            for shard_index in 0..config.shards {
-                for record in recovery.tail_for(shard_index as u32) {
-                    let text = String::from_utf8_lossy(&record.chunk);
-                    let chunk = RecordChunk::from_ndjson(&text);
-                    let filter = prefilter.run_chunk(&chunk);
-                    shards[shard_index].ingest(&chunk, &filter);
-                    wal_replayed += 1;
+            // persisting filter bitvectors in the log. Log order is
+            // each shard's apply order; shards are independent.
+            for record in recovery.tail {
+                let shard = record.shard as usize;
+                if shard >= shards.len() || record.seq < ceilings[shard] {
+                    continue;
                 }
+                let text =
+                    String::from_utf8(record.chunk).expect("recovery replays only UTF-8 chunks");
+                let chunk = RecordChunk::from_ndjson_owned(text);
+                let filter = prefilter.run_chunk(&chunk);
+                shards[shard].ingest(&chunk, &filter);
+                wal_replayed += 1;
             }
             if let Some(t) = &telemetry {
                 t.wal_replayed.add(wal_replayed);
@@ -330,34 +364,29 @@ impl Service {
                 shard: 0,
             };
         }
-        // Serialize before the queue consumes the chunk — only when a
-        // WAL will actually take the bytes.
-        let payload = self.inner.storage.is_some().then(|| chunk.to_ndjson());
         let shard = self.inner.route(self.inner.queue.accepted(), &chunk);
-        // Under the shared gate, push + WAL append are one atomic step
+        // Under the shared gate, WAL append + push are one atomic step
         // as far as a concurrent checkpoint is concerned (it briefly
         // blocks here while a checkpoint commits).
         let gate = self.inner.ingest_gate.read().expect("ingest gate");
-        let result = self.inner.queue.push(shard, chunk, filter);
-        match result {
-            EnqueueResult::Enqueued { seq, shard } => {
-                self.inner.log_durable(seq, shard, payload.as_deref());
-                drop(gate);
-            }
-            EnqueueResult::QueueFull { .. } => {
-                drop(gate);
+        let pushed = self.inner.push_logged(shard, chunk, filter);
+        drop(gate);
+        match pushed {
+            Ok(seq) => EnqueueResult::Enqueued { seq, shard },
+            Err(_) => {
                 self.inner.rejected.fetch_add(1, Ordering::Relaxed);
+                let capacity = self.inner.queue.capacity();
                 if let Some(t) = &self.inner.telemetry {
                     t.queue_full.inc();
                     t.events().push(
                         names::EVENT_QUEUE_FULL,
                         Some(shard),
-                        &[("capacity", self.inner.queue.capacity() as u64)],
+                        &[("capacity", capacity as u64)],
                     );
                 }
+                EnqueueResult::QueueFull { capacity }
             }
         }
-        result
     }
 
     /// Blocking enqueue: waits for queue capacity instead of reporting
@@ -373,7 +402,6 @@ impl Service {
                 shard: 0,
             };
         }
-        let payload = self.inner.storage.is_some().then(|| chunk.to_ndjson());
         let shard = self.inner.route(self.inner.queue.accepted(), &chunk);
         let started = Instant::now();
         // Attempt under the shared gate; wait for capacity *outside*
@@ -383,12 +411,8 @@ impl Service {
         let (mut chunk, mut filter) = (chunk, filter);
         let result = loop {
             let gate = self.inner.ingest_gate.read().expect("ingest gate");
-            match self.inner.queue.try_push(shard, chunk, filter) {
-                Ok(seq) => {
-                    self.inner.log_durable(seq, shard, payload.as_deref());
-                    drop(gate);
-                    break EnqueueResult::Enqueued { seq, shard };
-                }
+            match self.inner.push_logged(shard, chunk, filter) {
+                Ok(seq) => break EnqueueResult::Enqueued { seq, shard },
                 Err(back) => (chunk, filter) = back,
             }
             drop(gate);
@@ -703,32 +727,40 @@ impl Service {
     /// Panics on a storage write failure, like the WAL append path.
     pub fn checkpoint(&self) -> Option<CheckpointStats> {
         let storage = self.inner.storage.as_ref()?;
+        let started = Instant::now();
         let _gate = self.inner.ingest_gate.write().expect("ingest gate");
         let ceiling = self.inner.queue.accepted();
         self.drain();
-        let mut snapshots = Vec::with_capacity(self.inner.shards.len());
-        for (i, shard) in self.inner.shards.iter().enumerate() {
-            let mut shard = shard.lock();
+        // Every shard stays locked until the commit returns: the
+        // snapshots are borrowed views of the live tables and parked
+        // records, streamed to disk without cloning either.
+        let mut shards: Vec<_> = self.inner.shards.iter().map(|s| s.lock()).collect();
+        for shard in &mut shards {
             shard.seal_epoch();
-            let table = shard.sealed_table();
-            snapshots.push(ShardSnapshot {
+        }
+        let snapshots: Vec<SnapshotView<'_>> = shards
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| SnapshotView {
                 shard: i as u32,
                 sealed_epochs: shard.sealed_epoch_count() as u64,
                 ceiling,
                 stats: shard.cumulative_stats(),
-                schema: table.schema().map(|s| Arc::new(s.clone())),
-                blocks: table.blocks().to_vec(),
-                parked: shard.parked_rows().to_vec(),
-            });
-        }
+                schema: shard.sealed_table().schema(),
+                blocks: shard.sealed_table().blocks(),
+                parked: shard.parked_rows(),
+            })
+            .collect();
         let stats = storage
             .lock()
             .checkpoint(&snapshots)
             .expect("checkpoint commit failed");
+        drop(shards);
         self.inner
             .snapshots_written
             .fetch_add(stats.snapshots_written as u64, Ordering::Relaxed);
         if let Some(t) = &self.inner.telemetry {
+            t.checkpoint.record_duration(started.elapsed());
             t.snapshots_written.add(stats.snapshots_written as u64);
             t.events().push(
                 names::EVENT_CHECKPOINT,
@@ -1034,6 +1066,48 @@ mod tests {
         // the service's series.
         assert!(snap.prometheus_text().contains(names::QUERY_NS));
         assert!(snap.to_json().contains(names::QUERY_NS));
+        service.shutdown();
+    }
+
+    #[test]
+    fn telemetry_observes_the_durable_path() {
+        let (plan, schema, all) = plan_and_schema(10.0);
+        let dir = ciao_storage::ScratchDir::new("svc-telemetry");
+        let storage = ciao_storage::StorageConfig::new(dir.path())
+            .with_sync(ciao_storage::SyncPolicy::EveryN(2));
+        let service = Service::start(
+            plan,
+            schema,
+            ServiceConfig::default()
+                .with_shards(2)
+                .with_workers(0)
+                .with_storage(storage),
+        );
+        let chunks = all.split(50); // 8 chunks → 4 policy fsyncs
+        let n_chunks = chunks.len() as u64;
+        for chunk in chunks {
+            assert!(service.enqueue_raw(chunk).is_enqueued());
+        }
+        service.checkpoint().expect("storage is on");
+
+        let t = service.telemetry().expect("telemetry on by default");
+        assert_eq!(t.wal_append.count(), n_chunks, "one sample per append");
+        assert!(t.wal_append.max() > 0, "append cost was measured");
+        assert_eq!(t.wal_sync.count(), n_chunks / 2, "one sample per fsync");
+        assert!(t.wal_sync.max() > 0);
+        assert_eq!(t.checkpoint.count(), 1);
+        assert!(t.checkpoint.max() > 0);
+
+        let snap = service.telemetry_snapshot().unwrap();
+        assert_eq!(snap.counter(names::WAL_APPENDS_TOTAL), Some(n_chunks));
+        for name in [
+            names::WAL_APPEND_NS,
+            names::WAL_SYNC_NS,
+            names::CHECKPOINT_NS,
+        ] {
+            assert!(snap.prometheus_text().contains(name), "{name}");
+            assert!(snap.to_json().contains(name), "{name}");
+        }
         service.shutdown();
     }
 

@@ -46,6 +46,15 @@ pub mod names {
     pub const QUEUE_DEPTH: &str = "ciao_service_queue_depth";
     /// Chunks appended to the write-ahead log (durable ingest acks).
     pub const WAL_APPENDS_TOTAL: &str = "ciao_service_wal_appends_total";
+    /// What one WAL append costs the producer before its ack: the
+    /// checksum pass and the `write`, per chunk (fsync excluded).
+    pub const WAL_APPEND_NS: &str = "ciao_service_wal_append_ns";
+    /// Duration of each `fsync` the append path issued (policy syncs
+    /// and segment rotations).
+    pub const WAL_SYNC_NS: &str = "ciao_service_wal_sync_ns";
+    /// Duration of one [`crate::Service::checkpoint`], gate to commit
+    /// (producers are held off for all of it).
+    pub const CHECKPOINT_NS: &str = "ciao_service_checkpoint_ns";
     /// Chunks re-applied from the WAL tail during recovery.
     pub const WAL_REPLAYED_TOTAL: &str = "ciao_service_wal_replayed_total";
     /// Per-shard snapshot files written by checkpoints.
@@ -98,6 +107,12 @@ pub struct ServiceTelemetry {
     pub epochs_sealed: Counter,
     /// Durable (write-ahead-logged) ingest acks.
     pub wal_appends: Counter,
+    /// Per-chunk WAL append cost (checksum + write).
+    pub wal_append: Histogram,
+    /// Per-fsync cost on the append path.
+    pub wal_sync: Histogram,
+    /// Per-checkpoint duration.
+    pub checkpoint: Histogram,
     /// Chunks re-applied from the WAL tail at recovery.
     pub wal_replayed: Counter,
     /// Snapshot files written by checkpoints.
@@ -150,6 +165,9 @@ impl ServiceTelemetry {
             queue_full: registry.counter(names::QUEUE_FULL_TOTAL),
             epochs_sealed: registry.counter(names::EPOCHS_SEALED_TOTAL),
             wal_appends: registry.counter(names::WAL_APPENDS_TOTAL),
+            wal_append: registry.histogram(names::WAL_APPEND_NS),
+            wal_sync: registry.histogram(names::WAL_SYNC_NS),
+            checkpoint: registry.histogram(names::CHECKPOINT_NS),
             wal_replayed: registry.counter(names::WAL_REPLAYED_TOTAL),
             snapshots_written: registry.counter(names::SNAPSHOTS_WRITTEN_TOTAL),
             prune_rate,

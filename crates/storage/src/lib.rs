@@ -7,11 +7,13 @@
 //!
 //! * [`wal`] — a segmented write-ahead chunk log. The unit of logging
 //!   is the unit of acking (a raw NDJSON chunk plus its routing);
-//!   frames are length-prefixed and CRC-checksummed, and the fsync
+//!   frames are length-prefixed and CRC-checksummed over the
+//!   producer's borrowed bytes (no staging copy), and the fsync
 //!   cadence is the [`SyncPolicy`].
 //! * [`snapshot`] — per-shard epoch-boundary images (sealed columnar
 //!   blocks, parked records, stats, and the WAL ceiling they cover),
-//!   written atomically via temp-file + rename.
+//!   streamed from a borrowed [`SnapshotView`] of the live shard and
+//!   committed atomically via temp-file + rename.
 //! * [`manifest`] — a CRC-tailed text file naming the newest snapshot
 //!   per shard; the commit point of a checkpoint.
 //! * [`recovery`] — restart logic: manifest → snapshots (falling back
@@ -47,9 +49,13 @@ pub mod wal;
 pub use config::{StorageConfig, SyncPolicy};
 pub use recovery::{recover, RecoveredShard, Recovery, RecoveryReport};
 pub use scratch::ScratchDir;
-pub use snapshot::{list_snapshots, read_snapshot, write_snapshot, ShardSnapshot, SnapshotName};
+pub use snapshot::{
+    list_snapshots, read_snapshot, write_snapshot, ShardSnapshot, SnapshotName, SnapshotView,
+};
 pub use store::{CheckpointStats, Store};
-pub use wal::{repair_dir, replay_dir, SegmentMeta, Wal, WalDamage, WalRecord, WalReplay};
+pub use wal::{
+    repair_dir, replay_dir, AppendTiming, SegmentMeta, Wal, WalDamage, WalRecord, WalReplay,
+};
 
 /// Fsyncs a directory so renames, creations, and deletions inside it
 /// survive power loss. Every durable-file path in this crate (WAL

@@ -7,8 +7,9 @@
 //! 2. per shard, open the newest readable snapshot, falling back one
 //!    generation at a time when a file is missing or corrupt, and to
 //!    an empty shard (full WAL replay) when none survives;
-//! 3. replay every intact WAL record; torn or checksum-broken tails
-//!    are dropped, reported, and repaired on disk
+//! 3. replay every intact WAL record; torn, checksum-broken or
+//!    non-text (CRC-valid but not UTF-8) tails are dropped, reported,
+//!    and repaired on disk
 //!    ([`repair_dir`](crate::wal::repair_dir)) so the hole cannot
 //!    swallow segments a later service life appends.
 //!
@@ -19,7 +20,7 @@
 use crate::config::StorageConfig;
 use crate::manifest::{self, Manifest};
 use crate::snapshot::{list_snapshots, read_snapshot, ShardSnapshot, SnapshotName};
-use crate::wal::{repair_dir, replay_dir, SegmentMeta, WalRecord};
+use crate::wal::{repair_dir, replay_text_dir, SegmentMeta, WalRecord};
 use crate::StorageError;
 
 /// One shard's recovered starting point.
@@ -128,7 +129,7 @@ pub fn recover(config: &StorageConfig, shard_count: u32) -> Result<Recovery, Sto
         shards.push(recover_shard(shard, &manifest, &scanned, &mut report));
     }
 
-    let mut replay = replay_dir(dir)?;
+    let mut replay = replay_text_dir(dir)?;
     if let Some(damage) = &replay.corruption {
         report.wal_corruption = Some(damage.reason.clone());
         report.wal_dropped_bytes = replay.dropped_bytes;
@@ -244,7 +245,7 @@ mod tests {
     use crate::manifest::ManifestEntry;
     use crate::scratch::ScratchDir;
     use crate::snapshot::write_snapshot;
-    use crate::wal::Wal;
+    use crate::wal::{replay_dir, Wal};
     use ciao::LoadStats;
 
     fn empty_snap(shard: u32, epochs: u64, ceiling: u64) -> ShardSnapshot {
@@ -460,6 +461,37 @@ mod tests {
             r.tail_for(0).map(|x| x.seq).collect::<Vec<_>>(),
             vec![0, 1, 2, 3, 4, 5, 6]
         );
+    }
+
+    #[test]
+    fn crc_valid_non_utf8_chunk_ends_replay_like_a_checksum_mismatch() {
+        let d = ScratchDir::new("rec");
+        let cfg = StorageConfig::new(d.path());
+        let mut wal = Wal::open(d.path(), &cfg, Vec::new());
+        wal.append(&rec(0, 0)).unwrap();
+        wal.append(&rec(1, 0)).unwrap();
+        // Framed and checksummed correctly — but no producer sends this.
+        wal.append_chunk(2, 0, b"{\"seq\":\xFF\xFE}\n").unwrap();
+        wal.append(&rec(3, 0)).unwrap();
+        drop(wal);
+        // The byte-level scan accepts the frame; only recovery, whose
+        // chunks must be text, refuses it.
+        assert_eq!(replay_dir(d.path()).unwrap().records.len(), 4);
+
+        let r = recover(&cfg, 1).unwrap();
+        assert_eq!(
+            r.tail.iter().map(|x| x.seq).collect::<Vec<_>>(),
+            vec![0, 1],
+            "replay stops at the bad frame"
+        );
+        assert_eq!(r.next_seq, 2);
+        let reason = r.report.wal_corruption.as_deref().unwrap();
+        assert!(reason.contains("not UTF-8"), "{reason}");
+        assert!(r.report.wal_dropped_bytes > 0);
+        // Repaired like any other hole: the next recovery is clean.
+        let r = recover(&cfg, 1).unwrap();
+        assert!(r.report.clean(), "notes: {:?}", r.report.notes);
+        assert_eq!(r.tail.len(), 2);
     }
 
     #[test]

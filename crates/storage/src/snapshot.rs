@@ -24,6 +24,13 @@
 //! Files are written to a temp name and renamed into place, so a
 //! snapshot either exists whole or not at all; crash mid-write leaves
 //! only a `.tmp` that recovery ignores.
+//!
+//! The writer ([`write_snapshot`]) takes a borrowed [`SnapshotView`]
+//! of the live shard and streams it: each page is checksummed where
+//! its payload lies (the parked page over the shard's own lines, one
+//! incremental CRC pass) and goes through a `BufWriter` to the temp
+//! file — no parked string is cloned, joined or staged on the way.
+//! [`ShardSnapshot`] is the owned form recovery decodes into.
 
 use crate::StorageError;
 use bytes::{BufMut, BytesMut};
@@ -32,7 +39,7 @@ use ciao_columnar::{
     read_block, read_schema, write_block, write_schema, Block, PageReader, PageWriter, Schema,
     Table,
 };
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -65,18 +72,46 @@ pub struct ShardSnapshot {
     pub parked: Vec<String>,
 }
 
-impl ShardSnapshot {
-    /// Rebuilds the sealed table.
-    pub fn table(&self) -> Table {
-        match &self.schema {
-            Some(schema) => Table::from_blocks(Arc::clone(schema), self.blocks.clone()),
-            None => Table::default(),
+/// A borrowed image of one live shard — what a checkpoint hands the
+/// writer, so nothing the shard holds is cloned to be persisted.
+#[derive(Debug, Clone, Copy)]
+pub struct SnapshotView<'a> {
+    /// Shard index within the service.
+    pub shard: u32,
+    /// Epochs sealed into the table so far.
+    pub sealed_epochs: u64,
+    /// WAL watermark (see [`ShardSnapshot::ceiling`]).
+    pub ceiling: u64,
+    /// Cumulative load statistics at the boundary.
+    pub stats: LoadStats,
+    /// Schema of the sealed table (`None` when it has no rows).
+    pub schema: Option<&'a Schema>,
+    /// Sealed columnar blocks.
+    pub blocks: &'a [Block],
+    /// Parked raw records awaiting just-in-time promotion.
+    pub parked: &'a [String],
+}
+
+impl<'a> From<&'a ShardSnapshot> for SnapshotView<'a> {
+    fn from(snapshot: &'a ShardSnapshot) -> SnapshotView<'a> {
+        SnapshotView {
+            shard: snapshot.shard,
+            sealed_epochs: snapshot.sealed_epochs,
+            ceiling: snapshot.ceiling,
+            stats: snapshot.stats,
+            schema: snapshot.schema.as_deref(),
+            blocks: &snapshot.blocks,
+            parked: &snapshot.parked,
         }
     }
+}
 
-    /// Serializes the snapshot to its file image.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut writer = PageWriter::new();
+impl SnapshotView<'_> {
+    /// Streams the snapshot's file image into `out`.
+    pub fn write_to(&self, mut out: impl Write) -> std::io::Result<()> {
+        out.write_all(MAGIC)?;
+        out.write_all(&VERSION.to_le_bytes())?;
+        let mut writer = PageWriter::new(out);
 
         let mut meta = BytesMut::with_capacity(52);
         meta.put_u32_le(self.shard);
@@ -90,32 +125,45 @@ impl ShardSnapshot {
         ] {
             meta.put_u64_le(stat as u64);
         }
-        writer.page(PAGE_META, &meta);
+        writer.page(PAGE_META, &meta)?;
 
-        if let Some(schema) = &self.schema {
+        if let Some(schema) = self.schema {
             let mut buf = BytesMut::new();
             write_schema(schema, &mut buf);
-            writer.page(PAGE_SCHEMA, &buf);
-            for block in &self.blocks {
+            writer.page(PAGE_SCHEMA, &buf)?;
+            for block in self.blocks {
                 let mut buf = BytesMut::new();
                 write_block(schema, block, &mut buf);
-                writer.page(PAGE_BLOCK, &buf);
+                writer.page(PAGE_BLOCK, &buf)?;
             }
         }
+        let lines = self
+            .parked
+            .iter()
+            .flat_map(|line| [line.as_bytes(), b"\n".as_slice()]);
+        writer.page_parts(PAGE_PARKED, lines)?;
+        writer.page(PAGE_END, &[])
+    }
+}
 
-        let mut parked = Vec::new();
-        for line in &self.parked {
-            parked.extend_from_slice(line.as_bytes());
-            parked.push(b'\n');
-        }
-        writer.page(PAGE_PARKED, &parked);
-        writer.page(PAGE_END, &[]);
+impl ShardSnapshot {
+    /// Takes the snapshot apart into what a shard restores from — the
+    /// sealed table and the parked records — without cloning either.
+    pub fn into_table_and_parked(self) -> (Table, Vec<String>) {
+        let table = match self.schema {
+            Some(schema) => Table::from_blocks(schema, self.blocks),
+            None => Table::default(),
+        };
+        (table, self.parked)
+    }
 
-        let pages = writer.finish();
-        let mut out = Vec::with_capacity(MAGIC.len() + 4 + pages.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&pages);
+    /// Serializes the snapshot to its file image in memory (the same
+    /// page stream [`write_snapshot`] sends to disk).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        SnapshotView::from(self)
+            .write_to(&mut out)
+            .expect("a Vec refuses nothing below the u32 page limit");
         out
     }
 
@@ -255,14 +303,26 @@ pub fn list_snapshots(dir: &Path) -> std::io::Result<Vec<SnapshotName>> {
     Ok(found)
 }
 
+/// Buffer between the page stream and the temp file: large enough
+/// that a shard's worth of short parked lines costs a few hundred
+/// `write` calls, not one per 8 KiB.
+const WRITE_BUFFER: usize = 256 << 10;
+
 /// Writes the snapshot atomically (temp file + fsync + rename) and
-/// returns its parsed name.
-pub fn write_snapshot(dir: &Path, snapshot: &ShardSnapshot) -> std::io::Result<SnapshotName> {
+/// returns its parsed name. Takes a [`SnapshotView`] (or a
+/// `&ShardSnapshot`) and streams it, see the module docs.
+pub fn write_snapshot<'a>(
+    dir: &Path,
+    snapshot: impl Into<SnapshotView<'a>>,
+) -> std::io::Result<SnapshotName> {
+    let snapshot = snapshot.into();
     let name = SnapshotName::file_name(snapshot.shard, snapshot.sealed_epochs, snapshot.ceiling);
     let final_path = dir.join(&name);
     let tmp_path = dir.join(format!("{name}.tmp"));
-    let mut file = std::fs::File::create(&tmp_path)?;
-    file.write_all(&snapshot.encode())?;
+    let mut out = BufWriter::with_capacity(WRITE_BUFFER, std::fs::File::create(&tmp_path)?);
+    snapshot.write_to(&mut out)?;
+    // `into_inner` flushes and, unlike a drop, reports the failure.
+    let file = out.into_inner().map_err(|e| e.into_error())?;
     file.sync_data()?;
     drop(file);
     std::fs::rename(&tmp_path, &final_path)?;
@@ -284,6 +344,7 @@ mod tests {
     use super::*;
     use crate::scratch::ScratchDir;
     use ciao_columnar::{DataType, Field, TableBuilder};
+    use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     fn sample(shard: u32, epochs: u64, ceiling: u64, rows: usize) -> ShardSnapshot {
@@ -316,12 +377,71 @@ mod tests {
         }
     }
 
+    /// The parent format's encoder, kept as the byte-identity oracle:
+    /// every page payload is materialized (parked lines re-joined into
+    /// one buffer) and checksummed in one shot, sharing nothing with
+    /// the streaming [`SnapshotView::write_to`].
+    fn reference_encode(snap: &ShardSnapshot) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        let mut page = |kind: u8, payload: &[u8]| {
+            out.push(kind);
+            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            out.extend_from_slice(&ciao_columnar::crc32(payload).to_le_bytes());
+            out.extend_from_slice(payload);
+        };
+        let mut meta = BytesMut::new();
+        meta.put_u32_le(snap.shard);
+        meta.put_u64_le(snap.sealed_epochs);
+        meta.put_u64_le(snap.ceiling);
+        meta.put_u64_le(snap.stats.loaded_records as u64);
+        meta.put_u64_le(snap.stats.parked_records as u64);
+        meta.put_u64_le(snap.stats.parse_errors as u64);
+        meta.put_u64_le(snap.stats.coercion_failures as u64);
+        page(PAGE_META, &meta);
+        if let Some(schema) = &snap.schema {
+            let mut buf = BytesMut::new();
+            write_schema(schema, &mut buf);
+            page(PAGE_SCHEMA, &buf);
+            for block in &snap.blocks {
+                let mut buf = BytesMut::new();
+                write_block(schema, block, &mut buf);
+                page(PAGE_BLOCK, &buf);
+            }
+        }
+        let parked: String = snap.parked.iter().map(|l| format!("{l}\n")).collect();
+        page(PAGE_PARKED, parked.as_bytes());
+        page(PAGE_END, &[]);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn streamed_file_is_byte_identical_to_the_reference_image(
+            key in (0u32..8, 0u64..1000, any::<u64>()),
+            rows in 0usize..20,
+            parked in prop::collection::vec("[ -~]{0,60}", 0..40),
+        ) {
+            // `rows == 0` has no schema page; `parked` may be empty or
+            // hold empty lines.
+            let mut snap = sample(key.0, key.1, key.2, rows);
+            snap.parked = parked;
+            let d = ScratchDir::new("snap-identity");
+            let name = write_snapshot(d.path(), &snap).unwrap();
+            prop_assert_eq!(std::fs::read(&name.path).unwrap(), reference_encode(&snap));
+            prop_assert_eq!(read_snapshot(&name.path).unwrap(), snap);
+        }
+    }
+
     #[test]
     fn roundtrip_with_rows() {
         let snap = sample(3, 7, 42, 8);
         let back = ShardSnapshot::decode(&snap.encode()).unwrap();
         assert_eq!(back, snap);
-        assert_eq!(back.table().row_count(), 8);
+        assert_eq!(back.into_table_and_parked().0.row_count(), 8);
     }
 
     #[test]
@@ -337,7 +457,7 @@ mod tests {
         };
         let back = ShardSnapshot::decode(&snap.encode()).unwrap();
         assert_eq!(back, snap);
-        assert!(back.table().is_empty());
+        assert!(back.into_table_and_parked().0.is_empty());
     }
 
     #[test]

@@ -19,8 +19,8 @@
 use crate::config::StorageConfig;
 use crate::manifest::{self, Manifest, ManifestEntry};
 use crate::recovery::{recover, Recovery};
-use crate::snapshot::{list_snapshots, write_snapshot, ShardSnapshot};
-use crate::wal::{Wal, WalRecord};
+use crate::snapshot::{list_snapshots, write_snapshot, SnapshotView};
+use crate::wal::{AppendTiming, Wal};
 use crate::StorageError;
 use std::path::Path;
 
@@ -70,15 +70,18 @@ impl Store {
         &self.config.dir
     }
 
-    /// Logs one acked chunk. When this returns under
+    /// Logs one acked chunk, framing the borrowed bytes in place (a
+    /// checksum pass and one vectored write). When this returns under
     /// [`SyncPolicy::Always`](crate::SyncPolicy::Always), the chunk is
     /// on stable storage.
     pub fn append(&mut self, seq: u64, shard: u32, chunk: &[u8]) -> std::io::Result<()> {
-        self.wal.append(&WalRecord {
-            seq,
-            shard,
-            chunk: chunk.to_vec(),
-        })
+        self.wal.append_chunk(seq, shard, chunk)
+    }
+
+    /// What the most recent [`Store::append`] cost: checksum + write,
+    /// and the fsync it issued, if any.
+    pub fn last_append(&self) -> AppendTiming {
+        self.wal.last_append
     }
 
     /// Forces an fsync of the active WAL segment.
@@ -102,11 +105,11 @@ impl Store {
     }
 
     /// Commits a checkpoint: one snapshot per shard (callers pass
-    /// exactly `shard_count` of them, queue drained), then the
+    /// exactly `shard_count` borrowed views, queue drained), then the
     /// manifest, then retention pruning and WAL truncation.
     pub fn checkpoint(
         &mut self,
-        snapshots: &[ShardSnapshot],
+        snapshots: &[SnapshotView<'_>],
     ) -> Result<CheckpointStats, StorageError> {
         assert_eq!(
             snapshots.len(),
@@ -122,7 +125,7 @@ impl Store {
 
         let mut entries = Vec::with_capacity(snapshots.len());
         for snap in snapshots {
-            let name = write_snapshot(&dir, snap)?;
+            let name = write_snapshot(&dir, *snap)?;
             stats.snapshots_written += 1;
             entries.push(ManifestEntry {
                 shard: snap.shard,
@@ -175,15 +178,15 @@ mod tests {
     use crate::scratch::ScratchDir;
     use ciao::LoadStats;
 
-    fn snap(shard: u32, epochs: u64, ceiling: u64) -> ShardSnapshot {
-        ShardSnapshot {
+    fn snap(shard: u32, epochs: u64, ceiling: u64) -> SnapshotView<'static> {
+        SnapshotView {
             shard,
             sealed_epochs: epochs,
             ceiling,
             stats: LoadStats::default(),
             schema: None,
-            blocks: Vec::new(),
-            parked: Vec::new(),
+            blocks: &[],
+            parked: &[],
         }
     }
 

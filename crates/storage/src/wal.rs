@@ -14,6 +14,14 @@
 //! payload = [seq u64][shard u32][chunk NDJSON bytes…]
 //! ```
 //!
+//! The payload is the producer's chunk text as it lies in memory: the
+//! append path checksums the 12 routing bytes and the borrowed chunk
+//! incrementally ([`frame_prefix`]) and hands both to one vectored
+//! write, so between the producer's `RecordChunk` and the `write`
+//! syscall the payload is never copied. Replay reads each frame's
+//! chunk straight from the segment file into the buffer the record
+//! then owns.
+//!
 //! Segments are append-only files `wal-<id>.log`; the id only ever
 //! grows, and a reopened log always starts a *fresh* segment — after a
 //! crash the previous tail may be torn, and appending past a torn
@@ -32,18 +40,70 @@
 
 use crate::config::{StorageConfig, SyncPolicy};
 use crate::sync_dir;
-use ciao_columnar::crc32;
+use ciao_columnar::{crc32, Crc32};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufReader, ErrorKind, IoSlice, Read, Write};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// Frame header: payload length + checksum.
 const FRAME_HEADER: usize = 8;
 /// Payload header: seq + shard.
 const PAYLOAD_HEADER: usize = 12;
+/// Everything that precedes the chunk bytes of a frame on disk.
+const FRAME_PREFIX: usize = FRAME_HEADER + PAYLOAD_HEADER;
 /// Sanity bound on a single record — a length prefix beyond this is
-/// treated as a torn/corrupt tail, not an allocation request.
+/// treated as a torn/corrupt tail, not an allocation request, and the
+/// writer refuses to produce one.
 pub const MAX_RECORD_BYTES: usize = 256 << 20;
+
+/// The 20 bytes that precede a chunk on disk — frame header (payload
+/// length, CRC) then payload header (`seq`, `shard`) — with the CRC
+/// taken incrementally over the payload header and the borrowed
+/// `chunk`, so framing never copies the chunk.
+///
+/// A record above [`MAX_RECORD_BYTES`] — which the reader would reject
+/// as corruption — is refused with [`ErrorKind::InvalidInput`].
+pub fn frame_prefix(seq: u64, shard: u32, chunk: &[u8]) -> std::io::Result<[u8; FRAME_PREFIX]> {
+    let payload_len = PAYLOAD_HEADER + chunk.len();
+    if payload_len > MAX_RECORD_BYTES {
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidInput,
+            format!("wal record of {payload_len} bytes exceeds the {MAX_RECORD_BYTES}-byte limit"),
+        ));
+    }
+    let mut prefix = [0u8; FRAME_PREFIX];
+    // Cannot truncate: bounded by MAX_RECORD_BYTES just above.
+    prefix[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    prefix[8..16].copy_from_slice(&seq.to_le_bytes());
+    prefix[16..].copy_from_slice(&shard.to_le_bytes());
+    let crc = Crc32::new()
+        .update(&prefix[FRAME_HEADER..])
+        .update(chunk)
+        .finish();
+    prefix[4..8].copy_from_slice(&crc.to_le_bytes());
+    Ok(prefix)
+}
+
+/// Writes `prefix` then `chunk` with one `writev` (looping only if the
+/// kernel takes less than the whole frame).
+fn write_frame(file: &mut File, prefix: &[u8], chunk: &[u8]) -> std::io::Result<()> {
+    let mut written = 0;
+    while written < prefix.len() + chunk.len() {
+        let result = if written < prefix.len() {
+            file.write_vectored(&[IoSlice::new(&prefix[written..]), IoSlice::new(chunk)])
+        } else {
+            file.write(&chunk[written - prefix.len()..])
+        };
+        match result {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
 
 /// One logged ingest chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,11 +117,15 @@ pub struct WalRecord {
 }
 
 impl WalRecord {
-    /// Encodes the full frame (header + payload).
+    /// Encodes the full frame (header + payload) in memory: the
+    /// reference the append path's [`frame_prefix`] + vectored write is
+    /// tested byte-for-byte against. Panics on a record the `u32`
+    /// length field cannot describe.
     pub fn encode(&self) -> Vec<u8> {
         let payload_len = PAYLOAD_HEADER + self.chunk.len();
+        let framed_len = u32::try_from(payload_len).expect("wal record exceeds u32 framing");
         let mut out = Vec::with_capacity(FRAME_HEADER + payload_len);
-        out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+        out.extend_from_slice(&framed_len.to_le_bytes());
         out.extend_from_slice(&[0; 4]); // crc placeholder
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.shard.to_le_bytes());
@@ -142,7 +206,22 @@ fn parse_segment_id(name: &str) -> Option<u64> {
 /// ends it — everything after (including later segments) is reported
 /// as dropped rather than trusted, because a log with a hole in the
 /// middle no longer proves anything about what follows.
+///
+/// Chunks are opaque bytes here; recovery, whose chunks must be text,
+/// additionally refuses a frame that is not UTF-8.
 pub fn replay_dir(dir: &Path) -> std::io::Result<WalReplay> {
+    replay_frames(dir, false)
+}
+
+/// [`replay_dir`] for the service's log, whose chunks are NDJSON: a
+/// frame that passes its CRC but is not UTF-8 was never written by a
+/// producer, so it ends the replay like a checksum mismatch does
+/// instead of being ingested with its bytes rewritten.
+pub(crate) fn replay_text_dir(dir: &Path) -> std::io::Result<WalReplay> {
+    replay_frames(dir, true)
+}
+
+fn replay_frames(dir: &Path, require_text: bool) -> std::io::Result<WalReplay> {
     let mut ids: Vec<u64> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok())
         .filter_map(|e| parse_segment_id(&e.file_name().to_string_lossy()))
@@ -152,42 +231,51 @@ pub fn replay_dir(dir: &Path) -> std::io::Result<WalReplay> {
     let mut replay = WalReplay::default();
     for (i, &id) in ids.iter().enumerate() {
         let path = segment_path(dir, id);
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
+        // Buffered for the 20 header bytes of each frame; a chunk
+        // larger than the buffer is read past it, straight into the
+        // record's own allocation — no whole-segment staging copy.
+        let mut file = BufReader::new(File::open(&path)?);
+        let file_len = file.get_ref().metadata()?.len();
         let mut meta = SegmentMeta {
             id,
             path: path.clone(),
             max_seq: None,
         };
 
-        let mut offset = 0usize;
+        let mut offset = 0u64;
         let corruption: Option<String> = loop {
-            if offset == bytes.len() {
+            let rest = file_len - offset;
+            if rest == 0 {
                 break None;
             }
-            let rest = &bytes[offset..];
-            if rest.len() < FRAME_HEADER {
+            if rest < FRAME_HEADER as u64 {
                 break Some(format!(
                     "{}: torn frame header at offset {offset}",
                     path.display()
                 ));
             }
-            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-            let expected = u32::from_le_bytes(rest[4..8].try_into().unwrap());
+            let mut header = [0u8; FRAME_HEADER];
+            file.read_exact(&mut header)?;
+            let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+            let expected = u32::from_le_bytes(header[4..].try_into().unwrap());
             if len > MAX_RECORD_BYTES {
                 break Some(format!(
                     "{}: implausible record length {len} at offset {offset}",
                     path.display()
                 ));
             }
-            if rest.len() < FRAME_HEADER + len {
+            if rest < (FRAME_HEADER + len) as u64 {
                 break Some(format!(
                     "{}: torn record payload at offset {offset}",
                     path.display()
                 ));
             }
-            let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
-            let actual = crc32(payload);
+            let mut routing = [0u8; PAYLOAD_HEADER];
+            let routing = &mut routing[..len.min(PAYLOAD_HEADER)];
+            file.read_exact(routing)?;
+            let mut chunk = vec![0u8; len - routing.len()];
+            file.read_exact(&mut chunk)?;
+            let actual = Crc32::new().update(routing).update(&chunk).finish();
             if actual != expected {
                 break Some(format!(
                     "{}: checksum mismatch at offset {offset} \
@@ -195,20 +283,31 @@ pub fn replay_dir(dir: &Path) -> std::io::Result<WalReplay> {
                     path.display()
                 ));
             }
-            let Some(record) = WalRecord::decode_payload(payload) else {
+            if len < PAYLOAD_HEADER {
                 break Some(format!(
                     "{}: record at offset {offset} too short for its header",
                     path.display()
                 ));
+            }
+            if require_text && std::str::from_utf8(&chunk).is_err() {
+                break Some(format!(
+                    "{}: record at offset {offset} is not UTF-8 text",
+                    path.display()
+                ));
+            }
+            let record = WalRecord {
+                seq: u64::from_le_bytes(routing[..8].try_into().unwrap()),
+                shard: u32::from_le_bytes(routing[8..].try_into().unwrap()),
+                chunk,
             };
             meta.max_seq = Some(meta.max_seq.map_or(record.seq, |m| m.max(record.seq)));
             replay.records.push(record);
-            offset += FRAME_HEADER + len;
+            offset += (FRAME_HEADER + len) as u64;
         };
 
         replay.segments.push(meta);
         if let Some(reason) = corruption {
-            replay.dropped_bytes += (bytes.len() - offset) as u64;
+            replay.dropped_bytes += file_len - offset;
             // Later segments cannot be trusted past a hole: count them
             // dropped wholesale.
             for &later in &ids[i + 1..] {
@@ -223,7 +322,7 @@ pub fn replay_dir(dir: &Path) -> std::io::Result<WalReplay> {
             replay.corruption = Some(WalDamage {
                 reason,
                 segment_id: id,
-                valid_bytes: offset as u64,
+                valid_bytes: offset,
                 poisoned: ids[i + 1..].to_vec(),
             });
             break;
@@ -276,6 +375,17 @@ pub fn repair_dir(dir: &Path, replay: &mut WalReplay) -> std::io::Result<Vec<Str
     Ok(notes)
 }
 
+/// What the most recent [`Wal::append_chunk`] cost, split where the
+/// service's telemetry wants it split.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AppendTiming {
+    /// Checksum + `write` (everything but fsync).
+    pub write: Duration,
+    /// Time in `fsync`, `None` when the append issued none (a policy
+    /// sync that came due, or a segment rotation).
+    pub sync: Option<Duration>,
+}
+
 /// The append side of the log.
 #[derive(Debug)]
 pub struct Wal {
@@ -291,6 +401,10 @@ pub struct Wal {
     pub appends: u64,
     /// `fsync` calls issued by the append path.
     pub syncs: u64,
+    /// Total time spent inside those `fsync` calls.
+    sync_time: Duration,
+    /// Cost of the most recent append.
+    pub last_append: AppendTiming,
 }
 
 #[derive(Debug)]
@@ -316,18 +430,31 @@ impl Wal {
             appends_since_sync: 0,
             appends: 0,
             syncs: 0,
+            sync_time: Duration::ZERO,
+            last_append: AppendTiming::default(),
         }
     }
 
-    /// Appends one record, rotating and syncing per policy. When this
-    /// returns under [`SyncPolicy::Always`], the record is on stable
-    /// storage.
+    /// Appends one record — [`Wal::append_chunk`] for a caller that
+    /// holds an owned [`WalRecord`].
     pub fn append(&mut self, record: &WalRecord) -> std::io::Result<()> {
-        let frame = record.encode();
+        self.append_chunk(record.seq, record.shard, &record.chunk)
+    }
+
+    /// Appends one record framing the borrowed `chunk`, rotating and
+    /// syncing per policy. When this returns under
+    /// [`SyncPolicy::Always`], the record is on stable storage. A
+    /// record above [`MAX_RECORD_BYTES`] is refused
+    /// ([`ErrorKind::InvalidInput`]) with nothing written.
+    pub fn append_chunk(&mut self, seq: u64, shard: u32, chunk: &[u8]) -> std::io::Result<()> {
+        let started = Instant::now();
+        let (syncs_before, sync_time_before) = (self.syncs, self.sync_time);
+        let prefix = frame_prefix(seq, shard, chunk)?;
+        let frame_len = prefix.len() + chunk.len();
         if self
             .active
             .as_ref()
-            .is_some_and(|a| a.bytes + frame.len() > self.segment_bytes && a.bytes > 0)
+            .is_some_and(|a| a.bytes + frame_len > self.segment_bytes && a.bytes > 0)
         {
             self.rotate()?;
         }
@@ -354,19 +481,19 @@ impl Wal {
             });
         }
         let active = self.active.as_mut().expect("just opened");
-        active.file.write_all(&frame)?;
-        active.bytes += frame.len();
-        active.meta.max_seq = Some(
-            active
-                .meta
-                .max_seq
-                .map_or(record.seq, |m| m.max(record.seq)),
-        );
+        write_frame(&mut active.file, &prefix, chunk)?;
+        active.bytes += frame_len;
+        active.meta.max_seq = Some(active.meta.max_seq.map_or(seq, |m| m.max(seq)));
         self.appends += 1;
         self.appends_since_sync += 1;
         if self.sync.due(self.appends_since_sync) {
             self.sync()?;
         }
+        let synced = self.sync_time - sync_time_before;
+        self.last_append = AppendTiming {
+            write: started.elapsed().saturating_sub(synced),
+            sync: (self.syncs > syncs_before).then_some(synced),
+        };
         Ok(())
     }
 
@@ -377,7 +504,9 @@ impl Wal {
             return Ok(());
         }
         if let Some(active) = &mut self.active {
+            let started = Instant::now();
             active.file.sync_data()?;
+            self.sync_time += started.elapsed();
             self.syncs += 1;
         }
         self.appends_since_sync = 0;
@@ -697,6 +826,64 @@ mod tests {
             .unwrap()
             .reason
             .contains("implausible record length"));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The append path (incremental checksum over the borrowed
+        /// chunk, vectored write) lays down exactly the bytes of the
+        /// reference encoder (`WalRecord::encode`: one glued buffer,
+        /// one-shot checksum) — the on-disk format did not move.
+        #[test]
+        fn segment_is_byte_identical_to_the_reference_frames(
+            records in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<u64>(),
+                    proptest::prelude::any::<u32>(),
+                    proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2000),
+                ),
+                1..12,
+            ),
+        ) {
+            let d = ScratchDir::new("wal-identity");
+            let cfg = StorageConfig::new(d.path()).with_sync(SyncPolicy::Never);
+            let mut wal = open_wal(d.path(), &cfg);
+            let mut expected = Vec::new();
+            for (seq, shard, chunk) in records {
+                wal.append_chunk(seq, shard, &chunk).unwrap();
+                expected.extend(WalRecord { seq, shard, chunk }.encode());
+            }
+            proptest::prop_assert_eq!(std::fs::read(segment_path(d.path(), 0)).unwrap(), expected);
+        }
+    }
+
+    #[test]
+    fn over_long_record_is_refused_at_write_time() {
+        let d = ScratchDir::new("wal");
+        let cfg = StorageConfig::new(d.path());
+        let mut wal = open_wal(d.path(), &cfg);
+        // One byte past what the reader accepts (never touched: the
+        // refusal precedes the checksum pass).
+        let chunk = vec![0u8; MAX_RECORD_BYTES - PAYLOAD_HEADER + 1];
+        let err = wal.append_chunk(0, 0, &chunk).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        assert_eq!(wal.appends, 0);
+        assert_eq!(wal.segment_count(), 0, "nothing was created or written");
+        // The limit itself still frames.
+        assert!(frame_prefix(0, 0, &chunk[1..]).is_ok());
+    }
+
+    #[test]
+    fn append_timing_splits_write_from_sync() {
+        let d = ScratchDir::new("wal");
+        let cfg = StorageConfig::new(d.path()).with_sync(SyncPolicy::EveryN(2));
+        let mut wal = open_wal(d.path(), &cfg);
+        wal.append(&rec(0, 0, "x")).unwrap();
+        assert!(wal.last_append.write > Duration::ZERO);
+        assert_eq!(wal.last_append.sync, None, "first of two: no fsync due");
+        wal.append(&rec(1, 0, "x")).unwrap();
+        assert!(wal.last_append.sync.is_some(), "second append fsyncs");
     }
 
     #[test]

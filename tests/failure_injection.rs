@@ -313,6 +313,53 @@ mod storage_faults {
     }
 
     #[test]
+    fn crc_valid_non_utf8_wal_payload_is_corruption_not_data() {
+        const CHUNKS: u64 = 8;
+        let scratch = ScratchDir::new("fault-non-utf8");
+        {
+            let service = durable(scratch.path());
+            feed(&service, 0..CHUNKS);
+            drop(service);
+        }
+        // Splice in a frame no producer could have sent — its bytes are
+        // not UTF-8 — with a *correct* checksum, then a well-formed
+        // frame behind it. A lossy decode would ingest the first with
+        // its bytes rewritten to U+FFFD; recovery must instead stop
+        // there, exactly as it does at a checksum mismatch.
+        let forged = ciao_storage::WalRecord {
+            seq: CHUNKS,
+            shard: 0,
+            chunk: b"{\"stars\":5,\"name\":\"\xC3\x28\xFF\"}\n".to_vec(),
+        };
+        let behind = ciao_storage::WalRecord {
+            seq: CHUNKS + 1,
+            shard: 1,
+            chunk: chunk(CHUNKS + 1).to_ndjson().into_bytes(),
+        };
+        let segment = newest_wal_segment(scratch.path());
+        let mut bytes = std::fs::read(&segment).unwrap();
+        bytes.extend_from_slice(&forged.encode());
+        bytes.extend_from_slice(&behind.encode());
+        std::fs::write(&segment, bytes).unwrap();
+
+        let recovered = assert_recovers_prefix(scratch.path(), CHUNKS);
+        let report = recovered.recovery_report().unwrap();
+        assert!(!report.clean());
+        let reason = report.wal_corruption.as_deref().expect("surfaced");
+        assert!(reason.contains("not UTF-8"), "{reason}");
+        assert_eq!(
+            report.wal_dropped_bytes,
+            (forged.encode().len() + behind.encode().len()) as u64,
+            "the forged frame and everything behind it"
+        );
+        drop(recovered);
+        // The hole was repaired: a second start is clean.
+        let again = assert_recovers_prefix(scratch.path(), CHUNKS);
+        assert!(again.recovery_report().unwrap().clean());
+        again.shutdown();
+    }
+
+    #[test]
     fn deleted_newest_snapshots_fall_back_a_generation() {
         let scratch = ScratchDir::new("fault-snap");
         {
