@@ -15,7 +15,8 @@
 //! benefit — are the reproduction targets. See EXPERIMENTS.md.
 
 use ciao_bench::experiments::{
-    ablation, durability, end_to_end, fig6, hotpath, micro, profile, service, sql, table4, tables,
+    ablation, durability, end_to_end, fanout, fig6, hotpath, micro, profile, service, sql, table4,
+    tables,
 };
 use ciao_bench::table::{f3, pct, TextTable};
 use ciao_bench::{perf_gate, trajectory, ExperimentScale};
@@ -49,6 +50,7 @@ fn main() {
             "sql",
             "profile",
             "durability",
+            "fanout",
             "micro",
         ]
     } else {
@@ -84,6 +86,7 @@ fn main() {
             "sql" => print_sql(scale),
             "profile" => print_profile(scale),
             "durability" => print_durability(scale),
+            "fanout" => print_fanout(),
             "micro" => print_hotpath(scale),
             "validate-bench" => validate_bench(),
             other => eprintln!("unknown experiment `{other}` (see EXPERIMENTS.md)"),
@@ -504,6 +507,46 @@ fn print_durability(scale: ExperimentScale) {
         ),
         Err(e) => eprintln!("(trajectory: could not write {}: {e})\n", path.display()),
     }
+}
+
+fn print_fanout() {
+    println!(
+        "## Fan-out — where a statement's shard scans should run (2 shards, {} core(s))\n",
+        std::thread::available_parallelism().map_or(1, usize::from)
+    );
+    let rows = fanout::run();
+    let mut t = TextTable::new(&[
+        "Scans",
+        "Surviving rows",
+        "Inline(µs)",
+        "Hand-off(µs)",
+        "Spawn(µs)",
+        "Statements/arm",
+    ]);
+    for r in &rows {
+        t.row(&[
+            match r.side {
+                fanout::Side::Blocks => "block rows".into(),
+                fanout::Side::Parked => "parked rows".into(),
+            },
+            r.surviving_rows.to_string(),
+            format!("{:.1}", r.inline_us),
+            format!("{:.1}", r.handoff_us),
+            format!("{:.1}", r.spawn_us),
+            r.samples.to_string(),
+        ]);
+    }
+    println!("{t}");
+    let at = |side| {
+        fanout::crossover(&rows, side)
+            .map_or_else(|| "beyond the sweep".to_owned(), |n| format!("{n} rows"))
+    };
+    println!(
+        "crossover (hand-off at least as fast as inline from here up): block rows {}, parked rows {}",
+        at(fanout::Side::Blocks),
+        at(fanout::Side::Parked)
+    );
+    println!("(beyond the paper: medians of `SELECT COUNT(*) … WHERE …` executions, statement\n compiled once, arms interleaved. Inline scans every shard on the caller; hand-off\n keeps one and posts the other to a worker blocked on the ingest queue; spawn is the\n per-statement `thread::scope` the service used before. `ciao_service` scans inline\n up to its `INLINE_MAX_SURVIVING_ROWS`, which is set from the block-row crossover.)\n");
 }
 
 fn print_hotpath(scale: ExperimentScale) {

@@ -4,6 +4,7 @@ pub mod ablation;
 pub mod datasets;
 pub mod durability;
 pub mod end_to_end;
+pub mod fanout;
 pub mod fig6;
 pub mod hotpath;
 pub mod micro;

@@ -26,6 +26,9 @@ pub mod schema;
 pub mod table;
 
 pub use block::{Block, BlockBuilder};
+// The type of a block's predicate bitvectors and skip-masks
+// ([`BlockMetadata::skip_mask`]), so scan code can name what it holds.
+pub use ciao_bitvec::BitVec;
 pub use column::{Cell, Column, ColumnBuilder, ColumnValues};
 pub use io::{
     crc32, read_block, read_schema, read_table, write_block, write_schema, write_table, Crc32,

@@ -11,10 +11,14 @@ use std::sync::Arc;
 pub const DEFAULT_BLOCK_SIZE: usize = 1024;
 
 /// An immutable columnar table.
+///
+/// The blocks sit behind one `Arc`, so a clone shares them instead of
+/// copying columns: a reader can keep scanning the table it cloned
+/// while the owner appends to its own (see [`Table::merge`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Table {
     schema: Option<Arc<Schema>>,
-    blocks: Vec<Block>,
+    blocks: Arc<Vec<Block>>,
 }
 
 impl Table {
@@ -25,7 +29,7 @@ impl Table {
         }
         Table {
             schema: Some(schema),
-            blocks,
+            blocks: Arc::new(blocks),
         }
     }
 
@@ -50,7 +54,8 @@ impl Table {
     }
 
     /// Appends another table's blocks (schemas must match). Used by
-    /// just-in-time promotion of parked records.
+    /// just-in-time promotion of parked records. Copies this table's
+    /// blocks first when a clone still shares them.
     pub fn merge(&mut self, other: Table) {
         let Some(other_schema) = other.schema else {
             return; // nothing to merge
@@ -63,12 +68,13 @@ impl Table {
                 "cannot merge tables with different schemas"
             ),
         }
-        self.blocks.extend(other.blocks);
+        let theirs = Arc::try_unwrap(other.blocks).unwrap_or_else(|shared| (*shared).clone());
+        Arc::make_mut(&mut self.blocks).extend(theirs);
     }
 
     /// Reads a cell by global row index.
     pub fn cell(&self, mut row: usize, field: &str) -> Cell<'_> {
-        for block in &self.blocks {
+        for block in self.blocks.iter() {
             if row < block.row_count() {
                 return block.cell(row, field);
             }
@@ -154,7 +160,7 @@ impl TableBuilder {
         }
         Table {
             schema: Some(self.schema),
-            blocks: self.blocks,
+            blocks: Arc::new(self.blocks),
         }
     }
 }
@@ -259,6 +265,24 @@ mod tests {
         assert_eq!(empty.row_count(), 3);
         empty.merge(Table::default());
         assert_eq!(empty.row_count(), 3);
+    }
+
+    #[test]
+    fn a_clone_shares_blocks_and_survives_a_merge_into_the_original() {
+        let mut live = build(6, 4);
+        let pinned = live.clone();
+        assert!(
+            std::ptr::eq(live.blocks().as_ptr(), pinned.blocks().as_ptr()),
+            "cloning a table copies no block"
+        );
+        live.merge(build(5, 4));
+        assert_eq!(live.row_count(), 11);
+        assert_eq!(
+            pinned.row_count(),
+            6,
+            "the clone still reads what it cloned"
+        );
+        assert_eq!(pinned.blocks(), &live.blocks()[..2]);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The executor: route a query across the columnar and parked sides.
 
 use crate::metrics::QueryMetrics;
-use crate::raw_scan::scan_raw_records;
-use crate::scan::{scan_count, ScanOptions};
-use ciao_columnar::Table;
+use crate::raw_scan::scan_parked;
+use crate::scan::{count_survivors, PreparedScan, ScanOptions};
+use ciao_columnar::{Block, Table};
 use ciao_predicate::{Clause, Query};
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The result of one `COUNT(*)` execution.
 #[derive(Debug, Clone, Default)]
@@ -67,50 +67,79 @@ impl Executor {
         ids
     }
 
-    /// Executes `SELECT COUNT(*) WHERE query` over the table plus the
-    /// parked raw records.
+    /// Decides everything about one execution that can be decided
+    /// before a column or a parked record is touched: which clauses
+    /// ride pushed bitvectors, and per block the zone-prune, the fused
+    /// skip-mask and its popcount ([`PreparedScan`]).
     ///
     /// Routing per paper §VI-B:
     /// * query has ≥1 pushed clause → scan only the columnar side with
     ///   the pushed bitvectors as a skip mask (no parked record can
     ///   satisfy a pushed clause, so the parked side contributes 0);
     /// * no pushed clause → full columnar scan **plus** projected scan
-    ///   of every parked record.
+    ///   of every one of the `parked_rows` parked records.
+    ///
+    /// Zone maps are always sound, so both paths enable them. The
+    /// matching `scan_*` call must be given the same blocks in the
+    /// same order.
+    pub fn prepare<'a>(
+        &self,
+        query: Query,
+        blocks: impl IntoIterator<Item = &'a Block>,
+        parked_rows: usize,
+    ) -> Prepared {
+        let start = Instant::now();
+        let pushed_ids = self.pushed_ids_for(&query);
+        let skipping = !pushed_ids.is_empty();
+        let options = ScanOptions::skipping(pushed_ids).with_zone_maps();
+        let scan = PreparedScan::new(blocks, &query, &options);
+        Prepared {
+            query,
+            scan,
+            skipping,
+            parked_rows: if skipping { 0 } else { parked_rows },
+            prepared_in: start.elapsed(),
+        }
+    }
+
+    /// Counts the rows a [`Prepared`] execution left standing.
+    pub fn scan_count<'a, P>(
+        &self,
+        prepared: &Prepared,
+        blocks: impl IntoIterator<Item = &'a Block>,
+        parked: P,
+    ) -> QueryOutcome
+    where
+        P: IntoIterator,
+        P::Item: AsRef<str>,
+    {
+        let start = Instant::now();
+        let mut metrics = prepared.metrics();
+        metrics.table_scan = count_survivors(blocks, &prepared.scan, &prepared.query);
+        metrics.table_scan_time += start.elapsed();
+        if !prepared.skipping {
+            let raw_start = Instant::now();
+            metrics.raw_scan = scan_parked(parked, &prepared.query.clauses, &[], |_, _| {}).metrics;
+            metrics.raw_scan_time = raw_start.elapsed();
+        }
+        metrics.elapsed += start.elapsed();
+        QueryOutcome {
+            count: metrics.total_matched(),
+            metrics,
+        }
+    }
+
+    /// Executes `SELECT COUNT(*) WHERE query` over the table plus the
+    /// parked raw records: [`Executor::prepare`], then
+    /// [`Executor::scan_count`].
     pub fn execute_count<S: AsRef<str>>(
         &self,
         table: &Table,
         parked: &[S],
         query: &Query,
     ) -> QueryOutcome {
-        let start = Instant::now();
-        let pushed_ids = self.pushed_ids_for(query);
-        let mut metrics = QueryMetrics::default();
-
-        // Zone maps are always sound, so both paths enable them.
-        if pushed_ids.is_empty() {
-            metrics.table_scan = scan_count(table, query, &ScanOptions::full().with_zone_maps());
-            metrics.table_scan_time = start.elapsed();
-            let raw_start = Instant::now();
-            metrics.raw_scan = scan_raw_records(parked, query);
-            metrics.raw_scan_time = raw_start.elapsed();
-            metrics.scanned_parked = true;
-            metrics.used_skipping = false;
-        } else {
-            metrics.table_scan = scan_count(
-                table,
-                query,
-                &ScanOptions::skipping(pushed_ids).with_zone_maps(),
-            );
-            metrics.table_scan_time = start.elapsed();
-            metrics.scanned_parked = false;
-            metrics.used_skipping = true;
-        }
-
-        metrics.elapsed = start.elapsed();
-        QueryOutcome {
-            count: metrics.total_matched(),
-            metrics,
-        }
+        let prepared = self.prepare(query.clone(), table.blocks(), parked.len());
+        self.scan_count(&prepared, table.blocks(), parked)
     }
 
     /// Executes `SELECT * WHERE query`, materializing matching records
@@ -122,35 +151,60 @@ impl Executor {
         parked: &[S],
         query: &Query,
     ) -> (Vec<ciao_json::JsonValue>, QueryMetrics) {
-        use crate::select::{select_from_raw, select_from_table};
+        use crate::select::{select_from_raw, select_survivors};
+        let prepared = self.prepare(query.clone(), table.blocks(), parked.len());
         let start = Instant::now();
-        let pushed_ids = self.pushed_ids_for(query);
-        let mut metrics = QueryMetrics::default();
-        let mut records;
-        if pushed_ids.is_empty() {
-            let t = select_from_table(table, query, &ScanOptions::full().with_zone_maps());
-            metrics.table_scan_time = start.elapsed();
+        let mut metrics = prepared.metrics();
+        let t = select_survivors(table.blocks(), &prepared.scan, query);
+        metrics.table_scan = t.metrics;
+        metrics.table_scan_time += start.elapsed();
+        let mut records = t.records;
+        if !prepared.skipping {
             let raw_start = Instant::now();
             let r = select_from_raw(parked, query);
             metrics.raw_scan_time = raw_start.elapsed();
-            metrics.table_scan = t.metrics;
             metrics.raw_scan = r.metrics;
-            metrics.scanned_parked = true;
-            records = t.records;
             records.extend(r.records);
-        } else {
-            let t = select_from_table(
-                table,
-                query,
-                &ScanOptions::skipping(pushed_ids).with_zone_maps(),
-            );
-            metrics.table_scan_time = start.elapsed();
-            metrics.table_scan = t.metrics;
-            metrics.used_skipping = true;
-            records = t.records;
         }
-        metrics.elapsed = start.elapsed();
+        metrics.elapsed += start.elapsed();
         (records, metrics)
+    }
+}
+
+/// One execution after [`Executor::prepare`]: the lowered query, the
+/// routing decision, and what survives of each block. Owns everything
+/// it needs (no borrow of the blocks), so a prepared scan can be
+/// handed to another thread together with the data it was prepared
+/// over.
+#[derive(Debug, Clone)]
+pub struct Prepared {
+    pub(crate) query: Query,
+    pub(crate) scan: PreparedScan,
+    /// Whether ≥1 clause rides a pushed bitvector (and the parked side
+    /// is therefore skipped).
+    pub(crate) skipping: bool,
+    parked_rows: usize,
+    prepared_in: Duration,
+}
+
+impl Prepared {
+    /// Rows the scan will evaluate: block rows left by zone maps and
+    /// skip-masks, plus every parked record when the parked side must
+    /// be scanned. Known before a column is touched.
+    pub fn surviving_rows(&self) -> usize {
+        self.scan.surviving_rows + self.parked_rows
+    }
+
+    /// The accounting a scan starts from: routing flags set, the
+    /// preparation's time already on the clock.
+    pub(crate) fn metrics(&self) -> QueryMetrics {
+        QueryMetrics {
+            used_skipping: self.skipping,
+            scanned_parked: !self.skipping,
+            elapsed: self.prepared_in,
+            table_scan_time: self.prepared_in,
+            ..QueryMetrics::default()
+        }
     }
 }
 

@@ -19,6 +19,11 @@
 //!   wholesale.
 //!
 //! [`exec::Executor`] ties the two together and reports [`metrics`].
+//! Every entry point runs in two steps: *prepare* ([`Executor::prepare`],
+//! [`PreparedScan`]) routes the query and settles, per block, what
+//! zone maps and the fused skip-mask leave — the surviving row count
+//! is known before a column is touched — and *scan* walks only those
+//! survivors.
 //!
 //! On top of the count/select primitives sits the SQL execution layer
 //! ([`plan_exec`], [`result`]): [`Executor::execute_plan`] runs a
@@ -41,13 +46,13 @@ pub mod scan;
 pub mod select;
 pub mod zone;
 
-pub use exec::{Executor, QueryOutcome};
+pub use exec::{Executor, Prepared, QueryOutcome};
 pub use metrics::{QueryMetrics, ScanMetrics};
 pub use plan_exec::{finalize, AggState, PartialData, PartialResult};
 pub use profile::{ClauseProfile, QueryProfile};
 pub use raw_scan::scan_raw_records;
 pub use result::{ColumnDesc, QueryResult};
 pub use row_eval::{eval_clause_on_block, eval_query_on_block, eval_simple_on_block};
-pub use scan::{scan_count, ScanOptions};
+pub use scan::{scan_count, PreparedScan, ScanOptions, Survivors};
 pub use select::{select_from_raw, select_from_table, SelectResult};
 pub use zone::block_can_match;

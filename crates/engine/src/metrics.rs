@@ -72,11 +72,14 @@ impl QueryMetrics {
     /// Merges another execution's accounting into this one, as used
     /// when one logical query fans out across shards: counters add,
     /// the boolean flags OR (any shard that skipped / scanned parked
-    /// sets the merged flag), and `elapsed` takes the max — the
-    /// wall-clock of a parallel fan-out is its slowest shard. The
-    /// per-side scan times add: they report cumulative work done, not
-    /// wall-clock. Folding from [`QueryMetrics::default`] is the
-    /// identity.
+    /// sets the merged flag), and `elapsed` takes the max. That is the
+    /// wall-clock only of a fan-out that really ran its shards in
+    /// parallel (the slowest one); the merge cannot know, so a caller
+    /// that ran them any other way — `ciao_service` scans small
+    /// statements shard after shard on one thread — overwrites
+    /// `elapsed` with the wall time it measured. The per-side scan
+    /// times add: they report cumulative work done, not wall-clock.
+    /// Folding from [`QueryMetrics::default`] is the identity.
     pub fn merge(&mut self, other: &QueryMetrics) {
         self.table_scan.merge(&other.table_scan);
         self.raw_scan.merge(&other.raw_scan);
@@ -149,7 +152,7 @@ mod tests {
         assert_eq!(merged.raw_scan.records_parsed, 18);
         assert!(merged.used_skipping);
         assert!(merged.scanned_parked);
-        // Parallel fan-out: wall-clock is the slowest shard, not the sum.
+        // The default assumes a parallel fan-out: the slowest shard.
         assert_eq!(merged.elapsed, Duration::from_millis(5));
         // ...but per-side scan time is cumulative work, so it adds.
         assert_eq!(merged.table_scan_time, Duration::from_millis(6));

@@ -14,21 +14,26 @@
 //! but only the fields the WHERE clauses and the operator read are
 //! built, with the errors and the values a full parse would give.
 //!
-//! Execution is deliberately split in two so a sharded service can
-//! fan out: [`Executor::execute_plan`] produces a mergeable
-//! [`PartialResult`] per shard, and [`finalize`] turns the merged
-//! partial into the ordered, limited [`QueryResult`]. Determinism is
-//! load-bearing (the tests compare against a full-scan oracle
-//! bit-for-bit): integer sums/averages accumulate exactly in `i128`,
-//! groups live in a `BTreeMap` so output is key-ordered before ORDER
-//! BY, and sorting tie-breaks on the whole row.
+//! Execution is deliberately split so a sharded service can fan out:
+//! per shard, [`Executor::prepare_plan`] decides what survives zone
+//! maps and skip-masks — so the cost of the scan is known before it
+//! starts, and the scan can be run on whichever thread suits it — and
+//! [`Executor::scan_plan`] produces a mergeable [`PartialResult`]
+//! ([`Executor::execute_plan`] is the two in one call); [`finalize`]
+//! turns the merged partial into the ordered, limited
+//! [`QueryResult`]. Determinism is load-bearing (the tests compare
+//! against a full-scan oracle bit-for-bit): integer sums/averages
+//! accumulate exactly in `i128`, groups live in a `BTreeMap` so output
+//! is key-ordered before ORDER BY, and sorting tie-breaks on the whole
+//! row.
 
-use crate::exec::Executor;
+use crate::exec::{Executor, Prepared};
 use crate::metrics::QueryMetrics;
 use crate::profile::{ClauseProfile, QueryProfile};
 use crate::raw_scan::scan_parked;
 use crate::result::{ColumnDesc, QueryResult};
-use ciao_columnar::Table;
+use crate::scan::Survivors;
+use ciao_columnar::{Block, Table};
 use ciao_predicate::{clauses_from_sql, Query};
 use ciao_sql::{
     AggArgRef, AggCall, AggFunc, ColumnRef, OutputSource, PhysicalOp, PhysicalPlan, SqlType,
@@ -341,73 +346,77 @@ fn feed_operator(
 }
 
 impl Executor {
-    /// Executes a SQL physical plan over this shard's (table, parked)
-    /// pair, producing a mergeable partial.
+    /// [`Executor::prepare`] for a SQL physical plan: its WHERE
+    /// conjunction is lowered to predicate clauses first, so routing
+    /// is exactly the one counts and selects get.
+    pub fn prepare_plan<'a>(
+        &self,
+        plan: &PhysicalPlan,
+        blocks: impl IntoIterator<Item = &'a Block>,
+        parked_rows: usize,
+    ) -> Prepared {
+        let query = Query::new("sql", clauses_from_sql(&plan.filter));
+        self.prepare(query, blocks, parked_rows)
+    }
+
+    /// Runs `plan`'s operator over the rows a [`Prepared`] execution
+    /// left standing, producing a mergeable partial.
     ///
-    /// Routing matches [`Executor::execute_count`]: with ≥1 pushed
-    /// WHERE clause the scan uses the pushed bitvectors as a fused
-    /// skip-mask and never reads the parked side; otherwise it scans
-    /// the whole table and runs the projected scan over every parked
+    /// With ≥1 pushed WHERE clause the scan walks the fused skip-masks
+    /// and never reads the parked side; otherwise it scans every
+    /// unpruned block and runs the projected scan over every parked
     /// record. Zone maps prune blocks on both paths — including pure
     /// aggregate scans, so data skipping accelerates aggregates, not
     /// just filters. Every surviving row is re-verified with full typed
     /// evaluation before it feeds the operator (client bits admit false
     /// positives).
-    pub fn execute_plan<S: AsRef<str>>(
+    pub fn scan_plan<'a, P>(
         &self,
-        table: &Table,
-        parked: &[S],
+        prepared: &Prepared,
+        blocks: impl IntoIterator<Item = &'a Block>,
+        parked: P,
         plan: &PhysicalPlan,
-    ) -> PartialResult {
+    ) -> PartialResult
+    where
+        P: IntoIterator,
+        P::Item: AsRef<str>,
+    {
         let start = Instant::now();
-        let query = Query::new("sql", clauses_from_sql(&plan.filter));
-        let pushed_ids = self.pushed_ids_for(&query);
+        let query = &prepared.query;
         let mut out = PartialResult::empty(plan);
-        out.profile.clauses = query
-            .clauses
-            .iter()
-            .map(|c| ClauseProfile {
-                text: c.to_string(),
-                pushed: self.is_pushed(c),
-                rows_evaluated: 0,
-                rows_passed: 0,
-            })
-            .collect();
+        out.metrics = prepared.metrics();
+        out.metrics.table_scan = prepared.scan.metrics();
+        out.profile = QueryProfile {
+            blocks_total: prepared.scan.survivors().len() as u64,
+            blocks_pruned_zone: prepared.scan.blocks_pruned_zone as u64,
+            blocks_pruned_mask: prepared.scan.blocks_pruned_mask as u64,
+            rows_skipped_zone: prepared.scan.rows_skipped_zone as u64,
+            rows_skipped_mask: prepared.scan.rows_skipped_mask as u64,
+            clauses: query
+                .clauses
+                .iter()
+                .map(|c| ClauseProfile {
+                    text: c.to_string(),
+                    pushed: self.is_pushed(c),
+                    rows_evaluated: 0,
+                    rows_passed: 0,
+                })
+                .collect(),
+            ..QueryProfile::default()
+        };
         let inputs = operator_inputs(&plan.op);
 
-        // Columnar side: the scan_count loop with an operator feed
-        // instead of a counter.
-        for block in table.blocks() {
-            out.profile.blocks_total += 1;
-            if !crate::zone::block_can_match(&query, block) {
-                out.metrics.table_scan.blocks_pruned += 1;
-                out.metrics.table_scan.rows_skipped += block.row_count();
-                out.profile.blocks_pruned_zone += 1;
-                out.profile.rows_skipped_zone += block.row_count() as u64;
+        // Columnar side: the survivors feed the operator instead of a
+        // counter.
+        for (block, survivors) in blocks.into_iter().zip(prepared.scan.survivors()) {
+            if matches!(survivors, Survivors::Pruned) {
                 continue;
             }
-            out.metrics.table_scan.blocks_visited += 1;
             let cols: Vec<Option<usize>> = inputs
                 .iter()
                 .map(|c| block.schema().index_of(&c.name))
                 .collect();
-            let mask = if pushed_ids.is_empty() {
-                None
-            } else {
-                // A missing bitvector makes skip_mask return None →
-                // conservative full scan of the block.
-                block.metadata().skip_mask(&pushed_ids)
-            };
-            if let Some(mask) = &mask {
-                let zeros = mask.count_zeros();
-                out.metrics.table_scan.rows_skipped += zeros;
-                out.profile.rows_skipped_mask += zeros as u64;
-                if zeros == block.row_count() {
-                    // Opened, but the fused mask excluded every row.
-                    out.profile.blocks_pruned_mask += 1;
-                }
-            }
-            let mut feed = |row: usize| {
+            survivors.for_each_row(block.row_count(), |row| {
                 out.metrics.table_scan.rows_scanned += 1;
                 out.profile.rows_scanned += 1;
                 // The clause conjunction, short-circuited exactly like
@@ -427,27 +436,14 @@ impl Executor {
                         SqlValue::from_cell(block.column(i).cell(row))
                     })
                 });
-            };
-            match &mask {
-                Some(mask) => {
-                    for row in mask.iter_ones() {
-                        feed(row);
-                    }
-                }
-                None => {
-                    for row in 0..block.row_count() {
-                        feed(row);
-                    }
-                }
-            }
+            });
         }
-        out.metrics.table_scan_time = start.elapsed();
+        out.metrics.table_scan_time += start.elapsed();
 
         // Parked side: only reachable when nothing was pushed (a
         // parked record can never satisfy a pushed clause).
-        if pushed_ids.is_empty() {
+        if !prepared.skipping {
             let raw_start = Instant::now();
-            out.metrics.scanned_parked = true;
             let scan = scan_parked(parked, &query.clauses, &plan.needed_columns, |_, record| {
                 feed_operator(&mut out.data, &plan.op, |slot| {
                     let column = inputs[slot];
@@ -465,12 +461,22 @@ impl Executor {
                 clause.rows_passed += passed;
             }
             out.metrics.raw_scan_time = raw_start.elapsed();
-        } else {
-            out.metrics.used_skipping = true;
         }
 
-        out.metrics.elapsed = start.elapsed();
+        out.metrics.elapsed += start.elapsed();
         out
+    }
+
+    /// Executes a SQL physical plan over this shard's (table, parked)
+    /// pair: [`Executor::prepare_plan`], then [`Executor::scan_plan`].
+    pub fn execute_plan<S: AsRef<str>>(
+        &self,
+        table: &Table,
+        parked: &[S],
+        plan: &PhysicalPlan,
+    ) -> PartialResult {
+        let prepared = self.prepare_plan(plan, table.blocks(), parked.len());
+        self.scan_plan(&prepared, table.blocks(), parked, plan)
     }
 }
 
@@ -786,6 +792,44 @@ mod tests {
             uncovered.rows.len() as u64,
             uncovered.profile.total_matched()
         );
+    }
+
+    #[test]
+    fn prepare_settles_the_surviving_rows_before_anything_is_scanned() {
+        let e = env();
+        for (sql, reads_parked) in [
+            ("SELECT COUNT(*) FROM t WHERE stars = 5", false),
+            (
+                "SELECT city, COUNT(*) FROM t WHERE stars < 3 GROUP BY city",
+                true,
+            ),
+            ("SELECT name FROM t", true),
+        ] {
+            let plan = ciao_sql::compile(sql, &e.schema).unwrap();
+            let prepared = e.exec.prepare_plan(&plan, e.table.blocks(), e.parked.len());
+            let whole = e.exec.execute_plan(&e.table, &e.parked, &plan);
+            // Exactly the rows the scan then evaluates, on either side.
+            assert_eq!(
+                prepared.surviving_rows() as u64,
+                whole.profile.rows_scanned + whole.profile.parked_rows_parsed,
+                "{sql}"
+            );
+            assert_eq!(whole.metrics.scanned_parked, reads_parked, "{sql}");
+            // A prepared scan owns what it decided: it can run later,
+            // elsewhere, and more than once, to the same partial.
+            let prepared = std::thread::spawn(move || prepared).join().unwrap();
+            for _ in 0..2 {
+                let again = e
+                    .exec
+                    .scan_plan(&prepared, e.table.blocks(), &e.parked, &plan);
+                assert_eq!(again.profile, whole.profile, "{sql}");
+                assert_eq!(
+                    finalize(&plan, again).rows,
+                    finalize(&plan, whole.clone()).rows,
+                    "{sql}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -33,12 +33,16 @@ pub(crate) struct ParkedScan {
 /// Scans every parked record, projecting the fields `clauses` and
 /// `columns` name, and calls `on_match` with the raw record and its
 /// projection for each record that satisfies every clause.
-pub(crate) fn scan_parked<S: AsRef<str>>(
-    records: &[S],
+pub(crate) fn scan_parked<R>(
+    records: R,
     clauses: &[Clause],
     columns: &[String],
     mut on_match: impl FnMut(&str, &JsonValue),
-) -> ParkedScan {
+) -> ParkedScan
+where
+    R: IntoIterator,
+    R::Item: AsRef<str>,
+{
     let mut keys: Vec<&str> = Vec::new();
     let clause_keys = clauses
         .iter()

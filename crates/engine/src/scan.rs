@@ -2,7 +2,7 @@
 
 use crate::metrics::ScanMetrics;
 use crate::row_eval::eval_query_on_block;
-use ciao_columnar::Table;
+use ciao_columnar::{BitVec, Block, Table};
 use ciao_predicate::Query;
 
 /// Scan configuration.
@@ -37,51 +37,148 @@ impl ScanOptions {
     }
 }
 
-/// Counts rows of `table` satisfying `query`, applying data skipping
-/// when requested (paper §VI-B).
+/// What zone maps and the fused skip-mask leave of one block.
+#[derive(Debug, Clone)]
+pub enum Survivors {
+    /// No row can match — zone maps said so, or the fused skip-mask
+    /// is all zeros: the block's columns are never read.
+    Pruned,
+    /// Every row is evaluated: nothing was pushed, or a bitvector is
+    /// missing (which says nothing about which rows qualify).
+    All,
+    /// Only the rows whose bit is set in the fused skip-mask.
+    Mask(BitVec),
+}
+
+impl Survivors {
+    /// Calls `visit` with each surviving row of a `rows`-row block.
+    #[inline]
+    pub fn for_each_row(&self, rows: usize, mut visit: impl FnMut(usize)) {
+        match self {
+            Survivors::Pruned => {}
+            Survivors::All => (0..rows).for_each(visit),
+            Survivors::Mask(mask) => {
+                for row in mask.iter_ones() {
+                    visit(row);
+                }
+            }
+        }
+    }
+}
+
+/// The block side of a scan, decided before a column is touched:
+/// zone-prune, fused skip-mask and popcount per block. Every block
+/// scan — count, select, plan — starts from one of these and only
+/// walks [`PreparedScan::survivors`], so how many rows it will
+/// evaluate is known up front ([`PreparedScan::surviving_rows`]).
+#[derive(Debug, Clone, Default)]
+pub struct PreparedScan {
+    survivors: Vec<Survivors>,
+    /// Blocks skipped wholesale by zone maps.
+    pub blocks_pruned_zone: usize,
+    /// Opened blocks whose fused skip-mask excluded every row.
+    pub blocks_pruned_mask: usize,
+    /// Rows inside zone-pruned blocks.
+    pub rows_skipped_zone: usize,
+    /// Rows a skip-mask's zero bits exclude inside opened blocks.
+    pub rows_skipped_mask: usize,
+    /// Rows the scan will evaluate.
+    pub surviving_rows: usize,
+}
+
+impl PreparedScan {
+    /// Decides, for each block in order, which rows survive `query`
+    /// under `options`. A scan must walk the same blocks in the same
+    /// order.
+    pub fn new<'a>(
+        blocks: impl IntoIterator<Item = &'a Block>,
+        query: &Query,
+        options: &ScanOptions,
+    ) -> PreparedScan {
+        let mut prepared = PreparedScan::default();
+        for block in blocks {
+            let rows = block.row_count();
+            if options.use_zone_maps && !crate::zone::block_can_match(query, block) {
+                prepared.blocks_pruned_zone += 1;
+                prepared.rows_skipped_zone += rows;
+                prepared.survivors.push(Survivors::Pruned);
+                continue;
+            }
+            let mask = if options.skip_predicate_ids.is_empty() {
+                None
+            } else {
+                // A missing bitvector makes skip_mask return None →
+                // conservative full scan of the block.
+                block.metadata().skip_mask(&options.skip_predicate_ids)
+            };
+            prepared.survivors.push(match mask {
+                Some(mask) => {
+                    let ones = mask.count_ones();
+                    prepared.rows_skipped_mask += rows - ones;
+                    prepared.surviving_rows += ones;
+                    if ones == 0 {
+                        prepared.blocks_pruned_mask += 1;
+                        Survivors::Pruned
+                    } else {
+                        Survivors::Mask(mask)
+                    }
+                }
+                None => {
+                    prepared.surviving_rows += rows;
+                    Survivors::All
+                }
+            });
+        }
+        prepared
+    }
+
+    /// One entry per prepared block, in block order.
+    pub fn survivors(&self) -> &[Survivors] {
+        &self.survivors
+    }
+
+    /// The counters the preparation already settled; a scan adds
+    /// `rows_scanned` and `rows_matched`.
+    pub fn metrics(&self) -> ScanMetrics {
+        ScanMetrics {
+            blocks_visited: self.survivors.len() - self.blocks_pruned_zone,
+            blocks_pruned: self.blocks_pruned_zone,
+            rows_skipped: self.rows_skipped_zone + self.rows_skipped_mask,
+            ..ScanMetrics::default()
+        }
+    }
+}
+
+/// Counts the prepared survivors of `blocks` that satisfy `query`.
 ///
 /// Every surviving row is verified with **full** typed evaluation of
 /// all clauses — bits are a pre-filter, not an answer: client-side
 /// matching admits false positives, so a set bit proves nothing.
 /// Skipping is only ever sound in the other direction (bit 0 ⇒ the
 /// clause cannot hold), which block metadata guarantees.
-pub fn scan_count(table: &Table, query: &Query, options: &ScanOptions) -> ScanMetrics {
-    let mut metrics = ScanMetrics::default();
-    for block in table.blocks() {
-        if options.use_zone_maps && !crate::zone::block_can_match(query, block) {
-            metrics.blocks_pruned += 1;
-            metrics.rows_skipped += block.row_count();
-            continue;
-        }
-        metrics.blocks_visited += 1;
-        let mask = if options.skip_predicate_ids.is_empty() {
-            None
-        } else {
-            // A missing bitvector makes skip_mask return None →
-            // conservative full scan of the block.
-            block.metadata().skip_mask(&options.skip_predicate_ids)
-        };
-        match mask {
-            Some(mask) => {
-                metrics.rows_skipped += mask.count_zeros();
-                for row in mask.iter_ones() {
-                    metrics.rows_scanned += 1;
-                    if eval_query_on_block(query, block, row) {
-                        metrics.rows_matched += 1;
-                    }
-                }
+pub(crate) fn count_survivors<'a>(
+    blocks: impl IntoIterator<Item = &'a Block>,
+    prepared: &PreparedScan,
+    query: &Query,
+) -> ScanMetrics {
+    let mut metrics = prepared.metrics();
+    for (block, survivors) in blocks.into_iter().zip(prepared.survivors()) {
+        survivors.for_each_row(block.row_count(), |row| {
+            metrics.rows_scanned += 1;
+            if eval_query_on_block(query, block, row) {
+                metrics.rows_matched += 1;
             }
-            None => {
-                for row in 0..block.row_count() {
-                    metrics.rows_scanned += 1;
-                    if eval_query_on_block(query, block, row) {
-                        metrics.rows_matched += 1;
-                    }
-                }
-            }
-        }
+        });
     }
     metrics
+}
+
+/// Counts rows of `table` satisfying `query`, applying data skipping
+/// when requested (paper §VI-B): [`PreparedScan::new`], then a count
+/// over its survivors.
+pub fn scan_count(table: &Table, query: &Query, options: &ScanOptions) -> ScanMetrics {
+    let prepared = PreparedScan::new(table.blocks(), query, options);
+    count_survivors(table.blocks(), &prepared, query)
 }
 
 #[cfg(test)]
@@ -160,6 +257,63 @@ mod tests {
         assert_eq!(m.rows_matched, 20);
         assert_eq!(m.rows_scanned, 100);
         assert_eq!(m.rows_skipped, 0);
+    }
+
+    #[test]
+    fn preparation_counts_what_the_scan_will_touch() {
+        let t = table();
+        let q = parse_query("q", "stars = 5").unwrap();
+        // Predicate 1's bits: 20 survivors, known before the scan.
+        let prepared = PreparedScan::new(t.blocks(), &q, &ScanOptions::skipping(vec![1]));
+        assert_eq!(prepared.surviving_rows, 20);
+        assert_eq!(prepared.rows_skipped_mask, 80);
+        assert_eq!(prepared.survivors().len(), t.blocks().len());
+        let m = count_survivors(t.blocks(), &prepared, &q);
+        assert_eq!(m.rows_scanned, prepared.surviving_rows);
+        assert_eq!(m, scan_count(&t, &q, &ScanOptions::skipping(vec![1])));
+
+        // An impossible range: zone maps leave nothing, no mask is
+        // even fused.
+        let none = parse_query("q", "stars > 9").unwrap();
+        let prepared = PreparedScan::new(
+            t.blocks(),
+            &none,
+            &ScanOptions::skipping(vec![1]).with_zone_maps(),
+        );
+        assert_eq!(prepared.surviving_rows, 0);
+        assert_eq!(prepared.blocks_pruned_zone, t.blocks().len());
+        assert!(prepared
+            .survivors()
+            .iter()
+            .all(|s| matches!(s, Survivors::Pruned)));
+    }
+
+    #[test]
+    fn an_all_zero_mask_prunes_the_block_but_still_counts_it_visited() {
+        // Predicate 3 holds only in the first 16-row block.
+        let recs: Vec<_> = (0..48)
+            .map(|i| parse(&format!(r#"{{"n":{i}}}"#)).unwrap())
+            .collect();
+        let schema = Arc::new(Schema::infer(&recs).unwrap());
+        let mut tb = TableBuilder::with_block_size(schema, &[3], 16);
+        for (i, r) in recs.iter().enumerate() {
+            tb.push_record(r, &BTreeMap::from([(3, i < 16)]));
+        }
+        let t = tb.finish();
+        let q = parse_query("q", "n < 16").unwrap();
+        let prepared = PreparedScan::new(t.blocks(), &q, &ScanOptions::skipping(vec![3]));
+        assert!(matches!(
+            prepared.survivors(),
+            [Survivors::Mask(_), Survivors::Pruned, Survivors::Pruned]
+        ));
+        assert_eq!(prepared.blocks_pruned_mask, 2);
+        assert_eq!(prepared.blocks_pruned_zone, 0);
+        let m = count_survivors(t.blocks(), &prepared, &q);
+        assert_eq!((m.blocks_visited, m.blocks_pruned), (3, 0));
+        assert_eq!(
+            (m.rows_scanned, m.rows_skipped, m.rows_matched),
+            (16, 32, 16)
+        );
     }
 
     #[test]

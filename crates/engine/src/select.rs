@@ -11,8 +11,8 @@
 use crate::metrics::ScanMetrics;
 use crate::raw_scan::scan_parked;
 use crate::row_eval::eval_query_on_block;
-use crate::scan::ScanOptions;
-use ciao_columnar::Table;
+use crate::scan::{PreparedScan, ScanOptions};
+use ciao_columnar::{Block, Table};
 use ciao_json::{parse, JsonValue};
 use ciao_predicate::Query;
 
@@ -25,44 +25,32 @@ pub struct SelectResult {
     pub metrics: ScanMetrics,
 }
 
-/// Materializes every table row satisfying `query`.
-pub fn select_from_table(table: &Table, query: &Query, options: &ScanOptions) -> SelectResult {
-    let mut metrics = ScanMetrics::default();
+/// Materializes the prepared survivors of `blocks` that satisfy
+/// `query`.
+pub(crate) fn select_survivors<'a>(
+    blocks: impl IntoIterator<Item = &'a Block>,
+    prepared: &PreparedScan,
+    query: &Query,
+) -> SelectResult {
+    let mut metrics = prepared.metrics();
     let mut records = Vec::new();
-    for block in table.blocks() {
-        if options.use_zone_maps && !crate::zone::block_can_match(query, block) {
-            metrics.blocks_pruned += 1;
-            metrics.rows_skipped += block.row_count();
-            continue;
-        }
-        metrics.blocks_visited += 1;
-        let mask = if options.skip_predicate_ids.is_empty() {
-            None
-        } else {
-            block.metadata().skip_mask(&options.skip_predicate_ids)
-        };
-        let mut visit = |row: usize, metrics: &mut ScanMetrics| {
+    for (block, survivors) in blocks.into_iter().zip(prepared.survivors()) {
+        survivors.for_each_row(block.row_count(), |row| {
             metrics.rows_scanned += 1;
             if eval_query_on_block(query, block, row) {
                 metrics.rows_matched += 1;
                 records.push(block.to_record(row));
             }
-        };
-        match mask {
-            Some(mask) => {
-                metrics.rows_skipped += mask.count_zeros();
-                for row in mask.iter_ones() {
-                    visit(row, &mut metrics);
-                }
-            }
-            None => {
-                for row in 0..block.row_count() {
-                    visit(row, &mut metrics);
-                }
-            }
-        }
+        });
     }
     SelectResult { records, metrics }
+}
+
+/// Materializes every table row satisfying `query`:
+/// [`PreparedScan::new`], then a walk over its survivors.
+pub fn select_from_table(table: &Table, query: &Query, options: &ScanOptions) -> SelectResult {
+    let prepared = PreparedScan::new(table.blocks(), query, options);
+    select_survivors(table.blocks(), &prepared, query)
 }
 
 /// Materializes every parked raw record satisfying `query`: the

@@ -7,20 +7,24 @@
 //! the one-shot [`ciao::Server`] into a long-running service:
 //!
 //! * **Sharding** — N [`Shard`]s, each an independently locked
-//!   partial-loading state (columnar table + parked store) sharing one
-//!   [`ciao::PushdownPlan`]. Ingest into one shard never blocks
-//!   queries on another.
+//!   partial-loading state (sealed epochs of columnar blocks + parked
+//!   rows, and one active epoch) sharing one [`ciao::PushdownPlan`].
+//!   Readers pin the sealed epochs and scan them unlocked, so a query
+//!   never blocks ingest — not even on its own shard.
 //! * **Bounded ingest with backpressure** — producers enqueue
 //!   prefiltered chunks into a bounded queue and observe
 //!   [`EnqueueResult::QueueFull`] when the service falls behind;
 //!   worker threads drain jobs into shards. Chunk → shard routing is
 //!   decided at enqueue time ([`Routing`]), so results never depend on
 //!   worker scheduling.
-//! * **Fan-out queries** — [`Service::query`] executes on every shard
-//!   in parallel and merges the per-shard
-//!   [`QueryOutcome`](ciao_engine::QueryOutcome)s (counts add, scan
-//!   counters add, `elapsed` takes the slowest shard), answering
-//!   exactly as one server holding all the data would.
+//! * **Fan-out queries** — [`Service::query`] pins and prepares every
+//!   shard, which settles how many rows survive zone maps and
+//!   skip-masks before one is read; a small statement is then scanned
+//!   on the caller's thread, a large one is shared with the ingest
+//!   workers (no thread is spawned per statement). The per-shard
+//!   [`QueryOutcome`](ciao_engine::QueryOutcome)s merge (counts add,
+//!   scan counters add, `elapsed` is the measured wall time),
+//!   answering exactly as one server holding all the data would.
 //!   [`Service::query_sql`] runs full SQL `SELECT` statements
 //!   (projections, aggregates, `GROUP BY`, `ORDER BY`, `LIMIT`) the
 //!   same way: each shard executes the `ciao_sql` physical plan and
@@ -95,9 +99,9 @@ pub mod workload;
 pub use compactor::{CompactionPolicy, CompactionStats};
 pub use config::{Routing, ServiceConfig};
 pub use metrics::ServiceMetrics;
-pub use queue::{EnqueueResult, IngestQueue};
+pub use queue::{EnqueueResult, IngestQueue, ScanJob, Work};
 pub use service::{DurabilityStatus, Service};
-pub use shard::{Shard, ShardSnapshot};
+pub use shard::{EpochPin, Shard, ShardSnapshot};
 pub use telemetry::ServiceTelemetry;
 pub use workload::{ClauseStats, SlowQueryEntry, SlowQueryLog, WorkloadStats};
 

@@ -6,6 +6,13 @@
 //! nanoseconds against milliseconds of parsing per job — contention on
 //! this lock is never the bottleneck, and the simple structure is easy
 //! to reason about under shutdown.
+//!
+//! The same workers also run **scan jobs**: a statement too large to
+//! scan on its caller's thread hands per-shard scans over through a
+//! second deque under the same lock and the same `jobs` condvar
+//! ([`IngestQueue::push_scan`]). Scan jobs are unbounded (a statement
+//! posts at most `shards − 1`), never count as in-flight ingest, and
+//! are popped before chunks — they are short and a caller is waiting.
 
 use ciao_client::ChunkFilterResult;
 use ciao_json::RecordChunk;
@@ -28,6 +35,40 @@ pub struct IngestJob {
     pub chunk: RecordChunk,
     /// The client's filter result for the chunk.
     pub filter: ChunkFilterResult,
+}
+
+/// One shard's scan, handed from a statement's thread to whichever
+/// thread pops it first. The closure owns everything it needs (pinned
+/// epochs, plan, result channel); its argument is the lane it runs on
+/// — `0` for a statement's own thread, `w + 1` for worker `w` — so
+/// traces can say where the scan really ran.
+pub struct ScanJob(Box<dyn FnOnce(u64) + Send>);
+
+impl ScanJob {
+    /// Wraps a scan.
+    pub fn new(scan: impl FnOnce(u64) + Send + 'static) -> ScanJob {
+        ScanJob(Box::new(scan))
+    }
+
+    /// Runs the scan on `lane`.
+    pub fn run(self, lane: u64) {
+        (self.0)(lane)
+    }
+}
+
+impl std::fmt::Debug for ScanJob {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ScanJob")
+    }
+}
+
+/// What a worker pops.
+#[derive(Debug)]
+pub enum Work {
+    /// A chunk to ingest; [`IngestQueue::complete`] it afterwards.
+    Ingest(IngestJob),
+    /// A scan to run.
+    Scan(ScanJob),
 }
 
 /// What an enqueue attempt observed.
@@ -59,6 +100,7 @@ impl EnqueueResult {
 #[derive(Debug, Default)]
 struct QueueState {
     jobs: VecDeque<IngestJob>,
+    scans: VecDeque<ScanJob>,
     /// Jobs popped but not yet ingested (keeps `drain` honest: an
     /// empty deque with a job mid-ingest is not "drained").
     in_flight: usize,
@@ -175,15 +217,37 @@ impl IngestQueue {
         !st.closed
     }
 
-    /// Worker side: blocks for the next job; `None` once the queue is
-    /// closed **and** empty (drain-then-stop shutdown semantics).
-    pub fn pop_wait(&self) -> Option<IngestJob> {
+    /// Hands a scan to the workers. `Err` gives it back when the queue
+    /// is closed (no worker may be left to run it).
+    pub fn push_scan(&self, job: ScanJob) -> Result<(), ScanJob> {
+        let mut st = self.state.lock().unwrap();
+        if st.closed {
+            return Err(job);
+        }
+        st.scans.push_back(job);
+        self.jobs.notify_one();
+        Ok(())
+    }
+
+    /// Takes back a scan no worker has started yet, so the thread that
+    /// is waiting for it can run it instead of waiting.
+    pub fn try_pop_scan(&self) -> Option<ScanJob> {
+        self.state.lock().unwrap().scans.pop_front()
+    }
+
+    /// Worker side: blocks for the next piece of work, scans before
+    /// chunks; `None` once the queue is closed **and** empty
+    /// (drain-then-stop shutdown semantics).
+    pub fn pop_wait(&self) -> Option<Work> {
         let mut st = self.state.lock().unwrap();
         loop {
+            if let Some(scan) = st.scans.pop_front() {
+                return Some(Work::Scan(scan));
+            }
             if let Some(job) = st.jobs.pop_front() {
                 st.in_flight += 1;
                 self.space.notify_one();
-                return Some(job);
+                return Some(Work::Ingest(job));
             }
             if st.closed {
                 return None;
@@ -316,6 +380,50 @@ mod tests {
         let (c, f) = job_parts();
         assert!(!q.push(0, c, f).is_enqueued());
         assert!(!q.wait_space(), "wait_space reports the close");
+    }
+
+    #[test]
+    fn scans_share_the_queue_without_counting_as_ingest() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let q = IngestQueue::new(1);
+        let ran_on = Arc::new(AtomicU64::new(u64::MAX));
+        let scan = |ran_on: &Arc<AtomicU64>| {
+            let ran_on = Arc::clone(ran_on);
+            ScanJob::new(move |lane| ran_on.store(lane, Ordering::SeqCst))
+        };
+        let (c, f) = job_parts();
+        assert!(q.push(0, c, f).is_enqueued());
+        // A full chunk queue does not refuse a scan, and the scan is
+        // popped first though the chunk arrived first.
+        q.push_scan(scan(&ran_on)).unwrap();
+        assert_eq!(q.depth(), 1, "depth counts chunks only");
+        let Some(Work::Scan(job)) = q.pop_wait() else {
+            panic!("scans pop before chunks");
+        };
+        job.run(3);
+        assert_eq!(ran_on.load(Ordering::SeqCst), 3);
+        assert_eq!(
+            q.next_seq_if_space(),
+            None,
+            "the chunk still fills the queue"
+        );
+        assert!(matches!(q.pop_wait(), Some(Work::Ingest(_))));
+        q.complete();
+        q.wait_idle(); // the scan left no in-flight count behind
+
+        // A posted scan can be taken back by the thread waiting on it.
+        q.push_scan(scan(&ran_on)).unwrap();
+        q.try_pop_scan().expect("not yet started").run(0);
+        assert_eq!(ran_on.load(Ordering::SeqCst), 0);
+        assert!(q.try_pop_scan().is_none());
+
+        // Close: a pending scan still drains, a new one is handed back.
+        q.push_scan(scan(&ran_on)).unwrap();
+        q.close();
+        assert!(q.push_scan(scan(&ran_on)).is_err());
+        assert!(matches!(q.pop_wait(), Some(Work::Scan(_))));
+        assert!(q.pop_wait().is_none());
     }
 
     #[test]

@@ -3,14 +3,15 @@
 use crate::compactor::CompactionStats;
 use crate::config::{fnv1a, Routing, ServiceConfig};
 use crate::metrics::ServiceMetrics;
-use crate::queue::{EnqueueResult, IngestJob, IngestQueue};
-use crate::shard::Shard;
+use crate::queue::{EnqueueResult, IngestJob, IngestQueue, ScanJob, Work};
+use crate::shard::{EpochPin, Shard};
 use crate::telemetry::{names, ServiceTelemetry};
 use crate::workload::{SlowQueryEntry, SlowQueryLog, WorkloadStats};
 use ciao::PushdownPlan;
 use ciao_client::{ChunkFilterResult, Prefilter};
+use ciao_columnar::Block;
 use ciao_columnar::Schema;
-use ciao_engine::{ColumnDesc, PartialResult, QueryOutcome, QueryResult};
+use ciao_engine::{ColumnDesc, PartialResult, Prepared, QueryOutcome, QueryResult};
 use ciao_json::RecordChunk;
 use ciao_predicate::Query;
 use ciao_sql::{SqlError, SqlType, SqlValue, Statement};
@@ -18,7 +19,7 @@ use ciao_storage::{CheckpointStats, RecoveryReport, SnapshotView, StorageError, 
 use ciao_telemetry::{SpanTree, TelemetrySnapshot};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{mpsc, Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -26,7 +27,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 struct Inner {
     queue: IngestQueue,
-    shards: Vec<Mutex<Shard>>,
+    /// Each shard guards its own active epoch; see [`Shard`].
+    shards: Vec<Shard>,
     routing: Routing,
     rejected: AtomicU64,
     ingested_chunks: AtomicU64,
@@ -85,9 +87,7 @@ impl Inner {
 
     fn ingest(&self, job: IngestJob) {
         let records = job.chunk.len() as u64;
-        self.shards[job.shard]
-            .lock()
-            .ingest(&job.chunk, &job.filter);
+        self.shards[job.shard].ingest(&job.chunk, &job.filter);
         self.ingested_chunks.fetch_add(1, Ordering::Relaxed);
         self.ingested_records.fetch_add(records, Ordering::Relaxed);
         if let Some(t) = &self.telemetry {
@@ -156,6 +156,88 @@ fn plan_text_result(lines: Vec<String>) -> QueryResult {
         rows: lines.into_iter().map(|l| vec![SqlValue::Str(l)]).collect(),
         ..QueryResult::default()
     }
+}
+
+/// A statement whose shards leave at most this many rows to evaluate
+/// — block rows surviving zone maps and skip-masks, plus every parked
+/// row when the parked side must be scanned — is scanned on its
+/// caller's thread; a larger one keeps one shard and hands the rest to
+/// the workers. A constant, not a setting: it weighs the hand-off (a
+/// condvar wake of a sleeping worker, ≈ 100 µs on the 2-core sandbox,
+/// about what spawning a thread costs there) against the scan it
+/// takes off the caller, and is set from `repro -- fanout`
+/// (`crates/bench/src/experiments/fanout.rs`; 2 shards, median µs per
+/// `SELECT COUNT(*) … WHERE id < X`, arms interleaved, 2 cores):
+///
+/// ```text
+/// surviving block rows   inline   hand-off   thread::scope spawn
+///                  256     11.1       17.7                  45.9
+///                 1024     29.6       35.4                  62.5
+///                 2048     54.0       59.6                  89.6
+///                 4096    103.8      108.5                 142.7
+///                 8192    201.3      203.4                 239.7
+///                16384    406.8      309.6                 334.4
+/// ```
+///
+/// Inline won at 4096 rows and below in all four runs made; at 8192
+/// the hand-off won two (≈ 280 against 368 µs both times), tied one
+/// and lost one (270 against 206); at 16384 it won all four. Handing off
+/// too early costs the post (≈ 6 µs, the caller takes an unstarted
+/// scan back); scanning inline too late costs up to the parallel
+/// half, so the constant sits at the last size inline always won.
+/// Parked rows are dearer per row (the same sweep over short parked
+/// records crosses around 2048), which this one count does not weigh.
+const INLINE_MAX_SURVIVING_ROWS: usize = 4096;
+
+/// Where a statement's per-shard scans ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dispatch {
+    /// All on the statement's own thread.
+    Inline,
+    /// Shard 0 on the statement's thread, the rest handed to workers.
+    Handoff,
+}
+
+impl Dispatch {
+    fn as_str(self) -> &'static str {
+        match self {
+            Dispatch::Inline => "inline",
+            Dispatch::Handoff => "handoff",
+        }
+    }
+}
+
+/// One shard's scan as [`Service::fan_out`] ran it.
+#[derive(Debug)]
+struct ShardRun<R> {
+    result: R,
+    /// `0` for the statement's thread, `w + 1` for worker `w`.
+    lane: u64,
+    /// Offset of the scan's start from the fan-out's origin.
+    start_ns: u64,
+    dur_ns: u64,
+}
+
+impl<R> ShardRun<R> {
+    fn time(origin: Instant, lane: u64, scan: impl FnOnce() -> R) -> ShardRun<R> {
+        let started = Instant::now();
+        let result = scan();
+        ShardRun {
+            result,
+            lane,
+            start_ns: started.duration_since(origin).as_nanos() as u64,
+            dur_ns: started.elapsed().as_nanos() as u64,
+        }
+    }
+}
+
+/// What [`Service::fan_out`] did: per-shard runs in shard order, and
+/// the decision with the number it was made on.
+#[derive(Debug)]
+struct FanOut<R> {
+    runs: Vec<ShardRun<R>>,
+    dispatch: Dispatch,
+    surviving_rows: usize,
 }
 
 /// Durability counters for a storage-backed service, reported by
@@ -284,7 +366,7 @@ impl Service {
 
         let inner = Arc::new(Inner {
             queue: IngestQueue::with_first_seq(config.queue_capacity, first_seq),
-            shards: shards.into_iter().map(Mutex::new).collect(),
+            shards,
             routing: config.routing,
             rejected: AtomicU64::new(0),
             ingested_chunks: AtomicU64::new(0),
@@ -302,12 +384,17 @@ impl Service {
             )),
             last_trace: Mutex::new(None),
         });
-        let workers = (0..config.workers)
-            .map(|_| {
+        // The workers ingest chunks and run the scans statements hand
+        // off; worker `w` is lane `w + 1` in a statement's trace.
+        let workers = (1..=config.workers as u64)
+            .map(|lane| {
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || {
-                    while let Some(job) = inner.queue.pop_wait() {
-                        inner.ingest(job);
+                    while let Some(work) = inner.queue.pop_wait() {
+                        match work {
+                            Work::Ingest(job) => inner.ingest(job),
+                            Work::Scan(job) => job.run(lane),
+                        }
                     }
                 })
             })
@@ -454,35 +541,34 @@ impl Service {
     }
 
     /// Executes a `COUNT(*)` query: drains the queue (a query answers
-    /// over everything accepted before it), fans out across shards,
-    /// and merges the per-shard outcomes. Counts add; `elapsed` is the
-    /// slowest shard (the fan-out runs shards in parallel).
+    /// over everything accepted before it), pins and prepares every
+    /// shard, scans them on this thread when few rows survive zone
+    /// maps and skip-masks and shares them with the workers otherwise
+    /// (no thread is spawned either way), and merges the per-shard
+    /// outcomes. Counts add; `elapsed` is the wall time this call
+    /// measured from drain to merge, whichever way the shards ran.
     pub fn query(&self, query: &Query) -> QueryOutcome {
+        self.query_via(query, None)
+    }
+
+    fn query_via(&self, query: &Query, forced: Option<Dispatch>) -> QueryOutcome {
         let started = Instant::now();
-        self.drain();
         self.inner.queries.fetch_add(1, Ordering::Relaxed);
-        let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(self.inner.shards.len());
-        if self.inner.shards.len() == 1 {
-            outcomes.push(self.inner.shards[0].lock().execute(query));
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .inner
-                    .shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || shard.lock().execute(query)))
-                    .collect();
-                outcomes.extend(handles.into_iter().map(|h| h.join().expect("shard query")));
-            });
-        }
+        let fan_out = self.fan_out(
+            started,
+            forced,
+            |shard, pin| shard.prepare(pin, query),
+            |shard, pin, prepared| shard.scan_count(pin, prepared),
+        );
         // Merge in shard order so the metrics breakdown is
         // deterministic (counts are order-independent anyway).
         let mut merged = QueryOutcome::default();
-        for outcome in &outcomes {
-            merged.merge(outcome);
+        for run in &fan_out.runs {
+            merged.merge(&run.result);
         }
+        merged.metrics.elapsed = started.elapsed();
         if let Some(t) = &self.inner.telemetry {
-            t.query.record_duration(started.elapsed());
+            t.query.record_duration(merged.metrics.elapsed);
             t.events().push(
                 names::EVENT_PLAN_EVAL,
                 None,
@@ -496,11 +582,112 @@ impl Service {
         merged
     }
 
+    /// The one fan-out both query entry points go through. Drains the
+    /// queue; takes each shard's lock only long enough to seal its
+    /// active epoch and pin the sealed ones; prepares every shard on
+    /// this thread, which settles how many rows the statement will
+    /// evaluate before one is read; then, unless `forced`, scans every
+    /// shard here when that is at most [`INLINE_MAX_SURVIVING_ROWS`]
+    /// (or there is one shard, or no worker), and otherwise scans
+    /// shard 0 here while the workers scan the rest. No thread is
+    /// spawned either way. A hand-off cannot stall on busy workers:
+    /// once its own shard is done this thread runs whatever scans no
+    /// worker has started.
+    ///
+    /// `origin` is what the runs' `start_ns` offsets count from.
+    fn fan_out<R: Send + 'static>(
+        &self,
+        origin: Instant,
+        forced: Option<Dispatch>,
+        prepare: impl Fn(&Shard, &EpochPin) -> Prepared,
+        scan: impl Fn(&Shard, &EpochPin, &Prepared) -> R + Send + Sync + 'static,
+    ) -> FanOut<R> {
+        self.drain();
+        let shards = &self.inner.shards;
+        let prepared: Vec<(EpochPin, Prepared)> = shards
+            .iter()
+            .map(|shard| {
+                let pin = shard.pin();
+                let prepared = prepare(shard, &pin);
+                (pin, prepared)
+            })
+            .collect();
+        let surviving_rows = prepared.iter().map(|(_, p)| p.surviving_rows()).sum();
+        let inline = shards.len() == 1
+            || self.workers.is_empty()
+            || surviving_rows <= INLINE_MAX_SURVIVING_ROWS;
+        let dispatch = forced.unwrap_or(if inline {
+            Dispatch::Inline
+        } else {
+            Dispatch::Handoff
+        });
+        if let Some(t) = &self.inner.telemetry {
+            match dispatch {
+                Dispatch::Inline => t.query_inline.inc(),
+                Dispatch::Handoff => t.query_handoff.inc(),
+            }
+        }
+        let runs = match dispatch {
+            Dispatch::Inline => shards
+                .iter()
+                .zip(&prepared)
+                .map(|(shard, (pin, prepared))| {
+                    ShardRun::time(origin, 0, || scan(shard, pin, prepared))
+                })
+                .collect(),
+            Dispatch::Handoff => {
+                let scan = Arc::new(scan);
+                let (tx, rx) = mpsc::channel();
+                let mut prepared = prepared.into_iter().enumerate();
+                let (_, (own_pin, own_prepared)) = prepared.next().expect("at least one shard");
+                for (i, (pin, prepared)) in prepared {
+                    let (inner, scan, tx) =
+                        (Arc::clone(&self.inner), Arc::clone(&scan), tx.clone());
+                    let posted = Instant::now();
+                    let job = ScanJob::new(move |lane| {
+                        if let Some(t) = &inner.telemetry {
+                            t.handoff_wait.record_duration(posted.elapsed());
+                        }
+                        let run = ShardRun::time(origin, lane, || {
+                            scan(&inner.shards[i], &pin, &prepared)
+                        });
+                        // The statement's thread outlives its jobs
+                        // unless it panicked; nobody is left to tell.
+                        let _ = tx.send((i, run));
+                    });
+                    // A closed queue has no workers left: scan here.
+                    if let Err(job) = self.inner.queue.push_scan(job) {
+                        job.run(0);
+                    }
+                }
+                drop(tx);
+                let own = ShardRun::time(origin, 0, || scan(&shards[0], &own_pin, &own_prepared));
+                while let Some(job) = self.inner.queue.try_pop_scan() {
+                    job.run(0);
+                }
+                // `rx` ends when every job has sent its run (or died).
+                let mut runs: Vec<(usize, ShardRun<R>)> =
+                    std::iter::once((0, own)).chain(rx).collect();
+                assert_eq!(runs.len(), shards.len(), "a handed-off scan panicked");
+                runs.sort_unstable_by_key(|(i, _)| *i);
+                runs.into_iter().map(|(_, run)| run).collect()
+            }
+        };
+        FanOut {
+            runs,
+            dispatch,
+            surviving_rows,
+        }
+    }
+
     /// Executes one SQL statement end to end: lex + parse, analyze
-    /// against the service's schema, plan, then fan the physical plan
-    /// out across every shard and merge the partials into one
-    /// [`QueryResult`] — bit-identical to running the same statement
-    /// on a single shard holding all the records. Covered `WHERE`
+    /// against the service's schema, plan, then run the physical plan
+    /// over a pinned epoch of every shard — on this thread when the
+    /// skip-masks leave little to scan, on the workers otherwise — and
+    /// merge the partials into one [`QueryResult`], bit-identical to
+    /// running the same statement on a single shard holding all the
+    /// records. The result's `metrics.elapsed` is the execute phase's
+    /// measured wall time (drain to finalize). Covered `WHERE`
     /// clauses ride the same pushed-bitvector skip masks and zone maps
     /// as [`Service::query`], so aggregates over sealed blocks skip
     /// work exactly like counts do.
@@ -522,6 +709,10 @@ impl Service {
     /// analysis failure; [`SqlError::render`] turns one into a
     /// caret-annotated excerpt of `sql`.
     pub fn query_sql(&self, sql: &str) -> Result<QueryResult, SqlError> {
+        self.query_sql_via(sql, None)
+    }
+
+    fn query_sql_via(&self, sql: &str, forced: Option<Dispatch>) -> Result<QueryResult, SqlError> {
         let mut trace = self
             .inner
             .telemetry
@@ -538,7 +729,7 @@ impl Service {
 
         let plan_started = Instant::now();
         let plan_span = trace.as_mut().map(|t| t.begin("plan"));
-        let plan = ciao_sql::plan(&statement, &self.schema)?;
+        let plan = Arc::new(ciao_sql::plan(&statement, &self.schema)?);
         let planned_in = plan_started.elapsed();
         if let (Some(t), Some(span)) = (trace.as_mut(), plan_span) {
             t.end(span);
@@ -559,64 +750,56 @@ impl Service {
 
         let exec_started = Instant::now();
         let exec_span = trace.as_mut().map(|t| t.begin("execute"));
-        self.drain();
         let seq = self.inner.queries.fetch_add(1, Ordering::Relaxed) + 1;
-        // Shard threads time themselves against the tree's origin so
-        // their spans land on the right offsets after the join.
-        let origin = trace.as_ref().map(|t| t.origin());
-        let time_shard = |shard: &Mutex<Shard>| {
-            let start_ns = origin.map_or(0, |o| o.elapsed().as_nanos() as u64);
-            let started = Instant::now();
-            let partial = shard.lock().execute_plan(&plan);
-            (partial, start_ns, started.elapsed().as_nanos() as u64)
-        };
-        let mut timed: Vec<(PartialResult, u64, u64)> = Vec::with_capacity(self.inner.shards.len());
-        if self.inner.shards.len() == 1 {
-            timed.push(time_shard(&self.inner.shards[0]));
-        } else {
-            let time_shard = &time_shard;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .inner
-                    .shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || time_shard(shard)))
-                    .collect();
-                timed.extend(handles.into_iter().map(|h| h.join().expect("shard query")));
-            });
-        }
+        // Shard scans time themselves against the tree's origin so
+        // their spans land on the right offsets, whichever lane ran
+        // them.
+        let origin = trace.as_ref().map_or(exec_started, SpanTree::origin);
+        let fan_out = self.fan_out(
+            origin,
+            forced,
+            |shard, pin| shard.prepare_plan(pin, &plan),
+            {
+                let plan = Arc::clone(&plan);
+                move |shard, pin, prepared| shard.scan_plan(pin, prepared, &plan)
+            },
+        );
         if let Some(t) = &self.inner.telemetry {
-            for (i, (partial, _, _)) in timed.iter().enumerate() {
-                let p = &partial.profile;
+            for (i, run) in fan_out.runs.iter().enumerate() {
+                let p = &run.result.profile;
                 let permille = (p.blocks_pruned_zone * 1000)
                     .checked_div(p.blocks_total)
                     .unwrap_or(0);
                 t.prune_rate[i].set(permille as i64);
             }
         }
-        if let Some(tree) = trace.as_mut() {
-            for (i, (partial, start_ns, dur_ns)) in timed.iter().enumerate() {
+        if let (Some(tree), Some(exec_span)) = (trace.as_mut(), exec_span) {
+            tree.attr(exec_span, "dispatch", fan_out.dispatch.as_str());
+            tree.attr(exec_span, "surviving_rows", fan_out.surviving_rows);
+            for (i, run) in fan_out.runs.iter().enumerate() {
                 let span = tree.add_complete(
-                    exec_span,
+                    Some(exec_span),
                     &format!("shard{i}"),
-                    (i + 1) as u64,
-                    *start_ns,
-                    *dur_ns,
+                    run.lane,
+                    run.start_ns,
+                    run.dur_ns,
                 );
-                tree.attr(span, "blocks_pruned", partial.profile.blocks_pruned_zone);
-                tree.attr(span, "rows_scanned", partial.profile.rows_scanned);
-                tree.attr(span, "parked_parsed", partial.profile.parked_rows_parsed);
+                let profile = &run.result.profile;
+                tree.attr(span, "blocks_pruned", profile.blocks_pruned_zone);
+                tree.attr(span, "rows_scanned", profile.rows_scanned);
+                tree.attr(span, "parked_parsed", profile.parked_rows_parsed);
             }
         }
         // Merge in shard order: group states and row batches combine
         // associatively, and finalize() re-sorts, so the answer is
         // independent of which shard finished first.
         let mut merged = PartialResult::empty(&plan);
-        for (partial, _, _) in timed {
-            merged.merge(partial);
+        for run in fan_out.runs {
+            merged.merge(run.result);
         }
-        let result = ciao_engine::finalize(&plan, merged);
+        let mut result = ciao_engine::finalize(&plan, merged);
         let executed_in = exec_started.elapsed();
+        result.metrics.elapsed = executed_in;
         if let (Some(t), Some(span)) = (trace.as_mut(), exec_span) {
             t.end(span);
         }
@@ -686,7 +869,7 @@ impl Service {
         let mut delta = CompactionStats::default();
         for (i, shard) in self.inner.shards.iter().enumerate() {
             let started = Instant::now();
-            let tick = shard.lock().compact(&self.config.compaction);
+            let tick = shard.compact(&self.config.compaction);
             if let Some(t) = &self.inner.telemetry {
                 t.compaction_tick[i].record_duration(started.elapsed());
                 // Idle ticks are frequent and carry no information, so
@@ -707,8 +890,8 @@ impl Service {
         delta
     }
 
-    /// Commits a checkpoint: drains the queue, seals every shard's
-    /// active epoch, writes one snapshot per shard plus the manifest,
+    /// Commits a checkpoint: drains the queue, seals and pins every
+    /// shard, writes one snapshot per shard plus the manifest,
     /// prunes old snapshot generations, and truncates WAL segments no
     /// retained generation still needs. Returns `None` when the
     /// service runs without storage.
@@ -722,7 +905,9 @@ impl Service {
     /// Producers block briefly on [`Service::enqueue`] /
     /// [`Service::enqueue_wait`] while a checkpoint commits — the
     /// quiescence the recovery protocol needs is enforced here, not
-    /// assumed.
+    /// assumed. Readers do not: the snapshots stream from pinned
+    /// epochs, so no shard lock is held while the files are written
+    /// and a statement issued mid-checkpoint runs at once.
     ///
     /// Panics on a storage write failure, like the WAL append path.
     pub fn checkpoint(&self) -> Option<CheckpointStats> {
@@ -731,31 +916,29 @@ impl Service {
         let _gate = self.inner.ingest_gate.write().expect("ingest gate");
         let ceiling = self.inner.queue.accepted();
         self.drain();
-        // Every shard stays locked until the commit returns: the
-        // snapshots are borrowed views of the live tables and parked
-        // records, streamed to disk without cloning either.
-        let mut shards: Vec<_> = self.inner.shards.iter().map(|s| s.lock()).collect();
-        for shard in &mut shards {
-            shard.seal_epoch();
-        }
-        let snapshots: Vec<SnapshotView<'_>> = shards
+        // The snapshots are borrowed views of the pinned epochs,
+        // streamed to disk without cloning a block or a parked record
+        // and without holding a shard's lock.
+        let pins: Vec<EpochPin> = self.inner.shards.iter().map(Shard::pin).collect();
+        let blocks: Vec<Vec<&[Block]>> = pins.iter().map(EpochPin::block_fragments).collect();
+        let parked: Vec<Vec<&[String]>> = pins.iter().map(EpochPin::parked_fragments).collect();
+        let snapshots: Vec<_> = pins
             .iter()
             .enumerate()
-            .map(|(i, shard)| SnapshotView {
+            .map(|(i, pin)| SnapshotView {
                 shard: i as u32,
-                sealed_epochs: shard.sealed_epoch_count() as u64,
+                sealed_epochs: pin.sealed_epochs() as u64,
                 ceiling,
-                stats: shard.cumulative_stats(),
-                schema: shard.sealed_table().schema(),
-                blocks: shard.sealed_table().blocks(),
-                parked: shard.parked_rows(),
+                stats: pin.stats(),
+                schema: pin.schema(),
+                blocks: &blocks[i],
+                parked: &parked[i],
             })
             .collect();
         let stats = storage
             .lock()
             .checkpoint(&snapshots)
             .expect("checkpoint commit failed");
-        drop(shards);
         self.inner
             .snapshots_written
             .fetch_add(stats.snapshots_written as u64, Ordering::Relaxed);
@@ -847,12 +1030,7 @@ impl Service {
             queries: self.inner.queries.load(Ordering::Relaxed),
             slow_queries: self.inner.slow_log.lock().total(),
             blocked: Duration::from_nanos(self.inner.blocked_nanos.load(Ordering::Relaxed)),
-            shards: self
-                .inner
-                .shards
-                .iter()
-                .map(|s| s.lock().snapshot())
-                .collect(),
+            shards: self.inner.shards.iter().map(Shard::snapshot).collect(),
         }
     }
 
@@ -888,6 +1066,10 @@ impl Drop for Service {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "dispatch_tests.rs"]
+mod dispatch_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1058,14 +1240,21 @@ mod tests {
             Some(service.metrics().sealed_epochs() as u64)
         );
         assert_eq!(snap.gauge(names::QUEUE_DEPTH), Some(0));
+        // Both statements were small and there is no worker: scanned
+        // on the caller's thread, nothing handed off.
+        assert_eq!(snap.counter(names::QUERY_INLINE_TOTAL), Some(2));
+        assert_eq!(snap.counter(names::QUERY_HANDOFF_TOTAL), Some(0));
+        assert_eq!(t.handoff_wait.count(), 0);
         let kinds: Vec<&str> = snap.events.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&names::EVENT_EPOCH_SEAL));
         assert!(kinds.contains(&names::EVENT_PLAN_EVAL));
         assert!(kinds.contains(&names::EVENT_COMPACTION_TICK));
         // The exposition formats render without panicking and carry
         // the service's series.
-        assert!(snap.prometheus_text().contains(names::QUERY_NS));
-        assert!(snap.to_json().contains(names::QUERY_NS));
+        for name in [names::QUERY_NS, names::QUERY_HANDOFF_WAIT_NS] {
+            assert!(snap.prometheus_text().contains(name), "{name}");
+            assert!(snap.to_json().contains(name), "{name}");
+        }
         service.shutdown();
     }
 

@@ -1,23 +1,37 @@
-//! Per-shard state: an epochal partial-loading store.
+//! Per-shard state: an epochal partial-loading store with pinned,
+//! unlocked reads.
 //!
 //! [`ciao::Server`] is one-shot — ingest, finalize once, then query.
 //! A long-running shard instead seals **epochs**: ingest streams into
-//! the active [`Loader`]; the first query (or compaction tick) after
-//! an ingest burst seals that epoch, merging its columnar fragment,
-//! parked rows, and [`LoadStats`] into the shard's cumulative state,
-//! and the next ingest opens a fresh epoch. Queries therefore always
-//! see every record ingested before them, and ingest never has to wait
-//! for a "finalized" lifecycle.
+//! the active [`Loader`]; the first reader (or compaction tick) after
+//! an ingest burst seals that epoch — its columnar fragment and parked
+//! rows become one immutable entry appended to the shard's sealed
+//! list, its [`LoadStats`] fold into the cumulative ones — and the
+//! next ingest opens a fresh epoch.
+//!
+//! A reader never scans under the shard's lock. It **pins**
+//! ([`Shard::pin`]): takes the lock only long enough to seal the
+//! active epoch and clone the `Arc` of the sealed list, then prepares
+//! and scans the pinned epochs unlocked ([`Shard::prepare_plan`],
+//! [`Shard::scan_plan`]). A pin is a snapshot: it holds every record
+//! ingested before it and nothing ingested after, however long the
+//! scan runs, and no half-sealed epoch is ever observable. Writers
+//! (seal, compaction) publish a new list; they copy the list — never
+//! the blocks, which epochs share — only while a reader still pins the
+//! old one. So ingest never waits for a query, a slow ad-hoc scan never
+//! stalls its shard, and a checkpoint streams from a pin.
 
 use crate::compactor::{CompactionPolicy, CompactionStats};
 use crate::telemetry::{names, ServiceTelemetry};
 use ciao::{jit, LoadStats, Loader, PushdownPlan};
 use ciao_client::ChunkFilterResult;
-use ciao_columnar::{Schema, Table};
-use ciao_engine::{Executor, PartialResult, QueryOutcome};
+use ciao_columnar::{Block, Schema, Table};
+use ciao_engine::{Executor, PartialResult, Prepared, QueryOutcome};
 use ciao_json::RecordChunk;
 use ciao_predicate::Query;
 use ciao_sql::PhysicalPlan;
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A point-in-time view of one shard, reported by
@@ -38,10 +52,9 @@ pub struct ShardSnapshot {
     /// Uncovered-query executions that scanned this shard's parked
     /// store since its last compaction (the compactor's heat signal).
     pub heat: usize,
-    /// Ingest epochs sealed so far (each seal merges one active
-    /// [`Loader`]'s fragment into the cumulative state).
+    /// Ingest epochs sealed so far.
     pub sealed_epochs: usize,
-    /// Columnar blocks currently live in the sealed table (excluding
+    /// Columnar blocks currently live in the sealed epochs (excluding
     /// the active epoch's unfinished blocks).
     pub sealed_blocks: usize,
 }
@@ -58,22 +71,134 @@ impl ShardSnapshot {
     }
 }
 
-/// One shard: a plan-sharing, independently lockable loading state.
+/// One sealed fragment: the blocks and parked rows of one ingest epoch
+/// (or of one compaction pass). Immutable once published; a clone
+/// shares the blocks.
+#[derive(Debug, Clone)]
+struct Epoch {
+    table: Table,
+    parked: Vec<String>,
+}
+
+/// Everything a shard has sealed, oldest epoch first.
+#[derive(Debug, Clone, Default)]
+struct Sealed {
+    epochs: Vec<Arc<Epoch>>,
+    rows: usize,
+    parked: usize,
+    stats: LoadStats,
+    sealed_epochs: usize,
+}
+
+impl Sealed {
+    fn push(&mut self, table: Table, parked: Vec<String>) {
+        if table.is_empty() && parked.is_empty() {
+            return;
+        }
+        self.rows += table.row_count();
+        self.parked += parked.len();
+        self.epochs.push(Arc::new(Epoch { table, parked }));
+    }
+
+    /// Removes up to `n` parked rows, oldest first. Only the epochs it
+    /// takes from are touched, and copied first if a reader pins them.
+    fn take_parked(&mut self, n: usize) -> Vec<String> {
+        let mut batch = Vec::with_capacity(n.min(self.parked));
+        for epoch in &mut self.epochs {
+            let want = n - batch.len();
+            if want == 0 {
+                break;
+            }
+            if !epoch.parked.is_empty() {
+                let epoch = Arc::make_mut(epoch);
+                let take = want.min(epoch.parked.len());
+                batch.extend(epoch.parked.drain(..take));
+            }
+        }
+        self.epochs
+            .retain(|e| !(e.parked.is_empty() && e.table.is_empty()));
+        self.parked -= batch.len();
+        batch
+    }
+}
+
+/// A reader's hold on the epochs that were sealed when it pinned
+/// ([`Shard::pin`]). Cheap to clone and to send to another thread;
+/// the epochs live until the last pin over them drops.
+#[derive(Debug, Clone)]
+pub struct EpochPin(Arc<Sealed>);
+
+impl EpochPin {
+    /// Every pinned block, oldest epoch first.
+    pub fn blocks(&self) -> impl Iterator<Item = &Block> + Clone {
+        self.0.epochs.iter().flat_map(|e| e.table.blocks())
+    }
+
+    /// Every pinned parked row, oldest epoch first.
+    pub fn parked(&self) -> impl Iterator<Item = &String> + Clone {
+        self.0.epochs.iter().flat_map(|e| &e.parked)
+    }
+
+    /// The pinned blocks, one slice per epoch (what a checkpoint's
+    /// `SnapshotView` borrows).
+    pub fn block_fragments(&self) -> Vec<&[Block]> {
+        self.0.epochs.iter().map(|e| e.table.blocks()).collect()
+    }
+
+    /// The pinned parked rows, one slice per epoch.
+    pub fn parked_fragments(&self) -> Vec<&[String]> {
+        self.0.epochs.iter().map(|e| &e.parked[..]).collect()
+    }
+
+    /// The schema of the pinned blocks (`None` while there are none).
+    pub fn schema(&self) -> Option<&Schema> {
+        self.0.epochs.iter().find_map(|e| e.table.schema())
+    }
+
+    /// Rows in pinned columnar blocks.
+    pub fn row_count(&self) -> usize {
+        self.0.rows
+    }
+
+    /// Pinned parked rows.
+    pub fn parked_count(&self) -> usize {
+        self.0.parked
+    }
+
+    /// Cumulative load stats over the pinned epochs.
+    pub fn stats(&self) -> LoadStats {
+        self.0.stats
+    }
+
+    /// Epochs sealed when the pin was taken.
+    pub fn sealed_epochs(&self) -> usize {
+        self.0.sealed_epochs
+    }
+}
+
+/// What the shard's lock guards: the active epoch and the handle to
+/// the sealed list. Both are touched only briefly — a chunk load, a
+/// seal, an `Arc` clone, a compaction batch.
+#[derive(Debug)]
+struct Active {
+    /// The active ingest epoch (`None` between a seal and the next
+    /// ingest).
+    loader: Option<Loader>,
+    sealed: Arc<Sealed>,
+    compaction: CompactionStats,
+}
+
+/// One shard: a plan-sharing loading state with its own lock.
 #[derive(Debug)]
 pub struct Shard {
     plan: Arc<PushdownPlan>,
     schema: Arc<Schema>,
     block_size: usize,
-    /// The active ingest epoch (`None` between a seal and the next
-    /// ingest).
-    loader: Option<Loader>,
-    table: Table,
-    parked: Vec<String>,
-    stats: LoadStats,
     executor: Executor,
-    compaction: CompactionStats,
-    heat: usize,
-    sealed_epochs: usize,
+    active: Mutex<Active>,
+    /// Parked-store scans since the last compaction. A statistic: it
+    /// publishes no other data, so every access is `Relaxed`.
+    heat: AtomicUsize,
     /// `(shard index, handles)` once the owning service attaches its
     /// telemetry; standalone shards run unobserved.
     telemetry: Option<(usize, Arc<ServiceTelemetry>)>,
@@ -87,14 +212,13 @@ impl Shard {
             plan,
             schema,
             block_size,
-            loader: None,
-            table: Table::default(),
-            parked: Vec::new(),
-            stats: LoadStats::default(),
             executor,
-            compaction: CompactionStats::default(),
-            heat: 0,
-            sealed_epochs: 0,
+            active: Mutex::new(Active {
+                loader: None,
+                sealed: Arc::default(),
+                compaction: CompactionStats::default(),
+            }),
+            heat: AtomicUsize::new(0),
             telemetry: None,
         }
     }
@@ -119,125 +243,162 @@ impl Shard {
         stats: LoadStats,
         sealed_epochs: usize,
     ) {
+        let active = self.active.get_mut();
         assert!(
-            self.loader.is_none() && self.table.is_empty() && self.parked.is_empty(),
+            active.loader.is_none() && active.sealed.epochs.is_empty(),
             "restore into a non-empty shard"
         );
-        self.table = table;
-        self.parked = parked;
-        self.stats = stats;
-        self.sealed_epochs = sealed_epochs;
-    }
-
-    /// The sealed columnar table (excludes the active epoch). Seal
-    /// first when a checkpoint needs everything applied so far.
-    pub fn sealed_table(&self) -> &Table {
-        &self.table
-    }
-
-    /// The sealed parked store (excludes the active epoch).
-    pub fn parked_rows(&self) -> &[String] {
-        &self.parked
-    }
-
-    /// Cumulative load stats over sealed epochs.
-    pub fn cumulative_stats(&self) -> LoadStats {
-        self.stats
-    }
-
-    /// Epochs sealed so far.
-    pub fn sealed_epoch_count(&self) -> usize {
-        self.sealed_epochs
-    }
-
-    fn open_epoch(&mut self) -> &mut Loader {
-        let plan = &self.plan;
-        let schema = &self.schema;
-        let block_size = self.block_size;
-        self.loader.get_or_insert_with(|| {
-            let policy = if plan.is_empty() {
-                ciao::AdmissionPolicy::LoadAll
-            } else {
-                ciao::AdmissionPolicy::from_coverage(&plan.query_coverage)
-            };
-            Loader::new(Arc::clone(schema), &plan.ids(), policy, block_size)
-        })
+        let mut sealed = Sealed {
+            stats,
+            sealed_epochs,
+            ..Sealed::default()
+        };
+        sealed.push(table, parked);
+        active.sealed = Arc::new(sealed);
     }
 
     /// Ingests one chunk with its client filter result into the active
     /// epoch (opening one if needed).
-    pub fn ingest(&mut self, chunk: &RecordChunk, filter: &ChunkFilterResult) {
-        self.open_epoch().load_chunk(chunk, filter);
+    pub fn ingest(&self, chunk: &RecordChunk, filter: &ChunkFilterResult) {
+        let mut active = self.active.lock();
+        let loader = active.loader.get_or_insert_with(|| {
+            let policy = if self.plan.is_empty() {
+                ciao::AdmissionPolicy::LoadAll
+            } else {
+                ciao::AdmissionPolicy::from_coverage(&self.plan.query_coverage)
+            };
+            Loader::new(
+                Arc::clone(&self.schema),
+                &self.plan.ids(),
+                policy,
+                self.block_size,
+            )
+        });
+        loader.load_chunk(chunk, filter);
     }
 
-    /// Seals the active epoch into the cumulative state. Idempotent;
-    /// cheap when no epoch is open.
-    pub fn seal_epoch(&mut self) {
-        if let Some(loader) = self.loader.take() {
-            let (fragment, parked, stats) = loader.finish();
-            self.table.merge(fragment);
-            self.parked.extend(parked);
-            self.stats.merge(&stats);
-            self.sealed_epochs += 1;
-            if let Some((index, t)) = &self.telemetry {
-                t.epochs_sealed.inc();
-                t.events().push(
-                    names::EVENT_EPOCH_SEAL,
-                    Some(*index),
-                    &[
-                        ("loaded", stats.loaded_records as u64),
-                        ("parked", stats.parked_records as u64),
-                    ],
-                );
-            }
+    /// Seals the active epoch into the sealed list. Idempotent; cheap
+    /// when no epoch is open.
+    pub fn seal_epoch(&self) {
+        self.seal(&mut self.active.lock());
+    }
+
+    fn seal(&self, active: &mut Active) {
+        let Some(loader) = active.loader.take() else {
+            return;
+        };
+        let (fragment, parked, stats) = loader.finish();
+        // Copies the list (not the epochs) if a reader still pins it.
+        let sealed = Arc::make_mut(&mut active.sealed);
+        sealed.push(fragment, parked);
+        sealed.stats.merge(&stats);
+        sealed.sealed_epochs += 1;
+        if let Some((index, t)) = &self.telemetry {
+            t.epochs_sealed.inc();
+            t.events().push(
+                names::EVENT_EPOCH_SEAL,
+                Some(*index),
+                &[
+                    ("loaded", stats.loaded_records as u64),
+                    ("parked", stats.parked_records as u64),
+                ],
+            );
         }
     }
 
-    /// Executes a `COUNT(*)` query over everything ingested so far
-    /// (seals the active epoch first).
-    pub fn execute(&mut self, query: &Query) -> QueryOutcome {
-        self.seal_epoch();
+    /// Seals the active epoch and pins everything sealed so far: the
+    /// returned pin holds every record ingested before this call and
+    /// none ingested after. The shard's lock is released before it
+    /// returns.
+    pub fn pin(&self) -> EpochPin {
+        let mut active = self.active.lock();
+        self.seal(&mut active);
+        EpochPin(Arc::clone(&active.sealed))
+    }
+
+    /// Prepares a `COUNT(*)` query over a pin: routing, zone-prune and
+    /// fused skip-masks, so [`Prepared::surviving_rows`] is known
+    /// before anything is scanned.
+    pub fn prepare(&self, pin: &EpochPin, query: &Query) -> Prepared {
+        self.executor
+            .prepare(query.clone(), pin.blocks(), pin.parked_count())
+    }
+
+    /// [`Shard::prepare`] for a SQL physical plan.
+    pub fn prepare_plan(&self, pin: &EpochPin, plan: &PhysicalPlan) -> Prepared {
+        self.executor
+            .prepare_plan(plan, pin.blocks(), pin.parked_count())
+    }
+
+    /// Counts the survivors of a [`Shard::prepare`] over the same pin.
+    /// Takes no lock. Parked-store scans heat the shard for the
+    /// compactor.
+    pub fn scan_count(&self, pin: &EpochPin, prepared: &Prepared) -> QueryOutcome {
         let out = self
             .executor
-            .execute_count(&self.table, &self.parked, query);
-        if out.metrics.scanned_parked && !self.parked.is_empty() {
-            self.heat += 1;
-        }
+            .scan_count(prepared, pin.blocks(), pin.parked());
+        self.note_parked_scan(out.metrics.scanned_parked, pin);
         out
     }
 
-    /// Executes a SQL physical plan over everything ingested so far
-    /// (seals the active epoch first), returning this shard's
-    /// mergeable partial. Parked-store scans heat the shard for the
-    /// compactor exactly like uncovered `COUNT(*)` queries do.
-    pub fn execute_plan(&mut self, plan: &PhysicalPlan) -> PartialResult {
-        self.seal_epoch();
-        let out = self.executor.execute_plan(&self.table, &self.parked, plan);
-        if out.metrics.scanned_parked && !self.parked.is_empty() {
-            self.heat += 1;
-        }
+    /// Runs `plan` over the survivors of a [`Shard::prepare_plan`]
+    /// over the same pin, returning this shard's mergeable partial.
+    /// Takes no lock. Parked-store scans heat the shard exactly like
+    /// uncovered `COUNT(*)` queries do.
+    pub fn scan_plan(
+        &self,
+        pin: &EpochPin,
+        prepared: &Prepared,
+        plan: &PhysicalPlan,
+    ) -> PartialResult {
+        let out = self
+            .executor
+            .scan_plan(prepared, pin.blocks(), pin.parked(), plan);
+        self.note_parked_scan(out.metrics.scanned_parked, pin);
         out
+    }
+
+    fn note_parked_scan(&self, scanned_parked: bool, pin: &EpochPin) {
+        if scanned_parked && pin.parked_count() > 0 {
+            self.heat.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Executes a `COUNT(*)` query over everything ingested so far:
+    /// pin, prepare, scan.
+    pub fn execute(&self, query: &Query) -> QueryOutcome {
+        let pin = self.pin();
+        self.scan_count(&pin, &self.prepare(&pin, query))
+    }
+
+    /// Executes a SQL physical plan over everything ingested so far:
+    /// pin, prepare, scan.
+    pub fn execute_plan(&self, plan: &PhysicalPlan) -> PartialResult {
+        let pin = self.pin();
+        self.scan_plan(&pin, &self.prepare_plan(&pin, plan), plan)
     }
 
     /// One compaction pass: promote up to `policy.batch` parked rows
-    /// (oldest first) into new columnar blocks. Returns this tick's
-    /// delta (also folded into the cumulative counters).
-    pub fn compact(&mut self, policy: &CompactionPolicy) -> CompactionStats {
-        self.seal_epoch();
+    /// (oldest first) into new columnar blocks, published as one more
+    /// epoch. Readers holding an older pin keep scanning what they
+    /// pinned. Returns this tick's delta (also folded into the
+    /// cumulative counters).
+    pub fn compact(&self, policy: &CompactionPolicy) -> CompactionStats {
+        let mut active = self.active.lock();
+        self.seal(&mut active);
         let mut delta = CompactionStats::default();
-        if !policy.eligible(self.parked.len(), self.heat) {
+        if !policy.eligible(active.sealed.parked, self.heat.load(Ordering::Relaxed)) {
             delta.idle_ticks = 1;
-            self.compaction.merge(&delta);
+            active.compaction.merge(&delta);
             return delta;
         }
-        let take = policy.batch.min(self.parked.len());
-        let batch: Vec<String> = self.parked.drain(..take).collect();
+        let sealed = Arc::make_mut(&mut active.sealed);
+        let batch = sealed.take_parked(policy.batch);
         let (fragment, survivors, stats) =
             jit::promote_parked(&self.plan, Arc::clone(&self.schema), batch, self.block_size);
-        self.table.merge(fragment);
-        // Survivors (still-unparseable rows) rotate to the back so the
-        // next tick's window advances past them.
-        self.parked.extend(survivors);
+        // Survivors (still-unparseable rows) go to the back with the
+        // new epoch, so the next tick's window advances past them.
+        sealed.push(fragment, survivors);
         if stats.promoted > 0 {
             delta.ticks = 1;
         } else {
@@ -245,24 +406,30 @@ impl Shard {
         }
         delta.promoted = stats.promoted;
         delta.unparseable = stats.still_parked;
-        self.heat = 0;
-        self.compaction.merge(&delta);
+        self.heat.store(0, Ordering::Relaxed);
+        active.compaction.merge(&delta);
         delta
     }
 
     /// A point-in-time view, including the active (unsealed) epoch.
     pub fn snapshot(&self) -> ShardSnapshot {
-        let epoch = self.loader.as_ref().map(Loader::stats).unwrap_or_default();
-        let mut load = self.stats;
+        let active = self.active.lock();
+        let epoch = active
+            .loader
+            .as_ref()
+            .map(Loader::stats)
+            .unwrap_or_default();
+        let sealed = &active.sealed;
+        let mut load = sealed.stats;
         load.merge(&epoch);
         ShardSnapshot {
-            rows: self.table.row_count() + epoch.loaded_records,
-            parked: self.parked.len() + epoch.parked_records,
+            rows: sealed.rows + epoch.loaded_records,
+            parked: sealed.parked + epoch.parked_records,
             load,
-            compaction: self.compaction,
-            heat: self.heat,
-            sealed_epochs: self.sealed_epochs,
-            sealed_blocks: self.table.blocks().len(),
+            compaction: active.compaction,
+            heat: self.heat.load(Ordering::Relaxed),
+            sealed_epochs: sealed.sealed_epochs,
+            sealed_blocks: sealed.epochs.iter().map(|e| e.table.blocks().len()).sum(),
         }
     }
 }
@@ -298,7 +465,7 @@ mod tests {
 
     #[test]
     fn ingest_query_ingest_query_interleaves() {
-        let (mut shard, chunks) = fixture();
+        let (shard, chunks) = fixture();
         let fs = filters(&shard, &chunks);
         let q = parse_query("q", "stars = 5").unwrap();
 
@@ -313,7 +480,7 @@ mod tests {
 
     #[test]
     fn seal_is_idempotent_and_lazy() {
-        let (mut shard, chunks) = fixture();
+        let (shard, chunks) = fixture();
         let fs = filters(&shard, &chunks);
         shard.seal_epoch(); // no epoch open: no-op
         shard.ingest(&chunks[0], &fs[0]);
@@ -325,7 +492,7 @@ mod tests {
 
     #[test]
     fn snapshot_sees_active_epoch() {
-        let (mut shard, chunks) = fixture();
+        let (shard, chunks) = fixture();
         let fs = filters(&shard, &chunks);
         shard.ingest(&chunks[0], &fs[0]);
         let snap = shard.snapshot();
@@ -335,7 +502,7 @@ mod tests {
 
     #[test]
     fn compaction_drains_parked_in_batches() {
-        let (mut shard, chunks) = fixture();
+        let (shard, chunks) = fixture();
         let fs = filters(&shard, &chunks);
         for (c, f) in chunks.iter().zip(&fs) {
             shard.ingest(c, f);
@@ -365,7 +532,7 @@ mod tests {
 
     #[test]
     fn heat_accumulates_on_parked_scans_and_resets_on_compaction() {
-        let (mut shard, chunks) = fixture();
+        let (shard, chunks) = fixture();
         let fs = filters(&shard, &chunks);
         shard.ingest(&chunks[0], &fs[0]);
         let covered = parse_query("q", "stars = 5").unwrap();
@@ -387,7 +554,7 @@ mod tests {
 
     #[test]
     fn sealed_epoch_and_block_counts_track_lifecycle() {
-        let (mut shard, chunks) = fixture();
+        let (shard, chunks) = fixture();
         let fs = filters(&shard, &chunks);
         assert_eq!(shard.snapshot().sealed_epochs, 0);
         assert_eq!(shard.snapshot().sealed_blocks, 0);
@@ -436,11 +603,15 @@ mod tests {
     fn unparseable_rows_rotate_not_wedge() {
         let (mut shard, chunks) = fixture();
         let fs = filters(&shard, &chunks);
-        shard.ingest(&chunks[0], &fs[0]);
-        shard.seal_epoch();
         // Plant garbage at the *front* of the parked store.
-        shard.parked.insert(0, "not json {".to_owned());
-        let live = shard.parked.len() - 1;
+        shard.restore(
+            Table::default(),
+            vec!["not json {".to_owned()],
+            LoadStats::default(),
+            0,
+        );
+        shard.ingest(&chunks[0], &fs[0]);
+        let live = shard.snapshot().parked - 1;
         let policy = CompactionPolicy::default().with_batch(8);
         for _ in 0..20 {
             if shard.snapshot().parked <= 1 {
@@ -452,5 +623,114 @@ mod tests {
         assert_eq!(snap.parked, 1, "only the garbage row survives");
         assert_eq!(snap.compaction.promoted, live);
         assert!(snap.compaction.unparseable >= 1);
+    }
+
+    #[test]
+    fn a_pin_is_a_snapshot_that_writers_neither_change_nor_wait_for() {
+        let (shard, chunks) = fixture();
+        let fs = filters(&shard, &chunks);
+        let uncovered = parse_query("q", "stars = 2").unwrap();
+        shard.ingest(&chunks[0], &fs[0]);
+
+        let pin = shard.pin();
+        let prepared = shard.prepare(&pin, &uncovered);
+        let before = shard.scan_count(&pin, &prepared);
+        assert_eq!(before.count, 8, "40 records, 1/5 stars = 2, all parked");
+        assert!(before.metrics.scanned_parked);
+
+        // While the reader holds its pin, another thread ingests into,
+        // seals and compacts the same shard. The join returning is the
+        // point: none of it waited for the pin to go away.
+        let compacted = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    shard.ingest(&chunks[1], &fs[1]);
+                    shard.seal_epoch();
+                    shard.compact(&CompactionPolicy::default().with_batch(16))
+                })
+                .join()
+                .unwrap()
+        });
+        assert_eq!(compacted.promoted, 16, "rows the pin still reads as parked");
+
+        // The pinned reader answers from the old epoch, row for row —
+        // also when the same prepared scan simply runs again.
+        assert_eq!(pin.row_count() + pin.parked_count(), 40);
+        for prepared in [&prepared, &shard.prepare(&pin, &uncovered)] {
+            let again = shard.scan_count(&pin, prepared);
+            assert_eq!(again.count, before.count);
+            assert_eq!(again.metrics.table_scan, before.metrics.table_scan);
+            assert_eq!(again.metrics.raw_scan, before.metrics.raw_scan);
+        }
+        // The next statement sees everything, compaction included.
+        let after = shard.execute(&uncovered);
+        assert_eq!(after.count, 16);
+        assert_eq!(
+            after.metrics.raw_scan.records_parsed + 16,
+            2 * before.metrics.raw_scan.records_parsed,
+            "16 of the parked rows are columnar now"
+        );
+        assert_eq!(shard.snapshot().load.total(), 80);
+    }
+
+    #[test]
+    fn scans_take_no_shard_lock() {
+        let (shard, chunks) = fixture();
+        let fs = filters(&shard, &chunks);
+        shard.ingest(&chunks[0], &fs[0]);
+        let uncovered = parse_query("q", "stars = 2").unwrap();
+        let plan =
+            ciao_sql::compile("SELECT COUNT(*) FROM t WHERE stars = 2", &shard.schema).unwrap();
+        let pin = shard.pin();
+
+        // Stand in for an ingest that never finishes: hold the lock
+        // ingest, seal and compaction take. Preparing and scanning a
+        // pin must complete regardless (a lock would hang here).
+        let ingesting = shard.active.lock();
+        let (count, partial) = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let count = shard.scan_count(&pin, &shard.prepare(&pin, &uncovered));
+                    let prepared = shard.prepare_plan(&pin, &plan);
+                    (count, shard.scan_plan(&pin, &prepared, &plan))
+                })
+                .join()
+                .unwrap()
+        });
+        drop(ingesting);
+        assert_eq!(count.count, 8);
+        assert_eq!(partial.profile.total_matched(), 8);
+        assert_eq!(shard.snapshot().heat, 2, "both scans read parked rows");
+    }
+
+    #[test]
+    fn no_pin_ever_observes_a_half_sealed_epoch() {
+        let (shard, chunks) = fixture();
+        let fs = filters(&shard, &chunks);
+        let rounds = 200;
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                for i in 0..rounds {
+                    shard.ingest(&chunks[i % 3], &fs[i % 3]);
+                }
+            });
+            // Whatever instant a pin lands on, it holds whole chunks:
+            // blocks, parked rows and load stats of the same epochs.
+            let mut last = 0;
+            while !writer.is_finished() || last < rounds * 40 {
+                let pin = shard.pin();
+                let held = pin.row_count() + pin.parked_count();
+                assert_eq!(held % 40, 0, "a pin holds whole 40-record chunks");
+                assert_eq!(pin.stats().total(), held);
+                assert_eq!(
+                    pin.blocks().map(Block::row_count).sum::<usize>(),
+                    pin.row_count()
+                );
+                assert_eq!(pin.parked().count(), pin.parked_count());
+                assert!(held >= last, "pins only move forward");
+                last = held;
+            }
+        });
+        assert_eq!(shard.snapshot().load.total(), rounds * 40);
     }
 }

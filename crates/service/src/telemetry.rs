@@ -64,6 +64,13 @@ pub mod names {
     pub const SHARD_PRUNE_PERMILLE: &str = "ciao_service_shard_prune_permille";
     /// SQL statements slower than the configured slow-query threshold.
     pub const SLOW_QUERIES_TOTAL: &str = "ciao_service_slow_queries_total";
+    /// Statements whose every shard was scanned on the caller's thread.
+    pub const QUERY_INLINE_TOTAL: &str = "ciao_service_query_inline_total";
+    /// Statements that handed all shards but one to the workers.
+    pub const QUERY_HANDOFF_TOTAL: &str = "ciao_service_query_handoff_total";
+    /// How long a handed-off shard scan sat between being posted and
+    /// a thread starting it.
+    pub const QUERY_HANDOFF_WAIT_NS: &str = "ciao_service_query_handoff_wait_ns";
 
     /// Trace-event kind: a shard sealed an ingest epoch.
     pub const EVENT_EPOCH_SEAL: &str = "epoch_seal";
@@ -121,6 +128,12 @@ pub struct ServiceTelemetry {
     pub prune_rate: Vec<Gauge>,
     /// SQL statements that crossed the slow-query threshold.
     pub slow_queries: Counter,
+    /// Statements scanned entirely on their caller's thread.
+    pub query_inline: Counter,
+    /// Statements that handed scans to the workers.
+    pub query_handoff: Counter,
+    /// Posted → started wait of each handed-off scan.
+    pub handoff_wait: Histogram,
 }
 
 impl ServiceTelemetry {
@@ -172,6 +185,9 @@ impl ServiceTelemetry {
             snapshots_written: registry.counter(names::SNAPSHOTS_WRITTEN_TOTAL),
             prune_rate,
             slow_queries: registry.counter(names::SLOW_QUERIES_TOTAL),
+            query_inline: registry.counter(names::QUERY_INLINE_TOTAL),
+            query_handoff: registry.counter(names::QUERY_HANDOFF_TOTAL),
+            handoff_wait: registry.histogram(names::QUERY_HANDOFF_WAIT_NS),
             registry,
         })
     }

@@ -74,8 +74,14 @@ pub struct ShardSnapshot {
 
 /// A borrowed image of one live shard — what a checkpoint hands the
 /// writer, so nothing the shard holds is cloned to be persisted.
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotView<'a> {
+///
+/// A shard holds its sealed state as a list of fragments (one per
+/// sealed epoch or compaction), so blocks and parked records come as
+/// slices of fragments — anything that lends a `[Block]` / `[String]`
+/// — and are written in order as one run each; the file does not
+/// record the fragmentation.
+#[derive(Debug)]
+pub struct SnapshotView<'a, B = Vec<Block>, P = Vec<String>> {
     /// Shard index within the service.
     pub shard: u32,
     /// Epochs sealed into the table so far.
@@ -86,11 +92,22 @@ pub struct SnapshotView<'a> {
     pub stats: LoadStats,
     /// Schema of the sealed table (`None` when it has no rows).
     pub schema: Option<&'a Schema>,
-    /// Sealed columnar blocks.
-    pub blocks: &'a [Block],
-    /// Parked raw records awaiting just-in-time promotion.
-    pub parked: &'a [String],
+    /// Sealed columnar blocks, fragment by fragment.
+    pub blocks: &'a [B],
+    /// Parked raw records awaiting just-in-time promotion, fragment
+    /// by fragment.
+    pub parked: &'a [P],
 }
+
+// Not derived: a view is a handful of references whatever `B` and `P`
+// are, and a derive would demand `B: Copy, P: Copy`.
+impl<B, P> Clone for SnapshotView<'_, B, P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<B, P> Copy for SnapshotView<'_, B, P> {}
 
 impl<'a> From<&'a ShardSnapshot> for SnapshotView<'a> {
     fn from(snapshot: &'a ShardSnapshot) -> SnapshotView<'a> {
@@ -100,13 +117,13 @@ impl<'a> From<&'a ShardSnapshot> for SnapshotView<'a> {
             ceiling: snapshot.ceiling,
             stats: snapshot.stats,
             schema: snapshot.schema.as_deref(),
-            blocks: &snapshot.blocks,
-            parked: &snapshot.parked,
+            blocks: std::slice::from_ref(&snapshot.blocks),
+            parked: std::slice::from_ref(&snapshot.parked),
         }
     }
 }
 
-impl SnapshotView<'_> {
+impl<B: AsRef<[Block]>, P: AsRef<[String]>> SnapshotView<'_, B, P> {
     /// Streams the snapshot's file image into `out`.
     pub fn write_to(&self, mut out: impl Write) -> std::io::Result<()> {
         out.write_all(MAGIC)?;
@@ -131,7 +148,7 @@ impl SnapshotView<'_> {
             let mut buf = BytesMut::new();
             write_schema(schema, &mut buf);
             writer.page(PAGE_SCHEMA, &buf)?;
-            for block in self.blocks {
+            for block in self.blocks.iter().flat_map(AsRef::as_ref) {
                 let mut buf = BytesMut::new();
                 write_block(schema, block, &mut buf);
                 writer.page(PAGE_BLOCK, &buf)?;
@@ -140,6 +157,7 @@ impl SnapshotView<'_> {
         let lines = self
             .parked
             .iter()
+            .flat_map(AsRef::as_ref)
             .flat_map(|line| [line.as_bytes(), b"\n".as_slice()]);
         writer.page_parts(PAGE_PARKED, lines)?;
         writer.page(PAGE_END, &[])
@@ -311,10 +329,14 @@ const WRITE_BUFFER: usize = 256 << 10;
 /// Writes the snapshot atomically (temp file + fsync + rename) and
 /// returns its parsed name. Takes a [`SnapshotView`] (or a
 /// `&ShardSnapshot`) and streams it, see the module docs.
-pub fn write_snapshot<'a>(
+pub fn write_snapshot<'a, B, P>(
     dir: &Path,
-    snapshot: impl Into<SnapshotView<'a>>,
-) -> std::io::Result<SnapshotName> {
+    snapshot: impl Into<SnapshotView<'a, B, P>>,
+) -> std::io::Result<SnapshotName>
+where
+    B: AsRef<[Block]> + 'a,
+    P: AsRef<[String]> + 'a,
+{
     let snapshot = snapshot.into();
     let name = SnapshotName::file_name(snapshot.shard, snapshot.sealed_epochs, snapshot.ceiling);
     let final_path = dir.join(&name);
@@ -424,6 +446,7 @@ mod tests {
             key in (0u32..8, 0u64..1000, any::<u64>()),
             rows in 0usize..20,
             parked in prop::collection::vec("[ -~]{0,60}", 0..40),
+            cuts in (0usize..=20, 0usize..=40),
         ) {
             // `rows == 0` has no schema page; `parked` may be empty or
             // hold empty lines.
@@ -433,6 +456,25 @@ mod tests {
             let name = write_snapshot(d.path(), &snap).unwrap();
             prop_assert_eq!(std::fs::read(&name.path).unwrap(), reference_encode(&snap));
             prop_assert_eq!(read_snapshot(&name.path).unwrap(), snap);
+
+            // A live shard lends its state as per-epoch fragments
+            // (some empty): wherever the cuts fall, the same bytes.
+            let (b, p) = (cuts.0.min(snap.blocks.len()), cuts.1.min(snap.parked.len()));
+            let blocks: [&[Block]; 3] = [&snap.blocks[..b], &[], &snap.blocks[b..]];
+            let parked: [&[String]; 3] = [&snap.parked[..p], &snap.parked[p..], &[]];
+            let mut streamed = Vec::new();
+            SnapshotView {
+                shard: snap.shard,
+                sealed_epochs: snap.sealed_epochs,
+                ceiling: snap.ceiling,
+                stats: snap.stats,
+                schema: snap.schema.as_deref(),
+                blocks: &blocks,
+                parked: &parked,
+            }
+            .write_to(&mut streamed)
+            .unwrap();
+            prop_assert_eq!(streamed, snap.encode());
         }
     }
 

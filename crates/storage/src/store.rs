@@ -22,6 +22,7 @@ use crate::recovery::{recover, Recovery};
 use crate::snapshot::{list_snapshots, write_snapshot, SnapshotView};
 use crate::wal::{AppendTiming, Wal};
 use crate::StorageError;
+use ciao_columnar::Block;
 use std::path::Path;
 
 /// What one checkpoint did (for telemetry and tests).
@@ -107,9 +108,9 @@ impl Store {
     /// Commits a checkpoint: one snapshot per shard (callers pass
     /// exactly `shard_count` borrowed views, queue drained), then the
     /// manifest, then retention pruning and WAL truncation.
-    pub fn checkpoint(
+    pub fn checkpoint<B: AsRef<[Block]>, P: AsRef<[String]>>(
         &mut self,
-        snapshots: &[SnapshotView<'_>],
+        snapshots: &[SnapshotView<'_, B, P>],
     ) -> Result<CheckpointStats, StorageError> {
         assert_eq!(
             snapshots.len(),

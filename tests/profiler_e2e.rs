@@ -195,6 +195,39 @@ fn explain_analyze_reconciles_with_query_and_service_metrics() {
             "missing span {required}: {names:?}"
         );
     }
+    // The execute span says how the shards were dispatched and on how
+    // many surviving rows that was decided; with no workers every
+    // shard ran on the statement's own lane.
+    let execute = trace
+        .spans()
+        .iter()
+        .find(|s| s.name() == "execute")
+        .expect("execute span");
+    let attr = |key: &str| {
+        execute
+            .attrs()
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    };
+    assert_eq!(
+        attr("dispatch"),
+        Some(ciao_telemetry::AttrValue::Str("inline".to_owned()))
+    );
+    assert_eq!(
+        attr("surviving_rows"),
+        Some(ciao_telemetry::AttrValue::Int(
+            analyzed.profile.rows_scanned as i64
+        )),
+        "a covered statement's survivors are exactly the rows it scanned"
+    );
+    for span in trace
+        .spans()
+        .iter()
+        .filter(|s| s.name().starts_with("shard"))
+    {
+        assert_eq!(span.track(), 0, "{} ran on the caller", span.name());
+    }
     assert!(trace.to_chrome_trace().starts_with("{\"traceEvents\":["));
     service.shutdown();
 }
