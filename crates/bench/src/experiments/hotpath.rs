@@ -16,9 +16,9 @@
 use crate::experiments::datasets::{ndjson, ExperimentScale};
 use ciao_bitvec::BitVec;
 use ciao_client::{Finder, ParallelPrefilter, Prefilter};
-use ciao_columnar::{Schema, TableBuilder};
+use ciao_columnar::{Schema, Table, TableBuilder};
 use ciao_datagen::Dataset;
-use ciao_engine::{scan_count, ScanOptions};
+use ciao_engine::{eval_query_on_block, scan_count, ScanOptions};
 use ciao_json::RecordChunk;
 use ciao_predicate::{compile_clause, parse_clause, parse_query, ClausePattern};
 use ciao_storage::wal::frame_prefix;
@@ -34,7 +34,7 @@ pub struct HotpathRow {
     /// Row id, stable across runs (the gate joins on it).
     pub name: String,
     /// Kernel family ("search", "prefilter", "bitvec", "columnar",
-    /// "json", "storage", "parallel").
+    /// "engine", "json", "storage", "parallel").
     pub group: String,
     /// Median wall-clock of the optimized path, nanoseconds.
     pub median_ns: f64,
@@ -270,6 +270,55 @@ fn columnar_zone_row(records: usize) -> HotpathRow {
     row("columnar/dict_zone_prune", "columnar", timings, bytes, true)
 }
 
+/// Rows the `engine/block_filter_ycsb` row scans at every scale: about
+/// fifty 1024-row blocks.
+const BLOCK_FILTER_ROWS: usize = 50_000;
+
+/// A 3-clause conjunction with a string equality and a LIKE, none of
+/// which zone maps can prune on a fully loaded YCSB table.
+const BLOCK_FILTER_WHERE: &str =
+    r#"age_group = "adult" AND linear_score < 30 AND url LIKE "%shop%""#;
+
+/// `records` YCSB records, parsed and fully loaded into a table.
+fn loaded_ycsb(records: usize) -> (Vec<ciao_json::JsonValue>, Table) {
+    let recs: Vec<ciao_json::JsonValue> = Dataset::Ycsb
+        .generate_ndjson(11, records)
+        .lines()
+        .map(|r| ciao_json::parse(r).expect("valid record"))
+        .collect();
+    let schema = Arc::new(Schema::infer(&recs).unwrap());
+    let mut tb = TableBuilder::new(schema, &[]);
+    for r in &recs {
+        tb.push_record(r, &BTreeMap::new());
+    }
+    (recs, tb.finish())
+}
+
+/// The block-scan driver ([`ciao_engine::BlockFilter`], through
+/// `scan_count`) vs the row-at-a-time reference evaluator every scan
+/// ran before it ([`eval_query_on_block`], which looks each column up
+/// by name per row), over a fully loaded YCSB table, no skipping.
+fn engine_block_filter_row(records: usize) -> HotpathRow {
+    let (_, table) = loaded_ycsb(records);
+    let query = parse_query("filter", BLOCK_FILTER_WHERE).unwrap();
+    let timings = interleaved_median_ns(
+        || scan_count(&table, &query, &ScanOptions::full()).rows_matched as u64,
+        || {
+            table
+                .blocks()
+                .iter()
+                .map(|b| {
+                    (0..b.row_count())
+                        .filter(|&r| eval_query_on_block(&query, b, r))
+                        .count() as u64
+                })
+                .sum()
+        },
+    );
+    let bytes = records * 3 * 8; // order-of-magnitude: three cells a row
+    row("engine/block_filter_ycsb", "engine", timings, bytes, true)
+}
+
 /// The two fields each `json/projected2_*` row builds per record.
 const YCSB_KEYS: [&str; 2] = ["linear_score", "age_group"];
 const WINLOG_KEYS: [&str; 2] = ["pid", "level"];
@@ -423,6 +472,7 @@ pub fn run(scale: ExperimentScale) -> Vec<HotpathRow> {
     rows.push(bitvec_and_all_row());
     rows.push(bitvec_count_and_row());
     rows.push(columnar_zone_row(scale.records.min(20_000)));
+    rows.push(engine_block_filter_row(BLOCK_FILTER_ROWS));
     rows.push(json_projected_row(
         "ycsb",
         &ndjson(Dataset::Ycsb, scale),
@@ -448,7 +498,7 @@ mod tests {
             sample: 100,
         };
         let rows = run(scale);
-        assert_eq!(rows.len(), 13);
+        assert_eq!(rows.len(), 14);
         for r in &rows {
             assert!(r.median_ns > 0.0, "{}: zero median", r.name);
             assert!(r.baseline_ns > 0.0, "{}: zero baseline", r.name);
@@ -488,6 +538,23 @@ mod tests {
         payload.extend_from_slice(text);
         assert_eq!(crc, crc32_bitwise(&payload));
         assert_eq!(ciao_columnar::crc32(text), crc32_bitwise(text));
+    }
+
+    #[test]
+    fn block_filter_row_selects_some_rows_and_both_sides_agree() {
+        let (recs, table) = loaded_ycsb(3000);
+        let query = parse_query("filter", BLOCK_FILTER_WHERE).unwrap();
+        let truth = recs
+            .iter()
+            .filter(|r| ciao_predicate::eval_query(&query, r))
+            .count();
+        assert!(
+            0 < truth && truth < recs.len() / 4,
+            "{truth} of {}",
+            recs.len()
+        );
+        let m = scan_count(&table, &query, &ScanOptions::full());
+        assert_eq!((m.rows_matched, m.rows_scanned), (truth, recs.len()));
     }
 
     #[test]

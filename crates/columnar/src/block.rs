@@ -63,7 +63,11 @@ impl Block {
     }
 
     /// One cell by field name; `Cell::Null` for unknown fields (the
-    /// field simply never appeared in this table).
+    /// field simply never appeared in this table). Every call searches
+    /// the schema for `field` by name, so a scan must not call this per
+    /// row: it resolves each column once per block
+    /// ([`Schema::index_of`], [`Block::column_by_name`]) and reads the
+    /// typed column.
     pub fn cell(&self, row: usize, field: &str) -> Cell<'_> {
         match self.schema.index_of(field) {
             Some(i) => self.columns[i].cell(row),

@@ -72,15 +72,22 @@ impl Table {
         Arc::make_mut(&mut self.blocks).extend(theirs);
     }
 
-    /// Reads a cell by global row index.
-    pub fn cell(&self, mut row: usize, field: &str) -> Cell<'_> {
+    /// Reads a cell by global row index. Every call walks the blocks
+    /// and searches the schema for `field` by name ([`Block::cell`]):
+    /// for diagnostics and tests, not scans, which resolve each column
+    /// once per block.
+    pub fn cell(&self, row: usize, field: &str) -> Cell<'_> {
+        let mut in_block = row;
         for block in self.blocks.iter() {
-            if row < block.row_count() {
-                return block.cell(row, field);
+            if in_block < block.row_count() {
+                return block.cell(in_block, field);
             }
-            row -= block.row_count();
+            in_block -= block.row_count();
         }
-        panic!("row {row} out of range");
+        panic!(
+            "row {row} out of range for a table of {} rows",
+            self.row_count()
+        );
     }
 
     /// Iterates all rows as reconstructed JSON records (diagnostics and
@@ -208,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
+    #[should_panic(expected = "row 3 out of range for a table of 3 rows")]
     fn out_of_range_row() {
         build(3, 4).cell(3, "id");
     }

@@ -9,7 +9,12 @@
 //!
 //! Two scan paths exist:
 //!
-//! * [`scan`] — over the columnar table, with optional skipping;
+//! * [`scan`] — over the columnar table, with optional skipping: one
+//!   block-scan driver ([`BlockFilter`]) narrows a selection vector
+//!   over each block a column at a time, clause by clause, and its
+//!   three consumers — counts, selects and plans — read only the rows
+//!   it selected ([`row_eval`] is the row-at-a-time reference it is
+//!   tested against);
 //! * [`raw_scan`] — over parked raw JSON records: one projected scan
 //!   per record (the whole record validated, only the fields the query
 //!   reads built), then evaluated — the one parked-record loop, shared
@@ -22,8 +27,8 @@
 //! Every entry point runs in two steps: *prepare* ([`Executor::prepare`],
 //! [`PreparedScan`]) routes the query and settles, per block, what
 //! zone maps and the fused skip-mask leave — the surviving row count
-//! is known before a column is touched — and *scan* walks only those
-//! survivors.
+//! is known before a column is touched — and *scan* runs the driver
+//! over only those survivors.
 //!
 //! On top of the count/select primitives sits the SQL execution layer
 //! ([`plan_exec`], [`result`]): [`Executor::execute_plan`] runs a
@@ -53,6 +58,8 @@ pub use profile::{ClauseProfile, QueryProfile};
 pub use raw_scan::scan_raw_records;
 pub use result::{ColumnDesc, QueryResult};
 pub use row_eval::{eval_clause_on_block, eval_query_on_block, eval_simple_on_block};
-pub use scan::{scan_count, PreparedScan, ScanOptions, Survivors};
+pub use scan::{
+    scan_count, BlockFilter, BlockTally, ClauseTally, PreparedScan, ScanOptions, Survivors,
+};
 pub use select::{select_from_raw, select_from_table, SelectResult};
 pub use zone::block_can_match;

@@ -1,5 +1,6 @@
 //! Execution metrics.
 
+use crate::scan::BlockTally;
 use std::time::Duration;
 
 /// Counters from one table or raw scan.
@@ -28,6 +29,12 @@ impl ScanMetrics {
         self.rows_skipped += other.rows_skipped;
         self.rows_matched += other.rows_matched;
         self.records_parsed += other.records_parsed;
+    }
+
+    /// Adds what the block-scan driver did to one block.
+    pub fn add_block(&mut self, tally: &BlockTally<'_>) {
+        self.rows_scanned += tally.scanned;
+        self.rows_matched += tally.selected.len();
     }
 
     /// Fraction of candidate rows that skipping eliminated.

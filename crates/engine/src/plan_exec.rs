@@ -6,10 +6,12 @@
 //! `ciao_predicate::sql_bridge`) so the routing decision is exactly
 //! the one [`Executor::execute_count`] makes: any pushed clause means
 //! the scan consumes fused bitvec skip-masks and never touches the
-//! parked side; zone maps prune blocks on both paths. The difference
-//! is what happens per surviving row — instead of counting, rows feed
-//! a projection buffer or per-group aggregate states, through one
-//! operator feed whichever side the row came from. The parked side is
+//! parked side; zone maps prune blocks on both paths. The WHERE
+//! conjunction runs through the same block-scan driver as counts and
+//! selects ([`crate::scan::BlockFilter`]); the difference is what
+//! happens to each row of a block's selection — instead of counting,
+//! it feeds a projection buffer or per-group aggregate states, through
+//! one operator feed whichever side the row came from. The parked side is
 //! [`crate::raw_scan`]'s projected scan: each record is validated whole
 //! but only the fields the WHERE clauses and the operator read are
 //! built, with the errors and the values a full parse would give.
@@ -32,7 +34,7 @@ use crate::metrics::QueryMetrics;
 use crate::profile::{ClauseProfile, QueryProfile};
 use crate::raw_scan::scan_parked;
 use crate::result::{ColumnDesc, QueryResult};
-use crate::scan::Survivors;
+use crate::scan::BlockFilter;
 use ciao_columnar::{Block, Table};
 use ciao_predicate::{clauses_from_sql, Query};
 use ciao_sql::{
@@ -406,37 +408,26 @@ impl Executor {
         };
         let inputs = operator_inputs(&plan.op);
 
-        // Columnar side: the survivors feed the operator instead of a
-        // counter.
+        // Columnar side: each block's selection feeds the operator, its
+        // input columns resolved once per block.
+        let mut filter = BlockFilter::new(&query.clauses);
+        let mut cols: Vec<Option<usize>> = Vec::with_capacity(inputs.len());
         for (block, survivors) in blocks.into_iter().zip(prepared.scan.survivors()) {
-            if matches!(survivors, Survivors::Pruned) {
+            let tally = filter.run(block, survivors);
+            out.metrics.table_scan.add_block(&tally);
+            out.profile.add_block(&tally);
+            if tally.selected.is_empty() {
                 continue;
             }
-            let cols: Vec<Option<usize>> = inputs
-                .iter()
-                .map(|c| block.schema().index_of(&c.name))
-                .collect();
-            survivors.for_each_row(block.row_count(), |row| {
-                out.metrics.table_scan.rows_scanned += 1;
-                out.profile.rows_scanned += 1;
-                // The clause conjunction, short-circuited exactly like
-                // eval_query_on_block — but counting per-clause
-                // evaluations and passes for the profile.
-                for (ci, clause) in query.clauses.iter().enumerate() {
-                    out.profile.clauses[ci].rows_evaluated += 1;
-                    if !crate::row_eval::eval_clause_on_block(clause, block, row) {
-                        return;
-                    }
-                    out.profile.clauses[ci].rows_passed += 1;
-                }
-                out.metrics.table_scan.rows_matched += 1;
-                out.profile.rows_matched += 1;
+            cols.clear();
+            cols.extend(inputs.iter().map(|c| block.schema().index_of(&c.name)));
+            for &row in tally.selected {
                 feed_operator(&mut out.data, &plan.op, |slot| {
                     cols[slot].map_or(SqlValue::Null, |i| {
-                        SqlValue::from_cell(block.column(i).cell(row))
+                        SqlValue::from_cell(block.column(i).cell(row as usize))
                     })
                 });
-            });
+            }
         }
         out.metrics.table_scan_time += start.elapsed();
 

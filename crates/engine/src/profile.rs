@@ -13,6 +13,7 @@
 //! profile never disagrees with the metrics it refines.
 
 use crate::metrics::QueryMetrics;
+use crate::scan::BlockTally;
 
 /// Observed behavior of one WHERE clause during a plan execution.
 ///
@@ -91,6 +92,17 @@ impl QueryProfile {
     /// before grouping/limit).
     pub fn total_matched(&self) -> u64 {
         self.rows_matched + self.parked_rows_matched
+    }
+
+    /// Adds what the block-scan driver did to one block: rows scanned
+    /// and matched, and each clause's evaluations and passes.
+    pub fn add_block(&mut self, tally: &BlockTally<'_>) {
+        self.rows_scanned += tally.scanned as u64;
+        self.rows_matched += tally.selected.len() as u64;
+        for (clause, counts) in self.clauses.iter_mut().zip(tally.clauses) {
+            clause.rows_evaluated += counts.evaluated;
+            clause.rows_passed += counts.passed;
+        }
     }
 
     /// Folds another shard's profile in: counters add, clauses merge

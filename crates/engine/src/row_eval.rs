@@ -1,9 +1,13 @@
-//! Predicate evaluation directly on columnar rows.
+//! The reference evaluator: predicates on one columnar row at a time.
 //!
 //! Mirrors `ciao_predicate::eval` exactly, but reads
-//! [`ciao_columnar::Cell`]s instead
-//! of a parsed DOM — the fast path for verification scans. The
-//! integration suite asserts the two agree on every dataset record.
+//! [`ciao_columnar::Cell`]s instead of a parsed DOM; the integration
+//! suite asserts the two agree on every dataset record. No scan runs
+//! it: every call looks its column up by name
+//! ([`ciao_columnar::Block::cell`]), which is why the block-scan
+//! driver ([`crate::scan::BlockFilter`]) resolves columns once per
+//! block instead. It stays as the oracle that driver is tested
+//! against (`tests/block_driver_equivalence.rs`).
 
 use ciao_columnar::Block;
 use ciao_predicate::{Clause, Query, SimplePredicate};

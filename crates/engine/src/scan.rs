@@ -1,9 +1,27 @@
-//! Columnar table scan with bitvector data skipping.
+//! The block side of every scan: prepare, then one column-at-a-time
+//! driver.
+//!
+//! [`PreparedScan`] settles, per block and before a column is read,
+//! what zone maps and the fused skip-mask leave ([`Survivors`]).
+//! [`BlockFilter`] then runs the WHERE conjunction over each block a
+//! column at a time, on the selection-vector model of MonetDB/X100
+//! (Boncz et al., CIDR 2005): it seeds a reused `u32` selection vector
+//! from the block's survivors, resolves each clause's key to a column
+//! index once per block, and narrows the selection clause by clause,
+//! in plan order, with one standalone kernel per (predicate, column
+//! type) over the typed slice and its validity bitmap. What is left is
+//! the block's matching rows in ascending order, and a [`BlockTally`]
+//! that metrics and profiles add once per block.
+//!
+//! The driver has three consumers: [`scan_count`] takes the length of
+//! each selection, [`crate::select`] materializes each selected row,
+//! and `Executor::scan_plan` feeds each selected row to the SQL
+//! operator. [`crate::row_eval`] is the row-at-a-time reference the
+//! driver is tested against.
 
 use crate::metrics::ScanMetrics;
-use crate::row_eval::eval_query_on_block;
-use ciao_columnar::{BitVec, Block, Table};
-use ciao_predicate::Query;
+use ciao_columnar::{BitVec, Block, ColumnValues, Table};
+use ciao_predicate::{Clause, Query, SimplePredicate};
 
 /// Scan configuration.
 #[derive(Debug, Clone, Default)]
@@ -50,27 +68,12 @@ pub enum Survivors {
     Mask(BitVec),
 }
 
-impl Survivors {
-    /// Calls `visit` with each surviving row of a `rows`-row block.
-    #[inline]
-    pub fn for_each_row(&self, rows: usize, mut visit: impl FnMut(usize)) {
-        match self {
-            Survivors::Pruned => {}
-            Survivors::All => (0..rows).for_each(visit),
-            Survivors::Mask(mask) => {
-                for row in mask.iter_ones() {
-                    visit(row);
-                }
-            }
-        }
-    }
-}
-
 /// The block side of a scan, decided before a column is touched:
 /// zone-prune, fused skip-mask and popcount per block. Every block
-/// scan — count, select, plan — starts from one of these and only
-/// walks [`PreparedScan::survivors`], so how many rows it will
-/// evaluate is known up front ([`PreparedScan::surviving_rows`]).
+/// scan — count, select, plan — starts from one of these and
+/// [`BlockFilter`] reads only its [`PreparedScan::survivors`], so how
+/// many rows it will evaluate is known up front
+/// ([`PreparedScan::surviving_rows`]).
 #[derive(Debug, Clone, Default)]
 pub struct PreparedScan {
     survivors: Vec<Survivors>,
@@ -149,26 +152,215 @@ impl PreparedScan {
     }
 }
 
-/// Counts the prepared survivors of `blocks` that satisfy `query`.
+/// One clause's counters on one block.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClauseTally {
+    /// Rows the clause ran on: those every earlier clause passed.
+    pub evaluated: u64,
+    /// Rows that passed it.
+    pub passed: u64,
+}
+
+/// What [`BlockFilter::run`] did to one block.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockTally<'f> {
+    /// Surviving rows the conjunction ran on (0 for a pruned block).
+    pub scanned: usize,
+    /// Rows that passed every clause, ascending.
+    pub selected: &'f [u32],
+    /// One entry per clause, in plan order.
+    pub clauses: &'f [ClauseTally],
+}
+
+/// The one block-scan driver: a WHERE conjunction evaluated over
+/// whole blocks, a column at a time, into a selection vector.
 ///
 /// Every surviving row is verified with **full** typed evaluation of
 /// all clauses — bits are a pre-filter, not an answer: client-side
 /// matching admits false positives, so a set bit proves nothing.
 /// Skipping is only ever sound in the other direction (bit 0 ⇒ the
 /// clause cannot hold), which block metadata guarantees.
+///
+/// The kernels keep the row evaluator's truth table
+/// ([`crate::row_eval`]): NULL, a column missing from the schema and a
+/// column of another type are false for every predicate (`NotNull`
+/// reads only validity), `FloatEq` widens an int column, and a clause
+/// keeps a row when any of its disjuncts does. A clause runs only on
+/// the rows every earlier clause passed, so the per-clause tallies are
+/// those of a short-circuiting row loop.
+///
+/// The buffers are reused across blocks: after the first block of a
+/// given size, running a block allocates nothing.
+#[derive(Debug)]
+pub struct BlockFilter<'q> {
+    clauses: &'q [Clause],
+    split: Split,
+    tallies: Vec<ClauseTally>,
+}
+
+impl<'q> BlockFilter<'q> {
+    /// A driver for the conjunction `clauses`, evaluated in order.
+    pub fn new(clauses: &'q [Clause]) -> BlockFilter<'q> {
+        BlockFilter {
+            clauses,
+            split: Split::default(),
+            tallies: vec![ClauseTally::default(); clauses.len()],
+        }
+    }
+
+    /// Runs the conjunction over the `survivors` of `block`.
+    pub fn run(&mut self, block: &Block, survivors: &Survivors) -> BlockTally<'_> {
+        let rows = block.row_count();
+        let rows32 = u32::try_from(rows).expect("a block holds fewer than 2^32 rows");
+        let split = &mut self.split;
+        split.rest.clear();
+        self.tallies.fill(ClauseTally::default());
+        match survivors {
+            Survivors::Pruned => {}
+            Survivors::All => {
+                split.rest.reserve(rows);
+                split.rest.extend(0..rows32);
+            }
+            Survivors::Mask(mask) => {
+                split.rest.reserve(rows);
+                split.rest.extend(mask.iter_ones().map(|row| row as u32));
+            }
+        }
+        let scanned = split.rest.len();
+        for (clause, tally) in self.clauses.iter().zip(&mut self.tallies) {
+            if split.rest.is_empty() {
+                break;
+            }
+            tally.evaluated = split.rest.len() as u64;
+            split.hits.clear();
+            split.hits.reserve(rows);
+            // Each disjunct runs on the rows the earlier ones failed.
+            for p in clause.disjuncts() {
+                filter_simple(p, block, split);
+            }
+            if clause.disjuncts().len() > 1 {
+                split.hits.sort_unstable();
+            }
+            std::mem::swap(&mut split.rest, &mut split.hits);
+            tally.passed = split.rest.len() as u64;
+        }
+        BlockTally {
+            scanned,
+            selected: &split.rest,
+            clauses: &self.tallies,
+        }
+    }
+}
+
+/// A clause's working rows: those its next disjunct runs on, and those
+/// an earlier disjunct already passed. Between clauses, `rest` is the
+/// selection.
+#[derive(Debug, Default)]
+struct Split {
+    rest: Vec<u32>,
+    hits: Vec<u32>,
+}
+
+impl Split {
+    /// The loop under every kernel: the rows of `rest` that `pass` move,
+    /// in order, to the end of `hits`; `rest` keeps the others, in
+    /// order.
+    #[inline(always)]
+    fn partition(&mut self, mut pass: impl FnMut(usize) -> bool) {
+        let Split { rest, hits } = self;
+        rest.retain(|&row| {
+            let keep = pass(row as usize);
+            if keep {
+                hits.push(row);
+            }
+            !keep
+        });
+    }
+}
+
+/// Moves the rows that satisfy `p` on `block` from `rows.rest` to
+/// `rows.hits`: the kernel for `p`'s (predicate, column type) pair, or
+/// nothing when no row can satisfy it.
+fn filter_simple(p: &SimplePredicate, block: &Block, rows: &mut Split) {
+    use ColumnValues as V;
+    use SimplePredicate as P;
+    // A key the schema lacks reads NULL on every row.
+    let Some(column) = block.column_by_name(p.key()) else {
+        return;
+    };
+    let valid = column.validity();
+    match (p, column.values()) {
+        (P::StrEq { value, .. }, V::Str(v)) => str_eq(v, valid, value, rows),
+        (P::StrContains { needle, .. }, V::Str(v)) => str_contains(v, valid, needle, rows),
+        (P::NotNull { .. }, _) => not_null(valid, rows),
+        (P::IntEq { value, .. }, V::Int(v)) => int_eq(v, valid, *value, rows),
+        (P::IntLt { value, .. }, V::Int(v)) => int_lt(v, valid, *value, rows),
+        (P::IntGt { value, .. }, V::Int(v)) => int_gt(v, valid, *value, rows),
+        (P::BoolEq { value, .. }, V::Bool(v)) => bool_eq(v, valid, *value, rows),
+        (P::FloatEq { value, .. }, V::Float(v)) => float_eq(v, valid, *value, rows),
+        (P::FloatEq { value, .. }, V::Int(v)) => float_eq_int(v, valid, *value, rows),
+        // The cell is never of the type the predicate reads.
+        _ => {}
+    }
+}
+
+#[inline(never)]
+fn str_eq(values: &[String], valid: &BitVec, value: &str, rows: &mut Split) {
+    rows.partition(|row| valid.bit(row) && values[row] == value);
+}
+
+#[inline(never)]
+fn str_contains(values: &[String], valid: &BitVec, needle: &str, rows: &mut Split) {
+    rows.partition(|row| valid.bit(row) && values[row].contains(needle));
+}
+
+#[inline(never)]
+fn not_null(valid: &BitVec, rows: &mut Split) {
+    rows.partition(|row| valid.bit(row));
+}
+
+#[inline(never)]
+fn int_eq(values: &[i64], valid: &BitVec, value: i64, rows: &mut Split) {
+    rows.partition(|row| valid.bit(row) && values[row] == value);
+}
+
+#[inline(never)]
+fn int_lt(values: &[i64], valid: &BitVec, value: i64, rows: &mut Split) {
+    rows.partition(|row| valid.bit(row) && values[row] < value);
+}
+
+#[inline(never)]
+fn int_gt(values: &[i64], valid: &BitVec, value: i64, rows: &mut Split) {
+    rows.partition(|row| valid.bit(row) && values[row] > value);
+}
+
+#[inline(never)]
+fn bool_eq(values: &BitVec, valid: &BitVec, value: bool, rows: &mut Split) {
+    rows.partition(|row| valid.bit(row) && values.bit(row) == value);
+}
+
+#[inline(never)]
+fn float_eq(values: &[f64], valid: &BitVec, value: f64, rows: &mut Split) {
+    rows.partition(|row| valid.bit(row) && values[row] == value);
+}
+
+/// `FloatEq` on an int column compares the widened int.
+#[inline(never)]
+fn float_eq_int(values: &[i64], valid: &BitVec, value: f64, rows: &mut Split) {
+    rows.partition(|row| valid.bit(row) && values[row] as f64 == value);
+}
+
+/// Counts the prepared survivors of `blocks` that satisfy `query`:
+/// the length of each block's selection.
 pub(crate) fn count_survivors<'a>(
     blocks: impl IntoIterator<Item = &'a Block>,
     prepared: &PreparedScan,
     query: &Query,
 ) -> ScanMetrics {
     let mut metrics = prepared.metrics();
+    let mut filter = BlockFilter::new(&query.clauses);
     for (block, survivors) in blocks.into_iter().zip(prepared.survivors()) {
-        survivors.for_each_row(block.row_count(), |row| {
-            metrics.rows_scanned += 1;
-            if eval_query_on_block(query, block, row) {
-                metrics.rows_matched += 1;
-            }
-        });
+        metrics.add_block(&filter.run(block, survivors));
     }
     metrics
 }

@@ -1,17 +1,16 @@
 //! Record materialization: `SELECT *` support.
 //!
 //! The paper's evaluation only measures `COUNT(*)` (it isolates scan
-//! cost), but a usable system must also return rows. This module adds
-//! the materializing twin of [`crate::scan`]: matching rows come back
-//! as reconstructed JSON records, from both the columnar side (cheap
-//! column-to-record assembly) and the parked raw side (projected scan,
-//! then a full parse of each match).
-//! All skipping/pruning machinery applies unchanged.
+//! cost), but a usable system must also return rows. This module is
+//! the materializing consumer of the block-scan driver
+//! ([`crate::scan::BlockFilter`]): each row of a block's selection
+//! comes back as a reconstructed JSON record. The parked raw side runs
+//! the projected scan, then a full parse of each match. All
+//! skipping/pruning machinery applies unchanged.
 
 use crate::metrics::ScanMetrics;
 use crate::raw_scan::scan_parked;
-use crate::row_eval::eval_query_on_block;
-use crate::scan::{PreparedScan, ScanOptions};
+use crate::scan::{BlockFilter, PreparedScan, ScanOptions};
 use ciao_columnar::{Block, Table};
 use ciao_json::{parse, JsonValue};
 use ciao_predicate::Query;
@@ -34,14 +33,16 @@ pub(crate) fn select_survivors<'a>(
 ) -> SelectResult {
     let mut metrics = prepared.metrics();
     let mut records = Vec::new();
+    let mut filter = BlockFilter::new(&query.clauses);
     for (block, survivors) in blocks.into_iter().zip(prepared.survivors()) {
-        survivors.for_each_row(block.row_count(), |row| {
-            metrics.rows_scanned += 1;
-            if eval_query_on_block(query, block, row) {
-                metrics.rows_matched += 1;
-                records.push(block.to_record(row));
-            }
-        });
+        let tally = filter.run(block, survivors);
+        metrics.add_block(&tally);
+        records.extend(
+            tally
+                .selected
+                .iter()
+                .map(|&row| block.to_record(row as usize)),
+        );
     }
     SelectResult { records, metrics }
 }

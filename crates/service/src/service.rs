@@ -167,26 +167,33 @@ fn plan_text_result(lines: Vec<String>) -> QueryResult {
 /// about what spawning a thread costs there) against the scan it
 /// takes off the caller, and is set from `repro -- fanout`
 /// (`crates/bench/src/experiments/fanout.rs`; 2 shards, median µs per
-/// `SELECT COUNT(*) … WHERE id < X`, arms interleaved, 2 cores):
+/// `SELECT COUNT(*) … WHERE id < X`, arms interleaved, 2 cores, block
+/// rows filtered by the column-at-a-time block driver):
 ///
 /// ```text
 /// surviving block rows   inline   hand-off   thread::scope spawn
-///                  256     11.1       17.7                  45.9
-///                 1024     29.6       35.4                  62.5
-///                 2048     54.0       59.6                  89.6
-///                 4096    103.8      108.5                 142.7
-///                 8192    201.3      203.4                 239.7
-///                16384    406.8      309.6                 334.4
+///                  256     11.3       12.4                  67.5
+///                  512     14.8       15.6                  65.1
+///                 1024     21.3       30.4                  69.0
+///                 2048     33.4       38.2                  76.3
+///                 4096     55.9       51.1                  87.6
+///                 8192    100.8       75.9                 113.6
+///                16384    186.6      132.6                 180.9
 /// ```
 ///
-/// Inline won at 4096 rows and below in all four runs made; at 8192
-/// the hand-off won two (≈ 280 against 368 µs both times), tied one
-/// and lost one (270 against 206); at 16384 it won all four. Handing off
-/// too early costs the post (≈ 6 µs, the caller takes an unstarted
-/// scan back); scanning inline too late costs up to the parallel
-/// half, so the constant sits at the last size inline always won.
-/// Parked rows are dearer per row (the same sweep over short parked
-/// records crosses around 2048), which this one count does not weigh.
+/// Inline won at 512–2048 rows in all eight runs made (at 256 it lost
+/// one by 0.2 µs); the hand-off won at 4096 and at 8192 in six (by
+/// 5–7 µs at 4096; the two losses came in a phase where every hand-off
+/// cost 10–15 µs more) and at 16384 in four, so the sweep prints a
+/// crossover of 4096 when the host is quiet. The block driver
+/// halved the inline cost per block row (the row-at-a-time loop took
+/// 103.8 µs at 4096), which pulled the crossover down from
+/// 8192–16384. Handing off too early costs the post (≈ 6 µs, the
+/// caller takes an unstarted scan back); scanning inline too late
+/// costs up to the parallel half; the constant stays at the printed
+/// crossover, where inlining gives up about 5 µs. Parked rows are
+/// dearer per row (the same sweep over short parked records crosses
+/// at 512 in a quiet phase), which this one count does not weigh.
 const INLINE_MAX_SURVIVING_ROWS: usize = 4096;
 
 /// Where a statement's per-shard scans ran.
