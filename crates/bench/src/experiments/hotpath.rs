@@ -319,6 +319,74 @@ fn engine_block_filter_row(records: usize) -> HotpathRow {
     row("engine/block_filter_ycsb", "engine", timings, bytes, true)
 }
 
+/// Records the `columnar/load_text_ycsb` row loads: about fifty
+/// 1024-row blocks from CI's scale (4000) up, twelve per suite record
+/// at the tiny scales unit tests run unoptimised.
+const LOAD_TEXT_ROWS: usize = 50_000;
+
+/// The pushed predicate ids both sides of `columnar/load_text_ycsb`
+/// carry, and each row's bits.
+const LOAD_IDS: [u32; 2] = [0, 1];
+
+fn load_bit(row: usize, k: usize) -> bool {
+    (row + k).is_multiple_of(3)
+}
+
+/// YCSB records, and the schema a sample of them infers.
+fn ycsb_lines(records: usize) -> (String, Arc<Schema>) {
+    let text = Dataset::Ycsb.generate_ndjson(13, records);
+    let sample: Vec<_> = text
+        .lines()
+        .take(1000)
+        .map(|r| ciao_json::parse(r).expect("valid record"))
+        .collect();
+    let schema = Arc::new(Schema::infer(&sample).unwrap());
+    (text, schema)
+}
+
+/// The loader's path: each record's text straight into the columns.
+fn load_by_text(schema: &Arc<Schema>, text: &str) -> Table {
+    let mut tb = TableBuilder::new(Arc::clone(schema), &LOAD_IDS);
+    for (i, r) in text.lines().enumerate() {
+        tb.push_text(r, |k| load_bit(i, k)).expect("valid record");
+    }
+    tb.finish()
+}
+
+/// The path it replaced: a DOM per record, then a bit map per row.
+fn load_by_tree(schema: &Arc<Schema>, text: &str) -> Table {
+    let mut tb = TableBuilder::new(Arc::clone(schema), &LOAD_IDS);
+    for (i, r) in text.lines().enumerate() {
+        let record = ciao_json::parse(r).expect("valid record");
+        let bits = LOAD_IDS
+            .iter()
+            .enumerate()
+            .map(|(k, &id)| (id, load_bit(i, k)));
+        tb.push_record(&record, &bits.collect());
+    }
+    tb.finish()
+}
+
+/// Full loading's kernel, what `Loader::load_chunk` runs per admitted
+/// record: [`TableBuilder::push_text`] scanning YCSB record text
+/// straight into the column builders, vs [`ciao_json::parse`] then
+/// [`TableBuilder::push_record`] — the DOM path it replaced, kept as
+/// its oracle. Both build the same table.
+fn columnar_load_text_row(records: usize) -> HotpathRow {
+    let (text, schema) = ycsb_lines(records);
+    let timings = interleaved_median_ns(
+        || load_by_text(&schema, &text).row_count() as u64,
+        || load_by_tree(&schema, &text).row_count() as u64,
+    );
+    row(
+        "columnar/load_text_ycsb",
+        "columnar",
+        timings,
+        text.len(),
+        true,
+    )
+}
+
 /// The two fields each `json/projected2_*` row builds per record.
 const YCSB_KEYS: [&str; 2] = ["linear_score", "age_group"];
 const WINLOG_KEYS: [&str; 2] = ["pid", "level"];
@@ -473,6 +541,9 @@ pub fn run(scale: ExperimentScale) -> Vec<HotpathRow> {
     rows.push(bitvec_count_and_row());
     rows.push(columnar_zone_row(scale.records.min(20_000)));
     rows.push(engine_block_filter_row(BLOCK_FILTER_ROWS));
+    rows.push(columnar_load_text_row(
+        LOAD_TEXT_ROWS.min(12 * scale.records),
+    ));
     rows.push(json_projected_row(
         "ycsb",
         &ndjson(Dataset::Ycsb, scale),
@@ -498,7 +569,7 @@ mod tests {
             sample: 100,
         };
         let rows = run(scale);
-        assert_eq!(rows.len(), 14);
+        assert_eq!(rows.len(), 15);
         for r in &rows {
             assert!(r.median_ns > 0.0, "{}: zero median", r.name);
             assert!(r.baseline_ns > 0.0, "{}: zero baseline", r.name);
@@ -555,6 +626,14 @@ mod tests {
         );
         let m = scan_count(&table, &query, &ScanOptions::full());
         assert_eq!((m.rows_matched, m.rows_scanned), (truth, recs.len()));
+    }
+
+    #[test]
+    fn load_row_sides_build_the_same_table() {
+        let (text, schema) = ycsb_lines(2500);
+        let table = load_by_text(&schema, &text);
+        assert_eq!(table.row_count(), 2500);
+        assert_eq!(table, load_by_tree(&schema, &text));
     }
 
     #[test]

@@ -223,6 +223,18 @@ impl BitVec {
         self.len = 0;
     }
 
+    /// Makes room for `additional` more bits without reallocating.
+    pub fn reserve(&mut self, additional: usize) {
+        let words = words_for(self.len + additional);
+        self.words
+            .reserve_exact(words.saturating_sub(self.words.len()));
+    }
+
+    /// Releases the room [`BitVec::reserve`] made beyond the bits held.
+    pub fn shrink_to_fit(&mut self) {
+        self.words.shrink_to_fit();
+    }
+
     /// Number of set bits.
     #[inline]
     pub fn count_ones(&self) -> usize {

@@ -4,7 +4,7 @@ use crate::column::{Cell, Column, ColumnBuilder};
 use crate::metadata::{BlockMetadata, ColumnStats};
 use crate::schema::Schema;
 use ciao_bitvec::BitVec;
-use ciao_json::JsonValue;
+use ciao_json::{parse_fields, FieldKeys, JsonValue, ParseError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -103,38 +103,102 @@ impl Block {
 }
 
 /// Accumulates rows (plus per-predicate bits) into a block.
+///
+/// Rows arrive as record text ([`BlockBuilder::push_text`], what
+/// loading uses: each column a schema field names is appended straight
+/// from the scan, with no tree in between) or as an already parsed
+/// record ([`BlockBuilder::push_record`], for fixtures and as the
+/// oracle `push_text` is tested against). Both coerce each value the
+/// same way and yield equal blocks for the same record.
 #[derive(Debug)]
 pub struct BlockBuilder {
     schema: Arc<Schema>,
     builders: Vec<ColumnBuilder>,
-    bits: BTreeMap<u32, BitVec>,
+    /// The schema's field names, indexed for [`parse_fields`].
+    keys: FieldKeys,
+    /// One bitvector per pushed predicate, in construction order.
+    bits: Vec<(u32, BitVec)>,
     rows: usize,
+    /// Rows to make room for when the first row arrives.
+    capacity: usize,
 }
 
 impl BlockBuilder {
     /// Creates a builder for a schema and the set of pushed predicate
     /// ids whose bits each row will carry.
     pub fn new(schema: Arc<Schema>, predicate_ids: &[u32]) -> BlockBuilder {
+        Self::with_capacity(schema, predicate_ids, 0)
+    }
+
+    /// [`BlockBuilder::new`] for a block that will hold about `rows`
+    /// rows: the first row makes room for all of them, so appending
+    /// never reallocates a column, and [`BlockBuilder::finish`] gives
+    /// back what a shorter block left unused.
+    pub(crate) fn with_capacity(
+        schema: Arc<Schema>,
+        predicate_ids: &[u32],
+        rows: usize,
+    ) -> BlockBuilder {
         let builders = schema
             .fields()
             .iter()
             .map(|f| ColumnBuilder::new(f.dtype))
             .collect();
+        let keys = FieldKeys::new(schema.fields().iter().map(|f| f.name.as_str()));
         BlockBuilder {
             schema,
             builders,
+            keys,
             bits: predicate_ids
                 .iter()
                 .map(|&id| (id, BitVec::new()))
                 .collect(),
             rows: 0,
+            capacity: rows,
         }
+    }
+
+    /// Appends one record from its text: the value of each schema
+    /// field the record has (its first occurrence), coerced as
+    /// [`ColumnBuilder::push_field`] coerces it, and NULL for each it
+    /// lacks; `bit(k)` is the row's bit for the `k`-th predicate id
+    /// given at construction.
+    ///
+    /// `Err` exactly when [`ciao_json::parse`] rejects `text`, and
+    /// then nothing was appended: the builder is as it was before the
+    /// call. A record whose top level is not an object is a row of
+    /// NULLs, as [`BlockBuilder::push_record`] makes it.
+    pub fn push_text(&mut self, text: &str, bit: impl Fn(usize) -> bool) -> Result<(), ParseError> {
+        let rows = self.rows;
+        if rows == 0 {
+            self.reserve();
+        }
+        let builders = &mut self.builders;
+        if let Err(e) = parse_fields(text, &mut self.keys, |i, value| {
+            builders[i].push_field(value)
+        }) {
+            for column in builders {
+                column.truncate(rows);
+            }
+            return Err(e);
+        }
+        for column in builders.iter_mut().filter(|c| c.len() == rows) {
+            column.push_null();
+        }
+        for (k, (_, bv)) in self.bits.iter_mut().enumerate() {
+            bv.push(bit(k));
+        }
+        self.rows += 1;
+        Ok(())
     }
 
     /// Appends one parsed record with its predicate bits. `bits` must
     /// cover exactly the ids declared at construction.
     pub fn push_record(&mut self, record: &JsonValue, bits: &BTreeMap<u32, bool>) {
         assert_eq!(bits.len(), self.bits.len(), "predicate bit arity mismatch");
+        if self.rows == 0 {
+            self.reserve();
+        }
         for (i, field) in self.schema.fields().iter().enumerate() {
             self.builders[i].push(record.get(&field.name));
         }
@@ -145,6 +209,15 @@ impl BlockBuilder {
             bv.push(bit);
         }
         self.rows += 1;
+    }
+
+    fn reserve(&mut self) {
+        for column in &mut self.builders {
+            column.reserve(self.capacity);
+        }
+        for (_, bv) in &mut self.bits {
+            bv.reserve(self.capacity);
+        }
     }
 
     /// Rows staged so far.
@@ -173,7 +246,15 @@ impl BlockBuilder {
             .map(ColumnBuilder::finish)
             .collect();
         let stats = columns.iter().map(ColumnStats::compute).collect();
-        let metadata = BlockMetadata::new(self.rows, stats, self.bits);
+        let bits = self
+            .bits
+            .into_iter()
+            .map(|(id, mut bv)| {
+                bv.shrink_to_fit();
+                (id, bv)
+            })
+            .collect();
+        let metadata = BlockMetadata::new(self.rows, stats, bits);
         Block {
             schema: self.schema,
             columns,

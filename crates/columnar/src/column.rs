@@ -2,7 +2,7 @@
 
 use crate::schema::DataType;
 use ciao_bitvec::BitVec;
-use ciao_json::{to_string, JsonValue};
+use ciao_json::{FieldValue, JsonValue};
 
 /// A borrowed view of one cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,7 +182,8 @@ pub struct ColumnBuilder {
     dtype: DataType,
     values: ColumnValues,
     valid: BitVec,
-    coercion_failures: usize,
+    /// Rows whose value failed coercion, ascending.
+    failed_rows: Vec<usize>,
 }
 
 impl ColumnBuilder {
@@ -199,45 +200,38 @@ impl ColumnBuilder {
             dtype,
             values,
             valid: BitVec::new(),
-            coercion_failures: 0,
+            failed_rows: Vec::new(),
         }
     }
 
     /// Appends a cell from an optional JSON value (`None` = key absent).
     pub fn push(&mut self, value: Option<&JsonValue>) {
-        let value = match value {
-            None | Some(JsonValue::Null) => {
-                self.push_null();
-                return;
-            }
-            Some(v) => v,
-        };
+        match value {
+            None => self.push_null(),
+            Some(v) => self.push_field(FieldValue::from(v)),
+        }
+    }
+
+    /// Appends a cell from a value [`ciao_json::parse_fields`] handed
+    /// over, coerced exactly as [`ColumnBuilder::push`] coerces the
+    /// value [`ciao_json::parse`] builds for it. A string or nested
+    /// value costs one allocation — none if it was unescaped into an
+    /// owned string already.
+    pub fn push_field(&mut self, value: FieldValue<'_>) {
         match (&mut self.values, value) {
-            (ColumnValues::Str(col), JsonValue::String(s)) => {
-                col.push(s.clone());
-                self.valid.push(true);
-            }
-            (ColumnValues::Int(col), JsonValue::Number(n)) if n.is_int() => {
-                col.push(n.as_i64().expect("is_int"));
-                self.valid.push(true);
-            }
-            (ColumnValues::Float(col), JsonValue::Number(n)) => {
-                col.push(n.as_f64());
-                self.valid.push(true);
-            }
-            (ColumnValues::Bool(col), JsonValue::Bool(b)) => {
-                col.push(*b);
-                self.valid.push(true);
-            }
-            (ColumnValues::Json(col), v @ (JsonValue::Array(_) | JsonValue::Object(_))) => {
-                col.push(to_string(v));
-                self.valid.push(true);
-            }
+            (_, FieldValue::Null) => return self.push_null(),
+            (ColumnValues::Str(col), FieldValue::Str(s)) => col.push(s.into_owned()),
+            (ColumnValues::Int(col), FieldValue::Int(i)) => col.push(i),
+            (ColumnValues::Float(col), FieldValue::Int(i)) => col.push(i as f64),
+            (ColumnValues::Float(col), FieldValue::Float(f)) => col.push(f),
+            (ColumnValues::Bool(col), FieldValue::Bool(b)) => col.push(b),
+            (ColumnValues::Json(col), FieldValue::Json(text)) => col.push(text.into_owned()),
             _ => {
-                self.coercion_failures += 1;
-                self.push_null();
+                self.failed_rows.push(self.len());
+                return self.push_null();
             }
         }
+        self.valid.push(true);
     }
 
     /// Appends a NULL cell.
@@ -264,7 +258,7 @@ impl ColumnBuilder {
 
     /// Values that failed coercion and were stored as NULL.
     pub fn coercion_failures(&self) -> usize {
-        self.coercion_failures
+        self.failed_rows.len()
     }
 
     /// The declared type.
@@ -272,8 +266,40 @@ impl ColumnBuilder {
         self.dtype
     }
 
-    /// Finalizes the column.
-    pub fn finish(self) -> Column {
+    /// Drops every row from `len` on, and the coercion failures they
+    /// counted: the builder is as it was when it held `len` rows.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        match &mut self.values {
+            ColumnValues::Str(v) | ColumnValues::Json(v) => v.truncate(len),
+            ColumnValues::Int(v) => v.truncate(len),
+            ColumnValues::Float(v) => v.truncate(len),
+            ColumnValues::Bool(b) => b.truncate(len),
+        }
+        self.valid.truncate(len);
+        let kept = self.failed_rows.partition_point(|&row| row < len);
+        self.failed_rows.truncate(kept);
+    }
+
+    /// Makes room for `rows` more rows without reallocating.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        match &mut self.values {
+            ColumnValues::Str(v) | ColumnValues::Json(v) => v.reserve_exact(rows),
+            ColumnValues::Int(v) => v.reserve_exact(rows),
+            ColumnValues::Float(v) => v.reserve_exact(rows),
+            ColumnValues::Bool(b) => b.reserve(rows),
+        }
+        self.valid.reserve(rows);
+    }
+
+    /// Finalizes the column, releasing room reserved beyond its rows.
+    pub fn finish(mut self) -> Column {
+        match &mut self.values {
+            ColumnValues::Str(v) | ColumnValues::Json(v) => v.shrink_to_fit(),
+            ColumnValues::Int(v) => v.shrink_to_fit(),
+            ColumnValues::Float(v) => v.shrink_to_fit(),
+            ColumnValues::Bool(b) => b.shrink_to_fit(),
+        }
+        self.valid.shrink_to_fit();
         Column {
             values: self.values,
             valid: self.valid,
@@ -315,6 +341,22 @@ mod tests {
         assert_eq!(col.cell(0), Cell::Null);
         assert_eq!(col.cell(1), Cell::Null);
         assert_eq!(col.cell(2), Cell::Int(7));
+    }
+
+    #[test]
+    fn truncate_forgets_rows_and_their_coercion_failures() {
+        let mut b = ColumnBuilder::new(DataType::Str);
+        b.push_field(FieldValue::Str("kept".into()));
+        b.push_field(FieldValue::Int(1)); // a failure that stays
+        b.push_field(FieldValue::Str("dropped".into()));
+        b.push_field(FieldValue::Bool(true)); // a failure that goes
+        b.truncate(2);
+        assert_eq!((b.len(), b.coercion_failures()), (2, 1));
+        b.push_field(FieldValue::Str("next".into()));
+        let col = b.finish();
+        assert_eq!(col.cell(0).as_str(), Some("kept"));
+        assert!(col.cell(1).is_null());
+        assert_eq!(col.cell(2).as_str(), Some("next"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::block::{Block, BlockBuilder};
 use crate::column::Cell;
 use crate::schema::Schema;
-use ciao_json::JsonValue;
+use ciao_json::{JsonValue, ParseError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -100,6 +100,10 @@ impl Table {
 }
 
 /// Streams rows into fixed-size blocks.
+///
+/// [`TableBuilder::push_text`] is the loading path; `push_record` is
+/// for fixtures and is the oracle `push_text` is tested against
+/// (`tests/text_load_equivalence.rs`).
 #[derive(Debug)]
 pub struct TableBuilder {
     schema: Arc<Schema>,
@@ -116,7 +120,9 @@ impl TableBuilder {
         Self::with_block_size(schema, predicate_ids, DEFAULT_BLOCK_SIZE)
     }
 
-    /// Creates a builder with an explicit block size.
+    /// Creates a builder with an explicit block size. Each block makes
+    /// room for up to [`DEFAULT_BLOCK_SIZE`] rows when its first row
+    /// arrives.
     pub fn with_block_size(
         schema: Arc<Schema>,
         predicate_ids: &[u32],
@@ -124,7 +130,7 @@ impl TableBuilder {
     ) -> TableBuilder {
         assert!(block_size > 0, "block size must be positive");
         TableBuilder {
-            current: BlockBuilder::new(Arc::clone(&schema), predicate_ids),
+            current: block_builder(&schema, predicate_ids, block_size),
             schema,
             predicate_ids: predicate_ids.to_vec(),
             block_size,
@@ -133,7 +139,19 @@ impl TableBuilder {
         }
     }
 
-    /// Appends one record with its predicate bits.
+    /// Appends one record from its text, with its predicate bits in
+    /// construction order ([`BlockBuilder::push_text`]). `Err` exactly
+    /// when [`ciao_json::parse`] rejects `text`, and then nothing was
+    /// appended.
+    pub fn push_text(&mut self, text: &str, bit: impl Fn(usize) -> bool) -> Result<(), ParseError> {
+        self.current.push_text(text, bit)?;
+        if self.current.len() >= self.block_size {
+            self.seal_block();
+        }
+        Ok(())
+    }
+
+    /// Appends one parsed record with its predicate bits.
     pub fn push_record(&mut self, record: &JsonValue, bits: &BTreeMap<u32, bool>) {
         self.current.push_record(record, bits);
         if self.current.len() >= self.block_size {
@@ -154,7 +172,7 @@ impl TableBuilder {
     fn seal_block(&mut self) {
         let finished = std::mem::replace(
             &mut self.current,
-            BlockBuilder::new(Arc::clone(&self.schema), &self.predicate_ids),
+            block_builder(&self.schema, &self.predicate_ids, self.block_size),
         );
         self.coercion_failures += finished.coercion_failures();
         self.blocks.push(finished.finish());
@@ -170,6 +188,12 @@ impl TableBuilder {
             blocks: Arc::new(self.blocks),
         }
     }
+}
+
+/// The builder for a table's next block.
+fn block_builder(schema: &Arc<Schema>, predicate_ids: &[u32], block_size: usize) -> BlockBuilder {
+    let rows = block_size.min(DEFAULT_BLOCK_SIZE);
+    BlockBuilder::with_capacity(Arc::clone(schema), predicate_ids, rows)
 }
 
 #[cfg(test)]

@@ -4,20 +4,24 @@
 //! loading)" (§I) and cites Invisible Loading as the lineage. This
 //! module implements that promotion: when an **uncovered** query forces
 //! a scan of the parked raw store, the parse work is already being
-//! paid — so instead of discarding the parsed DOMs, the server can
-//! migrate them into the columnar table. The next uncovered query then
-//! scans columns instead of re-parsing text.
+//! paid — so the server can load the parked records into the columnar
+//! table instead. The next uncovered query then scans columns instead
+//! of re-parsing text. The service's background compactor promotes
+//! through the same function.
 //!
-//! Promoted records need predicate bits for the block metadata; the
-//! server regenerates them by re-running the plan's raw patterns over
-//! the parked text — the same conservative bits the client would have
-//! produced, so every skipping guarantee still holds.
+//! Promotion is loading: the parked records go through a [`Loader`]
+//! that admits everything, so they reach the columns exactly as an
+//! ingested record does (text straight into the column builders,
+//! malformed records parked again). Promoted records need predicate
+//! bits for the block metadata; the server regenerates them by
+//! re-running the plan's raw patterns over the parked text — the same
+//! conservative bits the client would have produced, so every skipping
+//! guarantee still holds.
 
+use crate::loader::{AdmissionPolicy, Loader};
 use crate::plan::PushdownPlan;
-use ciao_client::Prefilter;
-use ciao_columnar::{Schema, Table, TableBuilder};
-use ciao_json::{parse, RecordChunk};
-use std::collections::BTreeMap;
+use ciao_columnar::{Schema, Table};
+use ciao_json::RecordChunk;
 use std::sync::Arc;
 
 /// Outcome of one promotion pass.
@@ -40,40 +44,21 @@ pub fn promote_parked(
     parked: Vec<String>,
     block_size: usize,
 ) -> (Table, Vec<String>, PromotionStats) {
-    let ids = plan.ids();
-    let mut builder = TableBuilder::with_block_size(schema, &ids, block_size);
-    let mut survivors = Vec::new();
-    let mut stats = PromotionStats::default();
-
-    // Regenerate conservative bits with the plan's own patterns.
-    let prefilter: Prefilter = plan.prefilter();
-    let chunk = match RecordChunk::from_records(&parked) {
-        Ok(c) => c,
-        Err(_) => {
-            // Parked records came from NDJSON lines, so this cannot
-            // happen; defend anyway by keeping everything parked.
-            return (builder.finish(), parked, stats);
-        }
+    let mut loader = Loader::new(schema, &plan.ids(), AdmissionPolicy::LoadAll, block_size);
+    let Ok(chunk) = RecordChunk::from_records(&parked) else {
+        // Parked records came from NDJSON lines, so this cannot
+        // happen; defend anyway by keeping everything parked.
+        let (empty, _, _) = loader.finish();
+        return (empty, parked, PromotionStats::default());
     };
-    let filter = prefilter.run_chunk(&chunk);
-
-    for (i, record) in chunk.iter().enumerate() {
-        match parse(record) {
-            Ok(value) => {
-                let bits: BTreeMap<u32, bool> = ids
-                    .iter()
-                    .map(|&id| (id, filter.bitvec_for(id).is_some_and(|bv| bv.bit(i))))
-                    .collect();
-                builder.push_record(&value, &bits);
-                stats.promoted += 1;
-            }
-            Err(_) => {
-                survivors.push(record.to_owned());
-                stats.still_parked += 1;
-            }
-        }
-    }
-    (builder.finish(), survivors, stats)
+    // Regenerate conservative bits with the plan's own patterns.
+    loader.load_chunk(&chunk, &plan.prefilter().run_chunk(&chunk));
+    let (fragment, survivors, stats) = loader.finish();
+    let stats = PromotionStats {
+        promoted: stats.loaded_records,
+        still_parked: stats.parked_records,
+    };
+    (fragment, survivors, stats)
 }
 
 /// Policy decision: promote when an **uncovered query** (none of its

@@ -10,12 +10,21 @@
 //! Two degenerate cases load everything, matching the paper's observed
 //! behaviour on low-overlap workloads (§VII-D/E): a workload with any
 //! **uncovered** query (no pushed clause), and an empty plan.
+//!
+//! An admitted record goes from its text straight into the column
+//! builders ([`TableBuilder::push_text`], over
+//! [`ciao_json::parse_fields`]): one validating pass appends each
+//! schema field's value and skips the rest, with no DOM in between. A
+//! record that pass rejects — exactly the records [`ciao_json::parse`]
+//! rejects — appends nothing and is parked. This is the one
+//! record-to-row loop: shard ingest, WAL-tail replay at recovery, and
+//! parked-row promotion ([`crate::jit::promote_parked`], which the
+//! compactor runs) all load through a [`Loader`].
 
 use ciao_bitvec::BitVec;
 use ciao_client::ChunkFilterResult;
 use ciao_columnar::{Schema, Table, TableBuilder};
-use ciao_json::{parse, RecordChunk};
-use std::collections::BTreeMap;
+use ciao_json::RecordChunk;
 use std::sync::Arc;
 
 /// How the loader decides which records to admit into the columnar
@@ -88,9 +97,9 @@ pub struct LoadStats {
     pub loaded_records: usize,
     /// Records parked as raw JSON.
     pub parked_records: usize,
-    /// Admitted records that failed to parse (parked instead — a
-    /// malformed record must not be dropped, §IV's contract is about
-    /// filtering, not validation).
+    /// Admitted records that failed to parse (parked instead, having
+    /// appended nothing — a malformed record must not be dropped, §IV's
+    /// contract is about filtering, not validation).
     pub parse_errors: usize,
     /// Values that failed type coercion into the schema (stored NULL).
     pub coercion_failures: usize,
@@ -166,35 +175,28 @@ impl Loader {
             filter.records
         );
         let admission = self.policy.admission_mask(filter);
+        // The chunk's bitvector for each of the builder's predicate
+        // ids, in its order (`None`: the client did not evaluate it).
+        let bitvecs: Vec<Option<&BitVec>> = self
+            .predicate_ids
+            .iter()
+            .map(|&id| filter.bitvec_for(id))
+            .collect();
         for (i, record) in chunk.iter().enumerate() {
             // `None` mask → everything is admitted (baseline / an
             // uncovered query in the workload).
             let admitted = admission.as_ref().is_none_or(|mask| mask.bit(i));
-            if !admitted {
-                self.parked.push(record.to_owned());
-                self.stats.parked_records += 1;
-                continue;
-            }
-            match parse(record) {
-                Ok(value) => {
-                    let bits: BTreeMap<u32, bool> = self
-                        .predicate_ids
-                        .iter()
-                        .map(|&id| {
-                            let bit = filter.bitvec_for(id).is_some_and(|bv| bv.bit(i));
-                            (id, bit)
-                        })
-                        .collect();
-                    self.builder.push_record(&value, &bits);
+            if admitted {
+                let bit = |k: usize| bitvecs[k].is_some_and(|bv| bv.bit(i));
+                if self.builder.push_text(record, bit).is_ok() {
                     self.stats.loaded_records += 1;
+                    continue;
                 }
-                Err(_) => {
-                    // Malformed but admitted: park it rather than lose it.
-                    self.parked.push(record.to_owned());
-                    self.stats.parked_records += 1;
-                    self.stats.parse_errors += 1;
-                }
+                // Malformed but admitted: park it rather than lose it.
+                self.stats.parse_errors += 1;
             }
+            self.parked.push(record.to_owned());
+            self.stats.parked_records += 1;
         }
     }
 

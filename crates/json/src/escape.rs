@@ -1,5 +1,7 @@
 //! JSON string escaping and unescaping.
 
+use std::fmt::Write as _;
+
 /// Appends `s` to `out` with JSON escaping applied (no surrounding
 /// quotes). Escapes the two mandatory characters (`"`, `\`), control
 /// characters below 0x20, and nothing else — multi-byte UTF-8 passes
@@ -16,7 +18,7 @@ pub fn escape_into(s: &str, out: &mut String) {
             '\x08' => out.push_str("\\b"),
             '\x0c' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
             }
             c => out.push(c),
         }

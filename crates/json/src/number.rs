@@ -6,6 +6,8 @@
 //! means that serializing a parsed record reproduces the digits the
 //! client pattern-matched.
 
+use std::fmt::Write as _;
+
 /// A JSON number: either an exact 64-bit integer or a double.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JsonNumber {
@@ -39,32 +41,40 @@ impl JsonNumber {
 
     /// Formats with the same rules the serializer uses.
     pub fn to_json_string(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`JsonNumber::to_json_string`]'s text to `out` without
+    /// allocating anything else.
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
-            JsonNumber::Int(i) => i.to_string(),
-            JsonNumber::Float(f) => format_float(*f),
+            JsonNumber::Int(i) => write!(out, "{i}").expect("writing to a String cannot fail"),
+            JsonNumber::Float(f) => write_float(*f, out),
         }
     }
 }
 
-/// Formats a float as JSON: shortest round-trippable form, with a
+/// Appends a float as JSON: shortest round-trippable form, with a
 /// trailing `.0` added to integral floats so the value re-parses as a
 /// float (`1.0`, not `1`). Extreme magnitudes use scientific notation
 /// — both for compactness and because very long decimal expansions
 /// tickle rounding bugs in fast float parsers downstream.
-pub(crate) fn format_float(f: f64) -> String {
+fn write_float(f: f64, out: &mut String) {
     debug_assert!(
         f.is_finite(),
         "non-finite floats are unrepresentable in JSON"
     );
     let a = f.abs();
+    let start = out.len();
     if a != 0.0 && !(1e-5..1e17).contains(&a) {
-        return format!("{f:e}");
+        write!(out, "{f:e}").expect("writing to a String cannot fail");
+        return;
     }
-    let s = format!("{f}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
+    write!(out, "{f}").expect("writing to a String cannot fail");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
     }
 }
 
@@ -143,7 +153,7 @@ mod tests {
             f64::MIN_POSITIVE,
             5e-324, // smallest subnormal
         ] {
-            let s = format_float(x);
+            let s = JsonNumber::Float(x).to_json_string();
             let back: f64 = s.parse().unwrap();
             assert_eq!(back, x, "roundtrip failed for {x:e} via {s}");
         }

@@ -17,7 +17,7 @@ pub fn write_value(value: &JsonValue, out: &mut String) {
         JsonValue::Null => out.push_str("null"),
         JsonValue::Bool(true) => out.push_str("true"),
         JsonValue::Bool(false) => out.push_str("false"),
-        JsonValue::Number(n) => out.push_str(&n.to_json_string()),
+        JsonValue::Number(n) => n.write_json(out),
         JsonValue::String(s) => {
             out.push('"');
             escape_into(s, out);

@@ -4,33 +4,20 @@
 //! whatever our parser accepts must agree with serde_json's reading,
 //! and parse→serialize→parse must be the identity on our DOM.
 //!
-//! The second half holds `parse_projected` to `parse`, its oracle: on
-//! valid documents spelled every legal way and on corruptions of them,
-//! the scan errs exactly when the parser errs, and otherwise returns
-//! the parser's value for each requested key and no other key.
+//! The second half holds both scans, `parse_projected` and
+//! `parse_fields`, to `parse`, their oracle: on valid documents spelled
+//! every legal way and on corruptions of them, a scan errs exactly when
+//! the parser errs, and otherwise returns the parser's value for each
+//! requested key — the first occurrence, a nested one printed as
+//! `to_string` prints it — and no other key.
 
-use ciao_json::{escape_into, parse, parse_projected, to_string, JsonValue};
+mod support;
+
+use ciao_json::{
+    parse, parse_fields, parse_projected, to_string, FieldKeys, FieldValue, JsonValue,
+};
 use proptest::prelude::*;
-use std::fmt::Write as _;
-
-/// Strategy for arbitrary JSON values with bounded size/depth.
-fn arb_json() -> impl Strategy<Value = JsonValue> {
-    let leaf = prop_oneof![
-        Just(JsonValue::Null),
-        any::<bool>().prop_map(JsonValue::from),
-        any::<i64>().prop_map(JsonValue::from),
-        // Finite floats only; JSON has no NaN/inf.
-        prop::num::f64::NORMAL.prop_map(JsonValue::from),
-        "[a-zA-Z0-9 _\\-\"\\\\\n\t😀é]{0,20}".prop_map(JsonValue::from),
-    ];
-    leaf.prop_recursive(4, 64, 8, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 0..6).prop_map(JsonValue::Array),
-            prop::collection::vec(("[a-z]{1,8}", inner), 0..6)
-                .prop_map(|pairs| JsonValue::Object(pairs.into_iter().collect())),
-        ]
-    })
-}
+use support::{arb_json, corruptions, spell, Rng};
 
 fn to_serde(v: &JsonValue) -> serde_json::Value {
     serde_json::from_str(&to_string(v)).expect("our serializer must emit valid JSON")
@@ -123,80 +110,6 @@ proptest! {
     }
 }
 
-/// SplitMix64: the corruption and spelling choices of one case, all
-/// derived from one generated seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// Serializes `v` with random whitespace between tokens and a random
-/// quarter of string characters spelled as `\uXXXX` escapes (surrogate
-/// pairs for astral ones) — keys included, so keys need unescaping.
-fn spell(v: &JsonValue, rng: &mut Rng, out: &mut String) {
-    fn ws(rng: &mut Rng, out: &mut String) {
-        for _ in 0..rng.below(3) {
-            out.push([' ', '\t', '\n', '\r'][rng.below(4)]);
-        }
-    }
-    fn string(s: &str, rng: &mut Rng, out: &mut String) {
-        out.push('"');
-        for c in s.chars() {
-            if rng.below(4) == 0 {
-                for unit in c.encode_utf16(&mut [0u16; 2]) {
-                    write!(out, "\\u{unit:04x}").unwrap();
-                }
-            } else {
-                escape_into(c.encode_utf8(&mut [0u8; 4]), out);
-            }
-        }
-        out.push('"');
-    }
-    ws(rng, out);
-    match v {
-        JsonValue::String(s) => string(s, rng, out),
-        JsonValue::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                spell(item, rng, out);
-            }
-            ws(rng, out);
-            out.push(']');
-        }
-        JsonValue::Object(pairs) => {
-            out.push('{');
-            for (i, (key, value)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                ws(rng, out);
-                string(key, rng, out);
-                ws(rng, out);
-                out.push(':');
-                spell(value, rng, out);
-            }
-            ws(rng, out);
-            out.push('}');
-        }
-        scalar => out.push_str(&to_string(scalar)),
-    }
-    ws(rng, out);
-}
-
 /// Records shaped like parked ones — a top-level object — with keys
 /// from an alphabet small enough that duplicates are common and odd
 /// enough that they need escaping; or, one time in five, any document
@@ -224,8 +137,9 @@ fn pick_keys<'a>(v: &'a JsonValue, rng: &mut Rng) -> Vec<&'a str> {
     keys
 }
 
-/// The whole contract of `parse_projected` on one input.
+/// The whole contract of both scans on one input.
 fn assert_scan_matches_parse(doc: &str, keys: &[&str]) {
+    assert_fields_match_parse(doc, keys);
     let full = parse(doc);
     let scanned = parse_projected(doc, keys);
     assert_eq!(
@@ -249,20 +163,39 @@ fn assert_scan_matches_parse(doc: &str, keys: &[&str]) {
     }
 }
 
+/// `parse_fields`' contract on one input: `Err` exactly when `parse`
+/// errs, and otherwise each key the document has, once, in document
+/// order, with the value `parse(..).get(key)` converts to.
+fn assert_fields_match_parse(doc: &str, keys: &[&str]) {
+    let mut field_keys = FieldKeys::new(keys.iter().copied());
+    let mut delivered = Vec::new();
+    let scanned = parse_fields(doc, &mut field_keys, |i, v| {
+        delivered.push((i, v.into_owned()));
+    });
+    let full = parse(doc);
+    assert_eq!(
+        scanned.is_err(),
+        full.is_err(),
+        "acceptance differs on {doc:?}: fields {scanned:?}, parse {full:?}"
+    );
+    let Ok(full) = full else {
+        return;
+    };
+    let mut expected: Vec<(usize, FieldValue)> = Vec::new();
+    for (k, v) in full.as_object().unwrap_or(&[]) {
+        let i = keys.iter().position(|key| key == k);
+        if let Some(i) = i.filter(|&i| expected.iter().all(|(seen, _)| *seen != i)) {
+            expected.push((i, FieldValue::from(v).into_owned()));
+        }
+    }
+    assert_eq!(delivered, expected, "fields of {doc:?}");
+}
+
 /// Every prefix of `doc` that ends on a char boundary.
 fn truncations(doc: &str) -> impl Iterator<Item = &str> {
     (0..doc.len())
         .filter(|&i| doc.is_char_boundary(i))
         .map(|i| &doc[..i])
-}
-
-/// `doc` with `insert` spliced in at a random char boundary.
-fn splice(doc: &str, insert: &str, rng: &mut Rng) -> String {
-    let mut at = rng.below(doc.len() + 1);
-    while !doc.is_char_boundary(at) {
-        at -= 1;
-    }
-    format!("{}{insert}{}", &doc[..at], &doc[at..])
 }
 
 proptest! {
@@ -286,30 +219,9 @@ proptest! {
         spell(&v, &mut rng, &mut doc);
         let keys = pick_keys(&v, &mut rng);
 
-        // One ASCII byte replaced by another (structure, digits,
-        // quotes and backslashes included).
-        for _ in 0..8 {
-            let at = rng.below(doc.len());
-            if doc.as_bytes()[at].is_ascii() {
-                let mut bytes = doc.clone().into_bytes();
-                const REPLACEMENTS: &[u8] = b" \"\\{}[]:,0-9.eEtfnu\x01x";
-                bytes[at] = REPLACEMENTS[rng.below(REPLACEMENTS.len())];
-                let flipped = String::from_utf8(bytes).expect("ASCII for ASCII");
-                assert_scan_matches_parse(&flipped, &keys);
-            }
+        for corrupted in corruptions(&doc, &mut rng) {
+            assert_scan_matches_parse(&corrupted, &keys);
         }
-        // Things that are only wrong inside a string, spliced wherever
-        // they land: a raw control character, a lone surrogate (either
-        // half), a bad escape.
-        for insert in ["\u{1}", "\n", "\\ud800", "\\udc00", "\\ud800\\u0041", "\\x", "\\"] {
-            assert_scan_matches_parse(&splice(&doc, insert, &mut rng), &keys);
-        }
-        // Trailing garbage, and a truncation.
-        for tail in [" x", "}", ",", "\"", " {}"] {
-            assert_scan_matches_parse(&format!("{doc}{tail}"), &keys);
-        }
-        let cut = splice(&doc, "\0", &mut rng);
-        assert_scan_matches_parse(&cut[..cut.find('\0').unwrap()], &keys);
     }
 }
 
@@ -357,6 +269,8 @@ fn scan_agrees_on_handpicked_documents() {
         r#"{"k":1,"k":2}"#,
         r#"{"k":1,"k":tru}"#,
         r#"{"x":{"k":9},"k":[{"k":1}]}"#,
+        // Values a nested copy must print as `to_string` does.
+        r#"{"k":{"a":2.50,"b":[1E+2,-0,"\/"]},"a b":-0,"é":{ }}"#,
         // Keys that need unescaping to be recognised, or that are not
         // valid strings at all.
         r#"{"\u006b":1,"a\u0020b":2,"\u00e9":3}"#,

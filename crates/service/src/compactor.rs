@@ -1,19 +1,26 @@
 //! Background parked-row compaction.
 //!
-//! Partial loading parks records whose pushed-predicate bits are all
-//! zero; the per-query JIT path in `ciao::jit` only promotes them when
-//! an uncovered query happens to pay the parse cost anyway. A
-//! long-running service cannot wait for that: parked rows that queries
-//! keep scanning should migrate to columnar blocks during idle time.
+//! Partial loading (`AdmissionPolicy::PerQueryCoverage`, what a
+//! service with a non-empty plan admits with) parks a record when it
+//! fails every workload query's pushed conjunction — for each query,
+//! at least one of its pushed clauses' bits is zero. (Some of its
+//! bits may be one: a record can match a pushed clause of a query
+//! whose other pushed clause it fails.) The per-query JIT path in
+//! `ciao::jit` only promotes parked records when an uncovered query
+//! happens to pay the parse cost anyway. A long-running service cannot
+//! wait for that: parked rows that queries keep scanning should
+//! migrate to columnar blocks during idle time.
 //!
 //! The compactor is **tick-driven** — no wall clock, no timer thread.
-//! Each tick re-evaluates a bounded batch of parked rows per shard
-//! (oldest first) against the typed schema, regenerates their
+//! Each tick hands a bounded batch of parked rows per shard (oldest
+//! first) to `ciao::jit::promote_parked`, which regenerates their
 //! predicate bits with the plan's own patterns (the same conservative
 //! bits the client would have produced, so every skipping guarantee
-//! still holds), and appends the parseable ones as new columnar
-//! blocks. Rows that still fail to parse rotate to the back of the
-//! parked store so one malformed record cannot wedge the window.
+//! still holds) and loads them through a `ciao::Loader` that admits
+//! everything — the same record-to-row path as ingest — so the
+//! parseable ones become new columnar blocks. Rows that still fail to
+//! parse rotate to the back of the parked store so one malformed
+//! record cannot wedge the window.
 //!
 //! Shards are prioritized by **heat**: the number of uncovered-query
 //! executions that scanned the shard's parked store since its last
