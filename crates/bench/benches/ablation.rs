@@ -4,10 +4,8 @@
 //!    pushed predicates) vs the per-query coverage rule the evaluation
 //!    implies, measured as full ingest runs.
 //! 2. **Zone maps** — block pruning on top of bitvector skipping.
-//! 3. **Parallel prefilter** — worker scaling on one chunk stream.
 
 use ciao::{AdmissionPolicy, Loader, PushdownPlan};
-use ciao_client::{ClientStats, ParallelPrefilter, Prefilter};
 use ciao_columnar::Schema;
 use ciao_datagen::Dataset;
 use ciao_engine::{scan_count, ScanOptions};
@@ -121,35 +119,5 @@ fn bench_zone_maps(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_prefilter(c: &mut Criterion) {
-    let env = env();
-    let mut group = c.benchmark_group("ablation_parallel_prefilter");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(RECORDS as u64));
-    for workers in [1usize, 2, 4, 8] {
-        let par = ParallelPrefilter::new(
-            Prefilter::new(
-                env.plan
-                    .predicates
-                    .iter()
-                    .map(|p| (p.id, p.pattern.clone())),
-            ),
-            workers,
-        );
-        group.bench_with_input(BenchmarkId::from_parameter(workers), &par, |b, par| {
-            b.iter(|| {
-                let mut stats = ClientStats::default();
-                par.run_chunks(black_box(&env.chunks), &mut stats)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_admission_policies,
-    bench_zone_maps,
-    bench_parallel_prefilter
-);
+criterion_group!(benches, bench_admission_policies, bench_zone_maps);
 criterion_main!(benches);

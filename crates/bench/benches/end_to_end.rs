@@ -2,8 +2,9 @@
 //! Figs. 3–5 (the `repro` binary prints the paper-shaped rows; this
 //! gives criterion-grade timing for selected budget points).
 
-use ciao::{CiaoConfig, Pipeline};
+use ciao::CiaoConfig;
 use ciao_datagen::Dataset;
+use ciao_service::Pipeline;
 use ciao_workload::{build_pool, WorkloadConfig};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 

@@ -1,6 +1,6 @@
 //! Sharded-service ingest benchmark: the same prefiltered chunk
-//! stream pushed through 1/2/4/8 shards (workers = shards), versus the
-//! single-threaded `Server` baseline. Measures the server side only —
+//! stream pushed through 1/2/4/8 shards (workers = shards), versus one
+//! shard driven on the calling thread. Measures the server side only —
 //! client prefiltering is pre-paid when the environment is built.
 //!
 //! The binary also measures the telemetry tax directly: identical
@@ -41,18 +41,18 @@ fn bench_service_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_baseline_server(c: &mut Criterion) {
+fn bench_baseline_shard(c: &mut Criterion) {
     let scale = ExperimentScale::tiny();
     let env = ServiceEnv::new(scale);
 
     let mut group = c.benchmark_group("service_ingest");
     group.sample_size(10);
     group.throughput(Throughput::Elements(env.records() as u64));
-    group.bench_function("ycsb/single_thread_server", |b| {
+    group.bench_function("ycsb/single_thread_shard", |b| {
         b.iter(|| {
-            let mut server = env.baseline_server();
-            server.finalize();
-            black_box(server.table().row_count())
+            let shard = env.baseline_shard();
+            shard.seal_epoch();
+            black_box(shard.snapshot().rows)
         })
     });
     group.finish();
@@ -80,7 +80,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_service_ingest,
-    bench_baseline_server,
+    bench_baseline_shard,
     bench_telemetry_overhead
 );
 

@@ -2,8 +2,9 @@
 //! plus the headline speedup numbers.
 
 use crate::experiments::datasets::{budget_sweep, ndjson, ExperimentScale};
-use ciao::{CiaoConfig, Pipeline};
+use ciao::CiaoConfig;
 use ciao_datagen::Dataset;
+use ciao_service::Pipeline;
 use ciao_workload::{build_pool, WorkloadConfig};
 
 /// One point of a Fig. 3/4/5 series.

@@ -9,11 +9,12 @@
 //! run was faster.
 
 use crate::experiments::datasets::{ndjson, ExperimentScale};
-use ciao::{CiaoConfig, PushdownPlan, Server};
+use ciao::{CiaoConfig, PushdownPlan};
 use ciao_columnar::Schema;
 use ciao_datagen::Dataset;
 use ciao_engine::Executor;
 use ciao_json::RecordChunk;
+use ciao_service::Shard;
 use ciao_workload::{build_pool, WorkloadConfig};
 use std::sync::Arc;
 use std::time::Instant;
@@ -62,13 +63,12 @@ pub fn run(scale: ExperimentScale, budgets: &[f64]) -> Vec<Fig6Row> {
         .map(|&budget| {
             let plan =
                 PushdownPlan::build(&queries, &sample, &config.cost_model, budget).expect("plan");
-            let mut server = Server::new(plan, Arc::clone(&schema), config.block_size);
-            let prefilter = server.plan().prefilter();
+            let prefilter = plan.prefilter();
+            let shard = Shard::new(Arc::new(plan), Arc::clone(&schema), config.block_size);
             for chunk in all.split(config.chunk_size) {
-                let filter = prefilter.run_chunk(&chunk);
-                server.ingest(&chunk, &filter);
+                shard.ingest(&chunk, &prefilter.run_chunk(&chunk));
             }
-            server.finalize();
+            let pin = shard.pin();
 
             let no_skip = Executor::default();
             let mut benefiting = 0;
@@ -80,10 +80,11 @@ pub fn run(scale: ExperimentScale, budgets: &[f64]) -> Vec<Fig6Row> {
                 let mut without = f64::INFINITY;
                 for _ in 0..reps {
                     let t0 = Instant::now();
-                    let a = server.execute(q);
+                    let a = shard.scan_count(&pin, &shard.prepare(&pin, q));
                     with = with.min(t0.elapsed().as_secs_f64());
                     let t1 = Instant::now();
-                    let b = no_skip.execute_count(server.table(), server.parked(), q);
+                    let unskipped = no_skip.prepare(q.clone(), pin.blocks(), pin.parked_count());
+                    let b = no_skip.scan_count(&unskipped, pin.blocks(), pin.parked());
                     without = without.min(t1.elapsed().as_secs_f64());
                     assert_eq!(a.count, b.count, "skipping changed a result");
                 }

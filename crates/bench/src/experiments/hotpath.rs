@@ -15,7 +15,7 @@
 
 use crate::experiments::datasets::{ndjson, ExperimentScale};
 use ciao_bitvec::BitVec;
-use ciao_client::{Finder, ParallelPrefilter, Prefilter};
+use ciao_client::{Finder, Prefilter};
 use ciao_columnar::{Schema, Table, TableBuilder};
 use ciao_datagen::Dataset;
 use ciao_engine::{eval_query_on_block, scan_count, ScanOptions};
@@ -34,7 +34,7 @@ pub struct HotpathRow {
     /// Row id, stable across runs (the gate joins on it).
     pub name: String,
     /// Kernel family ("search", "prefilter", "bitvec", "columnar",
-    /// "engine", "json", "storage", "parallel").
+    /// "engine", "json", "storage").
     pub group: String,
     /// Median wall-clock of the optimized path, nanoseconds.
     pub median_ns: f64,
@@ -44,9 +44,9 @@ pub struct HotpathRow {
     pub speedup: f64,
     /// Bytes the optimized path touched per second, MB/s.
     pub throughput_mb_s: f64,
-    /// Whether CI's perf gate enforces this row. Rows whose speedup
-    /// depends on core count (shard scaling) are recorded but not
-    /// gated, so a 1-core runner cannot fail the build on topology.
+    /// Whether CI's perf gate enforces this row. A row whose speedup
+    /// depends on core count would be recorded but not gated, so a
+    /// 1-core runner cannot fail the build on topology.
     pub gated: bool,
 }
 
@@ -501,35 +501,6 @@ fn storage_wal_frame_row(chunk: &RecordChunk) -> HotpathRow {
     )
 }
 
-/// Shard-scaling row: 2-worker parallel prefilter vs serial. Recorded
-/// for the trajectory but **not gated** — on a 1-core runner the
-/// "speedup" is pure coordination tax, which is not a regression.
-fn parallel_row(env: &HotpathEnv) -> HotpathRow {
-    let pairs = env.like_clauses(4);
-    let serial = Prefilter::new(pairs.clone());
-    let parallel = ParallelPrefilter::new(Prefilter::new(pairs), 2);
-    let chunks = env.chunk.split(512);
-    let timings = interleaved_median_ns(
-        || {
-            let mut stats = ciao_client::ClientStats::default();
-            parallel.run_chunks(&chunks, &mut stats).len() as u64
-        },
-        || {
-            chunks
-                .iter()
-                .map(|c| serial.run_chunk(c).records)
-                .sum::<usize>() as u64
-        },
-    );
-    row(
-        "prefilter/parallel_x2",
-        "parallel",
-        timings,
-        env.chunk.payload_bytes(),
-        false,
-    )
-}
-
 /// Runs the whole suite at a scale.
 pub fn run(scale: ExperimentScale) -> Vec<HotpathRow> {
     let env = HotpathEnv::new(scale);
@@ -553,7 +524,6 @@ pub fn run(scale: ExperimentScale) -> Vec<HotpathRow> {
     let chunk = wal_chunk();
     rows.push(storage_crc32_row(&chunk));
     rows.push(storage_wal_frame_row(&chunk));
-    rows.push(parallel_row(&env));
     rows
 }
 
@@ -569,17 +539,13 @@ mod tests {
             sample: 100,
         };
         let rows = run(scale);
-        assert_eq!(rows.len(), 15);
+        assert_eq!(rows.len(), 14);
         for r in &rows {
             assert!(r.median_ns > 0.0, "{}: zero median", r.name);
             assert!(r.baseline_ns > 0.0, "{}: zero baseline", r.name);
             assert!(r.speedup > 0.0, "{}: zero speedup", r.name);
             assert!(r.throughput_mb_s >= 0.0, "{}", r.name);
         }
-        assert!(
-            rows.iter().any(|r| !r.gated),
-            "the shard-scaling row must be recorded ungated"
-        );
         let names: std::collections::BTreeSet<_> = rows.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names.len(), rows.len(), "row names must be unique");
     }

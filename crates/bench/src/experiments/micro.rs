@@ -6,11 +6,12 @@
 //! out of the loop and the measured variable is isolated.
 
 use crate::experiments::datasets::{ndjson, ExperimentScale};
-use ciao::{CiaoConfig, PushdownPlan, Server};
+use ciao::{CiaoConfig, PushdownPlan};
 use ciao_columnar::Schema;
 use ciao_datagen::Dataset;
 use ciao_json::{JsonValue, RecordChunk};
 use ciao_predicate::{estimate_clause_selectivity, Clause, Query, SimplePredicate};
+use ciao_service::Shard;
 use ciao_workload::{predicate_counts, skewness_factor};
 use std::sync::Arc;
 use std::time::Instant;
@@ -20,7 +21,7 @@ use std::time::Instant;
 pub struct MicroOutcome {
     /// Configuration label (e.g. "sel=0.35", "Hol", "Hsk").
     pub label: String,
-    /// Server loading seconds (the Fig. 7/9/11 bar).
+    /// Loading seconds (the Fig. 7/9/11 bar).
     pub loading_s: f64,
     /// Loading ratio (records loaded / total).
     pub loading_ratio: f64,
@@ -95,16 +96,20 @@ impl MicroEnv {
             .iter()
             .filter(|ids| !ids.is_empty())
             .count();
-        let mut server = Server::new(plan, Arc::clone(&self.schema), self.config.block_size);
-        let prefilter = server.plan().prefilter();
+        let prefilter = plan.prefilter();
+        let shard = Shard::new(
+            Arc::new(plan),
+            Arc::clone(&self.schema),
+            self.config.block_size,
+        );
         let chunks = self.data.split(self.config.chunk_size);
         let filters: Vec<_> = chunks.iter().map(|c| prefilter.run_chunk(c)).collect();
 
         let t_load = Instant::now();
         for (chunk, filter) in chunks.iter().zip(&filters) {
-            server.ingest(chunk, filter);
+            shard.ingest(chunk, filter);
         }
-        server.finalize();
+        shard.seal_epoch();
         let loading_s = t_load.elapsed().as_secs_f64();
 
         let mut per_query_s = Vec::with_capacity(queries.len());
@@ -114,7 +119,7 @@ impl MicroEnv {
             let mut count = 0;
             for _ in 0..3 {
                 let t = Instant::now();
-                let out = server.execute(q);
+                let out = shard.execute(q);
                 best = best.min(t.elapsed().as_secs_f64());
                 count = out.count;
             }
@@ -125,7 +130,7 @@ impl MicroEnv {
         MicroOutcome {
             label: label.to_owned(),
             loading_s,
-            loading_ratio: server.load_stats().loading_ratio(),
+            loading_ratio: shard.snapshot().load.loading_ratio(),
             per_query_s,
             per_query_count,
             covered_queries,

@@ -2,20 +2,20 @@
 //!
 //! The paper's server loop is single-threaded; `ciao_service` shards
 //! it. This experiment measures ingest throughput and query latency at
-//! 1/2/4/8 shards against the one-`Server` baseline on the same
+//! 1/2/4/8 shards against one shard driven on one thread, on the same
 //! prefiltered chunk stream, and checks that every configuration
 //! returns the baseline's counts. Client prefiltering is done **before
 //! the clock starts** — the paper already measures that stage; here we
 //! isolate what sharding buys the server side.
 
 use super::datasets::ExperimentScale;
-use ciao::{PushdownPlan, Server};
+use ciao::PushdownPlan;
 use ciao_client::ChunkFilterResult;
 use ciao_columnar::Schema;
 use ciao_datagen::Dataset;
 use ciao_json::RecordChunk;
 use ciao_predicate::{parse_query, Query};
-use ciao_service::{Service, ServiceConfig};
+use ciao_service::{Service, ServiceConfig, Shard};
 use ciao_telemetry::Histogram;
 use std::sync::Arc;
 use std::time::Instant;
@@ -118,29 +118,25 @@ impl ServiceEnv {
         &self.queries
     }
 
-    /// Ingests the whole stream into a fresh single-threaded `Server`
-    /// (not yet finalized) — the baseline both the sweep and the
-    /// Criterion benches compare against.
-    pub fn baseline_server(&self) -> Server {
-        let mut server = Server::new(self.plan.clone(), Arc::clone(&self.schema), 1024);
-        for (chunk, filter) in &self.chunks {
-            server.ingest(chunk, filter);
-        }
-        server
+    /// Ingests the whole stream into one fresh shard on the calling
+    /// thread (its last epoch not yet sealed) — the baseline both the
+    /// sweep and the Criterion benches compare against.
+    pub fn baseline_shard(&self) -> Shard {
+        self.baseline_shard_timed().0
     }
 
-    /// Like [`ServiceEnv::baseline_server`], but records each chunk's
+    /// Like [`ServiceEnv::baseline_shard`], but records each chunk's
     /// synchronous ingest latency — the baseline's ingest-ack
     /// distribution for the trajectory rows.
-    pub fn baseline_server_timed(&self) -> (Server, Histogram) {
+    pub fn baseline_shard_timed(&self) -> (Shard, Histogram) {
         let ack = Histogram::new();
-        let mut server = Server::new(self.plan.clone(), Arc::clone(&self.schema), 1024);
+        let shard = Shard::new(Arc::new(self.plan.clone()), Arc::clone(&self.schema), 1024);
         for (chunk, filter) in &self.chunks {
             let start = Instant::now();
-            server.ingest(chunk, filter);
+            shard.ingest(chunk, filter);
             ack.record_duration(start.elapsed());
         }
-        (server, ack)
+        (shard, ack)
     }
 
     /// Ingests the whole stream into a fresh sharded service and
@@ -189,8 +185,8 @@ pub fn run(scale: ExperimentScale, shard_counts: &[usize]) -> Vec<ServiceRow> {
     // Baseline: the paper's single-threaded server loop, with local
     // histograms standing in for the service's telemetry.
     let start = Instant::now();
-    let (mut server, baseline_ack) = env.baseline_server_timed();
-    server.finalize();
+    let (shard, baseline_ack) = env.baseline_shard_timed();
+    shard.seal_epoch();
     let baseline_ingest = start.elapsed().as_secs_f64();
 
     let baseline_query = Histogram::new();
@@ -199,7 +195,7 @@ pub fn run(scale: ExperimentScale, shard_counts: &[usize]) -> Vec<ServiceRow> {
     for round in 0..QUERY_REPEATS {
         for q in &env.queries {
             let t = Instant::now();
-            let count = server.execute(q).count;
+            let count = shard.execute(q).count;
             baseline_query.record_duration(t.elapsed());
             if round == 0 {
                 truth.push(count);

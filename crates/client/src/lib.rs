@@ -25,8 +25,6 @@
 //! * [`prefilter`] — per-chunk evaluation producing bitvectors.
 //! * [`budget`] — runtime budget enforcement with conservative
 //!   degradation (over budget ⇒ remaining bits forced to 1).
-//! * [`parallel`] — multi-core chunk prefiltering, bit-identical to
-//!   the serial path.
 //! * [`hardware`] — simulated hardware profiles for the cost-model
 //!   calibration experiments (paper Table IV).
 //! * [`stats`] — client-side counters.
@@ -35,7 +33,6 @@
 
 pub mod budget;
 pub mod hardware;
-pub mod parallel;
 pub mod pattern_set;
 pub mod prefilter;
 pub mod raw_eval;
@@ -45,7 +42,6 @@ pub mod swar;
 
 pub use budget::{Budget, BudgetedPrefilter};
 pub use hardware::HardwareProfile;
-pub use parallel::ParallelPrefilter;
 pub use pattern_set::PatternSet;
 pub use prefilter::{ChunkFilterResult, CompiledPredicate, Prefilter};
 pub use raw_eval::{match_clause, match_pattern, CompiledClause};

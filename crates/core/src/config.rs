@@ -15,9 +15,6 @@ pub struct CiaoConfig {
     pub block_size: usize,
     /// Records sampled for schema inference and selectivity estimation.
     pub sample_size: usize,
-    /// Client-side prefilter worker threads (1 = serial; results are
-    /// bit-identical either way).
-    pub client_workers: usize,
     /// The calibrated cost model used by predicate selection.
     pub cost_model: CostModel,
 }
@@ -29,7 +26,6 @@ impl Default for CiaoConfig {
             chunk_size: 1024,
             block_size: 1024,
             sample_size: 1000,
-            client_workers: 1,
             cost_model: CostModel::default_uncalibrated(),
         }
     }
@@ -64,13 +60,6 @@ impl CiaoConfig {
     pub fn with_sample_size(mut self, records: usize) -> Self {
         assert!(records > 0, "sample size must be positive");
         self.sample_size = records;
-        self
-    }
-
-    /// Sets the client prefilter worker count.
-    pub fn with_client_workers(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "need at least one client worker");
-        self.client_workers = workers;
         self
     }
 

@@ -1,19 +1,17 @@
-//! Just-in-time promotion of parked records.
+//! Promotion of parked records into columns.
 //!
 //! The paper parks records "to be loaded when needed (e.g. just-in-time
-//! loading)" (§I) and cites Invisible Loading as the lineage. This
-//! module implements that promotion: when an **uncovered** query forces
-//! a scan of the parked raw store, the parse work is already being
-//! paid — so the server can load the parked records into the columnar
-//! table instead. The next uncovered query then scans columns instead
-//! of re-parsing text. The service's background compactor promotes
-//! through the same function.
+//! loading)" (§I) and cites Invisible Loading as the lineage. Here the
+//! service's background compactor (`ciao_service::Shard::compact`) is
+//! the one promotion path: each tick hands a batch of parked rows to
+//! [`promote_parked`], so a store that queries keep scanning becomes
+//! columns instead of being re-parsed by every query.
 //!
 //! Promotion is loading: the parked records go through a [`Loader`]
 //! that admits everything, so they reach the columns exactly as an
 //! ingested record does (text straight into the column builders,
 //! malformed records parked again). Promoted records need predicate
-//! bits for the block metadata; the server regenerates them by
+//! bits for the block metadata; promotion regenerates them by
 //! re-running the plan's raw patterns over the parked text — the same
 //! conservative bits the client would have produced, so every skipping
 //! guarantee still holds.
@@ -59,14 +57,6 @@ pub fn promote_parked(
         still_parked: stats.parked_records,
     };
     (fragment, survivors, stats)
-}
-
-/// Policy decision: promote when an **uncovered query** (none of its
-/// clauses were pushed) is about to scan a non-empty parked store —
-/// the parse cost is being paid either way, so bank it. Covered
-/// queries never read the parked side and never trigger promotion.
-pub fn should_promote(query_pushed_ids: &[u32], parked_len: usize) -> bool {
-    parked_len > 0 && query_pushed_ids.is_empty()
 }
 
 #[cfg(test)]
@@ -118,15 +108,5 @@ mod tests {
         assert_eq!(stats.still_parked, 1);
         assert_eq!(survivors.len(), 1);
         assert_eq!(fragment.row_count(), 30);
-    }
-
-    #[test]
-    fn promotion_policy() {
-        // Uncovered query + parked records → promote.
-        assert!(should_promote(&[], 100));
-        // Covered query never reads parked.
-        assert!(!should_promote(&[1], 100));
-        // Nothing to promote.
-        assert!(!should_promote(&[], 0));
     }
 }

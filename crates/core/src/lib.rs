@@ -16,31 +16,46 @@
 //! 2. **Data skipping** — per-block bitvectors are ANDed into skip
 //!    masks at query time.
 //!
+//! This crate holds planning ([`PushdownPlan`], [`CiaoConfig`]) and
+//! loading ([`Loader`], [`AdmissionPolicy`], and parked-row promotion
+//! in [`jit`]). `ciao_service` runs them: its `Shard` is the one
+//! loading-and-query state, and its `Pipeline` drives one shard through
+//! the sequence the paper measures.
+//!
 //! ## Quickstart
 //!
 //! ```
-//! use ciao::{CiaoConfig, Pipeline};
+//! use ciao::{AdmissionPolicy, Loader, PushdownPlan};
+//! use ciao_columnar::Schema;
+//! use ciao_json::RecordChunk;
+//! use ciao_optimizer::CostModel;
 //! use ciao_predicate::parse_query;
+//! use std::sync::Arc;
 //!
-//! // Some raw NDJSON records (normally produced by edge clients).
-//! let ndjson: String = (0..500)
-//!     .map(|i| format!("{{\"level\":\"{}\",\"code\":{}}}\n",
-//!                      if i % 10 == 0 { "Error" } else { "Info" }, i % 7))
+//! // Some raw records (normally produced by edge clients).
+//! let raw: Vec<String> = (0..400)
+//!     .map(|i| format!("{{\"stars\":{},\"id\":{}}}", i % 5 + 1, i))
 //!     .collect();
+//! let sample: Vec<_> = raw.iter().take(100).map(|r| ciao_json::parse(r).unwrap()).collect();
 //!
-//! // A prospective workload.
-//! let queries = vec![
-//!     parse_query("q0", r#"level = "Error""#).unwrap(),
-//!     parse_query("q1", r#"level = "Error" AND code = 3"#).unwrap(),
-//! ];
-//!
-//! // Run the whole system: plan → client prefilter → partial load → queries.
-//! let report = Pipeline::new(CiaoConfig::default().with_budget_micros(1.0))
-//!     .run(&ndjson, &queries)
+//! // Plan: pick the predicates the clients evaluate under the budget.
+//! let queries = vec![parse_query("hot", "stars = 5").unwrap()];
+//! let plan = PushdownPlan::build(&queries, &sample, &CostModel::default_uncalibrated(), 10.0)
 //!     .unwrap();
+//! assert!(plan.is_fully_covering());
 //!
-//! assert_eq!(report.query_results[0].count, 50);
-//! assert!(report.load.loaded_records <= 500);
+//! // Client prefilter → partial load: records no query needs are parked.
+//! let chunk = RecordChunk::from_records(&raw).unwrap();
+//! let filter = plan.prefilter().run_chunk(&chunk);
+//! let schema = Arc::new(Schema::infer(&sample).unwrap());
+//! let policy = AdmissionPolicy::from_coverage(&plan.query_coverage);
+//! let mut loader = Loader::new(schema, &plan.ids(), policy, 64);
+//! loader.load_chunk(&chunk, &filter);
+//! let (table, parked, stats) = loader.finish();
+//!
+//! assert_eq!(table.row_count(), 80);
+//! assert_eq!(parked.len(), 320);
+//! assert_eq!(stats.total(), 400);
 //! ```
 
 #![warn(missing_docs)]
@@ -49,16 +64,10 @@ pub mod adaptive;
 pub mod config;
 pub mod jit;
 pub mod loader;
-pub mod pipeline;
 pub mod plan;
-pub mod report;
-pub mod server;
 
 pub use adaptive::{drift_report, replan_with_observations, DriftEntry};
 pub use config::CiaoConfig;
 pub use jit::PromotionStats;
 pub use loader::{AdmissionPolicy, LoadStats, Loader};
-pub use pipeline::{Pipeline, PipelineError, PipelineReport, QueryReport};
 pub use plan::{PlanError, PushdownPlan, PushedPredicate};
-pub use report::TimingBreakdown;
-pub use server::Server;

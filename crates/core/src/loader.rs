@@ -19,7 +19,8 @@
 //! rejects — appends nothing and is parked. This is the one
 //! record-to-row loop: shard ingest, WAL-tail replay at recovery, and
 //! parked-row promotion ([`crate::jit::promote_parked`], which the
-//! compactor runs) all load through a [`Loader`].
+//! service's compactor runs — the one promotion path) all load through
+//! a [`Loader`].
 
 use ciao_bitvec::BitVec;
 use ciao_client::ChunkFilterResult;

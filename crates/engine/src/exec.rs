@@ -35,14 +35,54 @@ pub struct Executor {
     /// Pushed clause → predicate id (the server's predicate hashmap,
     /// paper §VI).
     pushed: HashMap<Clause, u32>,
+    /// Pushed-id sets no parked record passes as a whole: a query whose
+    /// pushed ids contain one skips the parked side. Minimal,
+    /// deduplicated, each sorted ([`Executor::with_coverage`]).
+    parked_excludes: Vec<Vec<u32>>,
 }
 
 impl Executor {
-    /// Creates an executor with the pushed-predicate registry.
+    /// Creates an executor with the pushed-predicate registry, over
+    /// parked records that fail every pushed clause: any pushed clause
+    /// then rules the parked side out. [`Executor::with_coverage`]
+    /// narrows that to the loader's per-query admission.
     pub fn new(pushed: impl IntoIterator<Item = (Clause, u32)>) -> Executor {
         Executor {
             pushed: pushed.into_iter().collect(),
+            parked_excludes: vec![Vec::new()],
         }
+    }
+
+    /// Routes the parked side by the plan's per-query coverage (each
+    /// workload query's pushed ids), the rule the loader parked by: a
+    /// record is parked when it fails some pushed clause of *every*
+    /// workload query, so only a query whose pushed ids contain one
+    /// workload query's whole set may skip the parked side. Coverage
+    /// with an uncovered query (or none at all) parks only malformed
+    /// records, so there any pushed clause still suffices.
+    pub fn with_coverage(mut self, coverage: &[Vec<u32>]) -> Executor {
+        let mut sets = coverage.to_vec();
+        for set in &mut sets {
+            set.sort_unstable();
+            set.dedup();
+        }
+        // Shortest first: a set containing one already kept (a
+        // duplicate included) rules out nothing more.
+        sets.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+        self.parked_excludes.clear();
+        for set in sets {
+            if !self
+                .parked_excludes
+                .iter()
+                .any(|kept| kept.iter().all(|id| set.contains(id)))
+            {
+                self.parked_excludes.push(set);
+            }
+        }
+        if self.parked_excludes.is_empty() {
+            self.parked_excludes.push(Vec::new());
+        }
+        self
     }
 
     /// The registry size.
@@ -56,7 +96,7 @@ impl Executor {
     }
 
     /// Ids of the query's clauses that were pushed down.
-    pub fn pushed_ids_for(&self, query: &Query) -> Vec<u32> {
+    fn pushed_ids_for(&self, query: &Query) -> Vec<u32> {
         let mut ids: Vec<u32> = query
             .clauses
             .iter()
@@ -69,15 +109,18 @@ impl Executor {
 
     /// Decides everything about one execution that can be decided
     /// before a column or a parked record is touched: which clauses
-    /// ride pushed bitvectors, and per block the zone-prune, the fused
-    /// skip-mask and its popcount ([`PreparedScan`]).
+    /// ride pushed bitvectors, whether the parked side is read, and per
+    /// block the zone-prune, the fused skip-mask and its popcount
+    /// ([`PreparedScan`]).
     ///
-    /// Routing per paper §VI-B:
-    /// * query has ≥1 pushed clause → scan only the columnar side with
-    ///   the pushed bitvectors as a skip mask (no parked record can
-    ///   satisfy a pushed clause, so the parked side contributes 0);
-    /// * no pushed clause → full columnar scan **plus** projected scan
-    ///   of every one of the `parked_rows` parked records.
+    /// Routing per paper §VI-B, under the loader's admission rule:
+    /// * every pushed clause of the query ANDs its block bitvectors
+    ///   into the skip mask;
+    /// * the parked side is skipped when the query's pushed ids contain
+    ///   a whole set of [`Executor::with_coverage`] (no parked record
+    ///   passes those clauses, so it contributes 0); otherwise every
+    ///   one of the `parked_rows` parked records gets the projected
+    ///   scan.
     ///
     /// Zone maps are always sound, so both paths enable them. The
     /// matching `scan_*` call must be given the same blocks in the
@@ -91,13 +134,19 @@ impl Executor {
         let start = Instant::now();
         let pushed_ids = self.pushed_ids_for(&query);
         let skipping = !pushed_ids.is_empty();
+        let scan_parked = !skipping
+            || !self
+                .parked_excludes
+                .iter()
+                .any(|set| set.iter().all(|id| pushed_ids.contains(id)));
         let options = ScanOptions::skipping(pushed_ids).with_zone_maps();
         let scan = PreparedScan::new(blocks, &query, &options);
         Prepared {
             query,
             scan,
             skipping,
-            parked_rows: if skipping { 0 } else { parked_rows },
+            scan_parked,
+            parked_rows: if scan_parked { parked_rows } else { 0 },
             prepared_in: start.elapsed(),
         }
     }
@@ -117,9 +166,9 @@ impl Executor {
         let mut metrics = prepared.metrics();
         metrics.table_scan = count_survivors(blocks, &prepared.scan, &prepared.query);
         metrics.table_scan_time += start.elapsed();
-        if !prepared.skipping {
+        if prepared.scan_parked {
             let raw_start = Instant::now();
-            metrics.raw_scan = scan_parked(parked, &prepared.query.clauses, &[], |_, _| {}).metrics;
+            metrics.raw_scan = scan_parked(parked, &prepared.query.clauses, &[], |_| {}).metrics;
             metrics.raw_scan_time = raw_start.elapsed();
         }
         metrics.elapsed += start.elapsed();
@@ -141,34 +190,6 @@ impl Executor {
         let prepared = self.prepare(query.clone(), table.blocks(), parked.len());
         self.scan_count(&prepared, table.blocks(), parked)
     }
-
-    /// Executes `SELECT * WHERE query`, materializing matching records
-    /// from both sides with the same routing as
-    /// [`Executor::execute_count`].
-    pub fn execute_select<S: AsRef<str>>(
-        &self,
-        table: &Table,
-        parked: &[S],
-        query: &Query,
-    ) -> (Vec<ciao_json::JsonValue>, QueryMetrics) {
-        use crate::select::{select_from_raw, select_survivors};
-        let prepared = self.prepare(query.clone(), table.blocks(), parked.len());
-        let start = Instant::now();
-        let mut metrics = prepared.metrics();
-        let t = select_survivors(table.blocks(), &prepared.scan, query);
-        metrics.table_scan = t.metrics;
-        metrics.table_scan_time += start.elapsed();
-        let mut records = t.records;
-        if !prepared.skipping {
-            let raw_start = Instant::now();
-            let r = select_from_raw(parked, query);
-            metrics.raw_scan_time = raw_start.elapsed();
-            metrics.raw_scan = r.metrics;
-            records.extend(r.records);
-        }
-        metrics.elapsed += start.elapsed();
-        (records, metrics)
-    }
 }
 
 /// One execution after [`Executor::prepare`]: the lowered query, the
@@ -180,9 +201,10 @@ impl Executor {
 pub struct Prepared {
     pub(crate) query: Query,
     pub(crate) scan: PreparedScan,
-    /// Whether ≥1 clause rides a pushed bitvector (and the parked side
-    /// is therefore skipped).
-    pub(crate) skipping: bool,
+    /// Whether ≥1 clause rides a pushed bitvector (a skip-mask runs).
+    skipping: bool,
+    /// Whether the parked side is scanned ([`Executor::prepare`]).
+    pub(crate) scan_parked: bool,
     parked_rows: usize,
     prepared_in: Duration,
 }
@@ -200,7 +222,7 @@ impl Prepared {
     pub(crate) fn metrics(&self) -> QueryMetrics {
         QueryMetrics {
             used_skipping: self.skipping,
-            scanned_parked: !self.skipping,
+            scanned_parked: self.scan_parked,
             elapsed: self.prepared_in,
             table_scan_time: self.prepared_in,
             ..QueryMetrics::default()
@@ -290,6 +312,44 @@ mod tests {
     }
 
     #[test]
+    fn part_of_a_workload_conjunction_still_scans_parked() {
+        // One workload query, `stars = 5 AND name = "u4"`, both clauses
+        // pushed: the loader parks a record failing either, so `stars =
+        // 5` alone must read the parked side; the whole query need not.
+        let e = env();
+        let exec = Executor::new([
+            (parse_clause("stars = 5").unwrap(), 1),
+            (parse_clause(r#"name = "u4""#).unwrap(), 2),
+        ])
+        .with_coverage(&[vec![2, 1]]);
+        let part = exec.execute_count(&e.table, &e.parked, &parse_query("q", "stars = 5").unwrap());
+        assert_eq!(part.count, 10);
+        assert!(part.metrics.used_skipping && part.metrics.scanned_parked);
+        assert_eq!(part.metrics.raw_scan.records_parsed, 40);
+        let whole = parse_query("q", r#"name = "u4" AND stars = 5"#).unwrap();
+        let whole = exec.execute_count(&e.table, &e.parked, &whole);
+        assert_eq!(whole.count, 1);
+        assert!(whole.metrics.used_skipping && !whole.metrics.scanned_parked);
+    }
+
+    #[test]
+    fn coverage_keeps_the_minimal_sets() {
+        let exec =
+            Executor::default().with_coverage(&[vec![3, 1], vec![1, 3, 4], vec![1, 3], vec![2]]);
+        assert_eq!(exec.parked_excludes, [vec![2], vec![1, 3]]);
+        // An uncovered workload query (or no workload) parks only
+        // malformed records: any pushed clause rules them out.
+        let any: [Vec<u32>; 1] = [vec![]];
+        assert_eq!(
+            Executor::default()
+                .with_coverage(&[vec![1], vec![]])
+                .parked_excludes,
+            any
+        );
+        assert_eq!(Executor::default().with_coverage(&[]).parked_excludes, any);
+    }
+
+    #[test]
     fn executor_equivalence_with_ground_truth() {
         // For any query, CIAO's answer must equal a naive scan over all
         // 50 original records.
@@ -352,25 +412,5 @@ mod tests {
             whole.metrics.raw_scan.records_parsed
         );
         assert!(merged.metrics.scanned_parked);
-    }
-
-    #[test]
-    fn select_matches_count_on_both_paths() {
-        let e = env();
-        for text in ["stars = 5", "stars = 3", r#"name = "u7""#] {
-            let q = parse_query("q", text).unwrap();
-            let count = e.exec.execute_count(&e.table, &e.parked, &q);
-            let (records, metrics) = e.exec.execute_select(&e.table, &e.parked, &q);
-            assert_eq!(
-                records.len(),
-                count.count,
-                "select/count diverged on {text}"
-            );
-            assert_eq!(metrics.total_matched(), count.count);
-            // Every returned record genuinely satisfies the query.
-            for r in &records {
-                assert!(ciao_predicate::eval_query(&q, r));
-            }
-        }
     }
 }

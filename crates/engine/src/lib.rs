@@ -11,17 +11,18 @@
 //!
 //! * [`scan`] — over the columnar table, with optional skipping: one
 //!   block-scan driver ([`BlockFilter`]) narrows a selection vector
-//!   over each block a column at a time, clause by clause, and its
-//!   three consumers — counts, selects and plans — read only the rows
-//!   it selected ([`row_eval`] is the row-at-a-time reference it is
-//!   tested against);
+//!   over each block a column at a time, clause by clause, and its two
+//!   consumers — counts and plans — read only the rows it selected
+//!   ([`row_eval`] is the row-at-a-time reference it is tested
+//!   against);
 //! * [`raw_scan`] — over parked raw JSON records: one projected scan
 //!   per record (the whole record validated, only the fields the query
 //!   reads built), then evaluated — the one parked-record loop, shared
-//!   by counts, selects and plans. This path runs only when a query has
-//!   **no** pushed clause: if any clause was pushed, no parked record
-//!   can satisfy it (no false negatives), so the parked side is skipped
-//!   wholesale.
+//!   by counts and plans. The loader parks a record only when it fails
+//!   some pushed clause of every workload query (client bits have no
+//!   false negatives), so a query whose pushed clauses contain one
+//!   workload query's whole pushed set skips this path wholesale;
+//!   every other query runs it.
 //!
 //! [`exec::Executor`] ties the two together and reports [`metrics`].
 //! Every entry point runs in two steps: *prepare* ([`Executor::prepare`],
@@ -30,7 +31,7 @@
 //! is known before a column is touched — and *scan* runs the driver
 //! over only those survivors.
 //!
-//! On top of the count/select primitives sits the SQL execution layer
+//! On top of the count primitives sits the SQL execution layer
 //! ([`plan_exec`], [`result`]): [`Executor::execute_plan`] runs a
 //! `ciao_sql` physical plan (projection or grouped aggregation) over
 //! the same two paths — consuming zone maps and fused bitvec
@@ -48,7 +49,6 @@ pub mod raw_scan;
 pub mod result;
 pub mod row_eval;
 pub mod scan;
-pub mod select;
 pub mod zone;
 
 pub use exec::{Executor, Prepared, QueryOutcome};
@@ -61,5 +61,4 @@ pub use row_eval::{eval_clause_on_block, eval_query_on_block, eval_simple_on_blo
 pub use scan::{
     scan_count, BlockFilter, BlockTally, ClauseTally, PreparedScan, ScanOptions, Survivors,
 };
-pub use select::{select_from_raw, select_from_table, SelectResult};
 pub use zone::block_can_match;

@@ -4,11 +4,12 @@
 //! This is the engine half of the SQL stack. A [`PhysicalPlan`]'s
 //! WHERE conjunction is lowered into predicate [`Clause`]s (via
 //! `ciao_predicate::sql_bridge`) so the routing decision is exactly
-//! the one [`Executor::execute_count`] makes: any pushed clause means
-//! the scan consumes fused bitvec skip-masks and never touches the
-//! parked side; zone maps prune blocks on both paths. The WHERE
-//! conjunction runs through the same block-scan driver as counts and
-//! selects ([`crate::scan::BlockFilter`]); the difference is what
+//! the one [`Executor::prepare`] makes for a count: pushed clauses
+//! drive fused bitvec skip-masks, the parked side is read unless the
+//! pushed clauses contain a workload query's whole pushed set, and zone
+//! maps prune blocks on both paths. The WHERE conjunction runs through
+//! the same block-scan driver as counts
+//! ([`crate::scan::BlockFilter`]); the difference is what
 //! happens to each row of a block's selection — instead of counting,
 //! it feeds a projection buffer or per-group aggregate states, through
 //! one operator feed whichever side the row came from. The parked side is
@@ -350,7 +351,7 @@ fn feed_operator(
 impl Executor {
     /// [`Executor::prepare`] for a SQL physical plan: its WHERE
     /// conjunction is lowered to predicate clauses first, so routing
-    /// is exactly the one counts and selects get.
+    /// is exactly the one counts get.
     pub fn prepare_plan<'a>(
         &self,
         plan: &PhysicalPlan,
@@ -364,10 +365,9 @@ impl Executor {
     /// Runs `plan`'s operator over the rows a [`Prepared`] execution
     /// left standing, producing a mergeable partial.
     ///
-    /// With ≥1 pushed WHERE clause the scan walks the fused skip-masks
-    /// and never reads the parked side; otherwise it scans every
-    /// unpruned block and runs the projected scan over every parked
-    /// record. Zone maps prune blocks on both paths — including pure
+    /// Pushed WHERE clauses make the scan walk the fused skip-masks;
+    /// the parked side gets the projected scan over every record unless
+    /// [`Executor::prepare`] ruled it out. Zone maps prune blocks on both paths — including pure
     /// aggregate scans, so data skipping accelerates aggregates, not
     /// just filters. Every surviving row is re-verified with full typed
     /// evaluation before it feeds the operator (client bits admit false
@@ -431,11 +431,11 @@ impl Executor {
         }
         out.metrics.table_scan_time += start.elapsed();
 
-        // Parked side: only reachable when nothing was pushed (a
-        // parked record can never satisfy a pushed clause).
-        if !prepared.skipping {
+        // Parked side: skipped only when the pushed clauses contain a
+        // workload query's whole pushed set (no parked record passes).
+        if prepared.scan_parked {
             let raw_start = Instant::now();
-            let scan = scan_parked(parked, &query.clauses, &plan.needed_columns, |_, record| {
+            let scan = scan_parked(parked, &query.clauses, &plan.needed_columns, |record| {
                 feed_operator(&mut out.data, &plan.op, |slot| {
                     let column = inputs[slot];
                     SqlValue::from_json(record.get(&column.name), column.ty)

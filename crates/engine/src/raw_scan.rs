@@ -1,15 +1,15 @@
-//! The scan over parked raw JSON records — the one loop counts,
-//! selects and plans share.
+//! The scan over parked raw JSON records — the one loop counts and
+//! plans share.
 //!
 //! Records that partial loading left unconverted are still part of the
-//! logical table, so a query with no pushed clause must consult each
-//! one (paper §VI-B, final paragraph) — but it does not owe each a full
-//! parse. [`scan_parked`] derives once per query the top-level fields
-//! the query reads (its WHERE clauses' keys plus its operator's
-//! columns) and runs [`ciao_json::parse_projected`] per record, which
-//! validates the whole record but builds only those fields. Matches go
-//! to the caller's sink: nothing (a count), a full [`ciao_json::parse`]
-//! of the rare match (`SELECT *`), or a plan's row/group feed.
+//! logical table, so a query the parked side is not ruled out for must
+//! consult each one (paper §VI-B, final paragraph) — but it does not
+//! owe each a full parse. [`scan_parked`] derives once per query the
+//! top-level fields the query reads (its WHERE clauses' keys plus its
+//! operator's columns) and runs [`ciao_json::parse_projected`] per
+//! record, which validates the whole record but builds only those
+//! fields. Matches go to the caller's sink: nothing (a count) or a
+//! plan's row/group feed.
 //!
 //! This is exact because the projected scan is `Err` exactly when the
 //! full parse is — a malformed record still matches nothing, as a
@@ -31,13 +31,13 @@ pub(crate) struct ParkedScan {
 }
 
 /// Scans every parked record, projecting the fields `clauses` and
-/// `columns` name, and calls `on_match` with the raw record and its
-/// projection for each record that satisfies every clause.
+/// `columns` name, and calls `on_match` with the projection of each
+/// record that satisfies every clause.
 pub(crate) fn scan_parked<R>(
     records: R,
     clauses: &[Clause],
     columns: &[String],
-    mut on_match: impl FnMut(&str, &JsonValue),
+    mut on_match: impl FnMut(&JsonValue),
 ) -> ParkedScan
 where
     R: IntoIterator,
@@ -71,7 +71,7 @@ where
             pass
         }) {
             metrics.rows_matched += 1;
-            on_match(rec, &value);
+            on_match(&value);
         }
     }
     ParkedScan {
@@ -85,7 +85,7 @@ where
 ///
 /// Unparseable records are counted in `records_parsed` but never match.
 pub fn scan_raw_records<S: AsRef<str>>(records: &[S], query: &Query) -> ScanMetrics {
-    scan_parked(records, &query.clauses, &[], |_, _| {}).metrics
+    scan_parked(records, &query.clauses, &[], |_| {}).metrics
 }
 
 #[cfg(test)]
@@ -131,11 +131,11 @@ mod tests {
         let q = parse_query("q", r#"stars = 5 AND city IN ("a","c")"#).unwrap();
         let mut seen = Vec::new();
         let columns = ["name".to_owned(), "city".to_owned()];
-        let scan = scan_parked(&records, &q.clauses, &columns, |raw, value| {
+        let scan = scan_parked(&records, &q.clauses, &columns, |value| {
             assert_eq!(value.as_object().unwrap().len(), 3);
-            seen.push((raw.len(), value.get("name").unwrap().as_str() == Some("x")));
+            seen.push(value.get("name").unwrap().as_str() == Some("x"));
         });
-        assert_eq!(seen, vec![(records[0].len(), true)]);
+        assert_eq!(seen, vec![true]);
         assert_eq!(scan.fields_projected, 3);
         assert_eq!(scan.clause_counts, vec![(3, 2), (2, 1)]);
     }

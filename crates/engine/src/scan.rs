@@ -13,10 +13,9 @@
 //! the block's matching rows in ascending order, and a [`BlockTally`]
 //! that metrics and profiles add once per block.
 //!
-//! The driver has three consumers: [`scan_count`] takes the length of
-//! each selection, [`crate::select`] materializes each selected row,
-//! and `Executor::scan_plan` feeds each selected row to the SQL
-//! operator. [`crate::row_eval`] is the row-at-a-time reference the
+//! The driver has two consumers: [`scan_count`] takes the length of
+//! each selection, and `Executor::scan_plan` feeds each selected row to
+//! the SQL operator. [`crate::row_eval`] is the row-at-a-time reference the
 //! driver is tested against.
 
 use crate::metrics::ScanMetrics;
@@ -70,7 +69,7 @@ pub enum Survivors {
 
 /// The block side of a scan, decided before a column is touched:
 /// zone-prune, fused skip-mask and popcount per block. Every block
-/// scan — count, select, plan — starts from one of these and
+/// scan — count or plan — starts from one of these and
 /// [`BlockFilter`] reads only its [`PreparedScan::survivors`], so how
 /// many rows it will evaluate is known up front
 /// ([`PreparedScan::surviving_rows`]).

@@ -1,8 +1,7 @@
 //! Differential property test: the column-at-a-time block-scan driver
 //! ([`BlockFilter`]) against the row-at-a-time reference evaluator
-//! ([`eval_clause_on_block`]), and the driver's three consumers —
-//! `scan_count`, `select_from_table`, `Executor::execute_plan` —
-//! against each other.
+//! ([`eval_clause_on_block`]), and the driver's two consumers —
+//! `scan_count` and `Executor::execute_plan` — against each other.
 //!
 //! Blocks hold int, float, str, bool and JSON columns with NULLs and
 //! coercion failures; statements draw every `SimplePredicate` over
@@ -14,8 +13,8 @@
 
 use ciao_columnar::{BitVec, Block, DataType, Field, Schema, Table, TableBuilder};
 use ciao_engine::{
-    eval_clause_on_block, finalize, scan_count, select_from_table, BlockFilter, ClauseTally,
-    Executor, ScanOptions, Survivors,
+    eval_clause_on_block, finalize, scan_count, BlockFilter, ClauseTally, Executor, ScanOptions,
+    Survivors,
 };
 use ciao_json::{parse, JsonValue};
 use ciao_predicate::{Clause, Query, SimplePredicate};
@@ -225,19 +224,16 @@ proptest! {
         let plan = count_plan(&clauses);
         let parked: Vec<String> = Vec::new();
 
-        // Every row the oracle keeps, and those whose bit is set.
-        let mut truth = Vec::new();
-        let mut truth_masked = Vec::new();
-        let mut global = 0;
+        // How many rows the oracle keeps, and how many of those have
+        // their bit set.
+        let (mut truth, mut truth_masked, mut global) = (0, 0, 0);
         for block in table.blocks() {
             let (_, selected, _) = row_loop(&clauses, block, &Survivors::All);
-            for row in selected {
-                let record = block.to_record(row as usize);
-                if bits[(global + row as usize) % bits.len()] {
-                    truth_masked.push(record.clone());
-                }
-                truth.push(record);
-            }
+            truth += selected.len();
+            truth_masked += selected
+                .iter()
+                .filter(|&&row| bits[(global + row as usize) % bits.len()])
+                .count();
             global += block.row_count();
         }
 
@@ -247,28 +243,24 @@ proptest! {
         let mut arms = vec![(
             ScanOptions::full().with_zone_maps(),
             Executor::default(),
-            &truth,
+            truth,
         )];
         if let Some(first) = clauses.first() {
             arms.push((
                 ScanOptions::skipping(vec![0]).with_zone_maps(),
                 Executor::new([(first.clone(), 0)]),
-                &truth_masked,
+                truth_masked,
             ));
         }
         for (options, executor, want) in arms {
             let count = scan_count(&table, &query, &options);
-            prop_assert_eq!(count.rows_matched, want.len());
-
-            let select = select_from_table(&table, &query, &options);
-            prop_assert_eq!(&select.records, want);
-            prop_assert_eq!(select.metrics, count);
+            prop_assert_eq!(count.rows_matched, want);
 
             let partial = executor.execute_plan(&table, &parked, &plan);
             prop_assert_eq!(partial.metrics.table_scan, count);
             prop_assert_eq!(partial.profile.rows_scanned, count.rows_scanned as u64);
             let result = finalize(&plan, partial);
-            prop_assert_eq!(&result.rows, &vec![vec![SqlValue::Int(want.len() as i64)]]);
+            prop_assert_eq!(&result.rows, &vec![vec![SqlValue::Int(want as i64)]]);
         }
     }
 }

@@ -5,11 +5,10 @@
 //! fails every workload query's pushed conjunction — for each query,
 //! at least one of its pushed clauses' bits is zero. (Some of its
 //! bits may be one: a record can match a pushed clause of a query
-//! whose other pushed clause it fails.) The per-query JIT path in
-//! `ciao::jit` only promotes parked records when an uncovered query
-//! happens to pay the parse cost anyway. A long-running service cannot
-//! wait for that: parked rows that queries keep scanning should
-//! migrate to columnar blocks during idle time.
+//! whose other pushed clause it fails.) Every query that reads the
+//! parked side re-parses those rows, so a long-running service migrates
+//! them to columnar blocks during idle time; the compactor is the one
+//! promotion path.
 //!
 //! The compactor is **tick-driven** — no wall clock, no timer thread.
 //! Each tick hands a bounded batch of parked rows per shard (oldest
@@ -22,7 +21,7 @@
 //! parse rotate to the back of the parked store so one malformed
 //! record cannot wedge the window.
 //!
-//! Shards are prioritized by **heat**: the number of uncovered-query
+//! Shards are prioritized by **heat**: the number of query
 //! executions that scanned the shard's parked store since its last
 //! compaction. [`CompactionPolicy::min_heat`] optionally restricts
 //! ticks to shards whose parked rows are actually being read.

@@ -2,9 +2,11 @@
 //!
 //! The CIAO paper evaluates a single-threaded server loop: clients
 //! prefilter in parallel, but ingest is exclusive, queries block
-//! ingest, and rows parked by partial loading stay raw JSON until an
-//! uncovered query happens to pay their parse cost. This crate turns
-//! the one-shot [`ciao::Server`] into a long-running service:
+//! ingest, and rows parked by partial loading stay raw JSON for every
+//! query that reads them to parse again. A [`Shard`] is that loop's
+//! loading-and-query state, made epochal; [`Pipeline`] drives one shard
+//! through the paper's sequence, and this crate runs N of them as a
+//! long-running service:
 //!
 //! * **Sharding** — N [`Shard`]s, each an independently locked
 //!   partial-loading state (sealed epochs of columnar blocks + parked
@@ -24,17 +26,17 @@
 //!   workers (no thread is spawned per statement). The per-shard
 //!   [`QueryOutcome`](ciao_engine::QueryOutcome)s merge (counts add,
 //!   scan counters add, `elapsed` is the measured wall time),
-//!   answering exactly as one server holding all the data would.
+//!   answering exactly as one shard holding all the data would.
 //!   [`Service::query_sql`] runs full SQL `SELECT` statements
 //!   (projections, aggregates, `GROUP BY`, `ORDER BY`, `LIMIT`) the
 //!   same way: each shard executes the `ciao_sql` physical plan and
 //!   the mergeable partials combine into one typed
 //!   [`QueryResult`](ciao_engine::QueryResult).
-//! * **Background compaction** — tick-driven promotion of parked raw
-//!   rows into columnar blocks ([`Service::compact`]), generalizing
-//!   the per-query JIT promotion in `ciao::jit` into an ingest-side
-//!   subsystem with its own [`CompactionStats`] and a query-heat
-//!   policy ([`CompactionPolicy`]).
+//! * **Background compaction** — the one promotion path: tick-driven
+//!   promotion of parked raw rows into columnar blocks
+//!   ([`Service::compact`], through `ciao::jit::promote_parked`), with
+//!   its own [`CompactionStats`] and a query-heat policy
+//!   ([`CompactionPolicy`]).
 //! * **Observability and lifecycle** — [`Service::metrics`] snapshots
 //!   queue depth, per-shard row counts, parked ratio, and compaction
 //!   counters; [`Service::telemetry_snapshot`] exports latency
@@ -50,7 +52,38 @@
 //!   lands in a bounded slow-query log ([`Service::slow_queries`])
 //!   when it crosses [`ServiceConfig::slow_query_threshold`].
 //!
-//! ## Quickstart
+//! ## The paper's pipeline
+//!
+//! [`Pipeline`] runs the sequence the paper measures — plan, client
+//! prefilter, partial load, queries — through one [`Shard`]:
+//!
+//! ```
+//! use ciao::CiaoConfig;
+//! use ciao_predicate::parse_query;
+//! use ciao_service::Pipeline;
+//!
+//! // Some raw NDJSON records (normally produced by edge clients).
+//! let ndjson: String = (0..500)
+//!     .map(|i| format!("{{\"level\":\"{}\",\"code\":{}}}\n",
+//!                      if i % 10 == 0 { "Error" } else { "Info" }, i % 7))
+//!     .collect();
+//!
+//! // A prospective workload.
+//! let queries = vec![
+//!     parse_query("q0", r#"level = "Error""#).unwrap(),
+//!     parse_query("q1", r#"level = "Error" AND code = 3"#).unwrap(),
+//! ];
+//!
+//! // Run the whole system: plan → client prefilter → partial load → queries.
+//! let report = Pipeline::new(CiaoConfig::default().with_budget_micros(1.0))
+//!     .run(&ndjson, &queries)
+//!     .unwrap();
+//!
+//! assert_eq!(report.query_results[0].count, 50);
+//! assert!(report.load.loaded_records <= 500);
+//! ```
+//!
+//! ## Running as a service
 //!
 //! ```
 //! use ciao::PushdownPlan;
@@ -90,7 +123,9 @@
 pub mod compactor;
 pub mod config;
 pub mod metrics;
+pub mod pipeline;
 pub mod queue;
+pub mod report;
 pub mod service;
 pub mod shard;
 pub mod telemetry;
@@ -99,7 +134,9 @@ pub mod workload;
 pub use compactor::{CompactionPolicy, CompactionStats};
 pub use config::{Routing, ServiceConfig};
 pub use metrics::ServiceMetrics;
+pub use pipeline::{Pipeline, PipelineError, PipelineReport, QueryReport};
 pub use queue::{EnqueueResult, IngestQueue, ScanJob, Work};
+pub use report::TimingBreakdown;
 pub use service::{DurabilityStatus, Service};
 pub use shard::{EpochPin, Shard, ShardSnapshot};
 pub use telemetry::ServiceTelemetry;

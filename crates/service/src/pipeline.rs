@@ -6,14 +6,13 @@
 //!      └── planning: sample → selectivities → submodular selection ◀──┘
 //! ```
 //!
-//! [`Pipeline::run`] performs all four phases and reports the timing
-//! breakdown of Figs. 3–5 plus per-query detail.
+//! [`Pipeline::run`] performs all four phases on one [`Shard`] — the
+//! loading and query state the service runs N of — and reports the
+//! timing breakdown of Figs. 3–5 plus per-query detail.
 
-use crate::config::CiaoConfig;
-use crate::loader::LoadStats;
-use crate::plan::{PlanError, PushdownPlan};
 use crate::report::TimingBreakdown;
-use crate::server::Server;
+use crate::shard::Shard;
+use ciao::{CiaoConfig, LoadStats, PlanError, PushdownPlan};
 use ciao_columnar::{Schema, SchemaError};
 use ciao_engine::QueryMetrics;
 use ciao_json::{JsonValue, RecordChunk};
@@ -154,24 +153,18 @@ impl Pipeline {
         // --- Phase 1: client-side prefiltering, chunk by chunk.
         let chunks = all.split(self.config.chunk_size);
         let prefilter_start = Instant::now();
-        let filters = if self.config.client_workers > 1 {
-            let parallel =
-                ciao_client::ParallelPrefilter::new(plan.prefilter(), self.config.client_workers);
-            let mut stats = ciao_client::ClientStats::default();
-            parallel.run_chunks(&chunks, &mut stats)
-        } else {
-            let prefilter = plan.prefilter();
-            chunks.iter().map(|c| prefilter.run_chunk(c)).collect()
-        };
+        let prefilter = plan.prefilter();
+        let filters: Vec<_> = chunks.iter().map(|c| prefilter.run_chunk(c)).collect();
         let prefiltering = prefilter_start.elapsed();
 
-        // --- Phase 2: server-side partial loading.
-        let mut server = Server::new(plan, schema, self.config.block_size);
+        // --- Phase 2: server-side partial loading into one shard.
+        let plan = Arc::new(plan);
+        let shard = Shard::new(Arc::clone(&plan), schema, self.config.block_size);
         let load_start = Instant::now();
         for (chunk, filter) in chunks.iter().zip(&filters) {
-            server.ingest(chunk, filter);
+            shard.ingest(chunk, filter);
         }
-        server.finalize();
+        shard.seal_epoch();
         let loading = load_start.elapsed();
 
         // --- Phase 3: query workload.
@@ -179,7 +172,7 @@ impl Pipeline {
         let query_results: Vec<QueryReport> = queries
             .iter()
             .map(|q| {
-                let out = server.execute(q);
+                let out = shard.execute(q);
                 QueryReport {
                     name: q.name.clone(),
                     count: out.count,
@@ -190,13 +183,13 @@ impl Pipeline {
         let query = query_start.elapsed();
 
         Ok(PipelineReport {
-            plan: server.plan().clone(),
+            plan: PushdownPlan::clone(&plan),
             timings: TimingBreakdown {
                 prefiltering,
                 loading,
                 query,
             },
-            load: server.load_stats(),
+            load: shard.snapshot().load,
             query_results,
             chunks: chunks.len(),
             records: all.len(),
@@ -305,27 +298,6 @@ mod tests {
             .run("not json\nstill not json\n", &workload())
             .unwrap_err();
         assert!(matches!(err, PipelineError::NoData));
-    }
-
-    #[test]
-    fn parallel_clients_produce_identical_reports() {
-        let data = ndjson(600);
-        let queries = workload();
-        let serial = Pipeline::new(CiaoConfig::default().with_budget_micros(10.0))
-            .run(&data, &queries)
-            .unwrap();
-        let parallel = Pipeline::new(
-            CiaoConfig::default()
-                .with_budget_micros(10.0)
-                .with_client_workers(4)
-                .with_chunk_size(64),
-        )
-        .run(&data, &queries)
-        .unwrap();
-        assert_eq!(serial.load.loaded_records, parallel.load.loaded_records);
-        for (a, b) in serial.query_results.iter().zip(&parallel.query_results) {
-            assert_eq!(a.count, b.count);
-        }
     }
 
     #[test]

@@ -271,8 +271,8 @@ pub struct DurabilityStatus {
 /// Producers [`Service::enqueue`] prefiltered chunks and observe
 /// [`EnqueueResult::QueueFull`] backpressure; worker threads drain the
 /// queue into shards; [`Service::query`] fans out across shards and
-/// merges per-shard [`QueryOutcome`]s into one answer — identical to a
-/// single [`ciao::Server`] over the same records. Tick
+/// merges per-shard [`QueryOutcome`]s into one answer — identical to
+/// one [`Shard`] holding all the records. Tick
 /// [`Service::compact`] from any maintenance cadence to promote parked
 /// raw rows into columnar blocks in the background.
 #[derive(Debug)]

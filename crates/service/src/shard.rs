@@ -1,8 +1,7 @@
 //! Per-shard state: an epochal partial-loading store with pinned,
 //! unlocked reads.
 //!
-//! [`ciao::Server`] is one-shot — ingest, finalize once, then query.
-//! A long-running shard instead seals **epochs**: ingest streams into
+//! A shard seals **epochs**: ingest streams into
 //! the active [`Loader`]; the first reader (or compaction tick) after
 //! an ingest burst seals that epoch — its columnar fragment and parked
 //! rows become one immutable entry appended to the shard's sealed
@@ -49,7 +48,7 @@ pub struct ShardSnapshot {
     pub load: LoadStats,
     /// Cumulative compaction counters.
     pub compaction: CompactionStats,
-    /// Uncovered-query executions that scanned this shard's parked
+    /// Query executions that scanned this shard's parked
     /// store since its last compaction (the compactor's heat signal).
     pub heat: usize,
     /// Ingest epochs sealed so far.
@@ -207,7 +206,8 @@ pub struct Shard {
 impl Shard {
     /// Creates an empty shard sharing the service-wide plan.
     pub fn new(plan: Arc<PushdownPlan>, schema: Arc<Schema>, block_size: usize) -> Shard {
-        let executor = Executor::new(plan.predicates.iter().map(|p| (p.clause.clone(), p.id)));
+        let executor = Executor::new(plan.predicates.iter().map(|p| (p.clause.clone(), p.id)))
+            .with_coverage(&plan.query_coverage);
         Shard {
             plan,
             schema,
@@ -344,7 +344,7 @@ impl Shard {
     /// Runs `plan` over the survivors of a [`Shard::prepare_plan`]
     /// over the same pin, returning this shard's mergeable partial.
     /// Takes no lock. Parked-store scans heat the shard exactly like
-    /// uncovered `COUNT(*)` queries do.
+    /// `COUNT(*)` queries do.
     pub fn scan_plan(
         &self,
         pin: &EpochPin,
@@ -471,7 +471,6 @@ mod tests {
 
         shard.ingest(&chunks[0], &fs[0]);
         assert_eq!(shard.execute(&q).count, 8); // 40 records, 1/5 stars=5
-                                                // A second epoch after a query — the one-shot Server panics here.
         shard.ingest(&chunks[1], &fs[1]);
         shard.ingest(&chunks[2], &fs[2]);
         assert_eq!(shard.execute(&q).count, 24);

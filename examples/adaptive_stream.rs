@@ -1,4 +1,4 @@
-//! Adaptive stream: selectivity drift, replanning, and just-in-time
+//! Adaptive stream: selectivity drift, replanning, and parked-row
 //! promotion — the operational extensions on top of the paper's core.
 //!
 //! Run with: `cargo run --release --example adaptive_stream`
@@ -8,14 +8,15 @@
 //! lines are rare) stops being selective because an outage makes
 //! errors common. The client's own match counters expose the drift;
 //! the server replans with observed selectivities. Finally an ad-hoc
-//! query that no pushed predicate covers triggers JIT promotion of the
-//! parked store.
+//! query that no pushed predicate covers scans the parked store, and a
+//! compaction pass promotes that store into columns for the re-run.
 
-use ciao::{adaptive, CiaoConfig, PushdownPlan, Server};
+use ciao::{adaptive, CiaoConfig, PushdownPlan};
 use ciao_client::ClientStats;
 use ciao_columnar::Schema;
 use ciao_json::RecordChunk;
 use ciao_predicate::parse_query;
+use ciao_service::{CompactionPolicy, Shard};
 use std::sync::Arc;
 
 fn record(i: usize, error_rate_pct: usize) -> String {
@@ -56,22 +57,22 @@ fn main() {
     let stream: Vec<String> = (0..20_000).map(|i| record(i, 60)).collect();
     let chunk = RecordChunk::from_records(&stream).expect("chunk");
     let schema = Arc::new(Schema::infer(&sample).expect("schema"));
-    let mut server = Server::new(plan, Arc::clone(&schema), config.block_size);
-    let prefilter = server.plan().prefilter();
+    let plan = Arc::new(plan);
+    let shard = Shard::new(Arc::clone(&plan), Arc::clone(&schema), config.block_size);
+    let prefilter = plan.prefilter();
     let mut stats = ClientStats::default();
     for sub in chunk.split(config.chunk_size) {
         let filter = prefilter.run_chunk_with_stats(&sub, &mut stats);
-        server.ingest(&sub, &filter);
+        shard.ingest(&sub, &filter);
     }
-    server.finalize();
     println!(
         "\ningested {} records; loading ratio {:.1}% (the drifted predicate admits far more than planned)",
         stats.records_processed,
-        100.0 * server.load_stats().loading_ratio()
+        100.0 * shard.snapshot().load.loading_ratio()
     );
 
     // The client's counters expose the drift.
-    let report = adaptive::drift_report(server.plan(), &stats);
+    let report = adaptive::drift_report(&plan, &stats);
     println!("\n== drift report ==");
     for e in &report {
         println!(
@@ -87,7 +88,7 @@ fn main() {
         let new_plan = adaptive::replan_with_observations(
             &queries,
             &sample,
-            server.plan(),
+            &plan,
             &stats,
             &config.cost_model,
             config.budget_micros,
@@ -103,18 +104,23 @@ fn main() {
         println!("(the next ingestion epoch would push this set instead)");
     }
 
-    // An ad-hoc query outside the planned workload: JIT promotion.
+    // An ad-hoc query outside the planned workload parses the parked
+    // store; one compaction pass then promotes all of it.
     let adhoc = parse_query("adhoc", "code = 13").unwrap();
-    let parked_before = server.parked().len();
-    let out = server.execute_jit(&adhoc);
+    let out = shard.execute(&adhoc);
+    let parked_before = shard.snapshot().parked;
+    let promoted = shard
+        .compact(&CompactionPolicy::default().with_batch(usize::MAX))
+        .promoted;
     println!(
-        "\nad-hoc `{adhoc}`: count = {} — promoted {} parked records during the scan ({} → {} parked)",
+        "\nad-hoc `{adhoc}`: count = {} after parsing {} parked records; compaction then promoted {} ({} → {} parked)",
         out.count,
-        server.promotions().promoted,
+        out.metrics.raw_scan.records_parsed,
+        promoted,
         parked_before,
-        server.parked().len(),
+        shard.snapshot().parked,
     );
-    let again = server.execute_jit(&adhoc);
+    let again = shard.execute(&adhoc);
     println!(
         "re-run: count = {} with {} raw records parsed (promotion paid off)",
         again.count, again.metrics.raw_scan.records_parsed

@@ -8,8 +8,9 @@
 //! trade-off the administrator tunes: more client microseconds buy
 //! fewer loaded records and faster queries, with diminishing returns.
 
-use ciao::{CiaoConfig, Pipeline};
+use ciao::CiaoConfig;
 use ciao_datagen::Dataset;
+use ciao_service::Pipeline;
 use ciao_workload::{build_pool, WorkloadConfig};
 
 fn main() {

@@ -8,8 +8,9 @@
 //! C = uniform), and shows how the same budget buys very different
 //! outcomes depending on predicate overlap and skewness.
 
-use ciao::{CiaoConfig, Pipeline};
+use ciao::CiaoConfig;
 use ciao_datagen::Dataset;
+use ciao_service::Pipeline;
 use ciao_workload::{build_pool, predicate_counts, skewness_factor, WorkloadConfig};
 
 fn main() {

@@ -7,8 +7,9 @@
 //! the client prefilter, partially load the data, and answer the
 //! queries — printing what happened at every stage.
 
-use ciao::{CiaoConfig, Pipeline};
+use ciao::CiaoConfig;
 use ciao_predicate::parse_query;
+use ciao_service::Pipeline;
 
 fn main() {
     // 1. Raw data as the clients would produce it: NDJSON.

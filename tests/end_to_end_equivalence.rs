@@ -8,10 +8,11 @@
 //! 2. **Baseline equivalence**: CIAO at budget B and the zero-budget
 //!    baseline agree query by query.
 
-use ciao::{CiaoConfig, Pipeline};
+use ciao::CiaoConfig;
 use ciao_datagen::Dataset;
 use ciao_json::JsonValue;
 use ciao_predicate::{eval_query, Query};
+use ciao_service::Pipeline;
 use ciao_workload::{build_pool, WorkloadConfig};
 
 const RECORDS: usize = 3_000;

@@ -7,12 +7,13 @@
 
 mod support;
 
-use ciao::{AdmissionPolicy, CiaoConfig, Loader, Pipeline, PushdownPlan, Server};
+use ciao::{AdmissionPolicy, CiaoConfig, Loader, PushdownPlan};
 use ciao_client::{Budget, BudgetedPrefilter, ClientStats, Prefilter};
 use ciao_columnar::Schema;
 use ciao_json::RecordChunk;
 use ciao_optimizer::CostModel;
 use ciao_predicate::{compile_clause, parse_clause, parse_query};
+use ciao_service::{Pipeline, Shard};
 use std::sync::Arc;
 
 fn dirty_ndjson(n: usize) -> String {
@@ -68,24 +69,21 @@ fn budget_degradation_preserves_answers() {
         PushdownPlan::build(&queries, &sample, &CostModel::default_uncalibrated(), 10.0).unwrap();
     assert!(!plan.is_empty());
     let schema = Arc::new(Schema::infer(&sample).unwrap());
-    let mut server = Server::new(plan, schema, 64);
-
-    let budgeted =
-        BudgetedPrefilter::new(server.plan().prefilter(), Budget::per_record_micros(0.0))
-            .with_check_interval(1)
-            .with_slack(1.0);
+    let budgeted = BudgetedPrefilter::new(plan.prefilter(), Budget::per_record_micros(0.0))
+        .with_check_interval(1)
+        .with_slack(1.0);
+    let shard = Shard::new(Arc::new(plan), schema, 64);
     let mut stats = ClientStats::default();
     for sub in chunk.split(64) {
         let filter = budgeted.run_chunk(&sub, &mut stats);
-        server.ingest(&sub, &filter);
+        shard.ingest(&sub, &filter);
     }
-    server.finalize();
     assert!(
         stats.degraded_chunks > 0,
         "degradation should have triggered"
     );
 
-    let out = server.execute(&queries[0]);
+    let out = shard.execute(&queries[0]);
     assert_eq!(out.count, 80, "degraded bits must not change the answer");
 }
 
@@ -124,9 +122,8 @@ fn queries_over_empty_server_return_zero() {
     let plan =
         PushdownPlan::build(&queries, &sample, &CostModel::default_uncalibrated(), 1.0).unwrap();
     let schema = Arc::new(Schema::infer(&sample).unwrap());
-    let mut server = Server::new(plan, schema, 16);
-    server.finalize();
-    assert_eq!(server.execute(&queries[0]).count, 0);
+    let shard = Shard::new(Arc::new(plan), schema, 16);
+    assert_eq!(shard.execute(&queries[0]).count, 0);
 }
 
 // ---------------------------------------------------------------------

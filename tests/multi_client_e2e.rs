@@ -3,12 +3,13 @@
 //! must equal the single-client ground truth regardless of how budgets
 //! were allocated across the fleet.
 
-use ciao::{CiaoConfig, PushdownPlan, Server};
+use ciao::{CiaoConfig, PushdownPlan};
 use ciao_columnar::Schema;
 use ciao_datagen::Dataset;
 use ciao_json::RecordChunk;
 use ciao_optimizer::{allocate_budgets, ClientSpec, CostModel, InstanceBuilder};
 use ciao_predicate::{compile_clause, eval_query, parse_query, SelectivityEstimator};
+use ciao_service::Shard;
 use std::sync::Arc;
 
 #[test]
@@ -27,8 +28,8 @@ fn sharded_ingest_matches_ground_truth() {
     let config = CiaoConfig::default();
     let plan = PushdownPlan::build(&queries, &sample, &config.cost_model, 30.0).unwrap();
     let schema = Arc::new(Schema::infer(&sample).unwrap());
-    let mut server = Server::new(plan, schema, config.block_size);
-    let prefilter = server.plan().prefilter();
+    let prefilter = plan.prefilter();
+    let shard = Shard::new(Arc::new(plan), schema, config.block_size);
 
     // Three clients take round-robin shards of the chunk stream.
     let chunks = all.split(256);
@@ -37,13 +38,12 @@ fn sharded_ingest_matches_ground_truth() {
         // heterogeneity affects the *budgets*, not the semantics).
         let _client = i % 3;
         let filter = prefilter.run_chunk(chunk);
-        server.ingest(chunk, &filter);
+        shard.ingest(chunk, &filter);
     }
-    server.finalize();
 
     for q in &queries {
         let truth = records.iter().filter(|r| eval_query(q, r)).count();
-        assert_eq!(server.execute(q).count, truth, "query {}", q.name);
+        assert_eq!(shard.execute(q).count, truth, "query {}", q.name);
     }
 }
 

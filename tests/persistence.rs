@@ -4,19 +4,28 @@
 //! disk-touching tests must each own a unique, self-cleaning directory
 //! (a fixed path collides the moment two test binaries run at once).
 
-use ciao::{CiaoConfig, PushdownPlan, Server};
-use ciao_columnar::{read_table, write_table, Schema};
+use ciao::{AdmissionPolicy, CiaoConfig, Loader, PushdownPlan};
+use ciao_columnar::{read_table, write_table, Schema, Table};
 use ciao_datagen::Dataset;
 use ciao_engine::Executor;
 use ciao_json::RecordChunk;
-use ciao_predicate::parse_query;
+use ciao_predicate::{parse_query, Query};
 use ciao_storage::{read_snapshot, write_snapshot, ScratchDir, ShardSnapshot};
 use ciao_workload::{build_pool, WorkloadConfig};
 use std::sync::Arc;
 
-/// A finalized server over 2k Yelp records with a 10-query workload —
-/// the loaded state every roundtrip test persists and reloads.
-fn loaded_server() -> (Server, Vec<ciao_predicate::Query>) {
+/// A partially loaded state: the table and parked records a `Loader`
+/// made of 2k Yelp records under a 10-query workload's plan, and the
+/// executor that queries it.
+struct Loaded {
+    table: Table,
+    parked: Vec<String>,
+    executor: Executor,
+    queries: Vec<Query>,
+}
+
+/// The loaded state every roundtrip test persists and reloads.
+fn loaded() -> Loaded {
     let ndjson = Dataset::Yelp.generate_ndjson(31, 2_000);
     let all = RecordChunk::from_ndjson(&ndjson);
     let sample: Vec<_> = all
@@ -32,37 +41,36 @@ fn loaded_server() -> (Server, Vec<ciao_predicate::Query>) {
     let config = CiaoConfig::default();
     let plan = PushdownPlan::build(&queries, &sample, &config.cost_model, 20.0).unwrap();
     let schema = Arc::new(Schema::infer(&sample).unwrap());
-    let mut server = Server::new(plan, schema, config.block_size);
-    let prefilter = server.plan().prefilter();
+    let policy = AdmissionPolicy::from_coverage(&plan.query_coverage);
+    let mut loader = Loader::new(schema, &plan.ids(), policy, config.block_size);
+    let prefilter = plan.prefilter();
     for chunk in all.split(config.chunk_size) {
-        let filter = prefilter.run_chunk(&chunk);
-        server.ingest(&chunk, &filter);
+        loader.load_chunk(&chunk, &prefilter.run_chunk(&chunk));
     }
-    server.finalize();
-    (server, queries)
+    let (table, parked, _) = loader.finish();
+    let executor = Executor::new(plan.predicates.iter().map(|p| (p.clause.clone(), p.id)))
+        .with_coverage(&plan.query_coverage);
+    Loaded {
+        table,
+        parked,
+        executor,
+        queries,
+    }
 }
 
 #[test]
 fn loaded_state_roundtrips_through_bytes() {
-    let (server, queries) = loaded_server();
+    let l = loaded();
 
-    // Serialize the columnar side, read it back, and re-attach an
-    // executor with the same registry.
-    let bytes = write_table(server.table());
+    // Serialize the columnar side, read it back, and query both with
+    // the same executor.
+    let bytes = write_table(&l.table);
     let reloaded = read_table(&bytes).expect("roundtrip");
-    assert_eq!(reloaded.row_count(), server.table().row_count());
+    assert_eq!(reloaded.row_count(), l.table.row_count());
 
-    let executor = Executor::new(
-        server
-            .plan()
-            .predicates
-            .iter()
-            .map(|p| (p.clause.clone(), p.id)),
-    );
-    let parked: Vec<String> = server.parked().to_vec();
-    for q in &queries {
-        let live = server.execute(q);
-        let disk = executor.execute_count(&reloaded, &parked, q);
+    for q in &l.queries {
+        let live = l.executor.execute_count(&l.table, &l.parked, q);
+        let disk = l.executor.execute_count(&reloaded, &l.parked, q);
         assert_eq!(
             live.count, disk.count,
             "query {} diverged after reload",
@@ -81,25 +89,17 @@ fn loaded_state_roundtrips_through_a_file_on_disk() {
     // scratch directory. A fixed path here would collide the moment two
     // test binaries (or two parallel tests) persist at once; this test
     // also pins that the directory cleans up after itself.
-    let (server, queries) = loaded_server();
+    let l = loaded();
     let scratch = ScratchDir::new("persist-table");
     let path = scratch.path().join("table.bin");
-    std::fs::write(&path, write_table(server.table())).unwrap();
+    std::fs::write(&path, write_table(&l.table)).unwrap();
     let reloaded = read_table(&std::fs::read(&path).unwrap()).expect("disk roundtrip");
-    assert_eq!(reloaded.row_count(), server.table().row_count());
+    assert_eq!(reloaded.row_count(), l.table.row_count());
 
-    let executor = Executor::new(
-        server
-            .plan()
-            .predicates
-            .iter()
-            .map(|p| (p.clause.clone(), p.id)),
-    );
-    let parked: Vec<String> = server.parked().to_vec();
-    for q in &queries {
+    for q in &l.queries {
         assert_eq!(
-            server.execute(q).count,
-            executor.execute_count(&reloaded, &parked, q).count,
+            l.executor.execute_count(&l.table, &l.parked, q).count,
+            l.executor.execute_count(&reloaded, &l.parked, q).count,
             "query {} diverged after file reload",
             q.name
         );
@@ -116,8 +116,8 @@ fn shard_snapshot_roundtrips_on_disk() {
     // (blocks, bitvector metadata, parked rows) bit-for-bit, with the
     // (shard, epochs, ceiling) identity recoverable from the file name
     // alone.
-    let (server, _) = loaded_server();
-    let table = server.table();
+    let l = loaded();
+    let table = &l.table;
     let snapshot = ShardSnapshot {
         shard: 3,
         sealed_epochs: 2,
@@ -125,7 +125,7 @@ fn shard_snapshot_roundtrips_on_disk() {
         stats: ciao::LoadStats::default(),
         schema: table.schema().map(|s| Arc::new(s.clone())),
         blocks: table.blocks().to_vec(),
-        parked: server.parked().to_vec(),
+        parked: l.parked.clone(),
     };
 
     let scratch = ScratchDir::new("persist-snap");

@@ -6,8 +6,9 @@
 //! raw records through typed evaluation. Partial loading and skipping
 //! are optimizations; they must never change an answer.
 
-use ciao::{CiaoConfig, Pipeline};
+use ciao::CiaoConfig;
 use ciao_predicate::{eval_query, parse_query};
+use ciao_service::Pipeline;
 
 fn quickstart_ndjson(records: usize) -> String {
     (0..records)

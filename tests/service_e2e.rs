@@ -1,15 +1,14 @@
 //! End-to-end service guarantees: a sharded, multi-threaded
-//! `ciao_service::Service` must be observationally identical to one
-//! single-threaded `ciao::Server` over the same records — for every
-//! shard count, before and after compaction, and under concurrent
-//! producers.
+//! `ciao_service::Service` answers exactly as a typed full scan of the
+//! same records — for every shard count, before and after compaction,
+//! and under concurrent producers.
 
-use ciao::{PushdownPlan, Server};
+use ciao::PushdownPlan;
 use ciao_columnar::Schema;
 use ciao_datagen::Dataset;
 use ciao_json::RecordChunk;
 use ciao_optimizer::CostModel;
-use ciao_predicate::{parse_query, Query};
+use ciao_predicate::{eval_query, parse_query, Query};
 use ciao_service::{CompactionPolicy, EnqueueResult, Service, ServiceConfig};
 use std::sync::Arc;
 
@@ -48,23 +47,25 @@ fn fixture() -> Fixture {
     }
 }
 
-/// The single-threaded ground truth: one `Server`, same plan, same
-/// chunks.
-fn baseline(f: &Fixture) -> Vec<usize> {
-    let mut server = Server::new(f.plan.clone(), Arc::clone(&f.schema), 1024);
-    let prefilter = server.plan().prefilter();
-    for chunk in &f.chunks {
-        let filter = prefilter.run_chunk(chunk);
-        server.ingest(chunk, &filter);
-    }
-    server.finalize();
-    f.queries.iter().map(|q| server.execute(q).count).collect()
+/// The ground truth: each query evaluated with typed semantics over
+/// every parsed record.
+fn full_scan_counts(f: &Fixture) -> Vec<usize> {
+    let records: Vec<_> = f
+        .chunks
+        .iter()
+        .flat_map(|c| c.iter())
+        .map(|r| ciao_json::parse(r).unwrap())
+        .collect();
+    f.queries
+        .iter()
+        .map(|q| records.iter().filter(|r| eval_query(q, r)).count())
+        .collect()
 }
 
 #[test]
 fn shard_count_invariance() {
     let f = fixture();
-    let truth = baseline(&f);
+    let truth = full_scan_counts(&f);
     assert!(truth.iter().any(|&c| c > 0), "fixture queries must hit");
 
     for shards in [1, 2, 4] {
@@ -97,7 +98,7 @@ fn shard_count_invariance() {
 #[test]
 fn compaction_ticks_shrink_parked_ratio_and_preserve_answers() {
     let f = fixture();
-    let truth = baseline(&f);
+    let truth = full_scan_counts(&f);
     let service = Service::start(
         f.plan.clone(),
         Arc::clone(&f.schema),
@@ -184,7 +185,7 @@ fn backpressure_queue_full_then_successful_drain() {
     }
     service.drain();
 
-    let truth = baseline(&f);
+    let truth = full_scan_counts(&f);
     for (q, &expected) in f.queries.iter().zip(&truth) {
         assert_eq!(service.query(q).count, expected, "{} after refill", q.name);
     }
@@ -196,14 +197,14 @@ fn backpressure_queue_full_then_successful_drain() {
 /// Deterministic stress: many producer threads race many ingest
 /// workers through a small bounded queue (so backpressure paths run),
 /// with compaction ticks interleaved — and the merged answers still
-/// equal the single-threaded baseline. Fixed seed; counts are
+/// equal the full-scan truth. Fixed seed; counts are
 /// insensitive to interleaving by construction, which is exactly the
 /// invariant under test.
 #[test]
 fn concurrent_producers_stress_matches_baseline() {
     const PRODUCERS: usize = 8;
     let f = fixture();
-    let truth = baseline(&f);
+    let truth = full_scan_counts(&f);
     let service = Service::start(
         f.plan.clone(),
         Arc::clone(&f.schema),
