@@ -84,7 +84,7 @@ pub fn run(scale: ExperimentScale, budgets: &[f64]) -> Vec<Fig6Row> {
                     with = with.min(t0.elapsed().as_secs_f64());
                     let t1 = Instant::now();
                     let unskipped = no_skip.prepare(q.clone(), pin.blocks(), pin.parked_count());
-                    let b = no_skip.scan_count(&unskipped, pin.blocks(), pin.parked());
+                    let b = no_skip.scan_count(&unskipped, pin.blocks(), pin.parked_scan());
                     without = without.min(t1.elapsed().as_secs_f64());
                     assert_eq!(a.count, b.count, "skipping changed a result");
                 }

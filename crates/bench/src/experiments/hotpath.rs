@@ -16,16 +16,19 @@
 use crate::experiments::datasets::{ndjson, ExperimentScale};
 use ciao_bitvec::BitVec;
 use ciao_client::{Finder, Prefilter};
+use ciao_columnar::Block;
 use ciao_columnar::{Schema, Table, TableBuilder};
 use ciao_datagen::Dataset;
-use ciao_engine::{eval_query_on_block, scan_count, ScanOptions};
+use ciao_engine::{
+    eval_query_on_block, scan_count, Executor, ParkedFragment, ParkedIndex, ScanOptions,
+};
 use ciao_json::RecordChunk;
 use ciao_predicate::{compile_clause, parse_clause, parse_query, ClausePattern};
 use ciao_storage::wal::frame_prefix;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// One measured kernel: optimized median vs in-run scalar baseline.
@@ -423,6 +426,49 @@ fn json_projected_row(tag: &str, text: &str, keys: [&str; 2]) -> HotpathRow {
     )
 }
 
+/// The WHERE clauses of each `engine/parked_rescan_*` row's statement:
+/// one range column, one label column, the shape of the ledger's
+/// ad-hoc statements.
+const YCSB_RESCAN: &str = r#"linear_score < 30 AND age_group = "adult""#;
+const WINLOG_RESCAN: &str = r#"pid < 1000 AND level = "Error""#;
+
+/// The count one `engine/parked_rescan_*` side answers: `where_body`
+/// over `records` held as one epoch's parked rows, and nothing else —
+/// read through the map in `index` when there is one.
+fn count_parked(where_body: &str, records: &[&str], index: Option<&OnceLock<ParkedIndex>>) -> u64 {
+    let query = parse_query("rescan", where_body).unwrap();
+    let exec = Executor::default();
+    let none = std::iter::empty::<&Block>;
+    let prepared = exec.prepare(query, none(), records.len());
+    let fragment = match index {
+        Some(index) => ParkedFragment::indexed(records, index),
+        None => ParkedFragment::unindexed(records),
+    };
+    exec.scan_count(&prepared, none(), [fragment]).count as u64
+}
+
+/// A statement over parked records an earlier statement has scanned:
+/// read through the epoch's positional map ([`ciao_engine::ParkedIndex`],
+/// built by a first scan before the timing starts) vs validating every
+/// record again with [`ciao_json::parse_projected`], which is what each
+/// statement paid before the map and what a map-less scan still pays.
+fn engine_parked_rescan_row(tag: &str, text: &str, where_body: &str) -> HotpathRow {
+    let records: Vec<&str> = text.lines().collect();
+    let index = OnceLock::new();
+    count_parked(where_body, &records, Some(&index));
+    let timings = interleaved_median_ns(
+        || count_parked(where_body, &records, Some(&index)),
+        || count_parked(where_body, &records, None),
+    );
+    row(
+        &format!("engine/parked_rescan_{tag}"),
+        "engine",
+        timings,
+        text.len(),
+        true,
+    )
+}
+
 /// The bit-at-a-time CRC-32 loop (8 shift/xor rounds per byte) the
 /// durable path ran before [`ciao_columnar::crc32`] went table-driven.
 /// It is on no runtime path any more; it lives here as the reference
@@ -521,6 +567,16 @@ pub fn run(scale: ExperimentScale) -> Vec<HotpathRow> {
         YCSB_KEYS,
     ));
     rows.push(json_projected_row("winlog", env.text(), WINLOG_KEYS));
+    rows.push(engine_parked_rescan_row(
+        "ycsb",
+        &ndjson(Dataset::Ycsb, scale),
+        YCSB_RESCAN,
+    ));
+    rows.push(engine_parked_rescan_row(
+        "winlog",
+        env.text(),
+        WINLOG_RESCAN,
+    ));
     let chunk = wal_chunk();
     rows.push(storage_crc32_row(&chunk));
     rows.push(storage_wal_frame_row(&chunk));
@@ -539,7 +595,7 @@ mod tests {
             sample: 100,
         };
         let rows = run(scale);
-        assert_eq!(rows.len(), 14);
+        assert_eq!(rows.len(), 16);
         for r in &rows {
             assert!(r.median_ns > 0.0, "{}: zero median", r.name);
             assert!(r.baseline_ns > 0.0, "{}: zero baseline", r.name);
@@ -559,6 +615,25 @@ mod tests {
                 let projected = ciao_json::parse_projected(r, &keys).unwrap();
                 assert_eq!(projected.as_object().unwrap().len(), 2, "{r}");
             }
+        }
+    }
+
+    #[test]
+    fn rescan_rows_count_the_same_both_ways_and_match_some_records() {
+        for (dataset, where_body) in [
+            (Dataset::Ycsb, YCSB_RESCAN),
+            (Dataset::WinLog, WINLOG_RESCAN),
+        ] {
+            let text = dataset.generate_ndjson(9, 400);
+            let records: Vec<&str> = text.lines().collect();
+            let index = OnceLock::new();
+            let unmapped = count_parked(where_body, &records, None);
+            for _ in 0..2 {
+                let mapped = count_parked(where_body, &records, Some(&index));
+                assert_eq!(mapped, unmapped, "{where_body}");
+            }
+            assert!(index.get().unwrap().is_mapped());
+            assert!(0 < unmapped && unmapped < 400, "{where_body}: {unmapped}");
         }
     }
 

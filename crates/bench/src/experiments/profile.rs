@@ -4,7 +4,7 @@
 //! sharded YCSB pushdown service and reports what the profiler saw:
 //! per-statement block pruning and row skipping straight from the
 //! rendered analyze annotations' backing profile, the service's
-//! [`WorkloadStats`] clause EWMAs after the battery, the slow-query
+//! [`WorkloadStats`](ciao_service::WorkloadStats) clause EWMAs after the battery, the slow-query
 //! log (threshold zero here, so every statement lands), and the last
 //! query's span tree exported as Chrome `trace_event` JSON — written
 //! to disk and parsed back to prove the export is well-formed.

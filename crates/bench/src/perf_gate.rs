@@ -1,7 +1,8 @@
 //! CI perf-regression gate over the hot-path trajectory.
 //!
 //! The gate is machine-portable because it never compares absolute
-//! nanoseconds across runs: every [`HotpathRow`] carries the ratio of
+//! nanoseconds across runs: every
+//! [`HotpathRow`](crate::experiments::hotpath::HotpathRow) carries the ratio of
 //! its in-run scalar reference to its optimized median (`speedup`),
 //! measured interleaved in the same process. A slower runner scales
 //! both sides of the ratio equally, so the ratio regresses only when

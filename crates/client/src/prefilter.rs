@@ -2,7 +2,7 @@
 //!
 //! Since the hot-path rework, the chunk loop evaluates **all**
 //! predicates in one pass per record via a compiled
-//! [`PatternSet`](crate::pattern_set::PatternSet) instead of one
+//! [`PatternSet`] instead of one
 //! haystack traversal per predicate. The per-needle loop survives as
 //! [`Prefilter::run_chunk_scalar`] — the differential-test oracle and
 //! the benchmark baseline.

@@ -1,7 +1,7 @@
 //! The executor: route a query across the columnar and parked sides.
 
 use crate::metrics::QueryMetrics;
-use crate::raw_scan::scan_parked;
+use crate::raw_scan::{scan_parked, ParkedFragment};
 use crate::scan::{count_survivors, PreparedScan, ScanOptions};
 use ciao_columnar::{Block, Table};
 use ciao_predicate::{Clause, Query};
@@ -151,24 +151,24 @@ impl Executor {
         }
     }
 
-    /// Counts the rows a [`Prepared`] execution left standing.
-    pub fn scan_count<'a, P>(
+    /// Counts the rows a [`Prepared`] execution left standing. The
+    /// parked records come one epoch's fragment at a time, each with
+    /// the cell its positional map lives in (if it has one).
+    pub fn scan_count<'a, 'p, S: AsRef<str> + 'p>(
         &self,
         prepared: &Prepared,
         blocks: impl IntoIterator<Item = &'a Block>,
-        parked: P,
-    ) -> QueryOutcome
-    where
-        P: IntoIterator,
-        P::Item: AsRef<str>,
-    {
+        parked: impl IntoIterator<Item = ParkedFragment<'p, S>>,
+    ) -> QueryOutcome {
         let start = Instant::now();
         let mut metrics = prepared.metrics();
         metrics.table_scan = count_survivors(blocks, &prepared.scan, &prepared.query);
         metrics.table_scan_time += start.elapsed();
         if prepared.scan_parked {
             let raw_start = Instant::now();
-            metrics.raw_scan = scan_parked(parked, &prepared.query.clauses, &[], |_| {}).metrics;
+            let scan = scan_parked(parked, &prepared.query.clauses, &[], |_| {});
+            metrics.raw_scan = scan.metrics;
+            metrics.parked_index_builds = scan.index_builds;
             metrics.raw_scan_time = raw_start.elapsed();
         }
         metrics.elapsed += start.elapsed();
@@ -180,7 +180,8 @@ impl Executor {
 
     /// Executes `SELECT COUNT(*) WHERE query` over the table plus the
     /// parked raw records: [`Executor::prepare`], then
-    /// [`Executor::scan_count`].
+    /// [`Executor::scan_count`]. A one-off scan: the records get no
+    /// positional map.
     pub fn execute_count<S: AsRef<str>>(
         &self,
         table: &Table,
@@ -188,7 +189,11 @@ impl Executor {
         query: &Query,
     ) -> QueryOutcome {
         let prepared = self.prepare(query.clone(), table.blocks(), parked.len());
-        self.scan_count(&prepared, table.blocks(), parked)
+        self.scan_count(
+            &prepared,
+            table.blocks(),
+            [ParkedFragment::unindexed(parked)],
+        )
     }
 }
 

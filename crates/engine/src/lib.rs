@@ -15,10 +15,12 @@
 //!   consumers — counts and plans — read only the rows it selected
 //!   ([`row_eval`] is the row-at-a-time reference it is tested
 //!   against);
-//! * [`raw_scan`] — over parked raw JSON records: one projected scan
-//!   per record (the whole record validated, only the fields the query
-//!   reads built), then evaluated — the one parked-record loop, shared
-//!   by counts and plans. The loader parks a record only when it fails
+//! * [`raw_scan`] — over parked raw JSON records: only the fields the
+//!   query reads are built per record, then evaluated — the one
+//!   parked-record loop, shared by counts and plans. Each epoch's
+//!   records are validated once, by the first scan, which leaves a
+//!   positional map ([`ParkedIndex`]) every later scan reads values
+//!   from by offset. The loader parks a record only when it fails
 //!   some pushed clause of every workload query (client bits have no
 //!   false negatives), so a query whose pushed clauses contain one
 //!   workload query's whole pushed set skips this path wholesale;
@@ -55,7 +57,7 @@ pub use exec::{Executor, Prepared, QueryOutcome};
 pub use metrics::{QueryMetrics, ScanMetrics};
 pub use plan_exec::{finalize, AggState, PartialData, PartialResult};
 pub use profile::{ClauseProfile, QueryProfile};
-pub use raw_scan::scan_raw_records;
+pub use raw_scan::{scan_raw_records, ParkedFragment, ParkedIndex};
 pub use result::{ColumnDesc, QueryResult};
 pub use row_eval::{eval_clause_on_block, eval_query_on_block, eval_simple_on_block};
 pub use scan::{

@@ -68,6 +68,10 @@ pub struct QueryMetrics {
     /// Time spent in the projected-scan fallback over parked raw rows
     /// (zero when the parked side was skipped wholesale).
     pub raw_scan_time: Duration,
+    /// Epochs whose parked-record positional map this execution built
+    /// ([`crate::raw_scan::ParkedIndex`]); a scan that found every map
+    /// built reads 0.
+    pub parked_index_builds: usize,
 }
 
 impl QueryMetrics {
@@ -95,6 +99,7 @@ impl QueryMetrics {
         self.elapsed = self.elapsed.max(other.elapsed);
         self.table_scan_time += other.table_scan_time;
         self.raw_scan_time += other.raw_scan_time;
+        self.parked_index_builds += other.parked_index_builds;
     }
 }
 
@@ -151,6 +156,7 @@ mod tests {
             elapsed: Duration::from_millis(5),
             table_scan_time: Duration::from_millis(3),
             raw_scan_time: Duration::from_millis(1),
+            parked_index_builds: 1,
         };
         let mut merged = QueryMetrics::default();
         merged.merge(&shard);
@@ -164,6 +170,7 @@ mod tests {
         // ...but per-side scan time is cumulative work, so it adds.
         assert_eq!(merged.table_scan_time, Duration::from_millis(6));
         assert_eq!(merged.raw_scan_time, Duration::from_millis(2));
+        assert_eq!(merged.parked_index_builds, 2);
     }
 
     #[test]

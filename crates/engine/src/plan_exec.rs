@@ -2,7 +2,8 @@
 //! columnar table plus the parked raw records.
 //!
 //! This is the engine half of the SQL stack. A [`PhysicalPlan`]'s
-//! WHERE conjunction is lowered into predicate [`Clause`]s (via
+//! WHERE conjunction is lowered into predicate
+//! [`Clause`](ciao_predicate::Clause)s (via
 //! `ciao_predicate::sql_bridge`) so the routing decision is exactly
 //! the one [`Executor::prepare`] makes for a count: pushed clauses
 //! drive fused bitvec skip-masks, the parked side is read unless the
@@ -13,9 +14,10 @@
 //! happens to each row of a block's selection — instead of counting,
 //! it feeds a projection buffer or per-group aggregate states, through
 //! one operator feed whichever side the row came from. The parked side is
-//! [`crate::raw_scan`]'s projected scan: each record is validated whole
-//! but only the fields the WHERE clauses and the operator read are
-//! built, with the errors and the values a full parse would give.
+//! [`crate::raw_scan`]'s scan: each record is validated once per epoch
+//! (by the first scan, which builds the epoch's positional map) and only
+//! the fields the WHERE clauses and the operator read are built, with
+//! the errors and the values a full parse would give.
 //!
 //! Execution is deliberately split so a sharded service can fan out:
 //! per shard, [`Executor::prepare_plan`] decides what survives zone
@@ -33,7 +35,7 @@
 use crate::exec::{Executor, Prepared};
 use crate::metrics::QueryMetrics;
 use crate::profile::{ClauseProfile, QueryProfile};
-use crate::raw_scan::scan_parked;
+use crate::raw_scan::{scan_parked, ParkedFragment};
 use crate::result::{ColumnDesc, QueryResult};
 use crate::scan::BlockFilter;
 use ciao_columnar::{Block, Table};
@@ -372,17 +374,13 @@ impl Executor {
     /// just filters. Every surviving row is re-verified with full typed
     /// evaluation before it feeds the operator (client bits admit false
     /// positives).
-    pub fn scan_plan<'a, P>(
+    pub fn scan_plan<'a, 'p, S: AsRef<str> + 'p>(
         &self,
         prepared: &Prepared,
         blocks: impl IntoIterator<Item = &'a Block>,
-        parked: P,
+        parked: impl IntoIterator<Item = ParkedFragment<'p, S>>,
         plan: &PhysicalPlan,
-    ) -> PartialResult
-    where
-        P: IntoIterator,
-        P::Item: AsRef<str>,
-    {
+    ) -> PartialResult {
         let start = Instant::now();
         let query = &prepared.query;
         let mut out = PartialResult::empty(plan);
@@ -442,6 +440,7 @@ impl Executor {
                 });
             });
             out.metrics.raw_scan = scan.metrics;
+            out.metrics.parked_index_builds = scan.index_builds;
             out.profile.parked_rows_parsed = scan.metrics.records_parsed as u64;
             out.profile.parked_rows_matched = scan.metrics.rows_matched as u64;
             out.profile.parked_fields_projected = scan.fields_projected as u64;
@@ -460,6 +459,7 @@ impl Executor {
 
     /// Executes a SQL physical plan over this shard's (table, parked)
     /// pair: [`Executor::prepare_plan`], then [`Executor::scan_plan`].
+    /// A one-off scan: the records get no positional map.
     pub fn execute_plan<S: AsRef<str>>(
         &self,
         table: &Table,
@@ -467,7 +467,12 @@ impl Executor {
         plan: &PhysicalPlan,
     ) -> PartialResult {
         let prepared = self.prepare_plan(plan, table.blocks(), parked.len());
-        self.scan_plan(&prepared, table.blocks(), parked, plan)
+        self.scan_plan(
+            &prepared,
+            table.blocks(),
+            [ParkedFragment::unindexed(parked)],
+            plan,
+        )
     }
 }
 
@@ -807,12 +812,14 @@ mod tests {
             );
             assert_eq!(whole.metrics.scanned_parked, reads_parked, "{sql}");
             // A prepared scan owns what it decided: it can run later,
-            // elsewhere, and more than once, to the same partial.
+            // elsewhere, and more than once, to the same partial — also
+            // when the first run builds the parked records' map and the
+            // second reads through it.
             let prepared = std::thread::spawn(move || prepared).join().unwrap();
+            let index = std::sync::OnceLock::new();
             for _ in 0..2 {
-                let again = e
-                    .exec
-                    .scan_plan(&prepared, e.table.blocks(), &e.parked, &plan);
+                let parked = [ParkedFragment::indexed(&e.parked, &index)];
+                let again = e.exec.scan_plan(&prepared, e.table.blocks(), parked, &plan);
                 assert_eq!(again.profile, whole.profile, "{sql}");
                 assert_eq!(
                     finalize(&plan, again).rows,

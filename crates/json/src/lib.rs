@@ -15,7 +15,11 @@
 //!   columns — at ingest, at WAL replay, and when parked records are
 //!   promoted: one validating pass that hands each top-level member a
 //!   schema column reads to a sink as a typed [`FieldValue`] (a nested
-//!   one as its compact text) and skips the rest, and
+//!   one as its compact text) and skips the rest,
+//! * a **member-offset scan** ([`parse_member_offsets`]) that validates
+//!   a record once and reports where each top-level value starts, so a
+//!   positional map can later build one value from its offset
+//!   ([`parse_value_at`]) without validating the record again, and
 //! * **raw chunking** ([`chunk::RecordChunk`]) that splits
 //!   newline-delimited JSON into per-record byte slices *without*
 //!   parsing, which is all the client ever does.
@@ -67,6 +71,9 @@ pub use chunk::{ChunkError, ChunkReader, RecordChunk};
 pub use escape::{escape, escape_into, unescape, UnescapeError};
 pub use fields::{FieldKeys, FieldValue};
 pub use number::JsonNumber;
-pub use parse::{parse, parse_bytes, parse_fields, parse_projected, ParseError, ParserOptions};
+pub use parse::{
+    parse, parse_bytes, parse_fields, parse_member_offsets, parse_projected, parse_value_at,
+    ParseError, ParserOptions,
+};
 pub use ser::{to_pretty_string, to_string, write_value};
 pub use value::JsonValue;

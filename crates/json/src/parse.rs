@@ -19,7 +19,9 @@
 //! one string scanner, one number grammar and one literal matcher,
 //! which is what makes the contract cheap to keep: both scans are
 //! `Err` exactly when `parse` is `Err`, and a key's value is the one
-//! `parse(..).get(key)` would return.
+//! `parse(..).get(key)` would return. [`parse_member_offsets`] is the
+//! same walk again, reporting where each top-level value starts, and
+//! [`parse_value_at`] builds one value from such an offset.
 
 use crate::escape::{decode_escape, escape_into, unescape, unescapes_to, UnescapeError};
 use crate::fields::{FieldKeys, FieldValue};
@@ -157,6 +159,36 @@ pub fn parse_fields(
     mut sink: impl FnMut(usize, FieldValue<'_>),
 ) -> Result<(), ParseError> {
     Cursor::new(input, ParserOptions::default()).document(|p| p.fields(keys, &mut sink))
+}
+
+/// Validates one record as [`parse`] does and hands `sink` each
+/// top-level member's key, unescaped, with the byte offset its value
+/// starts at — in record order, later occurrences of a key included.
+///
+/// The result is `Err` exactly when `parse(input)` is `Err`; `sink` may
+/// have been handed members before the error was found, and the caller
+/// must discard them. A document whose top level is not an object is
+/// validated and delivers nothing. Together with [`parse_value_at`]
+/// this is a positional map's build and its read (NoDB, Alagiannis et
+/// al., SIGMOD 2012): a scan that keeps the offsets of a record it has
+/// validated never needs to validate that record again.
+///
+/// Nothing is allocated unless a key holds an escape sequence.
+pub fn parse_member_offsets(
+    input: &str,
+    mut sink: impl FnMut(&str, usize),
+) -> Result<(), ParseError> {
+    Cursor::new(input, ParserOptions::default()).document(|p| p.member_offsets(&mut sink))
+}
+
+/// Builds the one value that starts at byte `offset` of `input`, as a
+/// top-level member's value: for an offset [`parse_member_offsets`]
+/// reported for a member of a record it accepted, the value [`parse`]
+/// builds for that member. Bytes after the value are not read.
+pub fn parse_value_at(input: &str, offset: usize) -> Result<JsonValue, ParseError> {
+    let mut cursor = Cursor::new(input, ParserOptions::default());
+    cursor.pos = offset;
+    cursor.value(1)
 }
 
 struct Cursor<'a> {
@@ -397,6 +429,33 @@ impl<'a> Cursor<'a> {
             }
         });
         name.filter(|name| !found.iter().any(|(k, _)| k == name))
+    }
+
+    /// The root of [`parse_member_offsets`]: an object whose every
+    /// member's key and value offset go to `sink` and whose values are
+    /// skipped.
+    fn member_offsets(&mut self, sink: &mut impl FnMut(&str, usize)) -> Result<(), ParseError> {
+        if self.peek() != Some(b'{') {
+            return self.skip_value(0);
+        }
+        if self.open_container(b'}') {
+            return Ok(());
+        }
+        loop {
+            let key = self.member_key()?;
+            let unescaped;
+            let name = if key.escaped {
+                unescaped = self.build_string(key)?;
+                &unescaped
+            } else {
+                self.contents(&key)
+            };
+            sink(name, self.pos);
+            self.skip_value(1)?;
+            if !self.more_members(b'}')? {
+                return Ok(());
+            }
+        }
     }
 
     /// The root of [`parse_fields`]: an object whose members with a

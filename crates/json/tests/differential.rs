@@ -4,17 +4,20 @@
 //! whatever our parser accepts must agree with serde_json's reading,
 //! and parse→serialize→parse must be the identity on our DOM.
 //!
-//! The second half holds both scans, `parse_projected` and
-//! `parse_fields`, to `parse`, their oracle: on valid documents spelled
-//! every legal way and on corruptions of them, a scan errs exactly when
-//! the parser errs, and otherwise returns the parser's value for each
-//! requested key — the first occurrence, a nested one printed as
-//! `to_string` prints it — and no other key.
+//! The second half holds the three scans, `parse_projected`,
+//! `parse_fields` and `parse_member_offsets`, to `parse`, their oracle:
+//! on valid documents spelled every legal way and on corruptions of
+//! them, a scan errs exactly when the parser errs, and otherwise
+//! returns the parser's value for each requested key — the first
+//! occurrence, a nested one printed as `to_string` prints it — and no
+//! other key. The member-offset scan reports every member, and
+//! `parse_value_at` reads the parser's value at each offset.
 
 mod support;
 
 use ciao_json::{
-    parse, parse_fields, parse_projected, to_string, FieldKeys, FieldValue, JsonValue,
+    parse, parse_fields, parse_member_offsets, parse_projected, parse_value_at, to_string,
+    FieldKeys, FieldValue, JsonValue,
 };
 use proptest::prelude::*;
 use support::{arb_json, corruptions, spell, Rng};
@@ -137,9 +140,10 @@ fn pick_keys<'a>(v: &'a JsonValue, rng: &mut Rng) -> Vec<&'a str> {
     keys
 }
 
-/// The whole contract of both scans on one input.
+/// The whole contract of the three scans on one input.
 fn assert_scan_matches_parse(doc: &str, keys: &[&str]) {
     assert_fields_match_parse(doc, keys);
+    assert_offsets_match_parse(doc);
     let full = parse(doc);
     let scanned = parse_projected(doc, keys);
     assert_eq!(
@@ -189,6 +193,39 @@ fn assert_fields_match_parse(doc: &str, keys: &[&str]) {
         }
     }
     assert_eq!(delivered, expected, "fields of {doc:?}");
+}
+
+/// `parse_member_offsets`' contract on one input: `Err` exactly when
+/// `parse` errs, and otherwise every top-level member in document
+/// order, duplicates included, under its unescaped key and at an offset
+/// `parse_value_at` reads the parser's value from — so the first offset
+/// reported for a key reads `parse(..).get(key)`.
+fn assert_offsets_match_parse(doc: &str) {
+    let mut members: Vec<(String, usize)> = Vec::new();
+    let scanned = parse_member_offsets(doc, |key, at| members.push((key.to_owned(), at)));
+    let full = parse(doc);
+    assert_eq!(
+        scanned.is_err(),
+        full.is_err(),
+        "acceptance differs on {doc:?}: offsets {scanned:?}, parse {full:?}"
+    );
+    let Ok(full) = full else {
+        return;
+    };
+    let pairs = full.as_object().unwrap_or(&[]);
+    assert_eq!(members.len(), pairs.len(), "members of {doc:?}");
+    for ((key, at), (k, v)) in members.iter().zip(pairs) {
+        assert_eq!(key, k, "key order of {doc:?}");
+        assert_eq!(&parse_value_at(doc, *at).unwrap(), v, "{key:?} of {doc:?}");
+    }
+    for (k, _) in pairs {
+        let (_, first) = members.iter().find(|(key, _)| key == k).unwrap();
+        assert_eq!(
+            parse_value_at(doc, *first).ok().as_ref(),
+            full.get(k),
+            "first {k:?} of {doc:?}"
+        );
+    }
 }
 
 /// Every prefix of `doc` that ends on a char boundary.

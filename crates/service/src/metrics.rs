@@ -110,6 +110,7 @@ mod tests {
                 heat: 0,
                 sealed_epochs: 2,
                 sealed_blocks: 3,
+                parked_index_bytes: 0,
             },
             ShardSnapshot {
                 rows: 10,
@@ -126,6 +127,7 @@ mod tests {
                 heat: 1,
                 sealed_epochs: 1,
                 sealed_blocks: 1,
+                parked_index_bytes: 0,
             },
         ];
         assert_eq!(m.rows(), 40);

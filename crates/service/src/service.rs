@@ -192,8 +192,14 @@ fn plan_text_result(lines: Vec<String>) -> QueryResult {
 /// caller takes an unstarted scan back); scanning inline too late
 /// costs up to the parallel half; the constant stays at the printed
 /// crossover, where inlining gives up about 5 µs. Parked rows are
-/// dearer per row (the same sweep over short parked records crosses
-/// at 512 in a quiet phase), which this one count does not weigh.
+/// dearer per row, which this one count does not weigh. The first
+/// statement to read an epoch's parked rows validates each while it
+/// builds the epoch's positional map, at about what a map-less scan
+/// pays: 450 ns a row on short WinLog records, 1500 ns on YCSB's.
+/// Later statements read through the map: 280–310 ns a row on both
+/// (`repro -- micro`'s `engine/parked_rescan_*` rows, two fields
+/// built per row, same host). Before the map, the same sweep over
+/// short parked records crossed at 512 in a quiet phase.
 const INLINE_MAX_SURVIVING_ROWS: usize = 4096;
 
 /// Where a statement's per-shard scans ran.
@@ -795,6 +801,14 @@ impl Service {
                 tree.attr(span, "blocks_pruned", profile.blocks_pruned_zone);
                 tree.attr(span, "rows_scanned", profile.rows_scanned);
                 tree.attr(span, "parked_parsed", profile.parked_rows_parsed);
+                if profile.parked_rows_parsed > 0 {
+                    let index = if run.result.metrics.parked_index_builds > 0 {
+                        "built"
+                    } else {
+                        "reused"
+                    };
+                    tree.attr(span, "parked_index", index);
+                }
             }
         }
         // Merge in shard order: group states and row batches combine
@@ -1019,7 +1033,10 @@ impl Service {
 
     /// The span tree recorded for the most recent SQL statement
     /// (parse/plan/execute stages, per-shard child spans on their own
-    /// tracks). `None` before any statement or with telemetry off.
+    /// tracks). A shard span that read parked rows says whether its scan
+    /// built an epoch's positional map (`parked_index=built`) or read
+    /// through maps built before (`parked_index=reused`). `None` before
+    /// any statement or with telemetry off.
     /// Export with [`SpanTree::to_chrome_trace`].
     pub fn last_query_trace(&self) -> Option<SpanTree> {
         self.inner.last_trace.lock().clone()
@@ -1083,6 +1100,7 @@ mod tests {
     use super::*;
     use ciao_optimizer::CostModel;
     use ciao_predicate::parse_query;
+    use ciao_telemetry::AttrValue;
 
     fn plan_and_schema(budget: f64) -> (PushdownPlan, Arc<Schema>, RecordChunk) {
         let raw: Vec<String> = (0..400)
@@ -1717,6 +1735,66 @@ mod tests {
         assert!(spans.contains(&"shard0") && spans.contains(&"shard1"));
         assert!(trace.spans()[0].dur_ns() > 0, "finish() closed the root");
         assert!(trace.to_chrome_trace().contains("\"traceEvents\""));
+        service.shutdown();
+    }
+
+    #[test]
+    fn each_epoch_builds_its_parked_map_once_and_the_trace_says_which_scan_did() {
+        let (plan, schema, all) = plan_and_schema(10.0);
+        let service = Service::start(
+            plan,
+            schema,
+            ServiceConfig::default().with_shards(2).with_workers(0),
+        );
+        for chunk in all.split(100) {
+            assert!(service.enqueue_raw(chunk).is_enqueued());
+        }
+        let parked_index = |trace: &SpanTree| -> Vec<AttrValue> {
+            trace
+                .spans()
+                .iter()
+                .filter(|s| s.name().starts_with("shard"))
+                .filter_map(|s| s.attrs().iter().find(|(k, _)| *k == "parked_index"))
+                .map(|(_, v)| v.clone())
+                .collect()
+        };
+        let builds = || {
+            service
+                .telemetry_snapshot()
+                .unwrap()
+                .counter(names::PARKED_INDEX_BUILDS_TOTAL)
+        };
+        // A covered statement reads no parked row and builds nothing.
+        service
+            .query_sql("SELECT COUNT(*) FROM reviews WHERE stars = 5")
+            .unwrap();
+        assert_eq!(builds(), Some(0));
+        assert!(parked_index(&service.last_query_trace().unwrap()).is_empty());
+        assert_eq!(service.metrics().shards[0].parked_index_bytes, 0);
+
+        // Two uncovered statements: the first maps each shard's one
+        // epoch, the second reads through the maps.
+        let built = AttrValue::from("built");
+        let reused = AttrValue::from("reused");
+        for (sql, count, attr) in [
+            ("SELECT COUNT(*) FROM reviews WHERE stars = 2", 80, &built),
+            (
+                r#"SELECT COUNT(*) FROM reviews WHERE name = "u7""#,
+                1,
+                &reused,
+            ),
+        ] {
+            let result = service.query_sql(sql).unwrap();
+            assert_eq!(result.rows, vec![vec![SqlValue::Int(count)]], "{sql}");
+            let trace = service.last_query_trace().unwrap();
+            assert_eq!(parked_index(&trace), [attr.clone(), attr.clone()], "{sql}");
+        }
+        assert_eq!(builds(), Some(2), "one build per epoch");
+        assert!(service
+            .metrics()
+            .shards
+            .iter()
+            .all(|s| s.parked > 0 && s.parked_index_bytes > 0));
         service.shutdown();
     }
 

@@ -19,19 +19,27 @@
 //! the blocks, which epochs share — only while a reader still pins the
 //! old one. So ingest never waits for a query, a slow ad-hoc scan never
 //! stalls its shard, and a checkpoint streams from a pin.
+//!
+//! An epoch's parked rows carry a positional map ([`ParkedIndex`]),
+//! built by the first scan of any pin that reads them, so later
+//! statements never validate those records again. Compaction is the
+//! only writer that changes an epoch's parked rows; it drops the map of
+//! each epoch it drains, and the next scan builds it afresh.
 
 use crate::compactor::{CompactionPolicy, CompactionStats};
 use crate::telemetry::{names, ServiceTelemetry};
 use ciao::{jit, LoadStats, Loader, PushdownPlan};
 use ciao_client::ChunkFilterResult;
 use ciao_columnar::{Block, Schema, Table};
-use ciao_engine::{Executor, PartialResult, Prepared, QueryOutcome};
+use ciao_engine::{
+    Executor, ParkedFragment, ParkedIndex, PartialResult, Prepared, QueryMetrics, QueryOutcome,
+};
 use ciao_json::RecordChunk;
 use ciao_predicate::Query;
 use ciao_sql::PhysicalPlan;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A point-in-time view of one shard, reported by
 /// [`crate::Service::metrics`].
@@ -56,6 +64,10 @@ pub struct ShardSnapshot {
     /// Columnar blocks currently live in the sealed epochs (excluding
     /// the active epoch's unfinished blocks).
     pub sealed_blocks: usize,
+    /// Bytes held by the sealed epochs' parked-record positional maps
+    /// ([`ParkedIndex::bytes`]); an epoch has one once a statement
+    /// has scanned its parked rows.
+    pub parked_index_bytes: usize,
 }
 
 impl ShardSnapshot {
@@ -77,6 +89,9 @@ impl ShardSnapshot {
 struct Epoch {
     table: Table,
     parked: Vec<String>,
+    /// The positional map over `parked`, built by the first scan that
+    /// reads them and dropped whenever `parked` changes.
+    index: OnceLock<ParkedIndex>,
 }
 
 /// Everything a shard has sealed, oldest epoch first.
@@ -96,7 +111,11 @@ impl Sealed {
         }
         self.rows += table.row_count();
         self.parked += parked.len();
-        self.epochs.push(Arc::new(Epoch { table, parked }));
+        self.epochs.push(Arc::new(Epoch {
+            table,
+            parked,
+            index: OnceLock::new(),
+        }));
     }
 
     /// Removes up to `n` parked rows, oldest first. Only the epochs it
@@ -112,6 +131,8 @@ impl Sealed {
                 let epoch = Arc::make_mut(epoch);
                 let take = want.min(epoch.parked.len());
                 batch.extend(epoch.parked.drain(..take));
+                // The map addresses records by position: rebuild it.
+                epoch.index = OnceLock::new();
             }
         }
         self.epochs
@@ -133,11 +154,6 @@ impl EpochPin {
         self.0.epochs.iter().flat_map(|e| e.table.blocks())
     }
 
-    /// Every pinned parked row, oldest epoch first.
-    pub fn parked(&self) -> impl Iterator<Item = &String> + Clone {
-        self.0.epochs.iter().flat_map(|e| &e.parked)
-    }
-
     /// The pinned blocks, one slice per epoch (what a checkpoint's
     /// `SnapshotView` borrows).
     pub fn block_fragments(&self) -> Vec<&[Block]> {
@@ -147,6 +163,16 @@ impl EpochPin {
     /// The pinned parked rows, one slice per epoch.
     pub fn parked_fragments(&self) -> Vec<&[String]> {
         self.0.epochs.iter().map(|e| &e.parked[..]).collect()
+    }
+
+    /// The pinned parked rows as the parked scan reads them: one
+    /// fragment per epoch, each with the cell its positional map is
+    /// built into by the first scan (of any pin) that reads it.
+    pub fn parked_scan(&self) -> impl Iterator<Item = ParkedFragment<'_, String>> + Clone {
+        self.0
+            .epochs
+            .iter()
+            .map(|e| ParkedFragment::indexed(&e.parked, &e.index))
     }
 
     /// The schema of the pinned blocks (`None` while there are none).
@@ -332,12 +358,13 @@ impl Shard {
 
     /// Counts the survivors of a [`Shard::prepare`] over the same pin.
     /// Takes no lock. Parked-store scans heat the shard for the
-    /// compactor.
+    /// compactor, and the first one over an epoch builds its
+    /// positional map.
     pub fn scan_count(&self, pin: &EpochPin, prepared: &Prepared) -> QueryOutcome {
         let out = self
             .executor
-            .scan_count(prepared, pin.blocks(), pin.parked());
-        self.note_parked_scan(out.metrics.scanned_parked, pin);
+            .scan_count(prepared, pin.blocks(), pin.parked_scan());
+        self.note_parked_scan(&out.metrics, pin);
         out
     }
 
@@ -353,14 +380,18 @@ impl Shard {
     ) -> PartialResult {
         let out = self
             .executor
-            .scan_plan(prepared, pin.blocks(), pin.parked(), plan);
-        self.note_parked_scan(out.metrics.scanned_parked, pin);
+            .scan_plan(prepared, pin.blocks(), pin.parked_scan(), plan);
+        self.note_parked_scan(&out.metrics, pin);
         out
     }
 
-    fn note_parked_scan(&self, scanned_parked: bool, pin: &EpochPin) {
-        if scanned_parked && pin.parked_count() > 0 {
+    fn note_parked_scan(&self, metrics: &QueryMetrics, pin: &EpochPin) {
+        if metrics.scanned_parked && pin.parked_count() > 0 {
             self.heat.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some((_, t)) = &self.telemetry {
+            t.parked_index_builds
+                .add(metrics.parked_index_builds as u64);
         }
     }
 
@@ -430,6 +461,12 @@ impl Shard {
             heat: self.heat.load(Ordering::Relaxed),
             sealed_epochs: sealed.sealed_epochs,
             sealed_blocks: sealed.epochs.iter().map(|e| e.table.blocks().len()).sum(),
+            parked_index_bytes: sealed
+                .epochs
+                .iter()
+                .filter_map(|e| e.index.get())
+                .map(ParkedIndex::bytes)
+                .sum(),
         }
     }
 }
@@ -599,6 +636,63 @@ mod tests {
     }
 
     #[test]
+    fn the_first_parked_scan_of_an_epoch_maps_it_and_compaction_drops_the_map() {
+        let (mut shard, chunks) = fixture();
+        let fs = filters(&shard, &chunks);
+        let t = crate::telemetry::ServiceTelemetry::new(1, 16);
+        shard.attach_telemetry(0, Arc::clone(&t));
+        let builds = || {
+            t.snapshot()
+                .counter(names::PARKED_INDEX_BUILDS_TOTAL)
+                .unwrap()
+        };
+        let covered = parse_query("q", "stars = 5").unwrap();
+        let uncovered = parse_query("q", "stars = 2").unwrap();
+        let other = parse_query("q", r#"name = "u7""#).unwrap();
+        let plan =
+            ciao_sql::compile("SELECT COUNT(*) FROM t WHERE stars = 3", &shard.schema).unwrap();
+
+        shard.ingest(&chunks[0], &fs[0]);
+        assert_eq!(shard.execute(&covered).metrics.parked_index_builds, 0);
+        assert_eq!(shard.snapshot().parked_index_bytes, 0);
+        let cold = shard.execute(&uncovered);
+        assert_eq!(cold.metrics.parked_index_builds, 1);
+        let bytes = shard.snapshot().parked_index_bytes;
+        assert!(bytes > 0);
+        // The next statements read the same epoch through its map.
+        let warm = shard.execute(&uncovered);
+        assert_eq!(warm.metrics.parked_index_builds, 0);
+        assert_eq!(
+            (warm.count, warm.metrics.raw_scan),
+            (cold.count, cold.metrics.raw_scan)
+        );
+        assert_eq!(shard.execute(&other).metrics.parked_index_builds, 0);
+        assert_eq!(shard.execute_plan(&plan).metrics.parked_index_builds, 0);
+        assert_eq!(builds(), 1);
+
+        // A second epoch gets a map of its own; the first keeps its.
+        shard.ingest(&chunks[1], &fs[1]);
+        assert_eq!(shard.execute(&uncovered).metrics.parked_index_builds, 1);
+        assert!(shard.snapshot().parked_index_bytes > bytes);
+        assert_eq!(builds(), 2);
+
+        // Compaction drains part of the first epoch: its map goes with
+        // the rows, and the next scan rebuilds it over the rest.
+        let before = shard.execute(&uncovered).count;
+        assert_eq!(
+            shard
+                .compact(&CompactionPolicy::default().with_batch(8))
+                .promoted,
+            8
+        );
+        let after = shard.execute(&uncovered);
+        assert_eq!(after.metrics.parked_index_builds, 1);
+        assert_eq!(after.count, before);
+        assert_eq!(shard.execute(&uncovered).metrics.parked_index_builds, 0);
+        assert_eq!(builds(), 3);
+    }
+
+    #[test]
     fn unparseable_rows_rotate_not_wedge() {
         let (mut shard, chunks) = fixture();
         let fs = filters(&shard, &chunks);
@@ -725,7 +819,13 @@ mod tests {
                     pin.blocks().map(Block::row_count).sum::<usize>(),
                     pin.row_count()
                 );
-                assert_eq!(pin.parked().count(), pin.parked_count());
+                assert_eq!(
+                    pin.parked_fragments()
+                        .iter()
+                        .map(|f| f.len())
+                        .sum::<usize>(),
+                    pin.parked_count()
+                );
                 assert!(held >= last, "pins only move forward");
                 last = held;
             }

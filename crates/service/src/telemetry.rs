@@ -42,6 +42,10 @@ pub mod names {
     pub const QUEUE_FULL_TOTAL: &str = "ciao_service_queue_full_total";
     /// Epochs sealed across all shards.
     pub const EPOCHS_SEALED_TOTAL: &str = "ciao_service_epochs_sealed_total";
+    /// Parked-record positional maps built across all shards: one per
+    /// epoch whose parked rows a statement scanned, and again after a
+    /// compaction drains part of an epoch.
+    pub const PARKED_INDEX_BUILDS_TOTAL: &str = "ciao_service_parked_index_builds_total";
     /// Queue depth at the last snapshot.
     pub const QUEUE_DEPTH: &str = "ciao_service_queue_depth";
     /// Chunks appended to the write-ahead log (durable ingest acks).
@@ -112,6 +116,8 @@ pub struct ServiceTelemetry {
     pub queue_full: Counter,
     /// Epoch seals across all shards.
     pub epochs_sealed: Counter,
+    /// Parked-record positional maps built across all shards.
+    pub parked_index_builds: Counter,
     /// Durable (write-ahead-logged) ingest acks.
     pub wal_appends: Counter,
     /// Per-chunk WAL append cost (checksum + write).
@@ -177,6 +183,7 @@ impl ServiceTelemetry {
             compaction_tick: per_shard(names::COMPACTION_TICK_NS),
             queue_full: registry.counter(names::QUEUE_FULL_TOTAL),
             epochs_sealed: registry.counter(names::EPOCHS_SEALED_TOTAL),
+            parked_index_builds: registry.counter(names::PARKED_INDEX_BUILDS_TOTAL),
             wal_appends: registry.counter(names::WAL_APPENDS_TOTAL),
             wal_append: registry.histogram(names::WAL_APPEND_NS),
             wal_sync: registry.histogram(names::WAL_SYNC_NS),

@@ -1,7 +1,10 @@
 //! Statements over part of a workload query's pushed conjunction, or
 //! over more than it, answer exactly as a typed full scan of the
 //! records: on one shard, and on a 2-shard service through `query` and
-//! `query_sql`, before and after compaction.
+//! `query_sql`, before and after compaction — whether a statement is
+//! the one that builds an epoch's parked-record positional map or reads
+//! through it, and after a compaction that drains part of a mapped
+//! epoch.
 //!
 //! Partial loading parks a record when it fails some pushed clause of
 //! *every* workload query. A statement may skip the parked side only
@@ -19,6 +22,10 @@ use ciao_service::{CompactionPolicy, Service, ServiceConfig, Shard};
 use ciao_sql::SqlValue;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
+
+/// Parked rows one partial compaction tick promotes per shard: part of
+/// the one epoch each shard holds.
+const PARTIAL: usize = 256;
 
 /// YCSB records (seed 3) in 256-record chunks, with a schema inferred
 /// from the first 500.
@@ -53,7 +60,8 @@ impl Fixture {
         let config = ServiceConfig::default()
             .with_shards(2)
             .with_workers(0)
-            .with_block_size(128);
+            .with_block_size(128)
+            .with_compaction(CompactionPolicy::default().with_batch(PARTIAL));
         let service = Service::start(plan, Arc::clone(&self.schema), config);
         for chunk in &self.chunks {
             let filter = prefilter.run_chunk(chunk);
@@ -91,6 +99,13 @@ impl Fixture {
         }
         Ok(())
     }
+}
+
+/// Promotes the oldest [`PARTIAL`] parked rows of each shard, on the
+/// shard and on the service.
+fn compact_part(shard: &Shard, service: &Service) {
+    shard.compact(&CompactionPolicy::default().with_batch(PARTIAL));
+    service.compact();
 }
 
 /// Promotes every parked row, on the shard and on the service.
@@ -199,12 +214,20 @@ proptest! {
                 clauses
             })
             .collect();
-        for stage in ["before compaction", "after compaction"] {
-            for clauses in &statements {
-                f.check(&shard, &service, clauses)
-                    .map_err(|e| TestCaseError::fail(format!("{stage}: {e}")))?;
+        for stage in ["before compaction", "after a partial compaction", "after compaction"] {
+            // Twice over: the first statement to read an epoch's parked
+            // rows builds its map, every later one reads through it.
+            for round in ["cold", "warm"] {
+                for clauses in &statements {
+                    f.check(&shard, &service, clauses)
+                        .map_err(|e| TestCaseError::fail(format!("{stage}, {round}: {e}")))?;
+                }
             }
-            compact(&shard, &service);
+            if stage == "before compaction" {
+                compact_part(&shard, &service);
+            } else {
+                compact(&shard, &service);
+            }
         }
         service.shutdown();
     }

@@ -2,7 +2,7 @@
 //! → physical plan.
 //!
 //! The crate turns statement text into a [`PhysicalPlan`] validated
-//! against a columnar [`Schema`](ciao_columnar::Schema):
+//! against a columnar [`Schema`]:
 //!
 //! ```
 //! use ciao_columnar::{DataType, Field, Schema};

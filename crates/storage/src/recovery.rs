@@ -10,7 +10,7 @@
 //! 3. replay every intact WAL record; torn, checksum-broken or
 //!    non-text (CRC-valid but not UTF-8) tails are dropped, reported,
 //!    and repaired on disk
-//!    ([`repair_dir`](crate::wal::repair_dir)) so the hole cannot
+//!    ([`repair_dir`]) so the hole cannot
 //!    swallow segments a later service life appends.
 //!
 //! The only *hard* error besides I/O is a shard-count mismatch: a

@@ -1,7 +1,7 @@
 //! The segmented write-ahead chunk log.
 //!
 //! Ingest durability is chunk-granular: the unit a producer acks is a
-//! whole [`RecordChunk`](ciao_json::RecordChunk), so that is the unit
+//! whole `ciao_json::RecordChunk`, so that is the unit
 //! the log records — raw NDJSON payload plus the routing the service
 //! chose (`seq`, `shard`). Nothing derived (filter bitvectors, parsed
 //! values) is logged; replay re-derives it with the same deterministic
