@@ -12,7 +12,9 @@
 //! Absolute times will not match the paper (our substrate is a
 //! simulator at laptop scale, not the authors' testbed); the printed
 //! shapes — who wins, where partial loading kicks in, which workloads
-//! benefit — are the reproduction targets. See EXPERIMENTS.md.
+//! benefit — are the reproduction targets. See "Reproducing the paper"
+//! in the README. An unknown target lists the valid ones and exits 2
+//! before anything runs.
 
 use ciao_bench::experiments::{
     ablation, durability, end_to_end, fanout, fig6, hotpath, micro, profile, service, sql, table4,
@@ -22,37 +24,53 @@ use ciao_bench::table::{f3, pct, TextTable};
 use ciao_bench::{perf_gate, trajectory, ExperimentScale};
 use ciao_datagen::Dataset;
 
+/// Every experiment, in the order `all` (or no argument) runs them.
+const EXPERIMENTS: [&str; 22] = [
+    "table1",
+    "table2",
+    "table3",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "table4",
+    "headline",
+    "ablation",
+    "service",
+    "sql",
+    "profile",
+    "durability",
+    "fanout",
+    "micro",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("check-perf") {
         check_perf(&args[1..]);
         return;
     }
+    let unknown: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| *a != "all" && *a != "validate-bench" && !EXPERIMENTS.contains(a))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "unknown experiment(s): {}\nvalid targets: all, {}, validate-bench, check-perf",
+            unknown.join(", "),
+            EXPERIMENTS.join(", ")
+        );
+        std::process::exit(2);
+    }
     let targets: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "table1",
-            "table2",
-            "table3",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "table4",
-            "headline",
-            "ablation",
-            "service",
-            "sql",
-            "profile",
-            "durability",
-            "fanout",
-            "micro",
-        ]
+        EXPERIMENTS.to_vec()
     } else {
         args.iter().map(String::as_str).collect()
     };
@@ -89,7 +107,7 @@ fn main() {
             "fanout" => print_fanout(),
             "micro" => print_hotpath(scale),
             "validate-bench" => validate_bench(),
-            other => eprintln!("unknown experiment `{other}` (see EXPERIMENTS.md)"),
+            other => unreachable!("`{other}` was checked against the targets"),
         }
     }
 }

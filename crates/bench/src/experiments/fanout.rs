@@ -13,7 +13,7 @@
 //! crossover `ciao_service`'s `INLINE_MAX_SURVIVING_ROWS` is set from.
 //!
 //! The arms are built from the service's own public pieces —
-//! [`Shard::pin`] / [`Shard::prepare_plan`] / [`Shard::scan_plan`] and
+//! [`Shard::pin`] / [`Shard::prepare`] / [`Shard::scan_plan`] and
 //! [`IngestQueue::push_scan`] with a worker blocked in
 //! [`IngestQueue::pop_wait`] — because the service's choice between
 //! them is deliberately not switchable from outside.
@@ -26,7 +26,7 @@
 
 use ciao::{LoadStats, PushdownPlan};
 use ciao_columnar::{Schema, Table};
-use ciao_engine::{finalize, PartialResult, QueryResult};
+use ciao_engine::{finalize, plan_query, PartialResult, QueryResult};
 use ciao_json::RecordChunk;
 use ciao_optimizer::CostModel;
 use ciao_service::{IngestQueue, ScanJob, Shard, Work};
@@ -138,12 +138,13 @@ fn merge(plan: &PhysicalPlan, partials: impl IntoIterator<Item = PartialResult>)
 }
 
 fn inline(shards: &[Arc<Shard>], plan: &Arc<PhysicalPlan>) -> (QueryResult, usize) {
+    let query = plan_query(plan);
     let mut surviving = 0;
     let partials: Vec<PartialResult> = shards
         .iter()
         .map(|shard| {
             let pin = shard.pin();
-            let prepared = shard.prepare_plan(&pin, plan);
+            let prepared = shard.prepare(&pin, &query);
             surviving += prepared.surviving_rows();
             shard.scan_plan(&pin, &prepared, plan)
         })
@@ -152,11 +153,12 @@ fn inline(shards: &[Arc<Shard>], plan: &Arc<PhysicalPlan>) -> (QueryResult, usiz
 }
 
 fn handoff(shards: &[Arc<Shard>], plan: &Arc<PhysicalPlan>, queue: &IngestQueue) -> QueryResult {
+    let query = plan_query(plan);
     let prepared: Vec<_> = shards
         .iter()
         .map(|shard| {
             let pin = shard.pin();
-            let prepared = shard.prepare_plan(&pin, plan);
+            let prepared = shard.prepare(&pin, &query);
             (pin, prepared)
         })
         .collect();

@@ -12,7 +12,7 @@ use crate::experiments::datasets::{ndjson, ExperimentScale};
 use ciao::{CiaoConfig, PushdownPlan};
 use ciao_columnar::Schema;
 use ciao_datagen::Dataset;
-use ciao_engine::Executor;
+use ciao_engine::{count_plan, Executor};
 use ciao_json::RecordChunk;
 use ciao_service::Shard;
 use ciao_workload::{build_pool, WorkloadConfig};
@@ -71,6 +71,7 @@ pub fn run(scale: ExperimentScale, budgets: &[f64]) -> Vec<Fig6Row> {
             let pin = shard.pin();
 
             let no_skip = Executor::default();
+            let count = count_plan();
             let mut benefiting = 0;
             for q in &queries {
                 // Interleave and repeat to be robust to timer noise at
@@ -80,13 +81,17 @@ pub fn run(scale: ExperimentScale, budgets: &[f64]) -> Vec<Fig6Row> {
                 let mut without = f64::INFINITY;
                 for _ in 0..reps {
                     let t0 = Instant::now();
-                    let a = shard.scan_count(&pin, &shard.prepare(&pin, q));
+                    let a = shard.scan_plan(&pin, &shard.prepare(&pin, q), &count);
                     with = with.min(t0.elapsed().as_secs_f64());
                     let t1 = Instant::now();
                     let unskipped = no_skip.prepare(q.clone(), pin.blocks(), pin.parked_count());
-                    let b = no_skip.scan_count(&unskipped, pin.blocks(), pin.parked_scan());
+                    let b = no_skip.scan_plan(&unskipped, pin.blocks(), pin.parked_scan(), &count);
                     without = without.min(t1.elapsed().as_secs_f64());
-                    assert_eq!(a.count, b.count, "skipping changed a result");
+                    assert_eq!(
+                        a.metrics.total_matched(),
+                        b.metrics.total_matched(),
+                        "skipping changed a result"
+                    );
                 }
                 if with < without {
                     benefiting += 1;

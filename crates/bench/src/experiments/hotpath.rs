@@ -20,7 +20,7 @@ use ciao_columnar::Block;
 use ciao_columnar::{Schema, Table, TableBuilder};
 use ciao_datagen::Dataset;
 use ciao_engine::{
-    eval_query_on_block, scan_count, Executor, ParkedFragment, ParkedIndex, ScanOptions,
+    count_plan, eval_query_on_block, scan_count, Executor, ParkedFragment, ParkedIndex, ScanOptions,
 };
 use ciao_json::RecordChunk;
 use ciao_predicate::{compile_clause, parse_clause, parse_query, ClausePattern};
@@ -444,7 +444,8 @@ fn count_parked(where_body: &str, records: &[&str], index: Option<&OnceLock<Park
         Some(index) => ParkedFragment::indexed(records, index),
         None => ParkedFragment::unindexed(records),
     };
-    exec.scan_count(&prepared, none(), [fragment]).count as u64
+    let partial = exec.scan_plan(&prepared, none(), [fragment], &count_plan());
+    partial.metrics.total_matched() as u64
 }
 
 /// A statement over parked records an earlier statement has scanned:

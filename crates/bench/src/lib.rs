@@ -1,5 +1,6 @@
 //! Experiment harness regenerating every table and figure of the CIAO
-//! paper (see `EXPERIMENTS.md` at the repository root for the index).
+//! paper (the `repro` binary runs them; see "Reproducing the paper" in
+//! the repository's README).
 //!
 //! Each experiment is a pure function from parameters to printable
 //! rows, so the same code backs the `repro` binary, the integration

@@ -1,10 +1,13 @@
 //! The executor: route a query across the columnar and parked sides.
 
 use crate::metrics::QueryMetrics;
-use crate::raw_scan::{scan_parked, ParkedFragment};
-use crate::scan::{count_survivors, PreparedScan, ScanOptions};
+use crate::plan_exec::{count_plan, finalize};
+use crate::raw_scan::ParkedFragment;
+use crate::result::QueryResult;
+use crate::scan::{PreparedScan, ScanOptions};
 use ciao_columnar::{Block, Table};
 use ciao_predicate::{Clause, Query};
+use ciao_sql::SqlValue;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -18,13 +21,17 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// Merges a per-shard outcome into this one: counts add, metrics
-    /// merge per [`QueryMetrics::merge`]. A multi-shard service folds
-    /// shard outcomes into [`QueryOutcome::default`] to answer as if
-    /// one server held all the data.
-    pub fn merge(&mut self, other: &QueryOutcome) {
-        self.count += other.count;
-        self.metrics.merge(&other.metrics);
+    /// Reads a finalized [`count_plan`] result: its one count, and its
+    /// metrics.
+    pub fn from_count(result: QueryResult) -> QueryOutcome {
+        let count = match result.rows.first().map(Vec::as_slice) {
+            Some([SqlValue::Int(n)]) => *n as usize,
+            other => panic!("not a COUNT(*) result: {other:?}"),
+        };
+        QueryOutcome {
+            count,
+            metrics: result.metrics,
+        }
     }
 }
 
@@ -122,9 +129,9 @@ impl Executor {
     ///   one of the `parked_rows` parked records gets the projected
     ///   scan.
     ///
-    /// Zone maps are always sound, so both paths enable them. The
-    /// matching `scan_*` call must be given the same blocks in the
-    /// same order.
+    /// Zone maps are always sound, so both sides enable them. The
+    /// matching [`Executor::scan_plan`] must be given the same blocks
+    /// in the same order.
     pub fn prepare<'a>(
         &self,
         query: Query,
@@ -151,37 +158,10 @@ impl Executor {
         }
     }
 
-    /// Counts the rows a [`Prepared`] execution left standing. The
-    /// parked records come one epoch's fragment at a time, each with
-    /// the cell its positional map lives in (if it has one).
-    pub fn scan_count<'a, 'p, S: AsRef<str> + 'p>(
-        &self,
-        prepared: &Prepared,
-        blocks: impl IntoIterator<Item = &'a Block>,
-        parked: impl IntoIterator<Item = ParkedFragment<'p, S>>,
-    ) -> QueryOutcome {
-        let start = Instant::now();
-        let mut metrics = prepared.metrics();
-        metrics.table_scan = count_survivors(blocks, &prepared.scan, &prepared.query);
-        metrics.table_scan_time += start.elapsed();
-        if prepared.scan_parked {
-            let raw_start = Instant::now();
-            let scan = scan_parked(parked, &prepared.query.clauses, &[], |_| {});
-            metrics.raw_scan = scan.metrics;
-            metrics.parked_index_builds = scan.index_builds;
-            metrics.raw_scan_time = raw_start.elapsed();
-        }
-        metrics.elapsed += start.elapsed();
-        QueryOutcome {
-            count: metrics.total_matched(),
-            metrics,
-        }
-    }
-
     /// Executes `SELECT COUNT(*) WHERE query` over the table plus the
     /// parked raw records: [`Executor::prepare`], then
-    /// [`Executor::scan_count`]. A one-off scan: the records get no
-    /// positional map.
+    /// [`Executor::scan_plan`] of the [`count_plan`]. A one-off scan:
+    /// the records get no positional map.
     pub fn execute_count<S: AsRef<str>>(
         &self,
         table: &Table,
@@ -189,11 +169,14 @@ impl Executor {
         query: &Query,
     ) -> QueryOutcome {
         let prepared = self.prepare(query.clone(), table.blocks(), parked.len());
-        self.scan_count(
+        let plan = count_plan();
+        let partial = self.scan_plan(
             &prepared,
             table.blocks(),
             [ParkedFragment::unindexed(parked)],
-        )
+            &plan,
+        );
+        QueryOutcome::from_count(finalize(&plan, partial))
     }
 }
 
@@ -405,12 +388,15 @@ mod tests {
         let whole = e.exec.execute_count(&e.table, &e.parked, &q);
 
         let (left, right) = e.parked.split_at(e.parked.len() / 2);
-        let mut merged = QueryOutcome::default();
-        merged.merge(&e.exec.execute_count(&e.table, left, &q));
-        merged.merge(
-            &e.exec
-                .execute_count(&ciao_columnar::Table::default(), right, &q),
-        );
+        let plan = count_plan();
+        let shard = |table: &Table, parked: &[String]| {
+            let prepared = e.exec.prepare(q.clone(), table.blocks(), parked.len());
+            let parked = [ParkedFragment::unindexed(parked)];
+            e.exec.scan_plan(&prepared, table.blocks(), parked, &plan)
+        };
+        let mut merged = shard(&e.table, left);
+        merged.merge(shard(&Table::default(), right));
+        let merged = QueryOutcome::from_count(finalize(&plan, merged));
         assert_eq!(merged.count, whole.count);
         assert_eq!(
             merged.metrics.raw_scan.records_parsed,

@@ -1,28 +1,30 @@
 //! Physical-plan execution: projections and aggregates over the
 //! columnar table plus the parked raw records.
 //!
-//! This is the engine half of the SQL stack. A [`PhysicalPlan`]'s
-//! WHERE conjunction is lowered into predicate
-//! [`Clause`](ciao_predicate::Clause)s (via
-//! `ciao_predicate::sql_bridge`) so the routing decision is exactly
-//! the one [`Executor::prepare`] makes for a count: pushed clauses
-//! drive fused bitvec skip-masks, the parked side is read unless the
-//! pushed clauses contain a workload query's whole pushed set, and zone
-//! maps prune blocks on both paths. The WHERE conjunction runs through
-//! the same block-scan driver as counts
-//! ([`crate::scan::BlockFilter`]); the difference is what
-//! happens to each row of a block's selection — instead of counting,
-//! it feeds a projection buffer or per-group aggregate states, through
-//! one operator feed whichever side the row came from. The parked side is
+//! This is the one execution path: a SQL `SELECT`, and a predicate
+//! [`Query`]'s count through [`count_plan`], both run as a
+//! [`PhysicalPlan`] through [`Executor::scan_plan`]. A plan's WHERE
+//! conjunction is lowered once into predicate
+//! [`Clause`](ciao_predicate::Clause)s ([`plan_query`]) and routed by
+//! [`Executor::prepare`]: pushed clauses drive fused bitvec
+//! skip-masks, the parked side is read unless the pushed clauses
+//! contain a workload query's whole pushed set, and zone maps prune
+//! blocks. The block-scan driver ([`crate::scan::BlockFilter`]) runs the
+//! conjunction, and each row of a block's selection feeds a projection
+//! buffer or per-group aggregate states, through one operator feed
+//! whichever side the row came from — except under an ungrouped
+//! aggregate of `COUNT(*)` calls only, which adds each side's match
+//! count: a block's is its selection vector's length (MonetDB/X100,
+//! Boncz et al., CIDR 2005). The parked side is
 //! [`crate::raw_scan`]'s scan: each record is validated once per epoch
 //! (by the first scan, which builds the epoch's positional map) and only
 //! the fields the WHERE clauses and the operator read are built, with
 //! the errors and the values a full parse would give.
 //!
 //! Execution is deliberately split so a sharded service can fan out:
-//! per shard, [`Executor::prepare_plan`] decides what survives zone
-//! maps and skip-masks — so the cost of the scan is known before it
-//! starts, and the scan can be run on whichever thread suits it — and
+//! per shard, [`Executor::prepare`] decides what survives zone maps and
+//! skip-masks — so the cost of the scan is known before it starts, and
+//! the scan can be run on whichever thread suits it — and
 //! [`Executor::scan_plan`] produces a mergeable [`PartialResult`]
 //! ([`Executor::execute_plan`] is the two in one call); [`finalize`]
 //! turns the merged partial into the ordered, limited
@@ -41,8 +43,8 @@ use crate::scan::BlockFilter;
 use ciao_columnar::{Block, Table};
 use ciao_predicate::{clauses_from_sql, Query};
 use ciao_sql::{
-    AggArgRef, AggCall, AggFunc, ColumnRef, OutputSource, PhysicalOp, PhysicalPlan, SqlType,
-    SqlValue,
+    AggArgRef, AggCall, AggFunc, ColumnRef, OutputColumn, OutputSource, PhysicalOp, PhysicalPlan,
+    SqlType, SqlValue,
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -350,20 +352,50 @@ fn feed_operator(
     }
 }
 
-impl Executor {
-    /// [`Executor::prepare`] for a SQL physical plan: its WHERE
-    /// conjunction is lowered to predicate clauses first, so routing
-    /// is exactly the one counts get.
-    pub fn prepare_plan<'a>(
-        &self,
-        plan: &PhysicalPlan,
-        blocks: impl IntoIterator<Item = &'a Block>,
-        parked_rows: usize,
-    ) -> Prepared {
-        let query = Query::new("sql", clauses_from_sql(&plan.filter));
-        self.prepare(query, blocks, parked_rows)
-    }
+/// The calls of an ungrouped aggregate of `COUNT(*)` calls only: such
+/// a plan reads no column, so each side adds its match count instead of
+/// feeding rows.
+fn count_stars(op: &PhysicalOp) -> Option<&[AggCall]> {
+    let PhysicalOp::HashAggregate { group, aggs } = op else {
+        return None;
+    };
+    let star = |a: &AggCall| a.func == AggFunc::Count && a.arg == AggArgRef::Star;
+    (group.is_empty() && aggs.iter().all(star)).then_some(aggs)
+}
 
+/// `SELECT COUNT(*) FROM t`, the plan a predicate [`Query`] count runs
+/// over the query's own clauses ([`Executor::execute_count`]). Built,
+/// not compiled, so no schema rejects a clause: a key the schema lacks
+/// or a value of another type is false on every row.
+pub fn count_plan() -> PhysicalPlan {
+    PhysicalPlan {
+        filter: Vec::new(),
+        op: PhysicalOp::HashAggregate {
+            group: Vec::new(),
+            aggs: vec![AggCall {
+                func: AggFunc::Count,
+                arg: AggArgRef::Star,
+                output: SqlType::Int,
+            }],
+        },
+        output: vec![OutputColumn {
+            name: "count(*)".to_owned(),
+            ty: SqlType::Int,
+            source: OutputSource::Agg(0),
+        }],
+        order_by: Vec::new(),
+        limit: None,
+        needed_columns: Vec::new(),
+    }
+}
+
+/// A plan's WHERE conjunction as the [`Query`] [`Executor::prepare`]
+/// routes, lowered once per statement.
+pub fn plan_query(plan: &PhysicalPlan) -> Query {
+    Query::new("sql", clauses_from_sql(&plan.filter))
+}
+
+impl Executor {
     /// Runs `plan`'s operator over the rows a [`Prepared`] execution
     /// left standing, producing a mergeable partial.
     ///
@@ -405,16 +437,18 @@ impl Executor {
             ..QueryProfile::default()
         };
         let inputs = operator_inputs(&plan.op);
+        let counts = count_stars(&plan.op);
 
         // Columnar side: each block's selection feeds the operator, its
-        // input columns resolved once per block.
+        // input columns resolved once per block. A count adds each
+        // selection's length (`rows_matched`) and feeds nothing.
         let mut filter = BlockFilter::new(&query.clauses);
         let mut cols: Vec<Option<usize>> = Vec::with_capacity(inputs.len());
         for (block, survivors) in blocks.into_iter().zip(prepared.scan.survivors()) {
             let tally = filter.run(block, survivors);
             out.metrics.table_scan.add_block(&tally);
             out.profile.add_block(&tally);
-            if tally.selected.is_empty() {
+            if tally.selected.is_empty() || counts.is_some() {
                 continue;
             }
             cols.clear();
@@ -434,10 +468,12 @@ impl Executor {
         if prepared.scan_parked {
             let raw_start = Instant::now();
             let scan = scan_parked(parked, &query.clauses, &plan.needed_columns, |record| {
-                feed_operator(&mut out.data, &plan.op, |slot| {
-                    let column = inputs[slot];
-                    SqlValue::from_json(record.get(&column.name), column.ty)
-                });
+                if counts.is_none() {
+                    feed_operator(&mut out.data, &plan.op, |slot| {
+                        let column = inputs[slot];
+                        SqlValue::from_json(record.get(&column.name), column.ty)
+                    });
+                }
             });
             out.metrics.raw_scan = scan.metrics;
             out.metrics.parked_index_builds = scan.index_builds;
@@ -453,20 +489,31 @@ impl Executor {
             out.metrics.raw_scan_time = raw_start.elapsed();
         }
 
+        // Exactly the partial the row feed leaves: one group once a row
+        // has matched.
+        let matched = out.metrics.total_matched() as i64;
+        if let (Some(aggs), 1..) = (counts, matched) {
+            let states = aggs
+                .iter()
+                .map(|_| AggState::Count { n: matched })
+                .collect();
+            out.data = PartialData::Groups(BTreeMap::from([(Vec::new(), states)]));
+        }
         out.metrics.elapsed += start.elapsed();
         out
     }
 
     /// Executes a SQL physical plan over this shard's (table, parked)
-    /// pair: [`Executor::prepare_plan`], then [`Executor::scan_plan`].
-    /// A one-off scan: the records get no positional map.
+    /// pair: [`Executor::prepare`] of its [`plan_query`], then
+    /// [`Executor::scan_plan`]. A one-off scan: the records get no
+    /// positional map.
     pub fn execute_plan<S: AsRef<str>>(
         &self,
         table: &Table,
         parked: &[S],
         plan: &PhysicalPlan,
     ) -> PartialResult {
-        let prepared = self.prepare_plan(plan, table.blocks(), parked.len());
+        let prepared = self.prepare(plan_query(plan), table.blocks(), parked.len());
         self.scan_plan(
             &prepared,
             table.blocks(),
@@ -628,10 +675,27 @@ mod tests {
     #[test]
     fn count_star_matches_execute_count() {
         let e = env();
-        let r = run(&e, "SELECT COUNT(*) FROM t WHERE stars = 5");
-        assert_eq!(r.rows, vec![vec![SqlValue::Int(12)]]);
-        assert!(r.metrics.used_skipping);
-        assert!(!r.metrics.scanned_parked);
+        // The count plan is the compiled statement, minus its schema.
+        assert_eq!(
+            count_plan(),
+            ciao_sql::compile("SELECT COUNT(*) FROM t", &e.schema).unwrap()
+        );
+        for (body, count, covered) in [
+            ("stars = 5", 12, true),
+            ("stars < 3", 24, false),
+            (r#"stars = 5 AND city = "c1""#, 4, true),
+            ("stars > 99", 0, false),
+        ] {
+            let sql = run(&e, &format!("SELECT COUNT(*) FROM t WHERE {body}"));
+            assert_eq!(sql.rows, vec![vec![SqlValue::Int(count)]], "{body}");
+            let query = ciao_predicate::parse_query("q", body).unwrap();
+            let out = e.exec.execute_count(&e.table, &e.parked, &query);
+            assert_eq!(out.count, count as usize, "{body}");
+            assert_eq!(out.metrics.table_scan, sql.metrics.table_scan, "{body}");
+            assert_eq!(out.metrics.raw_scan, sql.metrics.raw_scan, "{body}");
+            assert_eq!(out.metrics.used_skipping, covered, "{body}");
+            assert_eq!(out.metrics.scanned_parked, !covered, "{body}");
+        }
     }
 
     #[test]
@@ -802,7 +866,9 @@ mod tests {
             ("SELECT name FROM t", true),
         ] {
             let plan = ciao_sql::compile(sql, &e.schema).unwrap();
-            let prepared = e.exec.prepare_plan(&plan, e.table.blocks(), e.parked.len());
+            let prepared = e
+                .exec
+                .prepare(plan_query(&plan), e.table.blocks(), e.parked.len());
             let whole = e.exec.execute_plan(&e.table, &e.parked, &plan);
             // Exactly the rows the scan then evaluates, on either side.
             assert_eq!(

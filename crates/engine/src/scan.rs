@@ -13,10 +13,10 @@
 //! the block's matching rows in ascending order, and a [`BlockTally`]
 //! that metrics and profiles add once per block.
 //!
-//! The driver has two consumers: [`scan_count`] takes the length of
-//! each selection, and `Executor::scan_plan` feeds each selected row to
-//! the SQL operator. [`crate::row_eval`] is the row-at-a-time reference the
-//! driver is tested against.
+//! `Executor::scan_plan` feeds each selected row to the SQL operator,
+//! or adds the selection's length for a `COUNT(*)`; [`scan_count`] counts
+//! one table under explicit [`ScanOptions`]. [`crate::row_eval`] is the
+//! row-at-a-time reference the driver is tested against.
 
 use crate::metrics::ScanMetrics;
 use ciao_columnar::{BitVec, Block, ColumnValues, Table};
@@ -222,7 +222,7 @@ impl<'q> BlockFilter<'q> {
             }
             Survivors::Mask(mask) => {
                 split.rest.reserve(rows);
-                split.rest.extend(mask.iter_ones().map(|row| row as u32));
+                mask_rows(mask, &mut split.rest);
             }
         }
         let scanned = split.rest.len();
@@ -303,6 +303,20 @@ fn filter_simple(p: &SimplePredicate, block: &Block, rows: &mut Split) {
     }
 }
 
+/// Appends the positions of `mask`'s set bits to `rows`, ascending: a
+/// kernel of its own, so the seed loop compiles alike in every caller.
+#[inline(never)]
+fn mask_rows(mask: &BitVec, rows: &mut Vec<u32>) {
+    for (w, &word) in mask.as_words().iter().enumerate() {
+        let base = (w * 64) as u32;
+        let mut word = word;
+        while word != 0 {
+            rows.push(base + word.trailing_zeros());
+            word &= word - 1;
+        }
+    }
+}
+
 #[inline(never)]
 fn str_eq(values: &[String], valid: &BitVec, value: &str, rows: &mut Split) {
     rows.partition(|row| valid.bit(row) && values[row] == value);
@@ -349,27 +363,17 @@ fn float_eq_int(values: &[i64], valid: &BitVec, value: f64, rows: &mut Split) {
     rows.partition(|row| valid.bit(row) && values[row] as f64 == value);
 }
 
-/// Counts the prepared survivors of `blocks` that satisfy `query`:
-/// the length of each block's selection.
-pub(crate) fn count_survivors<'a>(
-    blocks: impl IntoIterator<Item = &'a Block>,
-    prepared: &PreparedScan,
-    query: &Query,
-) -> ScanMetrics {
+/// Counts rows of `table` satisfying `query`, applying data skipping
+/// when requested (paper §VI-B): [`PreparedScan::new`], then the length
+/// of each block's selection.
+pub fn scan_count(table: &Table, query: &Query, options: &ScanOptions) -> ScanMetrics {
+    let prepared = PreparedScan::new(table.blocks(), query, options);
     let mut metrics = prepared.metrics();
     let mut filter = BlockFilter::new(&query.clauses);
-    for (block, survivors) in blocks.into_iter().zip(prepared.survivors()) {
+    for (block, survivors) in table.blocks().iter().zip(prepared.survivors()) {
         metrics.add_block(&filter.run(block, survivors));
     }
     metrics
-}
-
-/// Counts rows of `table` satisfying `query`, applying data skipping
-/// when requested (paper §VI-B): [`PreparedScan::new`], then a count
-/// over its survivors.
-pub fn scan_count(table: &Table, query: &Query, options: &ScanOptions) -> ScanMetrics {
-    let prepared = PreparedScan::new(table.blocks(), query, options);
-    count_survivors(table.blocks(), &prepared, query)
 }
 
 #[cfg(test)]
@@ -459,9 +463,8 @@ mod tests {
         assert_eq!(prepared.surviving_rows, 20);
         assert_eq!(prepared.rows_skipped_mask, 80);
         assert_eq!(prepared.survivors().len(), t.blocks().len());
-        let m = count_survivors(t.blocks(), &prepared, &q);
+        let m = scan_count(&t, &q, &ScanOptions::skipping(vec![1]));
         assert_eq!(m.rows_scanned, prepared.surviving_rows);
-        assert_eq!(m, scan_count(&t, &q, &ScanOptions::skipping(vec![1])));
 
         // An impossible range: zone maps leave nothing, no mask is
         // even fused.
@@ -499,7 +502,7 @@ mod tests {
         ));
         assert_eq!(prepared.blocks_pruned_mask, 2);
         assert_eq!(prepared.blocks_pruned_zone, 0);
-        let m = count_survivors(t.blocks(), &prepared, &q);
+        let m = scan_count(&t, &q, &ScanOptions::skipping(vec![3]));
         assert_eq!((m.blocks_visited, m.blocks_pruned), (3, 0));
         assert_eq!(
             (m.rows_scanned, m.rows_skipped, m.rows_matched),

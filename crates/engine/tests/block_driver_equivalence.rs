@@ -1,7 +1,9 @@
 //! Differential property test: the column-at-a-time block-scan driver
 //! ([`BlockFilter`]) against the row-at-a-time reference evaluator
-//! ([`eval_clause_on_block`]), and the driver's two consumers —
-//! `scan_count` and `Executor::execute_plan` — against each other.
+//! ([`eval_clause_on_block`]); the driver's two consumers —
+//! `scan_count` and `Executor::execute_plan` — against each other; and
+//! the plan scan's `COUNT(*)` fold against its per-row operator feed,
+//! on blocks and on parked rows.
 //!
 //! Blocks hold int, float, str, bool and JSON columns with NULLs and
 //! coercion failures; statements draw every `SimplePredicate` over
@@ -13,8 +15,8 @@
 
 use ciao_columnar::{BitVec, Block, DataType, Field, Schema, Table, TableBuilder};
 use ciao_engine::{
-    eval_clause_on_block, finalize, scan_count, BlockFilter, ClauseTally, Executor, ScanOptions,
-    Survivors,
+    eval_clause_on_block, finalize, scan_count, BlockFilter, ClauseTally, Executor, PartialData,
+    PartialResult, QueryProfile, ScanOptions, Survivors,
 };
 use ciao_json::{parse, JsonValue};
 use ciao_predicate::{Clause, Query, SimplePredicate};
@@ -172,11 +174,11 @@ fn sql_predicate(p: &SimplePredicate) -> SqlPredicate {
     }
 }
 
-/// `SELECT COUNT(*) FROM t WHERE <clauses>`, with the WHERE clauses
-/// set directly so no type check stands between the drawn predicates
-/// and the executor.
-fn count_plan(clauses: &[Clause]) -> ciao_sql::PhysicalPlan {
-    let mut plan = ciao_sql::compile("SELECT COUNT(*) FROM t", &schema()).unwrap();
+/// `select` (a statement without WHERE) filtered by `clauses`, with
+/// the WHERE clauses set directly so no type check stands between the
+/// drawn predicates and the executor.
+fn plan_with(select: &str, clauses: &[Clause]) -> ciao_sql::PhysicalPlan {
+    let mut plan = ciao_sql::compile(select, &schema()).unwrap();
     plan.filter = clauses
         .iter()
         .map(|c| WhereClause {
@@ -185,6 +187,35 @@ fn count_plan(clauses: &[Clause]) -> ciao_sql::PhysicalPlan {
         })
         .collect();
     plan
+}
+
+/// A partial's group states with only each group's first `calls`
+/// aggregates kept.
+fn first_calls(data: &PartialData, calls: usize) -> String {
+    let PartialData::Groups(groups) = data else {
+        panic!("an aggregate plan holds groups")
+    };
+    let kept = groups
+        .iter()
+        .map(|(key, states)| (key.clone(), states[..calls].to_vec()))
+        .collect();
+    format!("{:?}", PartialData::Groups(kept))
+}
+
+/// Everything but the operator's data and the timings. The parked
+/// fields built for each plan's operator are its own (a `COUNT(*)`
+/// builds only those its WHERE clauses read).
+fn assert_same_scan(got: &PartialResult, expected: &PartialResult) -> Result<(), TestCaseError> {
+    let unprojected = |p: &PartialResult| QueryProfile {
+        parked_fields_projected: 0,
+        ..p.profile.clone()
+    };
+    prop_assert_eq!(unprojected(got), unprojected(expected));
+    prop_assert_eq!(got.metrics.table_scan, expected.metrics.table_scan);
+    prop_assert_eq!(got.metrics.raw_scan, expected.metrics.raw_scan);
+    prop_assert_eq!(got.metrics.used_skipping, expected.metrics.used_skipping);
+    prop_assert_eq!(got.metrics.scanned_parked, expected.metrics.scanned_parked);
+    Ok(())
 }
 
 proptest! {
@@ -221,7 +252,7 @@ proptest! {
     ) {
         let table = table(&records, block_rows, &bits);
         let query = Query::new("q", clauses.clone());
-        let plan = count_plan(&clauses);
+        let plan = plan_with("SELECT COUNT(*) FROM t", &clauses);
         let parked: Vec<String> = Vec::new();
 
         // How many rows the oracle keeps, and how many of those have
@@ -261,6 +292,84 @@ proptest! {
             prop_assert_eq!(partial.profile.rows_scanned, count.rows_scanned as u64);
             let result = finalize(&plan, partial);
             prop_assert_eq!(&result.rows, &vec![vec![SqlValue::Int(want as i64)]]);
+        }
+    }
+
+    #[test]
+    fn the_count_fold_equals_the_row_feed(
+        records in prop::collection::vec(arb_record(), 1..=600),
+        parked in prop::collection::vec(arb_record(), 0..=120),
+        block_rows in 1usize..=600,
+        clauses in arb_clauses(2),
+        bits in prop::collection::vec(any::<bool>(), 1..=97),
+    ) {
+        let table = table(&records, block_rows, &bits);
+        let parked: Vec<String> = parked.iter().map(ciao_json::to_string).collect();
+        let query = Query::new("q", clauses.clone());
+        let parked_truth = parked
+            .iter()
+            .filter(|r| ciao_predicate::eval_query(&query, &parse(r).unwrap()))
+            .count();
+
+        // Nothing pushed: every block row and every parked row is read.
+        // Clause 0 pushed: skip-masks, and no parked side.
+        let mut executors = vec![Executor::default()];
+        if let Some(first) = clauses.first() {
+            executors.push(Executor::new([(first.clone(), 0)]));
+        }
+        for executor in executors {
+            let run = |select: &str| {
+                let plan = plan_with(select, &clauses);
+                (executor.execute_plan(&table, &parked, &plan), plan)
+            };
+            // Folded plans, each against the same plan plus one column
+            // aggregate, which feeds every row to the operator.
+            let mut matched = None;
+            for (calls, folded, fed) in [
+                (1, "SELECT COUNT(*) FROM t", "SELECT COUNT(*), COUNT(i) FROM t"),
+                (
+                    2,
+                    "SELECT COUNT(*), COUNT(*) FROM t",
+                    "SELECT COUNT(*), COUNT(*), COUNT(s) FROM t",
+                ),
+            ] {
+                let (folded, plan) = run(folded);
+                let (fed, _) = run(fed);
+                prop_assert_eq!(format!("{:?}", folded.data), first_calls(&fed.data, calls));
+                assert_same_scan(&folded, &fed)?;
+                let count = folded.metrics.total_matched();
+                let rows = finalize(&plan, folded).rows;
+                prop_assert_eq!(rows, vec![vec![SqlValue::Int(count as i64); calls]]);
+                matched = Some((count, fed));
+            }
+            let (count, fed) = matched.unwrap();
+            if executor.pushed_count() == 0 {
+                let table_truth: usize = table
+                    .blocks()
+                    .iter()
+                    .map(|b| row_loop(&clauses, b, &Survivors::All).1.len())
+                    .sum();
+                prop_assert_eq!(count, table_truth + parked_truth);
+            }
+
+            // Plans the fold must leave to the row feed: a column
+            // aggregate beside `COUNT(*)`, and a grouped `COUNT(*)`.
+            let (mixed, plan) = run("SELECT COUNT(*), COUNT(f) FROM t");
+            assert_same_scan(&mixed, &fed)?;
+            let rows = finalize(&plan, mixed).rows;
+            prop_assert_eq!(&rows[0][0], &SqlValue::Int(count as i64));
+            let (grouped, plan) = run("SELECT b, COUNT(*) FROM t GROUP BY b");
+            assert_same_scan(&grouped, &fed)?;
+            let rows = finalize(&plan, grouped).rows;
+            let counts: i64 = rows
+                .iter()
+                .map(|row| match row[1] {
+                    SqlValue::Int(n) => n,
+                    ref other => panic!("a count is an int: {other:?}"),
+                })
+                .sum();
+            prop_assert_eq!(counts, count as i64);
+            prop_assert_eq!(rows.is_empty(), count == 0);
         }
     }
 }

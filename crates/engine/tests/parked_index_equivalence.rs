@@ -13,9 +13,8 @@
 //! that its map would outgrow its text.
 
 use ciao_columnar::{Schema, Table};
-use ciao_engine::{Executor, ParkedFragment, ParkedIndex, PartialResult, QueryOutcome};
+use ciao_engine::{count_plan, plan_query, Executor, ParkedFragment, ParkedIndex, PartialResult};
 use ciao_json::{parse, JsonValue};
-use ciao_predicate::{clauses_from_sql, Query};
 use ciao_sql::PhysicalPlan;
 use std::sync::OnceLock;
 
@@ -156,14 +155,10 @@ fn assert_same_partial(got: &PartialResult, expected: &PartialResult, what: &str
     assert_eq!(got.profile, expected.profile, "{what}");
 }
 
-fn assert_same_count(got: &QueryOutcome, expected: &QueryOutcome, what: &str) {
-    assert_eq!(got.count, expected.count, "{what}");
-    assert_eq!(got.metrics.raw_scan, expected.metrics.raw_scan, "{what}");
-}
-
 /// Runs every statement over each epoch's fragment twice through one
 /// map cell per epoch — fresh for the first statement, so its first run
-/// builds every map — and holds each run to the unmapped scan.
+/// builds every map — and holds each run to the unmapped scan; and the
+/// `COUNT(*)` of each statement's WHERE conjunction likewise.
 fn assert_mapped_scans_match(epochs: &[Vec<String>]) -> Vec<OnceLock<ParkedIndex>> {
     let schema = schema();
     let exec = Executor::default();
@@ -180,14 +175,16 @@ fn assert_mapped_scans_match(epochs: &[Vec<String>]) -> Vec<OnceLock<ParkedIndex
     for (n, sql) in STATEMENTS.iter().enumerate() {
         let plan: PhysicalPlan =
             ciao_sql::compile(sql, &schema).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
-        let prepared = exec.prepare_plan(&plan, table.blocks(), parked_rows);
+        let prepared = exec.prepare(plan_query(&plan), table.blocks(), parked_rows);
         let expected = exec.scan_plan(&prepared, table.blocks(), unmapped(), &plan);
         assert_eq!(expected.metrics.parked_index_builds, 0);
 
-        let query = Query::new("sql", clauses_from_sql(&plan.filter));
-        let counted = exec.prepare(query, table.blocks(), parked_rows);
-        let expected_count = exec.scan_count(&counted, table.blocks(), unmapped());
-        assert_eq!(expected_count.count, expected.metrics.raw_scan.rows_matched);
+        let count = count_plan();
+        let expected_count = exec.scan_plan(&prepared, table.blocks(), unmapped(), &count);
+        assert_eq!(
+            expected_count.metrics.raw_scan, expected.metrics.raw_scan,
+            "{sql}"
+        );
 
         for round in ["cold", "warm"] {
             let what = format!("{sql} ({round})");
@@ -199,9 +196,9 @@ fn assert_mapped_scans_match(epochs: &[Vec<String>]) -> Vec<OnceLock<ParkedIndex
             };
             assert_eq!(got.metrics.parked_index_builds, builds, "{what}");
             assert_same_partial(&got, &expected, &what);
-            let count = exec.scan_count(&counted, table.blocks(), mapped());
-            assert_eq!(count.metrics.parked_index_builds, 0, "{what}");
-            assert_same_count(&count, &expected_count, &what);
+            let got = exec.scan_plan(&prepared, table.blocks(), mapped(), &count);
+            assert_eq!(got.metrics.parked_index_builds, 0, "{what}");
+            assert_same_partial(&got, &expected_count, &what);
         }
     }
     cells

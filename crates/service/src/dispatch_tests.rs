@@ -138,6 +138,63 @@ impl Fleet {
         }
         Ok(())
     }
+
+    /// Counts `query` through every forced dispatch of [`Fleet::check`]
+    /// and holds each to typed evaluation over the golden records.
+    fn check_count(&self, query: &Query) -> Result<(), String> {
+        let truth = dataset()
+            .iter()
+            .filter(|r| ciao_predicate::eval_query(query, &ciao_json::parse(r).unwrap()))
+            .count();
+        let inline = observe_count(&self.sharded, query, Dispatch::Inline);
+        if inline.0 != truth {
+            return Err(format!("`{query}`: counted {}, truth {truth}", inline.0));
+        }
+        for (what, other) in [
+            (
+                "hand-off to a worker",
+                observe_count(&self.sharded, query, Dispatch::Handoff),
+            ),
+            (
+                "hand-off without workers",
+                observe_count(&self.workerless, query, Dispatch::Handoff),
+            ),
+            (
+                "one shard",
+                observe_count(&self.single, query, Dispatch::Inline),
+            ),
+        ] {
+            if other != inline {
+                return Err(format!(
+                    "`{query}`: {what} diverged from inline\n{other:#?}\nvs\n{inline:#?}"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A count's answer and its scan counters.
+fn observe_count(
+    service: &Service,
+    query: &Query,
+    forced: Dispatch,
+) -> (
+    usize,
+    ciao_engine::ScanMetrics,
+    ciao_engine::ScanMetrics,
+    bool,
+    bool,
+) {
+    let out = service.query_via(query, Some(forced));
+    let m = out.metrics;
+    (
+        out.count,
+        m.table_scan,
+        m.raw_scan,
+        m.used_skipping,
+        m.scanned_parked,
+    )
 }
 
 #[test]
@@ -201,6 +258,49 @@ proptest! {
         if let Err(diverged) = fleet.check(&sql) {
             return Err(TestCaseError::fail(diverged));
         }
+    }
+
+    #[test]
+    fn counts_are_dispatch_invariant_and_match_the_oracle(
+        picks in proptest::collection::vec(0usize..CLAUSES.len(), 1..4),
+    ) {
+        static FLEET: std::sync::OnceLock<Fleet> = std::sync::OnceLock::new();
+        let fleet = FLEET.get_or_init(Fleet::start);
+        let conjunction: Vec<&str> = picks.iter().map(|&i| CLAUSES[i]).collect();
+        let body = conjunction.join(" AND ");
+        // `score < 4.0` is a parse error: its statements answer one.
+        let Ok(where_clauses) = ciao_sql::parse_where_body(&body) else {
+            return Ok(());
+        };
+        let query = Query::new("q", ciao_predicate::clauses_from_sql(&where_clauses));
+        if let Err(diverged) = fleet.check_count(&query) {
+            return Err(TestCaseError::fail(diverged));
+        }
+        // The count is the SQL statement's answer, counters and all.
+        let sql = format!("SELECT COUNT(*) FROM t WHERE {body}");
+        let out = fleet.sharded.query_via(&query, Some(Dispatch::Inline));
+        let result = fleet.sharded.query_sql_via(&sql, Some(Dispatch::Inline)).unwrap();
+        prop_assert_eq!(&result.rows, &vec![vec![SqlValue::Int(out.count as i64)]]);
+        prop_assert_eq!(result.metrics.table_scan, out.metrics.table_scan);
+        prop_assert_eq!(result.metrics.raw_scan, out.metrics.raw_scan);
+    }
+}
+
+#[test]
+fn counts_the_analyzer_would_reject_are_dispatch_invariant() {
+    let fleet = Fleet::start();
+    for body in [
+        // A key the schema lacks, and a string against an int column:
+        // false on every row, also inside a clause that matches rows.
+        "no_such_key = 3",
+        r#"stars = "5""#,
+        r#"(stars = "5" OR stars = 4)"#,
+        r#"active = true AND (no_such_key = 3 OR city = "Boston")"#,
+    ] {
+        let query = parse_query("q", body).unwrap();
+        fleet.check_count(&query).unwrap();
+        let sql = format!("SELECT COUNT(*) FROM t WHERE {body}");
+        assert!(fleet.sharded.query_sql(&sql).is_err(), "`{sql}` ran");
     }
 }
 

@@ -19,19 +19,20 @@
 //!   worker threads drain jobs into shards. Chunk → shard routing is
 //!   decided at enqueue time ([`Routing`]), so results never depend on
 //!   worker scheduling.
-//! * **Fan-out queries** — [`Service::query`] pins and prepares every
-//!   shard, which settles how many rows survive zone maps and
-//!   skip-masks before one is read; a small statement is then scanned
-//!   on the caller's thread, a large one is shared with the ingest
-//!   workers (no thread is spawned per statement). The per-shard
-//!   [`QueryOutcome`](ciao_engine::QueryOutcome)s merge (counts add,
-//!   scan counters add, `elapsed` is the measured wall time),
-//!   answering exactly as one shard holding all the data would.
-//!   [`Service::query_sql`] runs full SQL `SELECT` statements
-//!   (projections, aggregates, `GROUP BY`, `ORDER BY`, `LIMIT`) the
-//!   same way: each shard executes the `ciao_sql` physical plan and
-//!   the mergeable partials combine into one typed
-//!   [`QueryResult`](ciao_engine::QueryResult).
+//! * **Fan-out queries** — [`Service::query_sql`] runs SQL `SELECT`
+//!   statements (projections, aggregates, `GROUP BY`, `ORDER BY`,
+//!   `LIMIT`), and [`Service::query`] a predicate query's `COUNT(*)`,
+//!   through one execution: pin and prepare every shard, which settles
+//!   how many rows survive zone maps and skip-masks before one is
+//!   read; scan a small statement on the caller's thread and share a
+//!   large one with the ingest workers (no thread is spawned per
+//!   statement); merge each shard's partial result of the `ciao_sql`
+//!   physical plan into one typed
+//!   [`QueryResult`](ciao_engine::QueryResult) (counters add,
+//!   `elapsed` is the measured wall time), answering exactly as one
+//!   shard holding all the data would. A count runs
+//!   [`count_plan`](ciao_engine::count_plan) and returns its
+//!   [`QueryOutcome`](ciao_engine::QueryOutcome).
 //! * **Background compaction** — the one promotion path: tick-driven
 //!   promotion of parked raw rows into columnar blocks
 //!   ([`Service::compact`], through `ciao::jit::promote_parked`), with

@@ -11,12 +11,14 @@ use ciao::PushdownPlan;
 use ciao_client::{ChunkFilterResult, Prefilter};
 use ciao_columnar::Block;
 use ciao_columnar::Schema;
-use ciao_engine::{ColumnDesc, PartialResult, Prepared, QueryOutcome, QueryResult};
+use ciao_engine::{
+    count_plan, plan_query, ColumnDesc, PartialResult, Prepared, QueryOutcome, QueryResult,
+};
 use ciao_json::RecordChunk;
 use ciao_predicate::Query;
-use ciao_sql::{SqlError, SqlType, SqlValue, Statement};
+use ciao_sql::{PhysicalPlan, SqlError, SqlType, SqlValue, Statement};
 use ciao_storage::{CheckpointStats, RecoveryReport, SnapshotView, StorageError, Store};
-use ciao_telemetry::{SpanTree, TelemetrySnapshot};
+use ciao_telemetry::{SpanId, SpanTree, TelemetrySnapshot};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, RwLock};
@@ -220,37 +222,28 @@ impl Dispatch {
     }
 }
 
-/// One shard's scan as [`Service::fan_out`] ran it.
+/// One shard's scan as [`Service::execute`] ran it.
 #[derive(Debug)]
-struct ShardRun<R> {
-    result: R,
+struct ShardRun {
+    partial: PartialResult,
     /// `0` for the statement's thread, `w + 1` for worker `w`.
     lane: u64,
-    /// Offset of the scan's start from the fan-out's origin.
+    /// Offset of the scan's start from the statement's origin.
     start_ns: u64,
     dur_ns: u64,
 }
 
-impl<R> ShardRun<R> {
-    fn time(origin: Instant, lane: u64, scan: impl FnOnce() -> R) -> ShardRun<R> {
+impl ShardRun {
+    fn time(origin: Instant, lane: u64, scan: impl FnOnce() -> PartialResult) -> ShardRun {
         let started = Instant::now();
-        let result = scan();
+        let partial = scan();
         ShardRun {
-            result,
+            partial,
             lane,
             start_ns: started.duration_since(origin).as_nanos() as u64,
             dur_ns: started.elapsed().as_nanos() as u64,
         }
     }
-}
-
-/// What [`Service::fan_out`] did: per-shard runs in shard order, and
-/// the decision with the number it was made on.
-#[derive(Debug)]
-struct FanOut<R> {
-    runs: Vec<ShardRun<R>>,
-    dispatch: Dispatch,
-    surviving_rows: usize,
 }
 
 /// Durability counters for a storage-backed service, reported by
@@ -276,9 +269,9 @@ pub struct DurabilityStatus {
 /// state sharing one [`PushdownPlan`]) behind a bounded ingest queue.
 /// Producers [`Service::enqueue`] prefiltered chunks and observe
 /// [`EnqueueResult::QueueFull`] backpressure; worker threads drain the
-/// queue into shards; [`Service::query`] fans out across shards and
-/// merges per-shard [`QueryOutcome`]s into one answer — identical to
-/// one [`Shard`] holding all the records. Tick
+/// queue into shards; [`Service::query`] and [`Service::query_sql`]
+/// fan out across shards and merge the per-shard partials into one
+/// answer — identical to one [`Shard`] holding all the records. Tick
 /// [`Service::compact`] from any maintenance cadence to promote parked
 /// raw rows into columnar blocks in the background.
 #[derive(Debug)]
@@ -553,79 +546,74 @@ impl Service {
         self.inner.queue.wait_idle();
     }
 
-    /// Executes a `COUNT(*)` query: drains the queue (a query answers
-    /// over everything accepted before it), pins and prepares every
-    /// shard, scans them on this thread when few rows survive zone
-    /// maps and skip-masks and shares them with the workers otherwise
-    /// (no thread is spawned either way), and merges the per-shard
-    /// outcomes. Counts add; `elapsed` is the wall time this call
-    /// measured from drain to merge, whichever way the shards ran.
+    /// Executes `SELECT COUNT(*) WHERE query`: the [`count_plan`]
+    /// through the same execution as [`Service::query_sql`] — drain (a
+    /// query answers over everything accepted before it), pin and
+    /// prepare every shard, scan inline or hand off, merge. `elapsed`
+    /// is the wall time this call measured from drain to merge,
+    /// whichever way the shards ran. Unlike SQL text, the query's
+    /// clauses are not checked against the schema: a key the schema
+    /// lacks, or a value of another type, is false on every row.
     pub fn query(&self, query: &Query) -> QueryOutcome {
         self.query_via(query, None)
     }
 
     fn query_via(&self, query: &Query, forced: Option<Dispatch>) -> QueryOutcome {
-        let started = Instant::now();
         self.inner.queries.fetch_add(1, Ordering::Relaxed);
-        let fan_out = self.fan_out(
-            started,
-            forced,
-            |shard, pin| shard.prepare(pin, query),
-            |shard, pin, prepared| shard.scan_count(pin, prepared),
-        );
-        // Merge in shard order so the metrics breakdown is
-        // deterministic (counts are order-independent anyway).
-        let mut merged = QueryOutcome::default();
-        for run in &fan_out.runs {
-            merged.merge(&run.result);
-        }
-        merged.metrics.elapsed = started.elapsed();
+        let plan = Arc::new(count_plan());
+        let out = QueryOutcome::from_count(self.execute(query, &plan, forced, None));
         if let Some(t) = &self.inner.telemetry {
-            t.query.record_duration(merged.metrics.elapsed);
+            t.query.record_duration(out.metrics.elapsed);
             t.events().push(
                 names::EVENT_PLAN_EVAL,
                 None,
                 &[
-                    ("covered", u64::from(merged.metrics.used_skipping)),
-                    ("count", merged.count as u64),
-                    ("parsed", merged.metrics.raw_scan.records_parsed as u64),
+                    ("covered", u64::from(out.metrics.used_skipping)),
+                    ("count", out.count as u64),
+                    ("parsed", out.metrics.raw_scan.records_parsed as u64),
                 ],
             );
         }
-        merged
+        out
     }
 
-    /// The one fan-out both query entry points go through. Drains the
-    /// queue; takes each shard's lock only long enough to seal its
-    /// active epoch and pin the sealed ones; prepares every shard on
-    /// this thread, which settles how many rows the statement will
-    /// evaluate before one is read; then, unless `forced`, scans every
-    /// shard here when that is at most [`INLINE_MAX_SURVIVING_ROWS`]
-    /// (or there is one shard, or no worker), and otherwise scans
-    /// shard 0 here while the workers scan the rest. No thread is
-    /// spawned either way. A hand-off cannot stall on busy workers:
-    /// once its own shard is done this thread runs whatever scans no
-    /// worker has started.
+    /// The execution both query entry points go through: `plan`, its
+    /// WHERE conjunction lowered once to `query`. Drains the queue;
+    /// takes each shard's lock only long enough to seal its active
+    /// epoch and pin the sealed ones; prepares every shard on this
+    /// thread, which settles how many rows the statement will evaluate
+    /// before one is read; then, unless `forced`, scans every shard
+    /// here when that is at most [`INLINE_MAX_SURVIVING_ROWS`] (or
+    /// there is one shard, or no worker), and otherwise scans shard 0
+    /// here while the workers scan the rest. No thread is spawned
+    /// either way. A hand-off cannot stall on busy workers: once its
+    /// own shard is done this thread runs whatever scans no worker has
+    /// started. The partials merge in shard order and finalize;
+    /// `metrics.elapsed` is this call's wall time.
     ///
-    /// `origin` is what the runs' `start_ns` offsets count from.
-    fn fan_out<R: Send + 'static>(
+    /// With a span tree, the dispatch and every shard's scan land under
+    /// `span`, the scans timed against the tree's origin whichever lane
+    /// ran them.
+    fn execute(
         &self,
-        origin: Instant,
+        query: &Query,
+        plan: &Arc<PhysicalPlan>,
         forced: Option<Dispatch>,
-        prepare: impl Fn(&Shard, &EpochPin) -> Prepared,
-        scan: impl Fn(&Shard, &EpochPin, &Prepared) -> R + Send + Sync + 'static,
-    ) -> FanOut<R> {
+        trace: Option<(&mut SpanTree, SpanId)>,
+    ) -> QueryResult {
+        let started = Instant::now();
+        let origin = trace.as_ref().map_or(started, |(tree, _)| tree.origin());
         self.drain();
         let shards = &self.inner.shards;
         let prepared: Vec<(EpochPin, Prepared)> = shards
             .iter()
             .map(|shard| {
                 let pin = shard.pin();
-                let prepared = prepare(shard, &pin);
+                let prepared = shard.prepare(&pin, query);
                 (pin, prepared)
             })
             .collect();
-        let surviving_rows = prepared.iter().map(|(_, p)| p.surviving_rows()).sum();
+        let surviving_rows: usize = prepared.iter().map(|(_, p)| p.surviving_rows()).sum();
         let inline = shards.len() == 1
             || self.workers.is_empty()
             || surviving_rows <= INLINE_MAX_SURVIVING_ROWS;
@@ -640,29 +628,27 @@ impl Service {
                 Dispatch::Handoff => t.query_handoff.inc(),
             }
         }
-        let runs = match dispatch {
+        let runs: Vec<ShardRun> = match dispatch {
             Dispatch::Inline => shards
                 .iter()
                 .zip(&prepared)
                 .map(|(shard, (pin, prepared))| {
-                    ShardRun::time(origin, 0, || scan(shard, pin, prepared))
+                    ShardRun::time(origin, 0, || shard.scan_plan(pin, prepared, plan))
                 })
                 .collect(),
             Dispatch::Handoff => {
-                let scan = Arc::new(scan);
                 let (tx, rx) = mpsc::channel();
                 let mut prepared = prepared.into_iter().enumerate();
                 let (_, (own_pin, own_prepared)) = prepared.next().expect("at least one shard");
                 for (i, (pin, prepared)) in prepared {
-                    let (inner, scan, tx) =
-                        (Arc::clone(&self.inner), Arc::clone(&scan), tx.clone());
+                    let (inner, plan, tx) = (Arc::clone(&self.inner), Arc::clone(plan), tx.clone());
                     let posted = Instant::now();
                     let job = ScanJob::new(move |lane| {
                         if let Some(t) = &inner.telemetry {
                             t.handoff_wait.record_duration(posted.elapsed());
                         }
                         let run = ShardRun::time(origin, lane, || {
-                            scan(&inner.shards[i], &pin, &prepared)
+                            inner.shards[i].scan_plan(&pin, &prepared, &plan)
                         });
                         // The statement's thread outlives its jobs
                         // unless it panicked; nobody is left to tell.
@@ -674,23 +660,64 @@ impl Service {
                     }
                 }
                 drop(tx);
-                let own = ShardRun::time(origin, 0, || scan(&shards[0], &own_pin, &own_prepared));
+                let own = ShardRun::time(origin, 0, || {
+                    shards[0].scan_plan(&own_pin, &own_prepared, plan)
+                });
                 while let Some(job) = self.inner.queue.try_pop_scan() {
                     job.run(0);
                 }
                 // `rx` ends when every job has sent its run (or died).
-                let mut runs: Vec<(usize, ShardRun<R>)> =
+                let mut runs: Vec<(usize, ShardRun)> =
                     std::iter::once((0, own)).chain(rx).collect();
                 assert_eq!(runs.len(), shards.len(), "a handed-off scan panicked");
                 runs.sort_unstable_by_key(|(i, _)| *i);
                 runs.into_iter().map(|(_, run)| run).collect()
             }
         };
-        FanOut {
-            runs,
-            dispatch,
-            surviving_rows,
+        if let Some(t) = &self.inner.telemetry {
+            for (i, run) in runs.iter().enumerate() {
+                let p = &run.partial.profile;
+                let permille = (p.blocks_pruned_zone * 1000)
+                    .checked_div(p.blocks_total)
+                    .unwrap_or(0);
+                t.prune_rate[i].set(permille as i64);
+            }
         }
+        if let Some((tree, span)) = trace {
+            tree.attr(span, "dispatch", dispatch.as_str());
+            tree.attr(span, "surviving_rows", surviving_rows);
+            for (i, run) in runs.iter().enumerate() {
+                let shard_span = tree.add_complete(
+                    Some(span),
+                    &format!("shard{i}"),
+                    run.lane,
+                    run.start_ns,
+                    run.dur_ns,
+                );
+                let profile = &run.partial.profile;
+                tree.attr(shard_span, "blocks_pruned", profile.blocks_pruned_zone);
+                tree.attr(shard_span, "rows_scanned", profile.rows_scanned);
+                tree.attr(shard_span, "parked_parsed", profile.parked_rows_parsed);
+                if profile.parked_rows_parsed > 0 {
+                    let index = if run.partial.metrics.parked_index_builds > 0 {
+                        "built"
+                    } else {
+                        "reused"
+                    };
+                    tree.attr(shard_span, "parked_index", index);
+                }
+            }
+        }
+        // Merge in shard order: group states and row batches combine
+        // associatively, and finalize() re-sorts, so the answer is
+        // independent of which shard finished first.
+        let mut merged = PartialResult::empty(plan);
+        for run in runs {
+            merged.merge(run.partial);
+        }
+        let mut result = ciao_engine::finalize(plan, merged);
+        result.metrics.elapsed = started.elapsed();
+        result
     }
 
     /// Executes one SQL statement end to end: lex + parse, analyze
@@ -761,66 +788,12 @@ impl Service {
             return Ok(plan_text_result(ciao_sql::render_plan(&plan)));
         }
 
-        let exec_started = Instant::now();
         let exec_span = trace.as_mut().map(|t| t.begin("execute"));
         let seq = self.inner.queries.fetch_add(1, Ordering::Relaxed) + 1;
-        // Shard scans time themselves against the tree's origin so
-        // their spans land on the right offsets, whichever lane ran
-        // them.
-        let origin = trace.as_ref().map_or(exec_started, SpanTree::origin);
-        let fan_out = self.fan_out(
-            origin,
-            forced,
-            |shard, pin| shard.prepare_plan(pin, &plan),
-            {
-                let plan = Arc::clone(&plan);
-                move |shard, pin, prepared| shard.scan_plan(pin, prepared, &plan)
-            },
-        );
-        if let Some(t) = &self.inner.telemetry {
-            for (i, run) in fan_out.runs.iter().enumerate() {
-                let p = &run.result.profile;
-                let permille = (p.blocks_pruned_zone * 1000)
-                    .checked_div(p.blocks_total)
-                    .unwrap_or(0);
-                t.prune_rate[i].set(permille as i64);
-            }
-        }
-        if let (Some(tree), Some(exec_span)) = (trace.as_mut(), exec_span) {
-            tree.attr(exec_span, "dispatch", fan_out.dispatch.as_str());
-            tree.attr(exec_span, "surviving_rows", fan_out.surviving_rows);
-            for (i, run) in fan_out.runs.iter().enumerate() {
-                let span = tree.add_complete(
-                    Some(exec_span),
-                    &format!("shard{i}"),
-                    run.lane,
-                    run.start_ns,
-                    run.dur_ns,
-                );
-                let profile = &run.result.profile;
-                tree.attr(span, "blocks_pruned", profile.blocks_pruned_zone);
-                tree.attr(span, "rows_scanned", profile.rows_scanned);
-                tree.attr(span, "parked_parsed", profile.parked_rows_parsed);
-                if profile.parked_rows_parsed > 0 {
-                    let index = if run.result.metrics.parked_index_builds > 0 {
-                        "built"
-                    } else {
-                        "reused"
-                    };
-                    tree.attr(span, "parked_index", index);
-                }
-            }
-        }
-        // Merge in shard order: group states and row batches combine
-        // associatively, and finalize() re-sorts, so the answer is
-        // independent of which shard finished first.
-        let mut merged = PartialResult::empty(&plan);
-        for run in fan_out.runs {
-            merged.merge(run.result);
-        }
-        let mut result = ciao_engine::finalize(&plan, merged);
-        let executed_in = exec_started.elapsed();
-        result.metrics.elapsed = executed_in;
+        let query = plan_query(&plan);
+        let traced = trace.as_mut().zip(exec_span);
+        let result = self.execute(&query, &plan, forced, traced);
+        let executed_in = result.metrics.elapsed;
         if let (Some(t), Some(span)) = (trace.as_mut(), exec_span) {
             t.end(span);
         }

@@ -11,8 +11,9 @@
 //! A reader never scans under the shard's lock. It **pins**
 //! ([`Shard::pin`]): takes the lock only long enough to seal the
 //! active epoch and clone the `Arc` of the sealed list, then prepares
-//! and scans the pinned epochs unlocked ([`Shard::prepare_plan`],
-//! [`Shard::scan_plan`]). A pin is a snapshot: it holds every record
+//! and scans the pinned epochs unlocked ([`Shard::prepare`],
+//! [`Shard::scan_plan`]) — every statement, a predicate query's
+//! `COUNT(*)` included, as a physical plan. A pin is a snapshot: it holds every record
 //! ingested before it and nothing ingested after, however long the
 //! scan runs, and no half-sealed epoch is ever observable. Writers
 //! (seal, compaction) publish a new list; they copy the list — never
@@ -32,7 +33,8 @@ use ciao::{jit, LoadStats, Loader, PushdownPlan};
 use ciao_client::ChunkFilterResult;
 use ciao_columnar::{Block, Schema, Table};
 use ciao_engine::{
-    Executor, ParkedFragment, ParkedIndex, PartialResult, Prepared, QueryMetrics, QueryOutcome,
+    count_plan, finalize, plan_query, Executor, ParkedFragment, ParkedIndex, PartialResult,
+    Prepared, QueryOutcome,
 };
 use ciao_json::RecordChunk;
 use ciao_predicate::Query;
@@ -342,36 +344,19 @@ impl Shard {
         EpochPin(Arc::clone(&active.sealed))
     }
 
-    /// Prepares a `COUNT(*)` query over a pin: routing, zone-prune and
-    /// fused skip-masks, so [`Prepared::surviving_rows`] is known
-    /// before anything is scanned.
+    /// Prepares a query's WHERE conjunction over a pin: routing,
+    /// zone-prune and fused skip-masks, so [`Prepared::surviving_rows`]
+    /// is known before anything is scanned. A SQL statement prepares
+    /// its [`plan_query`].
     pub fn prepare(&self, pin: &EpochPin, query: &Query) -> Prepared {
         self.executor
             .prepare(query.clone(), pin.blocks(), pin.parked_count())
     }
 
-    /// [`Shard::prepare`] for a SQL physical plan.
-    pub fn prepare_plan(&self, pin: &EpochPin, plan: &PhysicalPlan) -> Prepared {
-        self.executor
-            .prepare_plan(plan, pin.blocks(), pin.parked_count())
-    }
-
-    /// Counts the survivors of a [`Shard::prepare`] over the same pin.
-    /// Takes no lock. Parked-store scans heat the shard for the
-    /// compactor, and the first one over an epoch builds its
-    /// positional map.
-    pub fn scan_count(&self, pin: &EpochPin, prepared: &Prepared) -> QueryOutcome {
-        let out = self
-            .executor
-            .scan_count(prepared, pin.blocks(), pin.parked_scan());
-        self.note_parked_scan(&out.metrics, pin);
-        out
-    }
-
-    /// Runs `plan` over the survivors of a [`Shard::prepare_plan`]
-    /// over the same pin, returning this shard's mergeable partial.
-    /// Takes no lock. Parked-store scans heat the shard exactly like
-    /// `COUNT(*)` queries do.
+    /// Runs `plan` over the survivors of a [`Shard::prepare`] over the
+    /// same pin, returning this shard's mergeable partial. Takes no
+    /// lock. Parked-store scans heat the shard for the compactor, and
+    /// the first one over an epoch builds its positional map.
     pub fn scan_plan(
         &self,
         pin: &EpochPin,
@@ -381,32 +366,30 @@ impl Shard {
         let out = self
             .executor
             .scan_plan(prepared, pin.blocks(), pin.parked_scan(), plan);
-        self.note_parked_scan(&out.metrics, pin);
-        out
-    }
-
-    fn note_parked_scan(&self, metrics: &QueryMetrics, pin: &EpochPin) {
-        if metrics.scanned_parked && pin.parked_count() > 0 {
+        if out.metrics.scanned_parked && pin.parked_count() > 0 {
             self.heat.fetch_add(1, Ordering::Relaxed);
         }
         if let Some((_, t)) = &self.telemetry {
             t.parked_index_builds
-                .add(metrics.parked_index_builds as u64);
+                .add(out.metrics.parked_index_builds as u64);
         }
+        out
     }
 
-    /// Executes a `COUNT(*)` query over everything ingested so far:
-    /// pin, prepare, scan.
+    /// Executes `SELECT COUNT(*) WHERE query` over everything ingested
+    /// so far: pin, prepare, scan the [`count_plan`].
     pub fn execute(&self, query: &Query) -> QueryOutcome {
         let pin = self.pin();
-        self.scan_count(&pin, &self.prepare(&pin, query))
+        let plan = count_plan();
+        let partial = self.scan_plan(&pin, &self.prepare(&pin, query), &plan);
+        QueryOutcome::from_count(finalize(&plan, partial))
     }
 
     /// Executes a SQL physical plan over everything ingested so far:
-    /// pin, prepare, scan.
+    /// pin, prepare its [`plan_query`], scan.
     pub fn execute_plan(&self, plan: &PhysicalPlan) -> PartialResult {
         let pin = self.pin();
-        self.scan_plan(&pin, &self.prepare_plan(&pin, plan), plan)
+        self.scan_plan(&pin, &self.prepare(&pin, &plan_query(plan)), plan)
     }
 
     /// One compaction pass: promote up to `policy.batch` parked rows
@@ -726,8 +709,12 @@ mod tests {
         shard.ingest(&chunks[0], &fs[0]);
 
         let pin = shard.pin();
+        let plan = count_plan();
+        let count = |prepared: &Prepared| {
+            QueryOutcome::from_count(finalize(&plan, shard.scan_plan(&pin, prepared, &plan)))
+        };
         let prepared = shard.prepare(&pin, &uncovered);
-        let before = shard.scan_count(&pin, &prepared);
+        let before = count(&prepared);
         assert_eq!(before.count, 8, "40 records, 1/5 stars = 2, all parked");
         assert!(before.metrics.scanned_parked);
 
@@ -750,7 +737,7 @@ mod tests {
         // also when the same prepared scan simply runs again.
         assert_eq!(pin.row_count() + pin.parked_count(), 40);
         for prepared in [&prepared, &shard.prepare(&pin, &uncovered)] {
-            let again = shard.scan_count(&pin, prepared);
+            let again = count(prepared);
             assert_eq!(again.count, before.count);
             assert_eq!(again.metrics.table_scan, before.metrics.table_scan);
             assert_eq!(again.metrics.raw_scan, before.metrics.raw_scan);
@@ -771,28 +758,28 @@ mod tests {
         let (shard, chunks) = fixture();
         let fs = filters(&shard, &chunks);
         shard.ingest(&chunks[0], &fs[0]);
-        let uncovered = parse_query("q", "stars = 2").unwrap();
         let plan =
             ciao_sql::compile("SELECT COUNT(*) FROM t WHERE stars = 2", &shard.schema).unwrap();
+        let query = plan_query(&plan);
         let pin = shard.pin();
 
         // Stand in for an ingest that never finishes: hold the lock
         // ingest, seal and compaction take. Preparing and scanning a
         // pin must complete regardless (a lock would hang here).
         let ingesting = shard.active.lock();
-        let (count, partial) = std::thread::scope(|scope| {
+        let partials = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
-                    let count = shard.scan_count(&pin, &shard.prepare(&pin, &uncovered));
-                    let prepared = shard.prepare_plan(&pin, &plan);
-                    (count, shard.scan_plan(&pin, &prepared, &plan))
+                    let prepared = shard.prepare(&pin, &query);
+                    [&plan, &count_plan()].map(|plan| shard.scan_plan(&pin, &prepared, plan))
                 })
                 .join()
                 .unwrap()
         });
         drop(ingesting);
-        assert_eq!(count.count, 8);
-        assert_eq!(partial.profile.total_matched(), 8);
+        for partial in partials {
+            assert_eq!(partial.profile.total_matched(), 8);
+        }
         assert_eq!(shard.snapshot().heat, 2, "both scans read parked rows");
     }
 
