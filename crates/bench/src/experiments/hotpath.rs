@@ -20,13 +20,17 @@ use ciao_columnar::Block;
 use ciao_columnar::{Schema, Table, TableBuilder};
 use ciao_datagen::Dataset;
 use ciao_engine::{
-    count_plan, eval_query_on_block, scan_count, Executor, ParkedFragment, ParkedIndex, ScanOptions,
+    eval_query_on_block, finalize, plan_query, scan_count, Executor, ParkedFragment, ParkedIndex,
+    PartialResult, ScanOptions,
 };
 use ciao_json::RecordChunk;
 use ciao_predicate::{compile_clause, parse_clause, parse_query, ClausePattern};
+use ciao_sql::PhysicalPlan;
 use ciao_storage::wal::frame_prefix;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::hint::black_box;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -57,9 +61,11 @@ pub struct HotpathRow {
 pub const MEASURE_ITERS: usize = 9;
 
 /// Times two closures interleaved for [`MEASURE_ITERS`] rounds (after
-/// one discarded warm-up each) and returns `(optimized, baseline)`
-/// median nanoseconds. Closures return a checksum so the work cannot
-/// be optimized away.
+/// one warm-up each) and returns `(optimized, baseline)` median
+/// nanoseconds. Closures return a checksum of their answer, so the work
+/// cannot be optimized away and the two sides are held to the same
+/// answer: panics when the warm-ups' checksums differ, since a row
+/// whose sides disagree compares different work.
 pub fn interleaved_median_ns(
     mut optimized: impl FnMut() -> u64,
     mut baseline: impl FnMut() -> u64,
@@ -69,8 +75,11 @@ pub fn interleaved_median_ns(
         black_box(f());
         t.elapsed().as_secs_f64() * 1e9
     }
-    black_box(optimized());
-    black_box(baseline());
+    let (fast, reference) = (black_box(optimized()), black_box(baseline()));
+    assert_eq!(
+        fast, reference,
+        "the optimized side and its reference answer differently"
+    );
     let mut opt = Vec::with_capacity(MEASURE_ITERS);
     let mut base = Vec::with_capacity(MEASURE_ITERS);
     for _ in 0..MEASURE_ITERS {
@@ -267,8 +276,8 @@ fn columnar_zone_row(records: usize) -> HotpathRow {
     let query = parse_query("probe", r#"level = "absent""#).unwrap();
     let bytes = records * 8; // order-of-magnitude cell traffic
     let timings = interleaved_median_ns(
-        || scan_count(&table, &query, &ScanOptions::full().with_zone_maps()).rows_scanned as u64,
-        || scan_count(&table, &query, &ScanOptions::full()).rows_scanned as u64,
+        || scan_count(&table, &query, &ScanOptions::full().with_zone_maps()).rows_matched as u64,
+        || scan_count(&table, &query, &ScanOptions::full()).rows_matched as u64,
     );
     row("columnar/dict_zone_prune", "columnar", timings, bytes, true)
 }
@@ -432,42 +441,87 @@ fn json_projected_row(tag: &str, text: &str, keys: [&str; 2]) -> HotpathRow {
 const YCSB_RESCAN: &str = r#"linear_score < 30 AND age_group = "adult""#;
 const WINLOG_RESCAN: &str = r#"pid < 1000 AND level = "Error""#;
 
-/// The count one `engine/parked_rescan_*` side answers: `where_body`
-/// over `records` held as one epoch's parked rows, and nothing else —
-/// read through the map in `index` when there is one.
-fn count_parked(where_body: &str, records: &[&str], index: Option<&OnceLock<ParkedIndex>>) -> u64 {
-    let query = parse_query("rescan", where_body).unwrap();
-    let exec = Executor::default();
-    let none = std::iter::empty::<&Block>;
-    let prepared = exec.prepare(query, none(), records.len());
-    let fragment = match index {
-        Some(index) => ParkedFragment::indexed(records, index),
-        None => ParkedFragment::unindexed(records),
-    };
-    let partial = exec.scan_plan(&prepared, none(), [fragment], &count_plan());
-    partial.metrics.total_matched() as u64
+/// The ledger's grouped ad-hoc statement on WinLog, which the
+/// `engine/parked_rescan_grouped_winlog` row times.
+const WINLOG_GROUPED_RESCAN: &str =
+    "SELECT level, COUNT(*) FROM t WHERE pid < 100 GROUP BY level ORDER BY level";
+
+/// One epoch's parked records and what a statement over them needs:
+/// the schema their batches are typed by, and the cell their positional
+/// map is built into.
+struct ParkedEpoch<'a> {
+    records: Vec<&'a str>,
+    schema: Schema,
+    index: OnceLock<ParkedIndex>,
+}
+
+impl<'a> ParkedEpoch<'a> {
+    /// `text`'s records, typed by the schema a sample of them infers.
+    fn new(text: &'a str) -> ParkedEpoch<'a> {
+        let records: Vec<&str> = text.lines().collect();
+        let sample: Vec<_> = records
+            .iter()
+            .take(1000)
+            .map(|r| ciao_json::parse(r).expect("valid record"))
+            .collect();
+        ParkedEpoch {
+            records,
+            schema: Schema::infer(&sample).unwrap(),
+            index: OnceLock::new(),
+        }
+    }
+
+    /// `plan` over the records, and nothing else — read as a shard
+    /// reads them (typed, through the map, which the first call builds)
+    /// when `mapped`, else validating every record.
+    fn scan(&self, plan: &PhysicalPlan, mapped: bool) -> PartialResult {
+        let exec = Executor::default();
+        let none = std::iter::empty::<&Block>;
+        let prepared = exec.prepare(plan_query(plan), none(), self.records.len());
+        let fragment = if mapped {
+            ParkedFragment::indexed(&self.records, &self.index).with_schema(&self.schema)
+        } else {
+            ParkedFragment::unindexed(&self.records)
+        };
+        exec.scan_plan(&prepared, none(), [fragment], plan)
+    }
+
+    /// A checksum of [`ParkedEpoch::scan`]'s answer.
+    fn answer(&self, plan: &PhysicalPlan, mapped: bool) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        finalize(plan, self.scan(plan, mapped))
+            .render()
+            .hash(&mut hasher);
+        hasher.finish()
+    }
 }
 
 /// A statement over parked records an earlier statement has scanned:
-/// read through the epoch's positional map ([`ciao_engine::ParkedIndex`],
-/// built by a first scan before the timing starts) vs validating every
-/// record again with [`ciao_json::parse_projected`], which is what each
-/// statement paid before the map and what a map-less scan still pays.
-fn engine_parked_rescan_row(tag: &str, text: &str, where_body: &str) -> HotpathRow {
-    let records: Vec<&str> = text.lines().collect();
-    let index = OnceLock::new();
-    count_parked(where_body, &records, Some(&index));
-    let timings = interleaved_median_ns(
-        || count_parked(where_body, &records, Some(&index)),
-        || count_parked(where_body, &records, None),
-    );
+/// read as a shard reads them — mapped records through the epoch's
+/// positional map ([`ciao_engine::ParkedIndex`], built by a first scan
+/// before the timing starts) in typed batches the block kernels filter
+/// — vs validating every record again with
+/// [`ciao_json::parse_projected`] and evaluating it row at a time, which
+/// is what each statement paid before the map and what a map-less scan
+/// still pays.
+fn engine_parked_rescan_row(name: &str, text: &str, sql: &str) -> HotpathRow {
+    let epoch = ParkedEpoch::new(text);
+    let plan = ciao_sql::compile(sql, &epoch.schema).unwrap();
+    epoch.answer(&plan, true);
+    let timings =
+        interleaved_median_ns(|| epoch.answer(&plan, true), || epoch.answer(&plan, false));
     row(
-        &format!("engine/parked_rescan_{tag}"),
+        &format!("engine/parked_rescan_{name}"),
         "engine",
         timings,
         text.len(),
         true,
     )
+}
+
+/// `SELECT COUNT(*)` under `where_body`.
+fn count_sql(where_body: &str) -> String {
+    format!("SELECT COUNT(*) FROM t WHERE {where_body}")
 }
 
 /// The bit-at-a-time CRC-32 loop (8 shift/xor rounds per byte) the
@@ -571,12 +625,17 @@ pub fn run(scale: ExperimentScale) -> Vec<HotpathRow> {
     rows.push(engine_parked_rescan_row(
         "ycsb",
         &ndjson(Dataset::Ycsb, scale),
-        YCSB_RESCAN,
+        &count_sql(YCSB_RESCAN),
     ));
     rows.push(engine_parked_rescan_row(
         "winlog",
         env.text(),
-        WINLOG_RESCAN,
+        &count_sql(WINLOG_RESCAN),
+    ));
+    rows.push(engine_parked_rescan_row(
+        "grouped_winlog",
+        env.text(),
+        WINLOG_GROUPED_RESCAN,
     ));
     let chunk = wal_chunk();
     rows.push(storage_crc32_row(&chunk));
@@ -596,7 +655,7 @@ mod tests {
             sample: 100,
         };
         let rows = run(scale);
-        assert_eq!(rows.len(), 16);
+        assert_eq!(rows.len(), 17);
         for r in &rows {
             assert!(r.median_ns > 0.0, "{}: zero median", r.name);
             assert!(r.baseline_ns > 0.0, "{}: zero baseline", r.name);
@@ -626,16 +685,26 @@ mod tests {
             (Dataset::WinLog, WINLOG_RESCAN),
         ] {
             let text = dataset.generate_ndjson(9, 400);
-            let records: Vec<&str> = text.lines().collect();
-            let index = OnceLock::new();
-            let unmapped = count_parked(where_body, &records, None);
+            let epoch = ParkedEpoch::new(&text);
+            let plan = ciao_sql::compile(&count_sql(where_body), &epoch.schema).unwrap();
+            let count = |mapped| epoch.scan(&plan, mapped).metrics.total_matched();
+            let unmapped = count(false);
             for _ in 0..2 {
-                let mapped = count_parked(where_body, &records, Some(&index));
-                assert_eq!(mapped, unmapped, "{where_body}");
+                assert_eq!(count(true), unmapped, "{where_body}");
             }
-            assert!(index.get().unwrap().is_mapped());
+            assert!(epoch.index.get().unwrap().is_mapped());
             assert!(0 < unmapped && unmapped < 400, "{where_body}: {unmapped}");
         }
+    }
+
+    #[test]
+    fn grouped_rescan_row_groups_some_records() {
+        let text = Dataset::WinLog.generate_ndjson(9, 2000);
+        let epoch = ParkedEpoch::new(&text);
+        let plan = ciao_sql::compile(WINLOG_GROUPED_RESCAN, &epoch.schema).unwrap();
+        let result = finalize(&plan, epoch.scan(&plan, false));
+        assert!(result.rows.len() > 1, "{}", result.render());
+        assert_eq!(epoch.answer(&plan, true), epoch.answer(&plan, false));
     }
 
     #[test]

@@ -78,6 +78,20 @@ pub enum ColumnValues {
 }
 
 impl ColumnValues {
+    /// Row `row`'s cell under the validity bitmap `valid`.
+    fn cell(&self, valid: &BitVec, row: usize) -> Cell<'_> {
+        if !valid.bit(row) {
+            return Cell::Null;
+        }
+        match self {
+            ColumnValues::Str(v) => Cell::Str(&v[row]),
+            ColumnValues::Int(v) => Cell::Int(v[row]),
+            ColumnValues::Float(v) => Cell::Float(v[row]),
+            ColumnValues::Bool(b) => Cell::Bool(b.bit(row)),
+            ColumnValues::Json(v) => Cell::Json(&v[row]),
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
             ColumnValues::Str(v) | ColumnValues::Json(v) => v.len(),
@@ -136,16 +150,7 @@ impl Column {
             "row {row} out of range (len {})",
             self.len()
         );
-        if !self.valid.bit(row) {
-            return Cell::Null;
-        }
-        match &self.values {
-            ColumnValues::Str(v) => Cell::Str(&v[row]),
-            ColumnValues::Int(v) => Cell::Int(v[row]),
-            ColumnValues::Float(v) => Cell::Float(v[row]),
-            ColumnValues::Bool(b) => Cell::Bool(b.bit(row)),
-            ColumnValues::Json(v) => Cell::Json(&v[row]),
-        }
+        self.values.cell(&self.valid, row)
     }
 
     /// Raw storage access for the io/encoding layer.
@@ -266,9 +271,33 @@ impl ColumnBuilder {
         self.dtype
     }
 
+    /// The rows appended so far: values, as a finished column would
+    /// hold them.
+    pub fn values(&self) -> &ColumnValues {
+        &self.values
+    }
+
+    /// The rows appended so far: validity.
+    pub fn validity(&self) -> &BitVec {
+        &self.valid
+    }
+
+    /// Reads one appended row's cell, as [`Column::cell`] would read it
+    /// once finished.
+    pub fn cell(&self, row: usize) -> Cell<'_> {
+        assert!(
+            row < self.len(),
+            "row {row} out of range (len {})",
+            self.len()
+        );
+        self.values.cell(&self.valid, row)
+    }
+
     /// Drops every row from `len` on, and the coercion failures they
-    /// counted: the builder is as it was when it held `len` rows.
-    pub(crate) fn truncate(&mut self, len: usize) {
+    /// counted: the builder is as it was when it held `len` rows. Room
+    /// already reserved is kept, so a builder truncated to 0 is a
+    /// scratch column refilled without allocating.
+    pub fn truncate(&mut self, len: usize) {
         match &mut self.values {
             ColumnValues::Str(v) | ColumnValues::Json(v) => v.truncate(len),
             ColumnValues::Int(v) => v.truncate(len),
@@ -281,7 +310,7 @@ impl ColumnBuilder {
     }
 
     /// Makes room for `rows` more rows without reallocating.
-    pub(crate) fn reserve(&mut self, rows: usize) {
+    pub fn reserve(&mut self, rows: usize) {
         match &mut self.values {
             ColumnValues::Str(v) | ColumnValues::Json(v) => v.reserve_exact(rows),
             ColumnValues::Int(v) => v.reserve_exact(rows),

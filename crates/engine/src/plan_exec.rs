@@ -17,9 +17,12 @@
 //! count: a block's is its selection vector's length (MonetDB/X100,
 //! Boncz et al., CIDR 2005). The parked side is
 //! [`crate::raw_scan`]'s scan: each record is validated once per epoch
-//! (by the first scan, which builds the epoch's positional map) and only
-//! the fields the WHERE clauses and the operator read are built, with
-//! the errors and the values a full parse would give.
+//! (by the first scan, which builds the epoch's positional map), and
+//! only the fields the WHERE clauses and the operator read are read,
+//! with the errors and the values a full parse would give — for mapped
+//! records of a typed fragment, into batches the same
+//! [`crate::scan::BlockFilter`] filters and whose selected rows feed the
+//! operator as a block's do.
 //!
 //! Execution is deliberately split so a sharded service can fan out:
 //! per shard, [`Executor::prepare`] decides what survives zone maps and
@@ -37,7 +40,7 @@
 use crate::exec::{Executor, Prepared};
 use crate::metrics::QueryMetrics;
 use crate::profile::{ClauseProfile, QueryProfile};
-use crate::raw_scan::{scan_parked, ParkedFragment};
+use crate::raw_scan::{scan_parked, ParkedFragment, ParkedRow};
 use crate::result::{ColumnDesc, QueryResult};
 use crate::scan::BlockFilter;
 use ciao_columnar::{Block, Table};
@@ -400,7 +403,7 @@ impl Executor {
     /// left standing, producing a mergeable partial.
     ///
     /// Pushed WHERE clauses make the scan walk the fused skip-masks;
-    /// the parked side gets the projected scan over every record unless
+    /// the parked side gets the parked scan over every record unless
     /// [`Executor::prepare`] ruled it out. Zone maps prune blocks on both paths — including pure
     /// aggregate scans, so data skipping accelerates aggregates, not
     /// just filters. Every surviving row is re-verified with full typed
@@ -467,14 +470,14 @@ impl Executor {
         // workload query's whole pushed set (no parked record passes).
         if prepared.scan_parked {
             let raw_start = Instant::now();
-            let scan = scan_parked(parked, &query.clauses, &plan.needed_columns, |record| {
-                if counts.is_none() {
-                    feed_operator(&mut out.data, &plan.op, |slot| {
-                        let column = inputs[slot];
-                        SqlValue::from_json(record.get(&column.name), column.ty)
-                    });
-                }
-            });
+            let data = &mut out.data;
+            let feed = |row: ParkedRow<'_>| feed_operator(data, &plan.op, row);
+            let scan = scan_parked(
+                parked,
+                &mut filter,
+                &inputs,
+                counts.is_none().then_some(feed),
+            );
             out.metrics.raw_scan = scan.metrics;
             out.metrics.parked_index_builds = scan.index_builds;
             out.profile.parked_rows_parsed = scan.metrics.records_parsed as u64;

@@ -1,6 +1,6 @@
 //! The scan over parked raw JSON records — the one loop counts and
-//! plans share — and the positional map that lets it validate each
-//! record once.
+//! plans share — the positional map that lets it validate each record
+//! once, and the typed batches that let the block kernels filter them.
 //!
 //! Records that partial loading left unconverted are still part of the
 //! logical table, so a query the parked side is not ruled out for must
@@ -8,8 +8,8 @@
 //! owe each a full parse, nor a fresh validation every time. The scan
 //! derives once per query the top-level fields the query reads (its
 //! WHERE clauses' keys plus its operator's columns) and hands each
-//! record's projection of them to the caller's sink when it matches:
-//! nothing (a count) or a plan's row/group feed.
+//! matching record's values of the operator's columns to the caller's
+//! sink: nothing (a count) or a plan's row/group feed.
 //!
 //! A parked record never changes, so whether it is valid JSON and where
 //! each of its top-level values starts never change either. The first
@@ -18,22 +18,46 @@
 //! validating each record once with [`ciao_json::parse_member_offsets`]:
 //! per record a validity flag and the offset of the first occurrence of
 //! every top-level key. Every later scan resolves its keys to map slots
-//! once per epoch and builds each value straight from its offset
-//! ([`ciao_json::parse_value_at`]), validating nothing again. A record
-//! the map cannot hold (longer than `u16` offsets reach), an epoch whose
-//! map would outgrow its text, and a scan handed no map at all read
-//! through [`ciao_json::parse_projected`], which validates the whole
-//! record and builds only those fields.
+//! once per epoch and reads values straight from their offsets,
+//! validating nothing again.
 //!
-//! Both paths are exact: the map marks a record invalid exactly when
-//! the full parse errs, and the projected scan is `Err` exactly when
-//! the full parse is — a malformed record still matches nothing, as a
-//! broken log line should — and each builds the values, in the member
-//! order, the full parse would.
+//! A fragment handed its schema ([`ParkedFragment::with_schema`]) is
+//! read a batch at a time, vectorised as a block is (MonetDB/X100,
+//! Boncz et al., CIDR 2005): up to 1024 mapped records' WHERE values are
+//! read at their offsets ([`ciao_json::parse_field_at`]) into reused
+//! scratch [`ColumnBuilder`]s typed by the schema, the statement's
+//! [`BlockFilter`] narrows a selection vector over them with the block
+//! kernels, and the operator's columns are read, the same way, for the
+//! selected rows only — each fed as a block's cell is. A count adds the
+//! selection's length. Warm, such a scan builds no tree and, for scalar
+//! keys, allocates nothing per record.
+//!
+//! Everything else is read row at a time: the record's projection onto
+//! the statement's keys — built from the map's offsets
+//! ([`ciao_json::parse_value_at`]), or by [`ciao_json::parse_projected`],
+//! which validates the whole record, for a record the map cannot hold
+//! (longer than `u16` offsets reach), an epoch whose map would outgrow
+//! its text and a scan handed no map — evaluated by
+//! [`ciao_predicate::eval_clause`]. That is the path of a statement
+//! whose WHERE keys or operator columns the schema cannot type, and of
+//! a mapped record with a WHERE value that would land in its column as
+//! another type: there a kernel and `eval_clause` disagree. Both paths
+//! hand matches over in record order.
+//!
+//! All paths are exact: the map marks a record invalid exactly when the
+//! full parse errs, and the projected scan is `Err` exactly when the
+//! full parse is — a malformed record still matches nothing, as a
+//! broken log line should — and each reads the values the full parse
+//! would build.
 
 use crate::metrics::ScanMetrics;
-use ciao_json::{parse_member_offsets, parse_projected, parse_value_at, JsonValue};
+use crate::scan::{BlockFilter, Survivors};
+use ciao_columnar::{ColumnBuilder, DataType, Schema};
+use ciao_json::{
+    parse_field_at, parse_member_offsets, parse_projected, parse_value_at, FieldValue, JsonValue,
+};
 use ciao_predicate::{eval_clause, Clause, Query, SimplePredicate};
+use ciao_sql::{ColumnRef, SqlType, SqlValue};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -149,41 +173,49 @@ impl ParkedIndex {
         self.entries.contains(&Entry::Mapped)
     }
 
-    /// The slot of each of `keys` the epoch's records hold, paired with
-    /// the key: what one scan resolves once per epoch.
-    fn resolve<'k>(&self, keys: &[&'k str], out: &mut Vec<(usize, &'k str)>) {
+    /// What the map knows about record `i`.
+    fn entry(&self, i: usize) -> Entry {
+        self.entries.get(i).copied().unwrap_or(Entry::Unmapped)
+    }
+
+    /// Record `i`'s row of value offsets (a mapped record's).
+    fn row(&self, i: usize) -> &[u16] {
+        &self.offsets[i * self.keys.len()..][..self.keys.len()]
+    }
+
+    /// The slot of each of `keys`, or `None` for a key no record of the
+    /// epoch holds: what one scan resolves once per epoch.
+    fn resolve(&self, keys: &[&str], out: &mut Vec<Option<usize>>) {
         out.clear();
         out.extend(
             keys.iter()
-                .filter_map(|&key| Some((self.keys.iter().position(|k| k == key)?, key))),
+                .map(|&key| self.keys.iter().position(|k| k == key)),
         );
     }
 
-    /// Record `i`'s projection onto the statement's keys — `slots`, as
-    /// [`ParkedIndex::resolve`] left them — or `None` when it is not
-    /// valid JSON: the value [`parse_projected`] returns for it.
-    /// `order` is scratch space one record leaves for the next.
+    /// Record `i`'s projection onto the statement's `keys` — whose
+    /// `slots` [`ParkedIndex::resolve`] found — or `None` when it is not
+    /// valid JSON: the value [`parse_projected`] returns for it. `order`
+    /// is scratch space one record leaves for the next.
     fn project<'k>(
         &self,
         i: usize,
         record: &str,
-        keys: &[&str],
-        slots: &[(usize, &'k str)],
+        keys: &[&'k str],
+        slots: &[Option<usize>],
         order: &mut Vec<(u16, &'k str)>,
     ) -> Option<JsonValue> {
-        match self.entries.get(i) {
-            Some(Entry::Mapped) => {}
-            Some(Entry::Malformed) => return None,
-            Some(Entry::Unmapped) | None => return parse_projected(record, keys).ok(),
+        match self.entry(i) {
+            Entry::Mapped => {}
+            Entry::Malformed => return None,
+            Entry::Unmapped => return parse_projected(record, keys).ok(),
         }
-        let row = &self.offsets[i * self.keys.len()..][..self.keys.len()];
+        let row = self.row(i);
         order.clear();
-        order.extend(
-            slots
-                .iter()
-                .filter(|&&(slot, _)| row[slot] != ABSENT)
-                .map(|&(slot, key)| (row[slot], key)),
-        );
+        order.extend(keys.iter().zip(slots).filter_map(|(&key, &slot)| {
+            let at = row[slot?];
+            (at != ABSENT).then_some((at, key))
+        }));
         // The projected scan returns the members in record order.
         order.sort_unstable_by_key(|&(at, _)| at);
         let mut pairs = Vec::with_capacity(order.len());
@@ -235,13 +267,14 @@ impl KeyDict {
     }
 }
 
-/// One epoch's parked records as the scan reads them: the records, and
-/// the cell the first scan builds their [`ParkedIndex`] into. The cell
-/// must belong to exactly these records; a holder that changes them
-/// replaces the cell.
+/// One epoch's parked records as the scan reads them: the records, the
+/// cell the first scan builds their [`ParkedIndex`] into, and the schema
+/// their batches are typed by. The cell must belong to exactly these
+/// records; a holder that changes them replaces the cell.
 pub struct ParkedFragment<'a, S> {
     records: &'a [S],
     index: Option<&'a OnceLock<ParkedIndex>>,
+    schema: Option<&'a Schema>,
 }
 
 impl<S> Clone for ParkedFragment<'_, S> {
@@ -259,6 +292,7 @@ impl<'a, S: AsRef<str>> ParkedFragment<'a, S> {
         ParkedFragment {
             records,
             index: Some(index),
+            schema: None,
         }
     }
 
@@ -268,6 +302,17 @@ impl<'a, S: AsRef<str>> ParkedFragment<'a, S> {
         ParkedFragment {
             records,
             index: None,
+            schema: None,
+        }
+    }
+
+    /// The same records, their mapped ones read in typed batches under
+    /// `schema` — the schema their columnar siblings are loaded with —
+    /// whenever it types every column a statement reads.
+    pub fn with_schema(self, schema: &'a Schema) -> Self {
+        ParkedFragment {
+            schema: Some(schema),
+            ..self
         }
     }
 }
@@ -285,23 +330,47 @@ pub(crate) struct ParkedScan {
     pub index_builds: usize,
 }
 
-/// Scans every parked record of every fragment, projecting the fields
-/// `clauses` and `columns` name, and calls `on_match` with the
-/// projection of each record that satisfies every clause.
+/// A matching parked record's value for each operator column, by slot
+/// of the scan's `inputs`.
+pub(crate) type ParkedRow<'r> = &'r dyn Fn(usize) -> SqlValue;
+
+/// Scans every parked record of every fragment under the conjunction
+/// `filter` runs, and hands `on_match` (when there is one) each matching
+/// record's values of the operator columns `inputs`, in record order.
+///
+/// A mapped record of a fragment with a schema joins a batch of up to
+/// [`BATCH_ROWS`] when every WHERE value it holds lands in its column
+/// as its own JSON type; `filter` then runs the block kernels over the
+/// batch, and the operator columns are read for the selected rows only.
+/// Every other record — malformed, unmapped, or with a value the column
+/// would coerce — and every record of a statement the schema cannot
+/// type is read row at a time, through its projection and
+/// [`eval_clause`]. The two agree on every record the batch takes: a
+/// kernel and [`ciao_predicate::eval_simple`] differ only on a value
+/// stored as another type (an int widened into a float column reads
+/// false to `x > 2`, and a coercion failure false to `NotNull`).
 pub(crate) fn scan_parked<'p, S: AsRef<str> + 'p>(
     fragments: impl IntoIterator<Item = ParkedFragment<'p, S>>,
-    clauses: &[Clause],
-    columns: &[String],
-    mut on_match: impl FnMut(&JsonValue),
+    filter: &mut BlockFilter<'_>,
+    inputs: &[&ColumnRef],
+    mut on_match: Option<impl FnMut(ParkedRow<'_>)>,
 ) -> ParkedScan {
+    let clauses = filter.clauses();
+    // The WHERE keys first, then the operator's other columns.
     let mut keys: Vec<&str> = Vec::new();
     let clause_keys = clauses
         .iter()
         .flat_map(Clause::disjuncts)
         .map(SimplePredicate::key);
-    for key in clause_keys.chain(columns.iter().map(String::as_str)) {
+    for key in clause_keys {
         if !keys.contains(&key) {
             keys.push(key);
+        }
+    }
+    let where_keys = keys.len();
+    for input in inputs {
+        if !keys.contains(&input.name.as_str()) {
+            keys.push(&input.name);
         }
     }
     let mut scan = ParkedScan {
@@ -310,7 +379,15 @@ pub(crate) fn scan_parked<'p, S: AsRef<str> + 'p>(
         fields_projected: keys.len(),
         index_builds: 0,
     };
+    let rows = RowReader {
+        clauses,
+        keys: &keys,
+        inputs,
+    };
     let (mut slots, mut order) = (Vec::new(), Vec::new());
+    // The batch of the last schema seen; `None` inside when the schema
+    // cannot type the statement.
+    let mut typed: Option<(&Schema, Option<Batch>)> = None;
     for fragment in fragments {
         if fragment.records.is_empty() {
             continue;
@@ -324,31 +401,284 @@ pub(crate) fn scan_parked<'p, S: AsRef<str> + 'p>(
         if let Some(index) = index {
             index.resolve(&keys, &mut slots);
         }
+        let batch = match (index, fragment.schema) {
+            (Some(index), Some(schema)) if index.is_mapped() => {
+                if !typed
+                    .as_ref()
+                    .is_some_and(|(s, _)| std::ptr::eq(*s, schema))
+                {
+                    let batch = Batch::new(schema, &keys, where_keys, inputs);
+                    typed = Some((schema, batch));
+                }
+                typed.as_mut().and_then(|(_, batch)| batch.as_mut())
+            }
+            _ => None,
+        };
+        let (Some(index), Some(batch)) = (index, batch) else {
+            for (i, record) in fragment.records.iter().enumerate() {
+                let record = record.as_ref();
+                let value = match index {
+                    Some(index) => index.project(i, record, &keys, &slots, &mut order),
+                    None => parse_projected(record, &keys).ok(),
+                };
+                rows.read(&mut scan, value, &mut on_match);
+            }
+            continue;
+        };
+        let epoch = Epoch {
+            records: fragment.records,
+            index,
+            slots: &slots,
+        };
         for (i, record) in fragment.records.iter().enumerate() {
-            let record = record.as_ref();
-            scan.metrics.records_parsed += 1;
-            scan.metrics.rows_scanned += 1;
-            let value = match index {
-                Some(index) => index.project(i, record, &keys, &slots, &mut order),
-                None => parse_projected(record, &keys).ok(),
-            };
-            // A malformed parked record cannot match anything.
-            let Some(value) = value else {
-                continue;
-            };
-            let mut conjunction = clauses.iter().zip(&mut scan.clause_counts);
-            if conjunction.all(|(clause, (evaluated, passed))| {
-                let pass = eval_clause(clause, &value);
-                *evaluated += 1;
-                *passed += u64::from(pass);
-                pass
-            }) {
-                scan.metrics.rows_matched += 1;
-                on_match(&value);
+            match index.entry(i) {
+                // A malformed parked record cannot match anything.
+                Entry::Malformed => scan.metrics.records_parsed += 1,
+                Entry::Mapped if batch.push(i, record.as_ref(), index.row(i), &slots) => {}
+                _ => batch.rest.push(i),
+            }
+            if batch.rows.len() + batch.rest.len() == BATCH_ROWS {
+                batch.flush(filter, &epoch, &rows, &mut scan, &mut order, &mut on_match);
+            }
+        }
+        batch.flush(filter, &epoch, &rows, &mut scan, &mut order, &mut on_match);
+    }
+    scan.metrics.rows_scanned = scan.metrics.records_parsed;
+    scan
+}
+
+/// Records a parked batch spans at most: a block's worth.
+const BATCH_ROWS: usize = 1024;
+
+/// What reading one record row at a time needs: the conjunction, the
+/// keys a projection builds (the WHERE keys first), and the operator
+/// columns a match hands over.
+struct RowReader<'r> {
+    clauses: &'r [Clause],
+    keys: &'r [&'r str],
+    inputs: &'r [&'r ColumnRef],
+}
+
+impl RowReader<'_> {
+    /// Counts one record read row at a time — `value` is its projection,
+    /// `None` when it is malformed — evaluates the conjunction on it,
+    /// short-circuiting, and hands a match to `on_match`.
+    fn read(
+        &self,
+        scan: &mut ParkedScan,
+        value: Option<JsonValue>,
+        on_match: &mut Option<impl FnMut(ParkedRow<'_>)>,
+    ) {
+        scan.metrics.records_parsed += 1;
+        // A malformed parked record cannot match anything.
+        let Some(value) = value else {
+            return;
+        };
+        let mut conjunction = self.clauses.iter().zip(&mut scan.clause_counts);
+        if conjunction.all(|(clause, (evaluated, passed))| {
+            let pass = eval_clause(clause, &value);
+            *evaluated += 1;
+            *passed += u64::from(pass);
+            pass
+        }) {
+            scan.metrics.rows_matched += 1;
+            if let Some(on_match) = on_match {
+                let inputs = self.inputs;
+                on_match(&|slot| {
+                    SqlValue::from_json(value.get(&inputs[slot].name), inputs[slot].ty)
+                });
             }
         }
     }
-    scan
+}
+
+/// One mapped epoch as its batches read it.
+struct Epoch<'e, S> {
+    records: &'e [S],
+    index: &'e ParkedIndex,
+    /// The map slot of each of the scan's keys.
+    slots: &'e [Option<usize>],
+}
+
+/// The scratch columns one statement reads parked records into, a batch
+/// at a time: one per WHERE key, typed by the schema, filled for every
+/// record the batch takes; and one per operator column, which holds the
+/// one selected row being handed over. Never finished: they are
+/// truncated, keeping their room.
+struct Batch {
+    /// One column per WHERE key, in the scan's key order.
+    filter_cols: Vec<ColumnBuilder>,
+    /// One one-row column per operator input, and the scan key it reads.
+    input_cols: Vec<(ColumnBuilder, usize)>,
+    /// The epoch position of each batch row, ascending.
+    rows: Vec<usize>,
+    /// The positions of the records since the last flush read row at a
+    /// time, ascending.
+    rest: Vec<usize>,
+    /// Where a nested value's text is written.
+    json: String,
+}
+
+impl Batch {
+    /// The batch for a statement whose WHERE clauses read the first
+    /// `where_keys` of `keys` and whose operator reads `inputs` (each
+    /// one of `keys`), or `None` when `schema` lacks one of them or
+    /// types an input other than the plan does.
+    fn new(
+        schema: &Schema,
+        keys: &[&str],
+        where_keys: usize,
+        inputs: &[&ColumnRef],
+    ) -> Option<Batch> {
+        let filter_cols = keys[..where_keys]
+            .iter()
+            .map(|&key| {
+                let mut column = ColumnBuilder::new(schema.field(key)?.dtype);
+                column.reserve(BATCH_ROWS);
+                Some(column)
+            })
+            .collect::<Option<_>>()?;
+        let input_cols = inputs
+            .iter()
+            .map(|input| {
+                let dtype = schema.field(&input.name)?.dtype;
+                let key = keys.iter().position(|&k| k == input.name)?;
+                (SqlType::from_data_type(dtype) == input.ty)
+                    .then(|| (ColumnBuilder::new(dtype), key))
+            })
+            .collect::<Option<_>>()?;
+        Some(Batch {
+            filter_cols,
+            input_cols,
+            rows: Vec::with_capacity(BATCH_ROWS),
+            rest: Vec::new(),
+            json: String::new(),
+        })
+    }
+
+    /// Adds mapped record `i` — `offsets` is its row of the map, and
+    /// `slots` the map slot of each of the scan's keys — unless one of
+    /// its WHERE values would land in its column as another type.
+    fn push(&mut self, i: usize, record: &str, offsets: &[u16], slots: &[Option<usize>]) -> bool {
+        let json = &mut self.json;
+        let typed = self
+            .filter_cols
+            .iter_mut()
+            .zip(slots)
+            .all(|(column, slot)| {
+                let at = slot.map_or(ABSENT, |s| offsets[s]);
+                if at == ABSENT {
+                    column.push_null();
+                    return true;
+                }
+                match parse_field_at(record, usize::from(at), json) {
+                    Ok(value) if keeps_its_type(column.dtype(), &value) => {
+                        column.push_field(value);
+                        true
+                    }
+                    _ => false,
+                }
+            });
+        if typed {
+            self.rows.push(i);
+        } else {
+            let rows = self.rows.len();
+            for column in &mut self.filter_cols {
+                column.truncate(rows);
+            }
+        }
+        typed
+    }
+
+    /// Runs the conjunction over the batch and reads the records since
+    /// the last flush it does not hold row at a time, handing
+    /// `on_match` every match in record order; then empties the batch.
+    fn flush<'r, S: AsRef<str>, F: FnMut(ParkedRow<'_>)>(
+        &mut self,
+        filter: &mut BlockFilter<'_>,
+        epoch: &Epoch<'_, S>,
+        reader: &RowReader<'r>,
+        scan: &mut ParkedScan,
+        order: &mut Vec<(u16, &'r str)>,
+        on_match: &mut Option<F>,
+    ) {
+        let Batch {
+            filter_cols,
+            input_cols,
+            rows,
+            rest,
+            json,
+        } = self;
+        let keys = &reader.keys[..filter_cols.len()];
+        let tally = filter.run_columns(rows.len(), &Survivors::All, |key| {
+            let column = &filter_cols[keys.iter().position(|&k| k == key)?];
+            Some((column.values(), column.validity()))
+        });
+        scan.metrics.records_parsed += rows.len();
+        scan.metrics.rows_matched += tally.selected.len();
+        for ((evaluated, passed), clause) in scan.clause_counts.iter_mut().zip(tally.clauses) {
+            *evaluated += clause.evaluated;
+            *passed += clause.passed;
+        }
+        // A count reads no column: only its matches' number matters.
+        let matches = if on_match.is_some() {
+            tally.selected
+        } else {
+            &[]
+        };
+        let mut matches = matches.iter().map(|&row| rows[row as usize]).peekable();
+        // Hands over the batch's matches before record `upto`, reading
+        // the operator's columns for each.
+        let mut feed = |upto: usize, on_match: &mut Option<F>| {
+            while let Some(i) = matches.next_if(|&i| i < upto) {
+                let (record, offsets) = (epoch.records[i].as_ref(), epoch.index.row(i));
+                for (column, key) in input_cols.iter_mut() {
+                    column.truncate(0);
+                    match epoch.slots[*key].map_or(ABSENT, |s| offsets[s]) {
+                        ABSENT => column.push_null(),
+                        // A member of a record the map validated: it
+                        // parses.
+                        at => match parse_field_at(record, usize::from(at), json) {
+                            Ok(value) => column.push_field(value),
+                            Err(_) => column.push_null(),
+                        },
+                    }
+                }
+                if let Some(on_match) = on_match {
+                    on_match(&|slot: usize| SqlValue::from_cell(input_cols[slot].0.cell(0)));
+                }
+            }
+        };
+        for &i in rest.iter() {
+            feed(i, on_match);
+            let record = epoch.records[i].as_ref();
+            let value = epoch
+                .index
+                .project(i, record, reader.keys, epoch.slots, order);
+            reader.read(scan, value, on_match);
+        }
+        feed(usize::MAX, on_match);
+        for column in filter_cols.iter_mut() {
+            column.truncate(0);
+        }
+        rows.clear();
+        rest.clear();
+    }
+}
+
+/// Whether `value` lands in a `dtype` column as its own JSON type: what
+/// lets the block kernels answer for it exactly as
+/// [`ciao_predicate::eval_simple`] does.
+fn keeps_its_type(dtype: DataType, value: &FieldValue<'_>) -> bool {
+    matches!(
+        (dtype, value),
+        (_, FieldValue::Null)
+            | (DataType::Str, FieldValue::Str(_))
+            | (DataType::Int, FieldValue::Int(_))
+            | (DataType::Float, FieldValue::Float(_))
+            | (DataType::Bool, FieldValue::Bool(_))
+            | (DataType::Json, FieldValue::Json(_))
+    )
 }
 
 /// Counts parked records satisfying `query`.
@@ -357,9 +687,9 @@ pub(crate) fn scan_parked<'p, S: AsRef<str> + 'p>(
 pub fn scan_raw_records<S: AsRef<str>>(records: &[S], query: &Query) -> ScanMetrics {
     scan_parked(
         [ParkedFragment::unindexed(records)],
-        &query.clauses,
+        &mut BlockFilter::new(&query.clauses),
         &[],
-        |_| {},
+        None::<fn(ParkedRow<'_>)>,
     )
     .metrics
 }
@@ -405,19 +735,27 @@ mod tests {
             r#"{"stars":1,"city":"a","name":"z"}"#,
         ];
         let q = parse_query("q", r#"stars = 5 AND city IN ("a","c")"#).unwrap();
+        let schema = Schema::infer(&records.map(|r| ciao_json::parse(r).unwrap())).unwrap();
+        let column = |name: &str| ColumnRef {
+            name: name.to_owned(),
+            index: schema.index_of(name).unwrap(),
+            ty: SqlType::Str,
+        };
+        let columns = [column("name"), column("city")];
+        let inputs: Vec<&ColumnRef> = columns.iter().collect();
         let cell = OnceLock::new();
-        let columns = ["name".to_owned(), "city".to_owned()];
         for fragment in [
             ParkedFragment::unindexed(&records),
             ParkedFragment::indexed(&records, &cell),
             ParkedFragment::indexed(&records, &cell),
+            ParkedFragment::indexed(&records, &cell).with_schema(&schema),
         ] {
             let mut seen = Vec::new();
-            let scan = scan_parked([fragment], &q.clauses, &columns, |value| {
-                assert_eq!(value.as_object().unwrap().len(), 3);
-                seen.push(value.get("name").unwrap().as_str() == Some("x"));
-            });
-            assert_eq!(seen, vec![true]);
+            let mut filter = BlockFilter::new(&q.clauses);
+            let on_match = |row: ParkedRow<'_>| seen.push((row(0), row(1)));
+            let scan = scan_parked([fragment], &mut filter, &inputs, Some(on_match));
+            let str = |s: &str| SqlValue::Str(s.to_owned());
+            assert_eq!(seen, vec![(str("x"), str("a"))]);
             assert_eq!(scan.fields_projected, 3);
             assert_eq!(scan.clause_counts, vec![(3, 2), (2, 1)]);
         }
@@ -521,7 +859,10 @@ mod tests {
         let records = [r#"{"stars":5}"#, r#"{"stars":2}"#, "oops"];
         let q = parse_query("q", "stars = 5").unwrap();
         let cell = OnceLock::new();
-        let run = |fragment| scan_parked([fragment], &q.clauses, &[], |_| {});
+        let run = |fragment| {
+            let mut filter = BlockFilter::new(&q.clauses);
+            scan_parked([fragment], &mut filter, &[], None::<fn(ParkedRow<'_>)>)
+        };
         let cold = run(ParkedFragment::indexed(&records, &cell));
         let warm = run(ParkedFragment::indexed(&records, &cell));
         assert_eq!((cold.index_builds, warm.index_builds), (1, 0));

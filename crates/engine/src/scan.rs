@@ -15,8 +15,11 @@
 //!
 //! `Executor::scan_plan` feeds each selected row to the SQL operator,
 //! or adds the selection's length for a `COUNT(*)`; [`scan_count`] counts
-//! one table under explicit [`ScanOptions`]. [`crate::row_eval`] is the
-//! row-at-a-time reference the driver is tested against.
+//! one table under explicit [`ScanOptions`]. The same driver filters the
+//! typed batches parked records are read into ([`crate::raw_scan`]): it
+//! finds a column through its caller, not only in a block.
+//! [`crate::row_eval`] is the row-at-a-time reference the driver is
+//! tested against.
 
 use crate::metrics::ScanMetrics;
 use ciao_columnar::{BitVec, Block, ColumnValues, Table};
@@ -207,9 +210,29 @@ impl<'q> BlockFilter<'q> {
         }
     }
 
+    /// The conjunction, in evaluation order.
+    pub(crate) fn clauses(&self) -> &'q [Clause] {
+        self.clauses
+    }
+
     /// Runs the conjunction over the `survivors` of `block`.
     pub fn run(&mut self, block: &Block, survivors: &Survivors) -> BlockTally<'_> {
-        let rows = block.row_count();
+        self.run_columns(block.row_count(), survivors, |key| {
+            let column = block.column_by_name(key)?;
+            Some((column.values(), column.validity()))
+        })
+    }
+
+    /// Runs the conjunction over the `survivors` of `rows` rows whose
+    /// columns `column` finds by key: a block's, or the scratch columns
+    /// a batch of parked records is read into ([`crate::raw_scan`]). A
+    /// key it finds no column for reads NULL on every row.
+    pub(crate) fn run_columns<'c>(
+        &mut self,
+        rows: usize,
+        survivors: &Survivors,
+        column: impl Fn(&str) -> Option<ColumnView<'c>>,
+    ) -> BlockTally<'_> {
         let rows32 = u32::try_from(rows).expect("a block holds fewer than 2^32 rows");
         let split = &mut self.split;
         split.rest.clear();
@@ -235,7 +258,7 @@ impl<'q> BlockFilter<'q> {
             split.hits.reserve(rows);
             // Each disjunct runs on the rows the earlier ones failed.
             for p in clause.disjuncts() {
-                filter_simple(p, block, split);
+                filter_simple(p, column(p.key()), split);
             }
             if clause.disjuncts().len() > 1 {
                 split.hits.sort_unstable();
@@ -277,18 +300,20 @@ impl Split {
     }
 }
 
-/// Moves the rows that satisfy `p` on `block` from `rows.rest` to
-/// `rows.hits`: the kernel for `p`'s (predicate, column type) pair, or
-/// nothing when no row can satisfy it.
-fn filter_simple(p: &SimplePredicate, block: &Block, rows: &mut Split) {
+/// One column as the kernels read it: its values and validity.
+pub(crate) type ColumnView<'c> = (&'c ColumnValues, &'c BitVec);
+
+/// Moves the rows that satisfy `p` on `column`, `p`'s key's column,
+/// from `rows.rest` to `rows.hits`: the kernel for `p`'s (predicate,
+/// column type) pair, or nothing when no row can satisfy it.
+fn filter_simple(p: &SimplePredicate, column: Option<ColumnView<'_>>, rows: &mut Split) {
     use ColumnValues as V;
     use SimplePredicate as P;
     // A key the schema lacks reads NULL on every row.
-    let Some(column) = block.column_by_name(p.key()) else {
+    let Some((values, valid)) = column else {
         return;
     };
-    let valid = column.validity();
-    match (p, column.values()) {
+    match (p, values) {
         (P::StrEq { value, .. }, V::Str(v)) => str_eq(v, valid, value, rows),
         (P::StrContains { needle, .. }, V::Str(v)) => str_contains(v, valid, needle, rows),
         (P::NotNull { .. }, _) => not_null(valid, rows),

@@ -224,3 +224,193 @@ fn records_and_epochs_the_map_cannot_hold_read_the_same() {
     assert_eq!(index(2).unwrap().bytes(), 0);
     assert!(index(3).is_none());
 }
+
+// Typed batches. A fragment handed the schema reads its mapped records
+// in batches of up to 1024, filtered by the block kernels; a record
+// whose WHERE value would land in its column as another type, and
+// every record of a statement the schema cannot type, is read row at a
+// time. The suites below hold the typed scan to the unmapped row path
+// and to `eval_query` over a full parse, at the batch edges and at the
+// coercions where a kernel and `eval_simple` disagree.
+
+use ciao_engine::finalize;
+use ciao_predicate::{eval_query, parse_query, Query};
+use ciao_sql::SqlValue;
+
+/// Records of `epochs` a full parse accepts and `query` holds on.
+fn oracle_count(epochs: &[Vec<String>], query: &Query) -> usize {
+    epochs
+        .iter()
+        .flatten()
+        .filter_map(|r| parse(r).ok())
+        .filter(|r| eval_query(query, r))
+        .count()
+}
+
+/// Runs `plan` under `query` over `epochs` as typed, mapped fragments —
+/// cold (the run that builds each map), then warm — and holds each run
+/// to the unmapped row path, and its match count to `eval_query`.
+fn assert_typed_scan_matches(
+    epochs: &[Vec<String>],
+    schema: &Schema,
+    plan: &PhysicalPlan,
+    query: &Query,
+    what: &str,
+) -> PartialResult {
+    let exec = Executor::default();
+    let table = Table::default();
+    let parked_rows = epochs.iter().map(Vec::len).sum();
+    let prepared = exec.prepare(query.clone(), table.blocks(), parked_rows);
+    let unmapped = epochs.iter().map(|e| ParkedFragment::unindexed(e));
+    let expected = exec.scan_plan(&prepared, table.blocks(), unmapped, plan);
+    assert_eq!(
+        expected.metrics.raw_scan.rows_matched,
+        oracle_count(epochs, query),
+        "{what}"
+    );
+    let cells: Vec<OnceLock<ParkedIndex>> = epochs.iter().map(|_| OnceLock::new()).collect();
+    for round in ["cold", "warm"] {
+        let typed = epochs
+            .iter()
+            .zip(&cells)
+            .map(|(e, cell)| ParkedFragment::indexed(e, cell).with_schema(schema));
+        let got = exec.scan_plan(&prepared, table.blocks(), typed, plan);
+        assert_same_partial(&got, &expected, &format!("{what} ({round})"));
+    }
+    expected
+}
+
+/// Every statement of the suite above, through typed fragments.
+fn assert_typed_statements_match(epochs: &[Vec<String>], statements: &[&str]) {
+    let schema = schema();
+    for sql in statements {
+        let plan = ciao_sql::compile(sql, &schema).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+        let query = plan_query(&plan);
+        assert_typed_scan_matches(epochs, &schema, &plan, &query, sql);
+        assert_typed_scan_matches(epochs, &schema, &count_plan(), &query, sql);
+    }
+}
+
+#[test]
+fn typed_batches_read_every_statement_as_the_row_path() {
+    let epochs = [planted_store(), long_store(), wide_store(), Vec::new()];
+    assert_typed_statements_match(&epochs, STATEMENTS);
+}
+
+/// `len` clean records with, at 1023, 1024 and 2047 — the last row of
+/// a batch, the first of the next, and the last of the second — one
+/// malformed record, one too long for the map, and one whose values
+/// land in their columns as other types, in the order `kinds` rotates
+/// them to.
+fn edge_store(len: usize, rotate: usize) -> Vec<String> {
+    let pad = "x".repeat(70_000);
+    let kinds = [
+        r#"{"id":5000,"stars":5,"city":"c0","name":tru}"#.to_owned(),
+        format!(r#"{{"id":5001,"stars":5,"city":"c0","name":"long","pad":"{pad}","score":2.5}}"#),
+        r#"{"id":5002,"stars":5.0,"score":2,"city":"c0","name":7,"active":"yes"}"#.to_owned(),
+    ];
+    let mut store: Vec<String> = (0..len).map(|i| clean_record(i % 40)).collect();
+    for (n, at) in [1023, 1024, 2047].into_iter().enumerate() {
+        store[at] = kinds[(n + rotate) % kinds.len()].clone();
+    }
+    store
+}
+
+#[test]
+fn batch_edges_read_as_the_row_path() {
+    let epochs: Vec<Vec<String>> = (0..3).map(|rotate| edge_store(2600, rotate)).collect();
+    assert_typed_statements_match(
+        &epochs,
+        &[
+            "SELECT COUNT(*) FROM t",
+            "SELECT COUNT(*) FROM t WHERE stars = 5",
+            // Scan order shows: no ORDER BY, and a float sum.
+            "SELECT id, name FROM t WHERE stars = 5",
+            "SELECT city, COUNT(*), SUM(score), AVG(score) FROM t WHERE stars > 3 GROUP BY city",
+            "SELECT COUNT(*) FROM t WHERE name IS NOT NULL AND active = true",
+            "SELECT MIN(id), MAX(id), COUNT(score) FROM t WHERE id < 6000",
+        ],
+    );
+}
+
+/// Clean records around values stored as another type than they are:
+/// ints in the float column `score`, floats in the int columns `stars`
+/// and `id`, and values of every other type in the string column
+/// `name` and the bool column `active`.
+fn coercion_store() -> Vec<String> {
+    let mut store: Vec<String> = (0..30).map(clean_record).collect();
+    for (i, line) in [
+        r#"{"id":800,"stars":5,"score":2,"city":"c0","name":"int score"}"#,
+        r#"{"id":801,"stars":5,"score":3,"city":"c1","name":"int score"}"#,
+        r#"{"id":802,"stars":5.0,"score":2.0,"city":"c0","name":"float stars"}"#,
+        r#"{"id":803.5,"stars":4.5,"city":"c2","name":"float id"}"#,
+        r#"{"id":804,"stars":5,"city":"c0","name":5}"#,
+        r#"{"id":805,"stars":5,"city":"c0","name":true,"active":1}"#,
+        r#"{"id":806,"stars":5,"city":"c0","name":["n"],"active":"no"}"#,
+        r#"{"id":807,"stars":1,"city":"c0","name":null,"score":-0}"#,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        store.insert(i * 4, line.to_owned());
+    }
+    store
+}
+
+#[test]
+fn coerced_values_read_as_the_row_path() {
+    let schema = schema();
+    let epochs = [coercion_store()];
+    for (body, count) in [
+        // An int in a float column: false to the kernel, true to
+        // `eval_simple`.
+        ("score > 1", 2),
+        ("score = 2", 1),
+        ("score = 2.0", 2),
+        ("score < 0", 0),
+        // A float in an int column: false to both.
+        ("stars = 5", 6 + 5),
+        ("stars > 4", 6 + 5),
+        ("id < 1000", 30 + 7),
+        // A value that fails coercion: NULL to the kernel, not NULL to
+        // `eval_simple`.
+        ("name IS NOT NULL", 30 + 7),
+        ("active != NULL", 30 + 2),
+        ("name IS NOT NULL AND stars = 5", 6 + 5),
+        (r#"(name = "int score" OR score > 2)"#, 2),
+    ] {
+        let query = parse_query("q", body).unwrap();
+        let partial = assert_typed_scan_matches(&epochs, &schema, &count_plan(), &query, body);
+        let rows = finalize(&count_plan(), partial).rows;
+        assert_eq!(rows, [[SqlValue::Int(count)]], "{body}");
+    }
+    assert_typed_statements_match(
+        &epochs,
+        &[
+            "SELECT id, name, score FROM t WHERE stars = 5",
+            "SELECT name, COUNT(*), SUM(score) FROM t WHERE score = 2 GROUP BY name",
+            "SELECT COUNT(name), MIN(score), MAX(id) FROM t WHERE name IS NOT NULL",
+        ],
+    );
+}
+
+#[test]
+fn a_key_the_schema_lacks_counts_as_execute_count_does() {
+    let schema = schema();
+    let epochs = [planted_store(), coercion_store()];
+    let records: Vec<&String> = epochs.iter().flatten().collect();
+    let exec = Executor::default();
+    for body in [
+        "ghost = 1",
+        "ghost IS NOT NULL",
+        "(ghost = 1 OR stars = 5)",
+        r#"stars = 5 AND ghost = "x""#,
+        r#"(name = "dup" OR phantom LIKE "%a%")"#,
+    ] {
+        let query = parse_query("q", body).unwrap();
+        let partial = assert_typed_scan_matches(&epochs, &schema, &count_plan(), &query, body);
+        let counted = exec.execute_count(&Table::default(), &records, &query);
+        assert_eq!(counted.metrics.raw_scan, partial.metrics.raw_scan, "{body}");
+        assert_eq!(counted.count, oracle_count(&epochs, &query), "{body}");
+    }
+}

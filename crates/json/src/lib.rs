@@ -19,7 +19,10 @@
 //! * a **member-offset scan** ([`parse_member_offsets`]) that validates
 //!   a record once and reports where each top-level value starts, so a
 //!   positional map can later build one value from its offset
-//!   ([`parse_value_at`]) without validating the record again, and
+//!   ([`parse_value_at`]), or read it as the typed [`FieldValue`] the
+//!   field scan would hand over ([`parse_field_at`], what a batch of
+//!   parked records is filled from), without validating the record
+//!   again, and
 //! * **raw chunking** ([`chunk::RecordChunk`]) that splits
 //!   newline-delimited JSON into per-record byte slices *without*
 //!   parsing, which is all the client ever does.
@@ -72,8 +75,8 @@ pub use escape::{escape, escape_into, unescape, UnescapeError};
 pub use fields::{FieldKeys, FieldValue};
 pub use number::JsonNumber;
 pub use parse::{
-    parse, parse_bytes, parse_fields, parse_member_offsets, parse_projected, parse_value_at,
-    ParseError, ParserOptions,
+    parse, parse_bytes, parse_field_at, parse_fields, parse_member_offsets, parse_projected,
+    parse_value_at, ParseError, ParserOptions,
 };
 pub use ser::{to_pretty_string, to_string, write_value};
 pub use value::JsonValue;

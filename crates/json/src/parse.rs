@@ -20,8 +20,10 @@
 //! which is what makes the contract cheap to keep: both scans are
 //! `Err` exactly when `parse` is `Err`, and a key's value is the one
 //! `parse(..).get(key)` would return. [`parse_member_offsets`] is the
-//! same walk again, reporting where each top-level value starts, and
-//! [`parse_value_at`] builds one value from such an offset.
+//! same walk again, reporting where each top-level value starts;
+//! [`parse_value_at`] builds one value from such an offset, and
+//! [`parse_field_at`] reads it as the [`FieldValue`] `parse_fields`
+//! would hand over.
 
 use crate::escape::{decode_escape, escape_into, unescape, unescapes_to, UnescapeError};
 use crate::fields::{FieldKeys, FieldValue};
@@ -189,6 +191,23 @@ pub fn parse_value_at(input: &str, offset: usize) -> Result<JsonValue, ParseErro
     let mut cursor = Cursor::new(input, ParserOptions::default());
     cursor.pos = offset;
     cursor.value(1)
+}
+
+/// Reads the one value that starts at byte `offset` of `input` as the
+/// [`FieldValue`] [`parse_fields`] hands over for that member: for an
+/// offset [`parse_member_offsets`] reported for a member of a record it
+/// accepted, the value `parse(input)?.get(key)` holds, typed. A nested
+/// value is written into `json` as its compact text. Bytes after the
+/// value are not read. Nothing is allocated except an escaped string's
+/// unescaped copy, and room `json` grows by.
+pub fn parse_field_at<'b>(
+    input: &'b str,
+    offset: usize,
+    json: &'b mut String,
+) -> Result<FieldValue<'b>, ParseError> {
+    let mut cursor = Cursor::new(input, ParserOptions::default());
+    cursor.pos = offset;
+    cursor.field_value(json)
 }
 
 struct Cursor<'a> {

@@ -11,13 +11,14 @@
 //! returns the parser's value for each requested key — the first
 //! occurrence, a nested one printed as `to_string` prints it — and no
 //! other key. The member-offset scan reports every member, and
-//! `parse_value_at` reads the parser's value at each offset.
+//! `parse_value_at` reads the parser's value at each offset, as
+//! `parse_field_at` reads the `FieldValue` `parse_fields` hands over.
 
 mod support;
 
 use ciao_json::{
-    parse, parse_fields, parse_member_offsets, parse_projected, parse_value_at, to_string,
-    FieldKeys, FieldValue, JsonValue,
+    parse, parse_field_at, parse_fields, parse_member_offsets, parse_projected, parse_value_at,
+    to_string, FieldKeys, FieldValue, JsonValue,
 };
 use proptest::prelude::*;
 use support::{arb_json, corruptions, spell, Rng};
@@ -198,9 +199,11 @@ fn assert_fields_match_parse(doc: &str, keys: &[&str]) {
 /// `parse_member_offsets`' contract on one input: `Err` exactly when
 /// `parse` errs, and otherwise every top-level member in document
 /// order, duplicates included, under its unescaped key and at an offset
-/// `parse_value_at` reads the parser's value from — so the first offset
-/// reported for a key reads `parse(..).get(key)`.
+/// `parse_value_at` reads the parser's value from, and `parse_field_at`
+/// that value as a `FieldValue` — so the first offset reported for a key
+/// reads `parse(..).get(key)`.
 fn assert_offsets_match_parse(doc: &str) {
+    let mut json = String::new();
     let mut members: Vec<(String, usize)> = Vec::new();
     let scanned = parse_member_offsets(doc, |key, at| members.push((key.to_owned(), at)));
     let full = parse(doc);
@@ -217,6 +220,11 @@ fn assert_offsets_match_parse(doc: &str) {
     for ((key, at), (k, v)) in members.iter().zip(pairs) {
         assert_eq!(key, k, "key order of {doc:?}");
         assert_eq!(&parse_value_at(doc, *at).unwrap(), v, "{key:?} of {doc:?}");
+        assert_eq!(
+            parse_field_at(doc, *at, &mut json).unwrap(),
+            FieldValue::from(v),
+            "{key:?} of {doc:?}"
+        );
     }
     for (k, _) in pairs {
         let (_, first) = members.iter().find(|(key, _)| key == k).unwrap();

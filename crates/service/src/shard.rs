@@ -23,7 +23,9 @@
 //!
 //! An epoch's parked rows carry a positional map ([`ParkedIndex`]),
 //! built by the first scan of any pin that reads them, so later
-//! statements never validate those records again. Compaction is the
+//! statements never validate those records again; a pin hands them to
+//! the scan typed by the shard's schema, which reads mapped records in
+//! batches the block kernels filter. Compaction is the
 //! only writer that changes an epoch's parked rows; it drops the map of
 //! each epoch it drains, and the next scan builds it afresh.
 
@@ -145,10 +147,11 @@ impl Sealed {
 }
 
 /// A reader's hold on the epochs that were sealed when it pinned
-/// ([`Shard::pin`]). Cheap to clone and to send to another thread;
-/// the epochs live until the last pin over them drops.
+/// ([`Shard::pin`]), and on the shard's schema. Cheap to clone and to
+/// send to another thread; the epochs live until the last pin over them
+/// drops.
 #[derive(Debug, Clone)]
-pub struct EpochPin(Arc<Sealed>);
+pub struct EpochPin(Arc<Sealed>, Arc<Schema>);
 
 impl EpochPin {
     /// Every pinned block, oldest epoch first.
@@ -169,12 +172,14 @@ impl EpochPin {
 
     /// The pinned parked rows as the parked scan reads them: one
     /// fragment per epoch, each with the cell its positional map is
-    /// built into by the first scan (of any pin) that reads it.
+    /// built into by the first scan (of any pin) that reads it, and
+    /// typed by the shard's schema, so its mapped records are read in
+    /// batches the block kernels filter.
     pub fn parked_scan(&self) -> impl Iterator<Item = ParkedFragment<'_, String>> + Clone {
         self.0
             .epochs
             .iter()
-            .map(|e| ParkedFragment::indexed(&e.parked, &e.index))
+            .map(|e| ParkedFragment::indexed(&e.parked, &e.index).with_schema(&self.1))
     }
 
     /// The schema of the pinned blocks (`None` while there are none).
@@ -341,7 +346,7 @@ impl Shard {
     pub fn pin(&self) -> EpochPin {
         let mut active = self.active.lock();
         self.seal(&mut active);
-        EpochPin(Arc::clone(&active.sealed))
+        EpochPin(Arc::clone(&active.sealed), Arc::clone(&self.schema))
     }
 
     /// Prepares a query's WHERE conjunction over a pin: routing,
