@@ -594,7 +594,7 @@ fn print_hotpath(scale: ExperimentScale) {
         ]);
     }
     println!("{t}");
-    println!("(speedups are in-run ratios vs the scalar reference, so they transfer across\n machines; `repro -- check-perf` gates on them. Ungated rows depend on core\n count and are recorded for the trajectory only.)\n");
+    println!("(speedups are in-run ratios vs the scalar reference, so they transfer across\n machines; `repro -- check-perf` gates on them. Ungated rows depend on core\n count or time a reference target, and are recorded for the trajectory only.)\n");
 
     let path = trajectory::hotpath_output_path();
     let run = trajectory::hotpath_run_from_rows("repro", scale.records, rows);

@@ -14,8 +14,10 @@
 //! whichever ran second, and medians shrug off outliers.
 
 use crate::experiments::datasets::{ndjson, ExperimentScale};
+use ciao::PushdownPlan;
 use ciao_bitvec::BitVec;
-use ciao_client::{Finder, Prefilter};
+use ciao_client::pattern_set::ScanTarget;
+use ciao_client::{Finder, PatternSet, Prefilter};
 use ciao_columnar::Block;
 use ciao_columnar::{Schema, Table, TableBuilder};
 use ciao_datagen::Dataset;
@@ -24,9 +26,11 @@ use ciao_engine::{
     PartialResult, ScanOptions,
 };
 use ciao_json::RecordChunk;
+use ciao_optimizer::CostModel;
 use ciao_predicate::{compile_clause, parse_clause, parse_query, ClausePattern};
 use ciao_sql::PhysicalPlan;
 use ciao_storage::wal::frame_prefix;
+use ciao_workload::{build_pool, WorkloadConfig, WorkloadKind};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -53,7 +57,8 @@ pub struct HotpathRow {
     pub throughput_mb_s: f64,
     /// Whether CI's perf gate enforces this row. A row whose speedup
     /// depends on core count would be recorded but not gated, so a
-    /// 1-core runner cannot fail the build on topology.
+    /// 1-core runner cannot fail the build on topology; so is a row
+    /// that times a fallback target for comparison.
     pub gated: bool,
 }
 
@@ -209,6 +214,77 @@ fn patternset_row(env: &HotpathEnv, preds: usize) -> HotpathRow {
     )
 }
 
+/// The ledger's `ycsb_skew` plan shape: YCSB, paper workload A (50
+/// queries, Zipf 2.0) over the YCSB pool, budget 25 µs. It pushes about
+/// fourteen key/value predicates on four quoted keys, so every atom's
+/// prefix starts with the same byte — the case the LIKE rows above,
+/// whose needles spread, never reach.
+fn ycsb_skew_plan() -> PushdownPlan {
+    let queries = WorkloadConfig {
+        dataset: Dataset::Ycsb,
+        kind: WorkloadKind::Zipf { exponent: 2.0 },
+        queries: 50,
+        expected_predicates: 3.0,
+        seed: 1,
+    }
+    .generate(&build_pool(Dataset::Ycsb));
+    let sample = Dataset::Ycsb.generate(7, 2000);
+    PushdownPlan::build(&queries, &sample, &CostModel::default_uncalibrated(), 25.0)
+        .expect("the workload has queries")
+}
+
+/// Predicate bits `target` sets over a chunk, record by record as
+/// [`Prefilter::run_chunk`] evaluates them.
+fn pattern_set_bits(set: &PatternSet, target: ScanTarget, chunk: &RecordChunk) -> u64 {
+    let mut matched = Vec::new();
+    chunk
+        .iter()
+        .map(|record| {
+            set.eval_into_on(target, record.as_bytes(), &mut matched);
+            matched.iter().filter(|&&m| m).count() as u64
+        })
+        .sum()
+}
+
+fn chunk_bits(result: ciao_client::ChunkFilterResult) -> u64 {
+    result.bitvecs.iter().map(BitVec::count_ones).sum::<usize>() as u64
+}
+
+/// The one-pass prefilter on the `ycsb_skew` plan vs the per-needle
+/// loop, and beside it the portable scan target vs the same loop. The
+/// first row runs the target this CPU dispatches to (AVX2 where it
+/// exists) and is gated; the portable row is recorded for comparison.
+fn plan_ycsb_skew_rows(chunk: &RecordChunk) -> [HotpathRow; 2] {
+    let plan = ycsb_skew_plan();
+    let pf = plan.prefilter();
+    let set = PatternSet::new(plan.predicates.iter().map(|p| &p.pattern));
+    let bytes = chunk.payload_bytes();
+    let detected = interleaved_median_ns(
+        || chunk_bits(pf.run_chunk(chunk)),
+        || chunk_bits(pf.run_chunk_scalar(chunk)),
+    );
+    let portable = interleaved_median_ns(
+        || pattern_set_bits(&set, ScanTarget::Portable, chunk),
+        || chunk_bits(pf.run_chunk_scalar(chunk)),
+    );
+    [
+        row(
+            "prefilter/plan_ycsb_skew",
+            "prefilter",
+            detected,
+            bytes,
+            true,
+        ),
+        row(
+            "prefilter/plan_ycsb_skew_portable",
+            "prefilter",
+            portable,
+            bytes,
+            false,
+        ),
+    ]
+}
+
 // Large enough (256 KiB of words per operand) that the accumulator
 // does not just sit in L1: the fused kernel's one-pass traffic win is
 // what the row measures, and it only exists past the cache.
@@ -252,6 +328,12 @@ fn bitvec_count_and_row() -> HotpathRow {
     row("bitvec/count_and", "bitvec", timings, BITVEC_BITS / 4, true)
 }
 
+/// Scans per timed sample of `columnar/dict_zone_prune`. One pruned
+/// scan takes well under a microsecond, so timing one per sample let
+/// timer noise swing the row's ratio between 24x and 50x; this many
+/// put the pruned side past ~20 µs a sample.
+const ZONE_SCANS_PER_SAMPLE: usize = 128;
+
 /// Dictionary zone maps: a `StrEq` probe for an absent value over a
 /// low-cardinality column prunes every block instead of scanning rows.
 fn columnar_zone_row(records: usize) -> HotpathRow {
@@ -274,10 +356,15 @@ fn columnar_zone_row(records: usize) -> HotpathRow {
     }
     let table = tb.finish();
     let query = parse_query("probe", r#"level = "absent""#).unwrap();
-    let bytes = records * 8; // order-of-magnitude cell traffic
+    let bytes = records * 8 * ZONE_SCANS_PER_SAMPLE; // order-of-magnitude cell traffic
+    let scans = |options: ScanOptions| {
+        (0..ZONE_SCANS_PER_SAMPLE)
+            .map(|_| scan_count(&table, &query, &options).rows_matched as u64)
+            .sum()
+    };
     let timings = interleaved_median_ns(
-        || scan_count(&table, &query, &ScanOptions::full().with_zone_maps()).rows_matched as u64,
-        || scan_count(&table, &query, &ScanOptions::full()).rows_matched as u64,
+        || scans(ScanOptions::full().with_zone_maps()),
+        || scans(ScanOptions::full()),
     );
     row("columnar/dict_zone_prune", "columnar", timings, bytes, true)
 }
@@ -605,10 +692,12 @@ fn storage_wal_frame_row(chunk: &RecordChunk) -> HotpathRow {
 /// Runs the whole suite at a scale.
 pub fn run(scale: ExperimentScale) -> Vec<HotpathRow> {
     let env = HotpathEnv::new(scale);
+    let ycsb = ndjson(Dataset::Ycsb, scale);
     let mut rows = vec![search_row(&env)];
     for preds in [2usize, 4, 8, 16] {
         rows.push(patternset_row(&env, preds));
     }
+    rows.extend(plan_ycsb_skew_rows(&RecordChunk::from_ndjson(&ycsb)));
     rows.push(bitvec_and_all_row());
     rows.push(bitvec_count_and_row());
     rows.push(columnar_zone_row(scale.records.min(20_000)));
@@ -616,15 +705,11 @@ pub fn run(scale: ExperimentScale) -> Vec<HotpathRow> {
     rows.push(columnar_load_text_row(
         LOAD_TEXT_ROWS.min(12 * scale.records),
     ));
-    rows.push(json_projected_row(
-        "ycsb",
-        &ndjson(Dataset::Ycsb, scale),
-        YCSB_KEYS,
-    ));
+    rows.push(json_projected_row("ycsb", &ycsb, YCSB_KEYS));
     rows.push(json_projected_row("winlog", env.text(), WINLOG_KEYS));
     rows.push(engine_parked_rescan_row(
         "ycsb",
-        &ndjson(Dataset::Ycsb, scale),
+        &ycsb,
         &count_sql(YCSB_RESCAN),
     ));
     rows.push(engine_parked_rescan_row(
@@ -655,7 +740,7 @@ mod tests {
             sample: 100,
         };
         let rows = run(scale);
-        assert_eq!(rows.len(), 17);
+        assert_eq!(rows.len(), 19);
         for r in &rows {
             assert!(r.median_ns > 0.0, "{}: zero median", r.name);
             assert!(r.baseline_ns > 0.0, "{}: zero baseline", r.name);
@@ -745,6 +830,37 @@ mod tests {
         let table = load_by_text(&schema, &text);
         assert_eq!(table.row_count(), 2500);
         assert_eq!(table, load_by_tree(&schema, &text));
+    }
+
+    #[test]
+    fn ycsb_skew_plan_pushes_key_value_predicates_on_shared_first_bytes() {
+        let plan = ycsb_skew_plan();
+        assert!(
+            (10..=20).contains(&plan.predicates.len()),
+            "{}",
+            plan.predicates.len()
+        );
+        let firsts: std::collections::BTreeSet<u8> = plan
+            .predicates
+            .iter()
+            .flat_map(|p| &p.pattern.patterns)
+            .map(|p| match p {
+                ciao_predicate::Pattern::Find { needle } => needle.as_bytes()[0],
+                ciao_predicate::Pattern::KeyThenValue { key, .. } => key.as_bytes()[0],
+            })
+            .collect();
+        assert_eq!(firsts, [b'"'].into());
+        // Both targets must answer like the per-needle loop.
+        let chunk = RecordChunk::from_ndjson(&Dataset::Ycsb.generate_ndjson(5, 300));
+        let pf = plan.prefilter();
+        let set = PatternSet::new(plan.predicates.iter().map(|p| &p.pattern));
+        let expected = chunk_bits(pf.run_chunk_scalar(&chunk));
+        assert!(expected > 0);
+        assert_eq!(chunk_bits(pf.run_chunk(&chunk)), expected);
+        assert_eq!(
+            pattern_set_bits(&set, ScanTarget::Portable, &chunk),
+            expected
+        );
     }
 
     #[test]

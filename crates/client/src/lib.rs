@@ -21,7 +21,8 @@
 //!   primitive.
 //! * [`raw_eval`] — pattern/clause matching over raw records.
 //! * [`pattern_set`] — all predicates of a pushdown plan compiled into
-//!   one anchor-bucketed matcher, evaluated in a single pass per record.
+//!   prefix groups behind a Teddy fingerprint scan (AVX2, with a
+//!   portable fallback), evaluated in a single pass per record.
 //! * [`prefilter`] — per-chunk evaluation producing bitvectors.
 //! * [`budget`] — runtime budget enforcement with conservative
 //!   degradation (over budget ⇒ remaining bits forced to 1).

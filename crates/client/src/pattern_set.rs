@@ -1,114 +1,156 @@
 //! Batched multi-pattern evaluation: all of a plan's predicates in one
 //! pass per record.
 //!
-//! The per-needle prefilter walks every record once *per predicate* —
-//! with `P` pushed predicates that is `P` full traversals of every raw
-//! chunk. A [`PatternSet`] is compiled once per pushdown plan and
-//! inverts the loop (the Teddy-lite shape multi-pattern engines use):
+//! The per-needle prefilter walks every record once *per predicate*.
+//! A [`PatternSet`] is compiled once per pushdown plan and inverts the
+//! loop with the fingerprint shape of Teddy, Hyperscan's multi-pattern
+//! matcher (Wang et al., NSDI 2019):
 //!
-//! 1. Every disjunct of every clause becomes an **atom** anchored on
-//!    its statistically rarest byte (quoted JSON patterns mostly start
-//!    with `"`, which would pile every atom into one bucket — anchoring
-//!    on the rarest byte spreads them out).
-//! 2. Atoms are bucketed by anchor byte (CSR layout) behind a 256-entry
-//!    membership table.
-//! 3. One scan per record: non-anchor bytes cost one table test; an
-//!    anchor byte verifies only its bucket's unmatched atoms at that
-//!    position. The scan stops as soon as every predicate matched.
+//! 1. Every disjunct of every clause is an **atom** with a *prefix*: a
+//!    `Find` needle or a `KeyThenValue` key. Atoms with the same prefix
+//!    form one **group**, so a plan that pushes six `linear_score`
+//!    values compares `"linear_score"` once per occurrence, finds its
+//!    `,`-bounded value window once, and runs only the value searches
+//!    of members that have not matched yet.
+//! 2. The first (up to) three prefix bytes of each group are its
+//!    **fingerprint**. Groups are sorted by fingerprint and spread over
+//!    eight **buckets**; per fingerprint position `k`, two 16-entry
+//!    tables map a byte's low and high nibble to the buckets that allow
+//!    it there. A position's candidate buckets are the AND over `k` of
+//!    `lo[k][b & 15] & hi[k][b >> 4]`.
+//! 3. **Dispatch.** With AVX2 (checked once with
+//!    `is_x86_feature_detected!`) the nibble tables are `vpshufb`
+//!    lookups and one iteration tests 32 positions; the record tail is
+//!    copied into a zero-padded block. Without it, a portable loop
+//!    tests each position's first byte pair against an exact 64 Ki-bit
+//!    pair bitmap, then the same nibble tables. The portable loop is
+//!    also the oracle the AVX2 kernel is differentially tested against
+//!    ([`PatternSet::eval_into_on`]).
+//! 4. Each candidate bucket's groups compare their whole prefix at the
+//!    position. The scan stops once every predicate matched.
 //!
-//! Semantics are **bit-identical** to evaluating
+//! **Exactness.** Every occurrence of a prefix carries its group's
+//! fingerprint bytes, whose nibbles are set in its bucket's tables;
+//! positions past a short fingerprint, and bytes past the record end,
+//! either allow every bucket or leave a candidate the prefix compare
+//! rejects. So the candidates are a superset of the occurrences, every
+//! occurrence is verified, and the answers are **bit-identical** to
 //! [`CompiledClause::is_match`](crate::raw_eval::CompiledClause) per
 //! predicate (differentially property-tested): a `Find` atom matches
-//! when its needle occurs anywhere, a `KeyThenValue` atom checks every
-//! key occurrence's window up to the next `,`. False positives stay
-//! allowed, false negatives stay forbidden.
+//! when its needle occurs anywhere, a `KeyThenValue` atom when some key
+//! occurrence's window up to the next `,` holds the value.
 
 use crate::raw_eval::CompiledPattern;
 use crate::search::Finder;
 use crate::swar;
 use ciao_predicate::{ClausePattern, Pattern};
 
-/// Approximate descending byte frequency for JSON-serialized machine
-/// logs: structural bytes and common ASCII letters/digits score high,
-/// everything else low. Only the *relative order* matters — the anchor
-/// chooser picks the minimum-rank byte of each needle.
-static BYTE_RANK: [u8; 256] = {
-    let mut rank = [0u8; 256];
-    // Structural JSON bytes appear in every record.
-    rank[b'"' as usize] = 255;
-    rank[b',' as usize] = 250;
-    rank[b':' as usize] = 250;
-    rank[b'{' as usize] = 240;
-    rank[b'}' as usize] = 240;
-    rank[b'[' as usize] = 200;
-    rank[b']' as usize] = 200;
-    rank[b' ' as usize] = 230;
-    rank[b'.' as usize] = 150;
-    rank[b'-' as usize] = 140;
-    rank[b'_' as usize] = 140;
-    // English letter frequency, coarsely binned.
-    let common = b"etaoinshrdlu";
-    let mid = b"cmfwypvbg";
-    let mut i = 0;
-    while i < common.len() {
-        rank[common[i] as usize] = 220 - i as u8;
-        rank[common[i].to_ascii_uppercase() as usize] = 160 - i as u8;
-        i += 1;
-    }
-    i = 0;
-    while i < mid.len() {
-        rank[mid[i] as usize] = 190 - i as u8;
-        rank[mid[i].to_ascii_uppercase() as usize] = 130 - i as u8;
-        i += 1;
-    }
-    // Digits are common in logs (ids, counters, timestamps).
-    let mut d = b'0';
-    while d <= b'9' {
-        rank[d as usize] = 170;
-        d += 1;
-    }
-    rank
-};
+/// Fingerprint bytes taken from the start of each group's prefix.
+const FP_LEN: usize = 3;
+/// Teddy buckets: one bit of a candidate mask byte each.
+const BUCKETS: usize = 8;
 
-/// Distinct anchor bytes above which the record scan falls back from
-/// the SWAR masked loop to the per-byte table loop: each extra anchor
-/// costs one `eq_mask` (4 ALU ops) per 8-byte chunk, so past this point
-/// the fused masks stop beating one table lookup per byte.
-const MAX_SWAR_ANCHORS: usize = 8;
-
-/// One anchored disjunct.
+/// The atoms of one prefix.
 #[derive(Debug, Clone)]
-struct Atom {
-    /// Index into the predicate (clause) list, not the server id.
-    pred: u32,
-    /// Anchor offset within `prefix`.
-    offset: u32,
-    /// The needle that must start at `position - offset`: a `Find`
-    /// needle, or a `KeyThenValue` key.
+struct Group {
     prefix: Box<[u8]>,
-    /// `Some` for `KeyThenValue`: the value searched in the window
-    /// between the key end and the next `,`.
-    value: Option<Finder>,
+    /// Predicates of the `Find` atoms: the prefix alone matches them.
+    finds: Vec<u32>,
+    /// `(predicate, value)` of the `KeyThenValue` atoms: the value is
+    /// searched in the window between the prefix end and the next `,`.
+    values: Vec<(u32, Finder)>,
+}
+
+impl Group {
+    /// The prefix bytes the candidate scan tests.
+    fn fingerprint(&self) -> &[u8] {
+        &self.prefix[..self.prefix.len().min(FP_LEN)]
+    }
+
+    /// Verifies the group at `at`, marking what matches. Returns `true`
+    /// when every predicate has now matched (the scan can stop).
+    #[inline]
+    fn check(&self, record: &[u8], at: usize, matched: &mut [bool], remaining: &mut usize) -> bool {
+        let wstart = at + self.prefix.len();
+        if record.get(at..wstart) != Some(&self.prefix[..]) {
+            return false;
+        }
+        let mut hit = |p: u32, matched: &mut [bool]| {
+            matched[p as usize] = true;
+            *remaining -= 1;
+        };
+        for &p in &self.finds {
+            if !matched[p as usize] {
+                hit(p, matched);
+            }
+        }
+        let mut window = None;
+        for (p, value) in &self.values {
+            if matched[*p as usize] {
+                continue;
+            }
+            // CompiledPattern's window rule, found once per occurrence.
+            let window = *window.get_or_insert_with(|| {
+                let wend = swar::memchr_from(b',', record, wstart).unwrap_or(record.len());
+                &record[wstart..wend]
+            });
+            if value.find(window).is_some() {
+                hit(*p, matched);
+            }
+        }
+        *remaining == 0
+    }
+}
+
+/// The candidate scan a [`PatternSet`] runs. Public only so the
+/// differential tests can run each target explicitly.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanTarget {
+    /// Pair bitmap, then the nibble tables one position at a time.
+    Portable,
+    /// The nibble tables as `vpshufb` lookups, 32 positions at a time.
+    Avx2,
+}
+
+impl ScanTarget {
+    /// The fastest target this CPU runs.
+    pub fn detected() -> ScanTarget {
+        if ScanTarget::Avx2.is_available() {
+            ScanTarget::Avx2
+        } else {
+            ScanTarget::Portable
+        }
+    }
+
+    /// Whether this CPU can run the target.
+    pub fn is_available(self) -> bool {
+        match self {
+            ScanTarget::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            ScanTarget::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            ScanTarget::Avx2 => false,
+        }
+    }
 }
 
 /// A set of clause patterns compiled for one-pass evaluation.
 #[derive(Debug, Clone)]
 pub struct PatternSet {
     pred_count: usize,
-    atoms: Vec<Atom>,
-    /// CSR bucket offsets: atoms anchored on byte `b` are
-    /// `bucket_atoms[bucket_start[b]..bucket_start[b + 1]]`. Boxed
-    /// fixed-size arrays so `u8` indexing needs no bounds check in the
-    /// per-byte scan.
-    bucket_start: Box<[u32; 257]>,
-    bucket_atoms: Vec<u32>,
-    /// 256-entry anchor membership table (`true` ⇔ non-empty bucket).
-    is_anchor: Box<[bool; 256]>,
-    /// Broadcast words of every distinct anchor byte, when there are
-    /// at most [`MAX_SWAR_ANCHORS`]: the record scan then tests eight
-    /// positions per iteration by OR-ing one [`swar::eq_mask`] per
-    /// anchor byte over a single load. Empty ⇒ per-byte table scan.
-    anchor_pats: Vec<u64>,
+    /// Sorted by fingerprint; bucket `b` holds
+    /// `groups[bucket_start[b]..bucket_start[b + 1]]`.
+    groups: Vec<Group>,
+    bucket_start: [usize; BUCKETS + 1],
+    /// `lo[k][n]` / `hi[k][n]`: buckets allowing low / high nibble `n`
+    /// at fingerprint position `k`.
+    lo: [[u8; 16]; FP_LEN],
+    hi: [[u8; 16]; FP_LEN],
+    /// Bit `a << 8 | b` is set when some fingerprint starts with bytes
+    /// `a, b` (or is the single byte `a`).
+    pairs: Box<[u64; 1024]>,
+    target: ScanTarget,
     /// Predicate indices that match every record (an empty `Find`
     /// needle — the empty string occurs in anything).
     always: Vec<u32>,
@@ -119,87 +161,96 @@ pub struct PatternSet {
 
 impl Default for PatternSet {
     fn default() -> PatternSet {
-        PatternSet {
-            pred_count: 0,
-            atoms: Vec::new(),
-            bucket_start: Box::new([0; 257]),
-            bucket_atoms: Vec::new(),
-            is_anchor: Box::new([false; 256]),
-            anchor_pats: Vec::new(),
-            always: Vec::new(),
-            fallback: Vec::new(),
-        }
+        PatternSet::new(&[])
     }
 }
 
 impl PatternSet {
     /// Compiles the clause patterns of a plan, in pushdown order.
     pub fn new<'a>(clauses: impl IntoIterator<Item = &'a ClausePattern>) -> PatternSet {
-        let mut set = PatternSet::default();
-        let mut anchored: Vec<(u8, u32)> = Vec::new(); // (anchor byte, atom idx)
+        let mut pred_count = 0;
+        let mut groups: Vec<Group> = Vec::new();
+        let (mut always, mut fallback) = (Vec::new(), Vec::new());
         for (p, clause) in clauses.into_iter().enumerate() {
             let p = p as u32;
-            set.pred_count += 1;
+            pred_count += 1;
             for pattern in &clause.patterns {
                 let (prefix, value) = match pattern {
                     Pattern::Find { needle } => (needle.as_bytes(), None),
-                    Pattern::KeyThenValue { key, value } => {
-                        (key.as_bytes(), Some(Finder::new(value)))
-                    }
+                    Pattern::KeyThenValue { key, value } => (key.as_bytes(), Some(value)),
                 };
                 if prefix.is_empty() {
                     match value {
                         // find("") matches every record.
-                        None => set.always.push(p),
+                        None => always.push(p),
                         // An empty key anchors nowhere; keep exact
                         // semantics via the scalar matcher.
-                        Some(_) => set.fallback.push((p, CompiledPattern::new(pattern))),
+                        Some(_) => fallback.push((p, CompiledPattern::new(pattern))),
                     }
                     continue;
                 }
-                let offset = prefix
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &b)| BYTE_RANK[b as usize])
-                    .map_or(0, |(i, _)| i);
-                anchored.push((prefix[offset], set.atoms.len() as u32));
-                set.atoms.push(Atom {
-                    pred: p,
-                    offset: offset as u32,
-                    prefix: prefix.into(),
-                    value,
-                });
+                let g = match groups.iter().position(|g| &g.prefix[..] == prefix) {
+                    Some(g) => g,
+                    None => {
+                        groups.push(Group {
+                            prefix: prefix.into(),
+                            finds: Vec::new(),
+                            values: Vec::new(),
+                        });
+                        groups.len() - 1
+                    }
+                };
+                match value {
+                    None => groups[g].finds.push(p),
+                    Some(v) => groups[g].values.push((p, Finder::new(v))),
+                }
             }
         }
-        set.always.sort_unstable();
-        set.always.dedup();
+        always.sort_unstable();
+        always.dedup();
 
-        // CSR buckets: counting sort over the anchor byte.
-        let mut counts = [0u32; 256];
-        for &(b, _) in &anchored {
-            counts[b as usize] += 1;
+        // Neighbours in fingerprint order share buckets, so a shared
+        // bucket's nibble tables stay close to its members' bytes.
+        groups.sort_by(|a, b| a.fingerprint().cmp(b.fingerprint()));
+        let mut bucket_start = [groups.len(); BUCKETS + 1];
+        let (mut lo, mut hi) = ([[0u8; 16]; FP_LEN], [[0u8; 16]; FP_LEN]);
+        let mut pairs = Box::new([0u64; 1024]);
+        for (i, group) in groups.iter().enumerate().rev() {
+            let bucket = i * BUCKETS / groups.len();
+            bucket_start[..=bucket].fill(i);
+            let bit = 1u8 << bucket;
+            for k in 0..FP_LEN {
+                match group.fingerprint().get(k) {
+                    Some(&b) => {
+                        lo[k][usize::from(b & 15)] |= bit;
+                        hi[k][usize::from(b >> 4)] |= bit;
+                    }
+                    None => {
+                        lo[k].iter_mut().for_each(|m| *m |= bit);
+                        hi[k].iter_mut().for_each(|m| *m |= bit);
+                    }
+                }
+            }
+            let first = usize::from(group.prefix[0]) << 8;
+            let seconds = match group.prefix.get(1) {
+                Some(&b) => usize::from(b)..usize::from(b) + 1,
+                None => 0..256,
+            };
+            for pair in seconds.map(|s| first | s) {
+                pairs[pair >> 6] |= 1 << (pair & 63);
+            }
         }
-        let mut start = [0u32; 257];
-        for b in 0..256 {
-            start[b + 1] = start[b] + counts[b];
-            set.is_anchor[b] = counts[b] != 0;
+        PatternSet {
+            pred_count,
+            groups,
+            bucket_start,
+            lo,
+            hi,
+            pairs,
+            target: ScanTarget::detected(),
+            always,
+            fallback,
         }
-        let mut bucket_atoms = vec![0u32; anchored.len()];
-        let mut cursor = start;
-        for &(b, atom) in &anchored {
-            bucket_atoms[cursor[b as usize] as usize] = atom;
-            cursor[b as usize] += 1;
-        }
-        set.bucket_start = Box::new(start);
-        set.bucket_atoms = bucket_atoms;
-        let distinct = (0..256).filter(|&b| set.is_anchor[b]).count();
-        if (1..=MAX_SWAR_ANCHORS).contains(&distinct) {
-            set.anchor_pats = (0..256u32)
-                .filter(|&b| set.is_anchor[b as usize])
-                .map(|b| swar::broadcast(b as u8))
-                .collect();
-        }
-        set
     }
 
     /// Number of compiled predicates (clauses).
@@ -213,6 +264,16 @@ impl PatternSet {
     /// `p` is `true` ⇔ predicate `p` (in compile order) matches. The
     /// buffer is caller-owned so chunk loops allocate once.
     pub fn eval_into(&self, record: &[u8], matched: &mut Vec<bool>) {
+        self.eval_into_on(self.target, record, matched);
+    }
+
+    /// [`PatternSet::eval_into`] on an explicit scan target.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the CPU cannot run `target`.
+    #[doc(hidden)]
+    pub fn eval_into_on(&self, target: ScanTarget, record: &[u8], matched: &mut Vec<bool>) {
         matched.clear();
         matched.resize(self.pred_count, false);
         let mut remaining = self.pred_count;
@@ -229,75 +290,20 @@ impl PatternSet {
                 remaining -= 1;
             }
         }
-        if remaining == 0 || self.atoms.is_empty() {
+        if remaining == 0 || self.groups.is_empty() {
             return;
         }
-
-        let mut i = 0;
-        if !self.anchor_pats.is_empty() {
-            // SWAR scan: one load covers eight positions; each anchor
-            // byte contributes one eq_mask. A zero combined mask (the
-            // common case — anchors are chosen rare) skips the whole
-            // chunk for ~4 ALU ops per anchor byte.
-            while i + 8 <= record.len() {
-                let chunk = swar::load_le(record, i);
-                let mut m = 0u64;
-                for &pat in &self.anchor_pats {
-                    m |= swar::eq_mask(chunk, pat);
-                }
-                while m != 0 {
-                    let at = i + swar::first_lane(m);
-                    m = swar::clear_first_lane(m);
-                    let b = record[at];
-                    // eq_mask lanes above a true match can be false
-                    // positives; the membership table re-verifies.
-                    if self.is_anchor[b as usize]
-                        && self.check_bucket(record, at, b, matched, &mut remaining)
-                    {
-                        return;
-                    }
-                }
-                i += 8;
+        match target {
+            ScanTarget::Portable => self.scan_portable(record, matched, &mut remaining),
+            #[cfg(target_arch = "x86_64")]
+            ScanTarget::Avx2 => {
+                assert!(target.is_available(), "this CPU has no AVX2");
+                // SAFETY: the CPU supports AVX2, checked just above.
+                unsafe { self.scan_avx2(record, matched, &mut remaining) }
             }
+            #[cfg(not(target_arch = "x86_64"))]
+            ScanTarget::Avx2 => panic!("AVX2 exists only on x86_64"),
         }
-        for at in i..record.len() {
-            let b = record[at];
-            if self.is_anchor[b as usize]
-                && self.check_bucket(record, at, b, matched, &mut remaining)
-            {
-                return;
-            }
-        }
-    }
-
-    /// Verifies every unmatched atom of byte `b`'s bucket against the
-    /// anchor position `at`. Returns `true` when every predicate has
-    /// now matched (the scan can stop).
-    #[inline]
-    fn check_bucket(
-        &self,
-        record: &[u8],
-        at: usize,
-        b: u8,
-        matched: &mut [bool],
-        remaining: &mut usize,
-    ) -> bool {
-        let s = self.bucket_start[b as usize] as usize;
-        let e = self.bucket_start[b as usize + 1] as usize;
-        for &ai in &self.bucket_atoms[s..e] {
-            let atom = &self.atoms[ai as usize];
-            if matched[atom.pred as usize] {
-                continue;
-            }
-            if self.verify(atom, record, at) {
-                matched[atom.pred as usize] = true;
-                *remaining -= 1;
-                if *remaining == 0 {
-                    return true;
-                }
-            }
-        }
-        false
     }
 
     /// Convenience wrapper allocating a fresh buffer.
@@ -307,29 +313,112 @@ impl PatternSet {
         out
     }
 
-    /// Checks one atom whose anchor byte sits at `record[at]`.
+    /// Verifies the groups of every bucket in `buckets` at `at`.
+    /// Returns `true` when every predicate has now matched.
     #[inline]
-    fn verify(&self, atom: &Atom, record: &[u8], at: usize) -> bool {
-        let offset = atom.offset as usize;
-        if at < offset {
-            return false;
-        }
-        let start = at - offset;
-        let Some(window) = record.get(start..start + atom.prefix.len()) else {
-            return false;
-        };
-        if window != &atom.prefix[..] {
-            return false;
-        }
-        match &atom.value {
-            None => true,
-            Some(value) => {
-                // Key found: search the value between the key end and
-                // the next `,` — exactly CompiledPattern's window rule.
-                let wstart = start + atom.prefix.len();
-                let wend = swar::memchr_from(b',', record, wstart).unwrap_or(record.len());
-                value.find(&record[wstart..wend]).is_some()
+    fn verify(
+        &self,
+        record: &[u8],
+        at: usize,
+        mut buckets: u8,
+        matched: &mut [bool],
+        remaining: &mut usize,
+    ) -> bool {
+        while buckets != 0 {
+            let b = buckets.trailing_zeros() as usize;
+            buckets &= buckets - 1;
+            for group in &self.groups[self.bucket_start[b]..self.bucket_start[b + 1]] {
+                if group.check(record, at, matched, remaining) {
+                    return true;
+                }
             }
+        }
+        false
+    }
+
+    /// The portable target: an exact pair-bitmap test, then the nibble
+    /// tables. A byte past the record end allows every bucket.
+    fn scan_portable(&self, record: &[u8], matched: &mut [bool], remaining: &mut usize) {
+        for at in 0..record.len() {
+            if let Some(&next) = record.get(at + 1) {
+                let pair = usize::from(record[at]) << 8 | usize::from(next);
+                if self.pairs[pair >> 6] >> (pair & 63) & 1 == 0 {
+                    continue;
+                }
+            }
+            let mut buckets = u8::MAX;
+            for (k, &b) in record[at..].iter().take(FP_LEN).enumerate() {
+                buckets &= self.lo[k][usize::from(b & 15)] & self.hi[k][usize::from(b >> 4)];
+            }
+            if buckets != 0 && self.verify(record, at, buckets, matched, remaining) {
+                return;
+            }
+        }
+    }
+
+    /// The AVX2 target: 32 positions per iteration. Blocks whose loads
+    /// would read past the record are copied into a zero-padded buffer
+    /// first, and their positions past the end are masked off.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn scan_avx2(&self, record: &[u8], matched: &mut [bool], remaining: &mut usize) {
+        use std::arch::x86_64::*;
+        const BLOCK: usize = 32;
+        /// The bytes one block's loads read: positions `0..BLOCK`, each
+        /// with its `FP_LEN` fingerprint bytes.
+        const WINDOW: usize = BLOCK + FP_LEN - 1;
+        let table = |t: &[u8; 16]| {
+            // SAFETY: the load reads the 16 bytes of `t`.
+            _mm256_broadcastsi128_si256(unsafe { _mm_loadu_si128(t.as_ptr().cast()) })
+        };
+        let (lo, hi) = (self.lo.map(|t| table(&t)), self.hi.map(|t| table(&t)));
+        let nibble = _mm256_set1_epi8(0x0f);
+        let block = |w: &[u8; WINDOW]| {
+            let mut acc = _mm256_set1_epi8(-1);
+            for k in 0..FP_LEN {
+                // SAFETY: the load reads `w[k..k + BLOCK]`, inside `w`
+                // because `k < FP_LEN`.
+                let v = unsafe { _mm256_loadu_si256(w[k..].as_ptr().cast()) };
+                let l = _mm256_shuffle_epi8(lo[k], _mm256_and_si256(v, nibble));
+                let h =
+                    _mm256_shuffle_epi8(hi[k], _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble));
+                acc = _mm256_and_si256(acc, _mm256_and_si256(l, h));
+            }
+            acc
+        };
+        let n = record.len();
+        let mut at = 0;
+        while at < n {
+            let buckets = match record.get(at..at + WINDOW) {
+                Some(w) => block(w.try_into().expect("sliced to the window length")),
+                None => {
+                    let mut padded = [0u8; WINDOW];
+                    padded[..n - at].copy_from_slice(&record[at..]);
+                    block(&padded)
+                }
+            };
+            let zero = _mm256_cmpeq_epi8(buckets, _mm256_setzero_si256());
+            let mut candidates = !(_mm256_movemask_epi8(zero) as u32);
+            if n - at < BLOCK {
+                candidates &= (1u32 << (n - at)) - 1;
+            }
+            if candidates != 0 {
+                let mut lanes = [0u8; BLOCK];
+                // SAFETY: the store writes the 32 bytes of `lanes`.
+                unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), buckets) };
+                while candidates != 0 {
+                    let j = candidates.trailing_zeros() as usize;
+                    candidates &= candidates - 1;
+                    if self.verify(record, at + j, lanes[j], matched, remaining) {
+                        return;
+                    }
+                }
+            }
+            at += BLOCK;
         }
     }
 }

@@ -1,11 +1,13 @@
 //! Chunk-level prefiltering: raw records in, bitvectors out.
 //!
-//! Since the hot-path rework, the chunk loop evaluates **all**
-//! predicates in one pass per record via a compiled
-//! [`PatternSet`] instead of one
-//! haystack traversal per predicate. The per-needle loop survives as
-//! [`Prefilter::run_chunk_scalar`] — the differential-test oracle and
-//! the benchmark baseline.
+//! [`Prefilter::run_chunk`] answers every pushed predicate from one
+//! pass per record through a compiled [`PatternSet`]: atoms grouped by
+//! prefix, candidate positions found by a Teddy fingerprint scan (AVX2
+//! where the CPU has it, a portable loop otherwise), each candidate
+//! verified exactly. The per-needle loop, one haystack traversal per
+//! predicate, survives as [`Prefilter::run_chunk_scalar`] — the
+//! differential-test oracle and the benchmark baseline. Both set the
+//! same bits.
 
 use crate::pattern_set::PatternSet;
 use crate::raw_eval::CompiledClause;

@@ -7,10 +7,14 @@
 //! `raw_match(compile(p), serialize(record)) == true`, for every
 //! supported predicate and every record. False positives are fine;
 //! false negatives are forbidden. We drive this with proptest over
-//! randomly generated flat records and predicates derived from them.
+//! randomly generated flat records and predicates derived from them,
+//! through the per-clause matcher ([`CompiledClause`]) and through the
+//! path clients run ([`Prefilter::run_chunk`], the one-pass
+//! `PatternSet` scan).
 
 use ciao_client::raw_eval::CompiledClause;
-use ciao_json::{to_string, JsonValue};
+use ciao_client::Prefilter;
+use ciao_json::{to_string, JsonValue, RecordChunk};
 use ciao_predicate::{compile_clause, eval_clause, Clause, SimplePredicate};
 use proptest::prelude::*;
 
@@ -97,6 +101,19 @@ fn arb_predicate(record: JsonValue) -> impl Strategy<Value = (JsonValue, SimpleP
         })
 }
 
+/// The bits [`Prefilter::run_chunk`] sets for `text` (chunked between
+/// two unrelated records), one per clause, in order.
+fn prefilter_bits(clauses: &[Clause], text: &str) -> Vec<bool> {
+    let prefilter = Prefilter::for_clauses(clauses.iter().enumerate().map(|(i, c)| (i as u32, c)));
+    let chunk = RecordChunk::from_records(&[r#"{"zz":0}"#, text, "{}"]).unwrap();
+    prefilter
+        .run_chunk(&chunk)
+        .bitvecs
+        .iter()
+        .map(|bits| bits.get(1) == Some(true))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -130,6 +147,30 @@ proptest! {
             let pattern = compile_clause(&clause).unwrap();
             let text = to_string(&record);
             prop_assert!(CompiledClause::new(&pattern).is_match(text.as_bytes()));
+        }
+    }
+
+    /// The invariant on the client's path: several predicates pushed
+    /// together share the one-pass scan's groups and buckets, and every
+    /// one the typed record satisfies must get its bit.
+    #[test]
+    fn prefilter_never_false_negative(
+        cases in arb_record().prop_flat_map(|r| prop::collection::vec(arb_predicate(r), 1..8)),
+    ) {
+        let record = cases[0].0.clone();
+        let clauses: Vec<Clause> = cases
+            .into_iter()
+            .map(|(_, p)| p)
+            .filter(SimplePredicate::is_pushable)
+            .map(Clause::single)
+            .collect();
+        let text = to_string(&record);
+        let bits = prefilter_bits(&clauses, &text);
+        for (clause, bit) in clauses.iter().zip(bits) {
+            prop_assert!(
+                bit || !eval_clause(clause, &record),
+                "FALSE NEGATIVE in Prefilter::run_chunk: {clause} matched typed record {text}"
+            );
         }
     }
 }
@@ -192,6 +233,11 @@ fn corpus_no_false_negatives() {
         assert!(
             CompiledClause::new(&pattern).is_match(text.as_bytes()),
             "false negative for {pred} on {text}"
+        );
+        assert_eq!(
+            prefilter_bits(&[clause], text),
+            vec![true],
+            "Prefilter::run_chunk false negative for {pred} on {text}"
         );
     }
 }
