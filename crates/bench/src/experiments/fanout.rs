@@ -122,7 +122,8 @@ fn parked_shards(schema: &Arc<Schema>, rows: usize) -> Vec<Arc<Shard>> {
     (0..SHARDS)
         .map(|s| {
             let mut shard = Shard::new(Arc::clone(&plan), Arc::clone(schema), BLOCK_ROWS);
-            let parked = (0..rows).filter(|i| i % SHARDS == s).map(record).collect();
+            let parked: Vec<String> = (0..rows).filter(|i| i % SHARDS == s).map(record).collect();
+            let parked = RecordChunk::from_records(&parked).expect("records frame");
             shard.restore(Table::default(), parked, LoadStats::default(), 0);
             Arc::new(shard)
         })

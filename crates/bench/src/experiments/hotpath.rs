@@ -14,10 +14,10 @@
 //! whichever ran second, and medians shrug off outliers.
 
 use crate::experiments::datasets::{ndjson, ExperimentScale};
-use ciao::PushdownPlan;
+use ciao::{AdmissionPolicy, Loader, PushdownPlan};
 use ciao_bitvec::BitVec;
 use ciao_client::pattern_set::ScanTarget;
-use ciao_client::{Finder, PatternSet, Prefilter};
+use ciao_client::{ChunkFilterResult, Finder, PatternSet, Prefilter};
 use ciao_columnar::Block;
 use ciao_columnar::{Schema, Table, TableBuilder};
 use ciao_datagen::Dataset;
@@ -25,7 +25,7 @@ use ciao_engine::{
     eval_query_on_block, finalize, plan_query, scan_count, Executor, ParkedFragment, ParkedIndex,
     PartialResult, ScanOptions,
 };
-use ciao_json::RecordChunk;
+use ciao_json::{RecordChunk, SharedRecord};
 use ciao_optimizer::CostModel;
 use ciao_predicate::{compile_clause, parse_clause, parse_query, ClausePattern};
 use ciao_sql::PhysicalPlan;
@@ -44,8 +44,8 @@ use std::time::Instant;
 pub struct HotpathRow {
     /// Row id, stable across runs (the gate joins on it).
     pub name: String,
-    /// Kernel family ("search", "prefilter", "bitvec", "columnar",
-    /// "engine", "json", "storage").
+    /// Kernel family ("search", "prefilter", "bitvec", "core",
+    /// "columnar", "engine", "json", "storage").
     pub group: String,
     /// Median wall-clock of the optimized path, nanoseconds.
     pub median_ns: f64,
@@ -283,6 +283,83 @@ fn plan_ycsb_skew_rows(chunk: &RecordChunk) -> [HotpathRow; 2] {
             false,
         ),
     ]
+}
+
+/// Records per chunk in the `core/park_chunk_ycsb_skew` row: the
+/// ledger's chunk size.
+const PARK_CHUNK_RECORDS: usize = 1024;
+
+/// Parked text's checksum: record count, bytes, and first bytes.
+fn parked_checksum<'a>(parked: impl Iterator<Item = &'a str>) -> u64 {
+    parked
+        .map(|r| {
+            1 + ((r.len() as u64) << 8) + u64::from(r.as_bytes().first().copied().unwrap_or(0))
+        })
+        .sum()
+}
+
+/// Partial loading's parking path: [`Loader::load_chunk`] over YCSB
+/// chunks under the `ycsb_skew` plan (about 1% admitted, the rest
+/// parked as handles into each chunk's text), vs the same admission
+/// and text load with each parked record copied into a `String` of its
+/// own — what the loader did before parked records shared their chunk.
+fn core_park_chunk_row(text: &str) -> HotpathRow {
+    let plan = ycsb_skew_plan();
+    let sample: Vec<_> = text
+        .lines()
+        .take(1000)
+        .map(|r| ciao_json::parse(r).expect("valid record"))
+        .collect();
+    let schema = Arc::new(Schema::infer(&sample).unwrap());
+    let ids = plan.ids();
+    let policy = AdmissionPolicy::from_coverage(&plan.query_coverage);
+    let prefilter = plan.prefilter();
+    let chunks: Vec<(RecordChunk, ChunkFilterResult)> = RecordChunk::from_ndjson(text)
+        .split(PARK_CHUNK_RECORDS)
+        .into_iter()
+        .map(|chunk| {
+            let filter = prefilter.run_chunk(&chunk);
+            (chunk, filter)
+        })
+        .collect();
+    let timings = interleaved_median_ns(
+        || {
+            let mut loader = Loader::new(Arc::clone(&schema), &ids, policy.clone(), 1024);
+            for (chunk, filter) in &chunks {
+                loader.load_chunk(chunk, filter);
+            }
+            let (table, parked, _) = loader.finish();
+            black_box(table);
+            parked_checksum(parked.iter().map(SharedRecord::as_str))
+        },
+        || {
+            let mut builder = TableBuilder::with_block_size(Arc::clone(&schema), &ids, 1024);
+            let mut parked: Vec<String> = Vec::new();
+            for (chunk, filter) in &chunks {
+                let admission = policy.admission_mask(filter);
+                let bitvecs: Vec<Option<&BitVec>> =
+                    ids.iter().map(|&id| filter.bitvec_for(id)).collect();
+                for (i, record) in chunk.iter().enumerate() {
+                    if admission.as_ref().is_none_or(|mask| mask.bit(i)) {
+                        let bit = |k: usize| bitvecs[k].is_some_and(|bv| bv.bit(i));
+                        if builder.push_text(record, bit).is_ok() {
+                            continue;
+                        }
+                    }
+                    parked.push(record.to_owned());
+                }
+            }
+            black_box(builder.finish());
+            parked_checksum(parked.iter().map(String::as_str))
+        },
+    );
+    row(
+        "core/park_chunk_ycsb_skew",
+        "core",
+        timings,
+        text.len(),
+        true,
+    )
 }
 
 // Large enough (256 KiB of words per operand) that the accumulator
@@ -698,6 +775,7 @@ pub fn run(scale: ExperimentScale) -> Vec<HotpathRow> {
         rows.push(patternset_row(&env, preds));
     }
     rows.extend(plan_ycsb_skew_rows(&RecordChunk::from_ndjson(&ycsb)));
+    rows.push(core_park_chunk_row(&ycsb));
     rows.push(bitvec_and_all_row());
     rows.push(bitvec_count_and_row());
     rows.push(columnar_zone_row(scale.records.min(20_000)));
@@ -740,7 +818,7 @@ mod tests {
             sample: 100,
         };
         let rows = run(scale);
-        assert_eq!(rows.len(), 19);
+        assert_eq!(rows.len(), 20);
         for r in &rows {
             assert!(r.median_ns > 0.0, "{}: zero median", r.name);
             assert!(r.baseline_ns > 0.0, "{}: zero baseline", r.name);

@@ -7,19 +7,22 @@
 //! [`promote_parked`], so a store that queries keep scanning becomes
 //! columns instead of being re-parsed by every query.
 //!
-//! Promotion is loading: the parked records go through a [`Loader`]
-//! that admits everything, so they reach the columns exactly as an
-//! ingested record does (text straight into the column builders,
-//! malformed records parked again). Promoted records need predicate
-//! bits for the block metadata; promotion regenerates them by
-//! re-running the plan's raw patterns over the parked text — the same
-//! conservative bits the client would have produced, so every skipping
-//! guarantee still holds.
+//! Promotion is loading: a batch of parked records (handles into the
+//! text they arrived in, [`SharedRecord`]) is framed into one chunk and
+//! goes through a [`Loader`] that admits everything, so it reaches the
+//! columns exactly as an ingested record does (text straight into the
+//! column builders, malformed records parked again — as handles into
+//! that chunk, or a copy of their own when they are few). Once no
+//! handle points into an ingested chunk any more, its text is freed.
+//! Promoted records need predicate bits for the block metadata;
+//! promotion regenerates them by re-running the plan's raw patterns
+//! over the parked text — the same conservative bits the client would
+//! have produced, so every skipping guarantee still holds.
 
 use crate::loader::{AdmissionPolicy, Loader};
 use crate::plan::PushdownPlan;
 use ciao_columnar::{Schema, Table};
-use ciao_json::RecordChunk;
+use ciao_json::{RecordChunk, SharedRecord};
 use std::sync::Arc;
 
 /// Outcome of one promotion pass.
@@ -39,9 +42,9 @@ pub struct PromotionStats {
 pub fn promote_parked(
     plan: &PushdownPlan,
     schema: Arc<Schema>,
-    parked: Vec<String>,
+    parked: Vec<SharedRecord>,
     block_size: usize,
-) -> (Table, Vec<String>, PromotionStats) {
+) -> (Table, Vec<SharedRecord>, PromotionStats) {
     let mut loader = Loader::new(schema, &plan.ids(), AdmissionPolicy::LoadAll, block_size);
     let Ok(chunk) = RecordChunk::from_records(&parked) else {
         // Parked records came from NDJSON lines, so this cannot
@@ -65,7 +68,7 @@ mod tests {
     use ciao_optimizer::CostModel;
     use ciao_predicate::parse_query;
 
-    fn setup() -> (PushdownPlan, Arc<Schema>, Vec<String>) {
+    fn setup() -> (PushdownPlan, Arc<Schema>, Vec<SharedRecord>) {
         let sample: Vec<_> = (0..50)
             .map(|i| {
                 ciao_json::parse(&format!(r#"{{"stars":{},"name":"u{}"}}"#, i % 5 + 1, i)).unwrap()
@@ -75,10 +78,22 @@ mod tests {
         let plan = PushdownPlan::build(&queries, &sample, &CostModel::default_uncalibrated(), 10.0)
             .unwrap();
         let schema = Arc::new(Schema::infer(&sample).unwrap());
-        let parked: Vec<String> = (0..30)
+        (plan, schema, parked(30, false))
+    }
+
+    /// `n` parseable parked records, and an unparseable one after them
+    /// when `garbage`.
+    fn parked(n: usize, garbage: bool) -> Vec<SharedRecord> {
+        let mut records: Vec<String> = (0..n)
             .map(|i| format!(r#"{{"stars":{},"name":"p{}"}}"#, i % 5 + 1, i))
             .collect();
-        (plan, schema, parked)
+        if garbage {
+            records.push("not json at all".to_owned());
+        }
+        RecordChunk::from_records(&records)
+            .unwrap()
+            .shared()
+            .collect()
     }
 
     #[test]
@@ -101,12 +116,14 @@ mod tests {
 
     #[test]
     fn unparseable_records_stay_parked() {
-        let (plan, schema, mut parked) = setup();
-        parked.push("not json at all".to_owned());
-        let (fragment, survivors, stats) = promote_parked(&plan, schema, parked, 8);
+        let (plan, schema, _) = setup();
+        let (fragment, survivors, stats) = promote_parked(&plan, schema, parked(30, true), 8);
         assert_eq!(stats.promoted, 30);
         assert_eq!(stats.still_parked, 1);
         assert_eq!(survivors.len(), 1);
+        assert_eq!(survivors[0].as_str(), "not json at all");
+        // The survivor keeps only its own bytes alive, not the batch.
+        assert_eq!(SharedRecord::retained_bytes(&survivors), 15);
         assert_eq!(fragment.row_count(), 30);
     }
 }

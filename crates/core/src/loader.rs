@@ -5,7 +5,12 @@
 //! a record is admitted when *some* query might need it, i.e. when the
 //! AND of that query's pushed-clause bits is 1 for the record
 //! (conjunction semantics). A record failing every query's pushed
-//! conjunction is parked verbatim as raw JSON.
+//! conjunction is parked verbatim: as a [`SharedRecord`], a handle
+//! into the text of the chunk it arrived in, so parking copies nothing
+//! and allocates nothing per record. A chunk keeps its whole text alive
+//! only while its parked records hold at least half of it; the parked
+//! records of a mostly loaded chunk are copied into one small buffer
+//! instead ([`RecordChunk::share_records`]).
 //!
 //! Two degenerate cases load everything, matching the paper's observed
 //! behaviour on low-overlap workloads (§VII-D/E): a workload with any
@@ -25,7 +30,7 @@
 use ciao_bitvec::BitVec;
 use ciao_client::ChunkFilterResult;
 use ciao_columnar::{Schema, Table, TableBuilder};
-use ciao_json::RecordChunk;
+use ciao_json::{RecordChunk, SharedRecord};
 use std::sync::Arc;
 
 /// How the loader decides which records to admit into the columnar
@@ -141,7 +146,12 @@ pub struct Loader {
     builder: TableBuilder,
     predicate_ids: Vec<u32>,
     policy: AdmissionPolicy,
-    parked: Vec<String>,
+    parked: Vec<SharedRecord>,
+    /// Bytes of text `parked` keeps alive: each chunk it shares plus
+    /// each copy, as [`RecordChunk::share_records`] reports them.
+    parked_text: usize,
+    /// Scratch: the indices of the current chunk's parked records.
+    picked: Vec<u32>,
     stats: LoadStats,
 }
 
@@ -159,6 +169,8 @@ impl Loader {
             predicate_ids: predicate_ids.to_vec(),
             policy,
             parked: Vec::new(),
+            parked_text: 0,
+            picked: Vec::new(),
             stats: LoadStats::default(),
         }
     }
@@ -183,6 +195,8 @@ impl Loader {
             .iter()
             .map(|&id| filter.bitvec_for(id))
             .collect();
+        self.picked.clear();
+        self.picked.reserve(chunk.len());
         for (i, record) in chunk.iter().enumerate() {
             // `None` mask → everything is admitted (baseline / an
             // uncovered query in the workload).
@@ -196,9 +210,18 @@ impl Loader {
                 // Malformed but admitted: park it rather than lose it.
                 self.stats.parse_errors += 1;
             }
-            self.parked.push(record.to_owned());
-            self.stats.parked_records += 1;
+            self.picked.push(i as u32);
         }
+        self.stats.parked_records += self.picked.len();
+        self.parked_text += chunk.share_records(&self.picked, &mut self.parked);
+    }
+
+    /// Bytes of text the records parked so far keep alive: the text of
+    /// each chunk they share, and each copy made for the few parked
+    /// records of a mostly loaded chunk (a chunk loaded twice counts
+    /// twice).
+    pub fn parked_text_bytes(&self) -> usize {
+        self.parked_text
     }
 
     /// Current counters.
@@ -209,7 +232,7 @@ impl Loader {
     }
 
     /// Finalizes into (table, parked raw records, stats).
-    pub fn finish(self) -> (Table, Vec<String>, LoadStats) {
+    pub fn finish(self) -> (Table, Vec<SharedRecord>, LoadStats) {
         let mut stats = self.stats;
         stats.coercion_failures = self.builder.coercion_failures();
         (self.builder.finish(), self.parked, stats)
@@ -289,7 +312,7 @@ mod tests {
         loader.load_chunk(&c, &filter);
         let (_, parked, stats) = loader.finish();
         assert_eq!(stats.parse_errors, 1);
-        assert!(parked.iter().any(|r| r.contains("not valid")));
+        assert!(parked.iter().any(|r| r.as_str().contains("not valid")));
         assert_eq!(stats.total(), 5);
     }
 

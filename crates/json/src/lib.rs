@@ -70,7 +70,7 @@ mod parse;
 mod ser;
 mod value;
 
-pub use chunk::{ChunkError, ChunkReader, RecordChunk};
+pub use chunk::{ChunkError, ChunkReader, RecordChunk, SharedRecord, MAX_RETAINED_PER_SHARED_BYTE};
 pub use escape::{escape, escape_into, unescape, UnescapeError};
 pub use fields::{FieldKeys, FieldValue};
 pub use number::JsonNumber;

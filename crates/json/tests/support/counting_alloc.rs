@@ -1,7 +1,7 @@
 //! A global allocator that counts allocations, for tests that pin how
 //! many a code path makes. Included by path into each such test binary
-//! (here, in `ciao_columnar` and in `ciao_engine`): the allocator is
-//! process-wide, so each binary holds one allocation test.
+//! (here, in `ciao_columnar`, in `ciao_engine` and in `ciao`): the
+//! allocator is process-wide, so each binary holds one allocation test.
 //!
 //! Counts are per thread, so the test harness's own threads do not
 //! disturb them; a reallocation counts as an allocation.

@@ -111,6 +111,7 @@ mod tests {
                 sealed_epochs: 2,
                 sealed_blocks: 3,
                 parked_index_bytes: 0,
+                parked_text_bytes: 0,
             },
             ShardSnapshot {
                 rows: 10,
@@ -128,6 +129,7 @@ mod tests {
                 sealed_epochs: 1,
                 sealed_blocks: 1,
                 parked_index_bytes: 0,
+                parked_text_bytes: 0,
             },
         ];
         assert_eq!(m.rows(), 40);

@@ -14,7 +14,7 @@ use ciao_columnar::Schema;
 use ciao_engine::{
     count_plan, plan_query, ColumnDesc, PartialResult, Prepared, QueryOutcome, QueryResult,
 };
-use ciao_json::RecordChunk;
+use ciao_json::{RecordChunk, SharedRecord};
 use ciao_predicate::Query;
 use ciao_sql::{PhysicalPlan, SqlError, SqlType, SqlValue, Statement};
 use ciao_storage::{CheckpointStats, RecoveryReport, SnapshotView, StorageError, Store};
@@ -342,7 +342,10 @@ impl Service {
                 ceilings[recovered.shard as usize] = recovered.ceiling;
                 if let Some(snap) = recovered.snapshot {
                     let (stats, sealed_epochs) = (snap.stats, snap.sealed_epochs as usize);
+                    // The parked page comes back as one chunk, whose text
+                    // every restored parked record shares.
                     let (table, parked) = snap.into_table_and_parked();
+                    let parked = RecordChunk::from_lines_owned(parked);
                     shards[recovered.shard as usize].restore(table, parked, stats, sealed_epochs);
                 }
             }
@@ -915,7 +918,8 @@ impl Service {
         // and without holding a shard's lock.
         let pins: Vec<EpochPin> = self.inner.shards.iter().map(Shard::pin).collect();
         let blocks: Vec<Vec<&[Block]>> = pins.iter().map(EpochPin::block_fragments).collect();
-        let parked: Vec<Vec<&[String]>> = pins.iter().map(EpochPin::parked_fragments).collect();
+        let parked: Vec<Vec<&[SharedRecord]>> =
+            pins.iter().map(EpochPin::parked_fragments).collect();
         let snapshots: Vec<_> = pins
             .iter()
             .enumerate()
@@ -1389,6 +1393,58 @@ mod tests {
         // producer, never inside a worker.
         let filter = service.prefilter().run_chunk(&chunks[0]);
         let _ = service.enqueue(all, filter);
+    }
+
+    #[test]
+    fn parked_records_come_back_from_a_checkpoint_in_order() {
+        let (plan, schema, _) = plan_and_schema(10.0);
+        // None has `stars = 5`, so all are parked: ordinary records,
+        // whitespace-only and empty ones, and ones ending in `\r`.
+        let records = [
+            r#"{"stars":1,"name":"a"}"#,
+            "   ",
+            "",
+            "\t",
+            "{\"stars\":2,\"name\":\"b\"}\r",
+            "not json\r\r",
+            r#"{"stars":3,"name":"é"}"#,
+        ];
+        let dir = ciao_storage::ScratchDir::new("svc-parked");
+        let start = || {
+            let cfg = ServiceConfig::default()
+                .with_shards(1)
+                .with_workers(0)
+                .with_storage(ciao_storage::StorageConfig::new(dir.path()));
+            Service::try_start(plan.clone(), Arc::clone(&schema), cfg).unwrap()
+        };
+        let parked = |service: &Service| -> Vec<String> {
+            let pin = service.inner.shards[0].pin();
+            let fragments = pin.parked_fragments();
+            fragments
+                .iter()
+                .flat_map(|f| f.iter())
+                .map(|r| r.as_str().to_owned())
+                .collect()
+        };
+
+        let service = start();
+        let chunk = RecordChunk::from_records(&records).unwrap();
+        assert!(service.enqueue_raw(chunk).is_enqueued());
+        service.checkpoint().unwrap();
+        assert_eq!(parked(&service), records);
+        drop(service);
+
+        // Recovery reads the PARKED page back as one chunk, framed as
+        // `str::lines` frames it: blank records survive, and a record
+        // ending in `\r` loses one `\r`, as it always has.
+        let service = start();
+        assert_eq!(service.durability().unwrap().wal_replayed, 0);
+        let page: String = records.iter().map(|r| format!("{r}\n")).collect();
+        assert_eq!(parked(&service), page.lines().collect::<Vec<_>>());
+        assert_eq!(parked(&service)[1..4], records[1..4]);
+        assert_eq!(parked(&service)[4], records[4].trim_end_matches('\r'));
+        assert_eq!(parked(&service)[5], "not json\r");
+        assert_eq!(service.metrics().parked(), records.len());
     }
 
     #[test]

@@ -21,6 +21,17 @@
 //! old one. So ingest never waits for a query, a slow ad-hoc scan never
 //! stalls its shard, and a checkpoint streams from a pin.
 //!
+//! An epoch's parked rows are [`SharedRecord`]s: 16-byte handles into
+//! the text of the chunks they arrived in (or, for the few parked rows
+//! of a mostly loaded chunk, into one small copy), so parking copies
+//! nothing. A chunk's text lives as long as one of its parked rows
+//! does, and an epoch's rows never keep more than twice their own bytes
+//! alive: when compaction leaves an epoch's remaining rows (a restored
+//! PARKED page's, say) holding less than half the text they pin, it
+//! copies them into one buffer of their own
+//! ([`SharedRecord::bound_retained`]).
+//! [`ShardSnapshot::parked_text_bytes`] reports what is kept alive.
+//!
 //! An epoch's parked rows carry a positional map ([`ParkedIndex`]),
 //! built by the first scan of any pin that reads them, so later
 //! statements never validate those records again; a pin hands them to
@@ -38,7 +49,7 @@ use ciao_engine::{
     count_plan, finalize, plan_query, Executor, ParkedFragment, ParkedIndex, PartialResult,
     Prepared, QueryOutcome,
 };
-use ciao_json::RecordChunk;
+use ciao_json::{RecordChunk, SharedRecord};
 use ciao_predicate::Query;
 use ciao_sql::PhysicalPlan;
 use parking_lot::Mutex;
@@ -72,6 +83,11 @@ pub struct ShardSnapshot {
     /// ([`ParkedIndex::bytes`]); an epoch has one once a statement
     /// has scanned its parked rows.
     pub parked_index_bytes: usize,
+    /// Bytes of text the parked rows (sealed + active epoch) keep
+    /// alive: each buffer they point into, counted once per epoch (a
+    /// chunk's rows all land in one). At most twice their own bytes
+    /// ([`ciao_json::MAX_RETAINED_PER_SHARED_BYTE`]).
+    pub parked_text_bytes: usize,
 }
 
 impl ShardSnapshot {
@@ -92,7 +108,9 @@ impl ShardSnapshot {
 #[derive(Debug, Clone)]
 struct Epoch {
     table: Table,
-    parked: Vec<String>,
+    parked: Vec<SharedRecord>,
+    /// Bytes of text `parked` keeps alive, set whenever `parked` is.
+    parked_text: usize,
     /// The positional map over `parked`, built by the first scan that
     /// reads them and dropped whenever `parked` changes.
     index: OnceLock<ParkedIndex>,
@@ -109,22 +127,26 @@ struct Sealed {
 }
 
 impl Sealed {
-    fn push(&mut self, table: Table, parked: Vec<String>) {
+    fn push(&mut self, table: Table, mut parked: Vec<SharedRecord>) {
         if table.is_empty() && parked.is_empty() {
             return;
         }
         self.rows += table.row_count();
         self.parked += parked.len();
+        let parked_text = SharedRecord::bound_retained(&mut parked);
         self.epochs.push(Arc::new(Epoch {
             table,
             parked,
+            parked_text,
             index: OnceLock::new(),
         }));
     }
 
     /// Removes up to `n` parked rows, oldest first. Only the epochs it
-    /// takes from are touched, and copied first if a reader pins them.
-    fn take_parked(&mut self, n: usize) -> Vec<String> {
+    /// takes from are touched, and copied first if a reader pins them;
+    /// the rows an epoch keeps are held to the same bound on the text
+    /// they keep alive as when they were parked.
+    fn take_parked(&mut self, n: usize) -> Vec<SharedRecord> {
         let mut batch = Vec::with_capacity(n.min(self.parked));
         for epoch in &mut self.epochs {
             let want = n - batch.len();
@@ -135,6 +157,7 @@ impl Sealed {
                 let epoch = Arc::make_mut(epoch);
                 let take = want.min(epoch.parked.len());
                 batch.extend(epoch.parked.drain(..take));
+                epoch.parked_text = SharedRecord::bound_retained(&mut epoch.parked);
                 // The map addresses records by position: rebuild it.
                 epoch.index = OnceLock::new();
             }
@@ -166,7 +189,7 @@ impl EpochPin {
     }
 
     /// The pinned parked rows, one slice per epoch.
-    pub fn parked_fragments(&self) -> Vec<&[String]> {
+    pub fn parked_fragments(&self) -> Vec<&[SharedRecord]> {
         self.0.epochs.iter().map(|e| &e.parked[..]).collect()
     }
 
@@ -175,7 +198,7 @@ impl EpochPin {
     /// built into by the first scan (of any pin) that reads it, and
     /// typed by the shard's schema, so its mapped records are read in
     /// batches the block kernels filter.
-    pub fn parked_scan(&self) -> impl Iterator<Item = ParkedFragment<'_, String>> + Clone {
+    pub fn parked_scan(&self) -> impl Iterator<Item = ParkedFragment<'_, SharedRecord>> + Clone {
         self.0
             .epochs
             .iter()
@@ -263,16 +286,17 @@ impl Shard {
     }
 
     /// Restores recovered durable state into a freshly built shard:
-    /// the sealed table, the parked store, cumulative load stats, and
-    /// the sealed-epoch count the snapshot was taken at. Replayed WAL
-    /// chunks are then ingested on top through the normal path.
+    /// the sealed table, the parked store (every record of `parked`,
+    /// sharing its text), cumulative load stats, and the sealed-epoch
+    /// count the snapshot was taken at. Replayed WAL chunks are then
+    /// ingested on top through the normal path.
     ///
     /// Panics when the shard already holds data — restore is a
     /// start-of-life operation, not a merge.
     pub fn restore(
         &mut self,
         table: Table,
-        parked: Vec<String>,
+        parked: RecordChunk,
         stats: LoadStats,
         sealed_epochs: usize,
     ) {
@@ -286,7 +310,7 @@ impl Shard {
             sealed_epochs,
             ..Sealed::default()
         };
-        sealed.push(table, parked);
+        sealed.push(table, parked.shared().collect());
         active.sealed = Arc::new(sealed);
     }
 
@@ -433,11 +457,8 @@ impl Shard {
     /// A point-in-time view, including the active (unsealed) epoch.
     pub fn snapshot(&self) -> ShardSnapshot {
         let active = self.active.lock();
-        let epoch = active
-            .loader
-            .as_ref()
-            .map(Loader::stats)
-            .unwrap_or_default();
+        let loader = active.loader.as_ref();
+        let epoch = loader.map(Loader::stats).unwrap_or_default();
         let sealed = &active.sealed;
         let mut load = sealed.stats;
         load.merge(&epoch);
@@ -455,6 +476,8 @@ impl Shard {
                 .filter_map(|e| e.index.get())
                 .map(ParkedIndex::bytes)
                 .sum(),
+            parked_text_bytes: sealed.epochs.iter().map(|e| e.parked_text).sum::<usize>()
+                + loader.map_or(0, Loader::parked_text_bytes),
         }
     }
 }
@@ -680,6 +703,98 @@ mod tests {
         assert_eq!(builds(), 3);
     }
 
+    /// A chunk of 1024 records whose first `parked` have `stars = 1`
+    /// (parked under the fixture's plan) and the rest `stars = 5`.
+    fn chunk_parking(parked: usize) -> RecordChunk {
+        let records: Vec<String> = (0..1024)
+            .map(|i| {
+                let stars = if i < parked { 1 } else { 5 };
+                format!(r#"{{"stars":{stars},"name":"u{i}"}}"#)
+            })
+            .collect();
+        RecordChunk::from_records(&records).unwrap()
+    }
+
+    #[test]
+    fn parked_rows_keep_at_most_twice_their_text_alive() {
+        // One parked record in 1024 is copied out: its chunk is freed.
+        let (shard, _) = fixture();
+        let chunk = chunk_parking(1);
+        shard.ingest(&chunk, &shard.plan.prefilter().run_chunk(&chunk));
+        let snap = shard.snapshot();
+        assert_eq!(snap.parked, 1);
+        assert!(snap.parked_text_bytes > 0);
+        assert!(snap.parked_text_bytes <= 2 * chunk.record(0).len());
+        shard.seal_epoch();
+        assert_eq!(shard.snapshot().parked_text_bytes, snap.parked_text_bytes);
+
+        // 99% parked: the records share the chunk, counted once.
+        let (shard, _) = fixture();
+        let chunk = chunk_parking(1014);
+        shard.ingest(&chunk, &shard.plan.prefilter().run_chunk(&chunk));
+        let snap = shard.snapshot();
+        assert_eq!(snap.parked, 1014);
+        assert_eq!(snap.parked_text_bytes, chunk.as_ndjson().len());
+    }
+
+    /// The bytes of the parked rows a pin of `shard` sees.
+    fn parked_bytes(shard: &Shard) -> usize {
+        let pin = shard.pin();
+        let fragments = pin.parked_fragments();
+        fragments
+            .iter()
+            .flat_map(|f| f.iter())
+            .map(|r| r.as_str().len())
+            .sum()
+    }
+
+    #[test]
+    fn compaction_frees_a_chunk_once_its_parked_rows_hold_under_half() {
+        let (shard, _) = fixture();
+        let chunk = chunk_parking(900);
+        shard.ingest(&chunk, &shard.plan.prefilter().run_chunk(&chunk));
+        let whole = chunk.as_ndjson().len();
+        assert_eq!(shard.snapshot().parked_text_bytes, whole);
+        // While the remaining rows hold half the chunk, they share it...
+        let policy = CompactionPolicy::default();
+        assert_eq!(shard.compact(&policy.with_batch(200)).promoted, 200);
+        assert_eq!(shard.snapshot().parked_text_bytes, whole);
+        // ...below that they are copied out, and the chunk is freed...
+        assert_eq!(shard.compact(&policy.with_batch(699)).promoted, 699);
+        assert_eq!(shard.snapshot().parked_text_bytes, parked_bytes(&shard));
+        let text = chunk.as_ndjson().as_bytes().as_ptr_range();
+        let pin = shard.pin();
+        let left = pin.parked_fragments().concat();
+        assert_eq!(left.len(), 1);
+        assert!(!text.contains(&left[0].as_str().as_ptr()));
+        drop(pin);
+        // ...and the last one frees its copy.
+        assert_eq!(shard.compact(&policy.with_batch(1)).promoted, 1);
+        let snap = shard.snapshot();
+        assert_eq!((snap.parked, snap.parked_text_bytes), (0, 0));
+    }
+
+    #[test]
+    fn a_restored_page_stays_bounded_while_compaction_drains_it() {
+        let (mut shard, _) = fixture();
+        let page: String = (0..3000)
+            .map(|i| format!("{{\"stars\":{},\"name\":\"r{i}\"}}\n", i % 5 + 1))
+            .collect();
+        let restored = RecordChunk::from_lines_owned(page.clone());
+        shard.restore(Table::default(), restored, LoadStats::default(), 0);
+        assert_eq!(shard.snapshot().parked_text_bytes, page.len());
+        let policy = CompactionPolicy::default().with_batch(256);
+        for _ in 0..3000 / 256 {
+            assert_eq!(shard.compact(&policy).promoted, 256);
+            let snap = shard.snapshot();
+            let own = parked_bytes(&shard);
+            assert!(snap.parked_text_bytes <= 2 * own, "{snap:?} vs {own}");
+        }
+        assert_eq!(shard.compact(&policy).promoted, 3000 % 256);
+        let snap = shard.snapshot();
+        assert_eq!((snap.parked, snap.parked_text_bytes), (0, 0));
+    }
+
     #[test]
     fn unparseable_rows_rotate_not_wedge() {
         let (mut shard, chunks) = fixture();
@@ -687,7 +802,7 @@ mod tests {
         // Plant garbage at the *front* of the parked store.
         shard.restore(
             Table::default(),
-            vec!["not json {".to_owned()],
+            RecordChunk::from_records(&["not json {"]).unwrap(),
             LoadStats::default(),
             0,
         );

@@ -50,7 +50,8 @@ pub use config::{StorageConfig, SyncPolicy};
 pub use recovery::{recover, RecoveredShard, Recovery, RecoveryReport};
 pub use scratch::ScratchDir;
 pub use snapshot::{
-    list_snapshots, read_snapshot, write_snapshot, ShardSnapshot, SnapshotName, SnapshotView,
+    list_snapshots, read_snapshot, write_snapshot, ShardSnapshot, SnapshotImage, SnapshotName,
+    SnapshotView,
 };
 pub use store::{CheckpointStats, Store};
 pub use wal::{

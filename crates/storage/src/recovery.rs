@@ -256,7 +256,7 @@ mod tests {
             stats: LoadStats::default(),
             schema: None,
             blocks: Vec::new(),
-            parked: Vec::new(),
+            parked: String::new(),
         }
     }
 

@@ -27,10 +27,13 @@
 //!
 //! The writer ([`write_snapshot`]) takes a borrowed [`SnapshotView`]
 //! of the live shard and streams it: each page is checksummed where
-//! its payload lies (the parked page over the shard's own lines, one
-//! incremental CRC pass) and goes through a `BufWriter` to the temp
-//! file — no parked string is cloned, joined or staged on the way.
-//! [`ShardSnapshot`] is the owned form recovery decodes into.
+//! its payload lies (the parked page over the shard's own records —
+//! anything that lends a `str` — one incremental CRC pass) and goes
+//! through a `BufWriter` to the temp file — no parked record is cloned,
+//! joined or staged on the way. [`ShardSnapshot`] is the owned form
+//! recovery decodes into: it keeps the PARKED page as one text buffer,
+//! which the service restores as one chunk, so recovering a parked
+//! store allocates nothing per record.
 
 use crate::StorageError;
 use bytes::{BufMut, BytesMut};
@@ -40,6 +43,7 @@ use ciao_columnar::{
     Table,
 };
 use std::io::{BufWriter, Write};
+use std::ops::{Deref, Range};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -68,8 +72,10 @@ pub struct ShardSnapshot {
     pub schema: Option<Arc<Schema>>,
     /// Sealed columnar blocks.
     pub blocks: Vec<Block>,
-    /// Parked raw records awaiting just-in-time promotion.
-    pub parked: Vec<String>,
+    /// Parked raw records awaiting just-in-time promotion, as the
+    /// PARKED page holds them: each record followed by `\n`. Its lines
+    /// (as `str::lines` frames them) are the records.
+    pub parked: String,
 }
 
 /// A borrowed image of one live shard — what a checkpoint hands the
@@ -77,9 +83,10 @@ pub struct ShardSnapshot {
 ///
 /// A shard holds its sealed state as a list of fragments (one per
 /// sealed epoch or compaction), so blocks and parked records come as
-/// slices of fragments — anything that lends a `[Block]` / `[String]`
-/// — and are written in order as one run each; the file does not
-/// record the fragmentation.
+/// slices of fragments — anything that lends a `[Block]`, and anything
+/// that derefs to a slice of records that lend a `str` — and are
+/// written in order as one run each; the file does not record the
+/// fragmentation.
 #[derive(Debug)]
 pub struct SnapshotView<'a, B = Vec<Block>, P = Vec<String>> {
     /// Shard index within the service.
@@ -109,23 +116,46 @@ impl<B, P> Clone for SnapshotView<'_, B, P> {
 
 impl<B, P> Copy for SnapshotView<'_, B, P> {}
 
-impl<'a> From<&'a ShardSnapshot> for SnapshotView<'a> {
-    fn from(snapshot: &'a ShardSnapshot) -> SnapshotView<'a> {
-        SnapshotView {
-            shard: snapshot.shard,
-            sealed_epochs: snapshot.sealed_epochs,
-            ceiling: snapshot.ceiling,
-            stats: snapshot.stats,
-            schema: snapshot.schema.as_deref(),
-            blocks: std::slice::from_ref(&snapshot.blocks),
-            parked: std::slice::from_ref(&snapshot.parked),
-        }
+/// Something [`write_snapshot`] persists: a borrowed [`SnapshotView`]
+/// of a live shard, or an owned [`ShardSnapshot`].
+pub trait SnapshotImage {
+    /// `(shard, sealed_epochs, ceiling)`: what the file is named by.
+    fn identity(&self) -> (u32, u64, u64);
+
+    /// Streams the snapshot's file image into `out`.
+    fn write_image(&self, out: &mut dyn Write) -> std::io::Result<()>;
+}
+
+impl<B: AsRef<[Block]>, P: Deref<Target = [S]>, S: AsRef<str>> SnapshotView<'_, B, P> {
+    /// Streams the snapshot's file image into `out`.
+    pub fn write_to(&self, out: impl Write) -> std::io::Result<()> {
+        let lines = self
+            .parked
+            .iter()
+            .flat_map(|fragment| fragment.iter())
+            .flat_map(|line| [line.as_ref().as_bytes(), b"\n".as_slice()]);
+        self.write_pages(out, lines)
     }
 }
 
-impl<B: AsRef<[Block]>, P: AsRef<[String]>> SnapshotView<'_, B, P> {
-    /// Streams the snapshot's file image into `out`.
-    pub fn write_to(&self, mut out: impl Write) -> std::io::Result<()> {
+impl<B: AsRef<[Block]>, P: Deref<Target = [S]>, S: AsRef<str>> SnapshotImage
+    for SnapshotView<'_, B, P>
+{
+    fn identity(&self) -> (u32, u64, u64) {
+        (self.shard, self.sealed_epochs, self.ceiling)
+    }
+
+    fn write_image(&self, out: &mut dyn Write) -> std::io::Result<()> {
+        self.write_to(out)
+    }
+}
+
+impl<B: AsRef<[Block]>, P> SnapshotView<'_, B, P> {
+    /// The page stream, with `parked` as the PARKED page's payload.
+    fn write_pages<'p, I>(&self, mut out: impl Write, parked: I) -> std::io::Result<()>
+    where
+        I: IntoIterator<Item = &'p [u8]> + Clone,
+    {
         out.write_all(MAGIC)?;
         out.write_all(&VERSION.to_le_bytes())?;
         let mut writer = PageWriter::new(out);
@@ -154,20 +184,35 @@ impl<B: AsRef<[Block]>, P: AsRef<[String]>> SnapshotView<'_, B, P> {
                 writer.page(PAGE_BLOCK, &buf)?;
             }
         }
-        let lines = self
-            .parked
-            .iter()
-            .flat_map(AsRef::as_ref)
-            .flat_map(|line| [line.as_bytes(), b"\n".as_slice()]);
-        writer.page_parts(PAGE_PARKED, lines)?;
+        writer.page_parts(PAGE_PARKED, parked)?;
         writer.page(PAGE_END, &[])
+    }
+}
+
+impl SnapshotImage for ShardSnapshot {
+    fn identity(&self) -> (u32, u64, u64) {
+        (self.shard, self.sealed_epochs, self.ceiling)
+    }
+
+    fn write_image(&self, out: &mut dyn Write) -> std::io::Result<()> {
+        let header: SnapshotView<'_, Vec<Block>, Vec<String>> = SnapshotView {
+            shard: self.shard,
+            sealed_epochs: self.sealed_epochs,
+            ceiling: self.ceiling,
+            stats: self.stats,
+            schema: self.schema.as_deref(),
+            blocks: std::slice::from_ref(&self.blocks),
+            parked: &[],
+        };
+        header.write_pages(out, [self.parked.as_bytes()])
     }
 }
 
 impl ShardSnapshot {
     /// Takes the snapshot apart into what a shard restores from — the
-    /// sealed table and the parked records — without cloning either.
-    pub fn into_table_and_parked(self) -> (Table, Vec<String>) {
+    /// sealed table and the parked records' text (see
+    /// [`ShardSnapshot::parked`]) — without cloning either.
+    pub fn into_table_and_parked(self) -> (Table, String) {
         let table = match self.schema {
             Some(schema) => Table::from_blocks(schema, self.blocks),
             None => Table::default(),
@@ -179,15 +224,39 @@ impl ShardSnapshot {
     /// page stream [`write_snapshot`] sends to disk).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        SnapshotView::from(self)
-            .write_to(&mut out)
+        self.write_image(&mut out)
             .expect("a Vec refuses nothing below the u32 page limit");
         out
     }
 
     /// Parses a snapshot file image, verifying magic, version, page
-    /// checksums, and the terminal `END` page.
+    /// checksums, and the terminal `END` page. Decodes a copy of
+    /// `bytes` ([`read_snapshot`] hands its file image over instead).
     pub fn decode(bytes: &[u8]) -> Result<ShardSnapshot, StorageError> {
+        ShardSnapshot::decode_owned(bytes.to_vec())
+    }
+
+    /// The decoder behind [`ShardSnapshot::decode`], over an image it
+    /// owns: the PARKED page's text becomes [`ShardSnapshot::parked`] in
+    /// the image's own buffer, moved to its front, so it is never
+    /// copied.
+    fn decode_owned(mut bytes: Vec<u8>) -> Result<ShardSnapshot, StorageError> {
+        let (mut snapshot, parked) = ShardSnapshot::decode_pages(&bytes)?;
+        bytes.truncate(parked.end);
+        bytes.drain(..parked.start);
+        // Give the rest of the image back: the restored parked records
+        // keep this buffer alive, and it is never copied (blocks can
+        // be most of the file).
+        bytes.shrink_to_fit();
+        snapshot.parked = String::from_utf8(bytes)
+            .map_err(|_| StorageError::corrupt("snapshot: parked not UTF-8"))?;
+        Ok(snapshot)
+    }
+
+    /// Every check and page of [`ShardSnapshot::decode_owned`] but the
+    /// PARKED page's text, whose position in `bytes` it returns unvalidated
+    /// (empty when there is no such page).
+    fn decode_pages(bytes: &[u8]) -> Result<(ShardSnapshot, Range<usize>), StorageError> {
         if bytes.len() < MAGIC.len() + 4 || &bytes[..MAGIC.len()] != MAGIC {
             return Err(StorageError::corrupt("snapshot: bad magic"));
         }
@@ -200,6 +269,7 @@ impl ShardSnapshot {
 
         let mut reader = PageReader::new(&bytes[12..]);
         let mut snapshot: Option<ShardSnapshot> = None;
+        let mut parked = 0..0;
         let mut ended = false;
         while let Some((kind, payload)) = reader
             .next_page()
@@ -227,7 +297,7 @@ impl ShardSnapshot {
                         },
                         schema: None,
                         blocks: Vec::new(),
-                        parked: Vec::new(),
+                        parked: String::new(),
                     });
                 }
                 PAGE_SCHEMA => {
@@ -255,12 +325,12 @@ impl ShardSnapshot {
                     );
                 }
                 PAGE_PARKED => {
-                    let snap = snapshot
-                        .as_mut()
-                        .ok_or_else(|| StorageError::corrupt("snapshot: PARKED before META"))?;
-                    let text = std::str::from_utf8(payload)
-                        .map_err(|_| StorageError::corrupt("snapshot: parked not UTF-8"))?;
-                    snap.parked = text.lines().map(str::to_string).collect();
+                    if snapshot.is_none() {
+                        return Err(StorageError::corrupt("snapshot: PARKED before META"));
+                    }
+                    // `payload` borrows from `bytes`: its offset there.
+                    let start = payload.as_ptr() as usize - bytes.as_ptr() as usize;
+                    parked = start..start + payload.len();
                 }
                 PAGE_END => ended = true,
                 other => {
@@ -275,7 +345,9 @@ impl ShardSnapshot {
                 "snapshot: missing END page (truncated file)",
             ));
         }
-        snapshot.ok_or_else(|| StorageError::corrupt("snapshot: missing META page"))
+        let snapshot =
+            snapshot.ok_or_else(|| StorageError::corrupt("snapshot: missing META page"))?;
+        Ok((snapshot, parked))
     }
 }
 
@@ -329,20 +401,13 @@ const WRITE_BUFFER: usize = 256 << 10;
 /// Writes the snapshot atomically (temp file + fsync + rename) and
 /// returns its parsed name. Takes a [`SnapshotView`] (or a
 /// `&ShardSnapshot`) and streams it, see the module docs.
-pub fn write_snapshot<'a, B, P>(
-    dir: &Path,
-    snapshot: impl Into<SnapshotView<'a, B, P>>,
-) -> std::io::Result<SnapshotName>
-where
-    B: AsRef<[Block]> + 'a,
-    P: AsRef<[String]> + 'a,
-{
-    let snapshot = snapshot.into();
-    let name = SnapshotName::file_name(snapshot.shard, snapshot.sealed_epochs, snapshot.ceiling);
+pub fn write_snapshot(dir: &Path, snapshot: &impl SnapshotImage) -> std::io::Result<SnapshotName> {
+    let (shard, epochs, ceiling) = snapshot.identity();
+    let name = SnapshotName::file_name(shard, epochs, ceiling);
     let final_path = dir.join(&name);
     let tmp_path = dir.join(format!("{name}.tmp"));
     let mut out = BufWriter::with_capacity(WRITE_BUFFER, std::fs::File::create(&tmp_path)?);
-    snapshot.write_to(&mut out)?;
+    snapshot.write_image(&mut out)?;
     // `into_inner` flushes and, unlike a drop, reports the failure.
     let file = out.into_inner().map_err(|e| e.into_error())?;
     file.sync_data()?;
@@ -357,8 +422,7 @@ where
 
 /// Reads and decodes one snapshot file.
 pub fn read_snapshot(path: &Path) -> Result<ShardSnapshot, StorageError> {
-    let bytes = std::fs::read(path)?;
-    ShardSnapshot::decode(&bytes)
+    ShardSnapshot::decode_owned(std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -395,15 +459,15 @@ mod tests {
             },
             schema: table.schema().map(|s| Arc::new(s.clone())),
             blocks: table.blocks().to_vec(),
-            parked: vec![r#"{"raw":1}"#.to_string(), r#"{"raw":2}"#.to_string()],
+            parked: "{\"raw\":1}\n{\"raw\":2}\n".to_owned(),
         }
     }
 
     /// The parent format's encoder, kept as the byte-identity oracle:
-    /// every page payload is materialized (parked lines re-joined into
-    /// one buffer) and checksummed in one shot, sharing nothing with
-    /// the streaming [`SnapshotView::write_to`].
-    fn reference_encode(snap: &ShardSnapshot) -> Vec<u8> {
+    /// every page payload is materialized (the parked `lines` joined
+    /// into one buffer) and checksummed in one shot, sharing nothing
+    /// with the streaming [`SnapshotView::write_to`].
+    fn reference_encode(snap: &ShardSnapshot, lines: &[String]) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
@@ -432,7 +496,7 @@ mod tests {
                 page(PAGE_BLOCK, &buf);
             }
         }
-        let parked: String = snap.parked.iter().map(|l| format!("{l}\n")).collect();
+        let parked: String = lines.iter().map(|l| format!("{l}\n")).collect();
         page(PAGE_PARKED, parked.as_bytes());
         page(PAGE_END, &[]);
         out
@@ -451,17 +515,20 @@ mod tests {
             // `rows == 0` has no schema page; `parked` may be empty or
             // hold empty lines.
             let mut snap = sample(key.0, key.1, key.2, rows);
-            snap.parked = parked;
+            snap.parked = parked.iter().map(|l| format!("{l}\n")).collect();
             let d = ScratchDir::new("snap-identity");
             let name = write_snapshot(d.path(), &snap).unwrap();
-            prop_assert_eq!(std::fs::read(&name.path).unwrap(), reference_encode(&snap));
-            prop_assert_eq!(read_snapshot(&name.path).unwrap(), snap);
+            let reference = reference_encode(&snap, &parked);
+            prop_assert_eq!(std::fs::read(&name.path).unwrap(), reference.clone());
+            let back = read_snapshot(&name.path).unwrap();
+            prop_assert_eq!(back.parked.lines().collect::<Vec<_>>(), parked.clone());
+            prop_assert_eq!(back, snap.clone());
 
             // A live shard lends its state as per-epoch fragments
             // (some empty): wherever the cuts fall, the same bytes.
-            let (b, p) = (cuts.0.min(snap.blocks.len()), cuts.1.min(snap.parked.len()));
+            let (b, p) = (cuts.0.min(snap.blocks.len()), cuts.1.min(parked.len()));
             let blocks: [&[Block]; 3] = [&snap.blocks[..b], &[], &snap.blocks[b..]];
-            let parked: [&[String]; 3] = [&snap.parked[..p], &snap.parked[p..], &[]];
+            let parked: [&[String]; 3] = [&parked[..p], &parked[p..], &[]];
             let mut streamed = Vec::new();
             SnapshotView {
                 shard: snap.shard,
@@ -474,6 +541,7 @@ mod tests {
             }
             .write_to(&mut streamed)
             .unwrap();
+            prop_assert_eq!(&streamed, &reference);
             prop_assert_eq!(streamed, snap.encode());
         }
     }
@@ -487,6 +555,19 @@ mod tests {
     }
 
     #[test]
+    fn a_read_snapshot_keeps_only_its_parked_page() {
+        let snap = sample(0, 1, 5, 200);
+        let d = ScratchDir::new("snap-parked-page");
+        let name = write_snapshot(d.path(), &snap).unwrap();
+        let back = read_snapshot(&name.path).unwrap();
+        assert_eq!(back, snap);
+        // The blocks were most of the file; the parked text holds none
+        // of their bytes.
+        assert!(std::fs::metadata(&name.path).unwrap().len() > 10 * snap.parked.len() as u64);
+        assert_eq!(back.parked.capacity(), back.parked.len());
+    }
+
+    #[test]
     fn roundtrip_empty_shard() {
         let snap = ShardSnapshot {
             shard: 0,
@@ -495,11 +576,32 @@ mod tests {
             stats: LoadStats::default(),
             schema: None,
             blocks: Vec::new(),
-            parked: Vec::new(),
+            parked: String::new(),
         };
         let back = ShardSnapshot::decode(&snap.encode()).unwrap();
         assert_eq!(back, snap);
         assert!(back.into_table_and_parked().0.is_empty());
+    }
+
+    #[test]
+    fn a_parked_page_that_is_not_utf8_is_corruption() {
+        let mut image = Vec::new();
+        let mut header = sample(0, 1, 5, 0);
+        header.parked = String::new();
+        header.write_image(&mut image).unwrap();
+        // Swap the empty PARKED page for a checksummed one that is not
+        // UTF-8, keeping END after it.
+        image.truncate(image.len() - 2 * 9);
+        let mut pages = PageWriter::new(&mut image);
+        pages.page(PAGE_PARKED, b"{\"a\":1}\n\xff\n").unwrap();
+        pages.page(PAGE_END, &[]).unwrap();
+        let err = ShardSnapshot::decode(&image).unwrap_err();
+        assert!(err.to_string().contains("UTF-8"), "{err}");
+        let d = ScratchDir::new("snap-utf8");
+        let path = d.path().join("bad.snap");
+        std::fs::write(&path, &image).unwrap();
+        let err = read_snapshot(&path).unwrap_err();
+        assert!(err.to_string().contains("UTF-8"), "{err}");
     }
 
     #[test]

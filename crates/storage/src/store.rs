@@ -23,6 +23,7 @@ use crate::snapshot::{list_snapshots, write_snapshot, SnapshotView};
 use crate::wal::{AppendTiming, Wal};
 use crate::StorageError;
 use ciao_columnar::Block;
+use std::ops::Deref;
 use std::path::Path;
 
 /// What one checkpoint did (for telemetry and tests).
@@ -108,10 +109,15 @@ impl Store {
     /// Commits a checkpoint: one snapshot per shard (callers pass
     /// exactly `shard_count` borrowed views, queue drained), then the
     /// manifest, then retention pruning and WAL truncation.
-    pub fn checkpoint<B: AsRef<[Block]>, P: AsRef<[String]>>(
+    pub fn checkpoint<B, P, S>(
         &mut self,
         snapshots: &[SnapshotView<'_, B, P>],
-    ) -> Result<CheckpointStats, StorageError> {
+    ) -> Result<CheckpointStats, StorageError>
+    where
+        B: AsRef<[Block]>,
+        P: Deref<Target = [S]>,
+        S: AsRef<str>,
+    {
         assert_eq!(
             snapshots.len(),
             self.shard_count as usize,
@@ -126,7 +132,7 @@ impl Store {
 
         let mut entries = Vec::with_capacity(snapshots.len());
         for snap in snapshots {
-            let name = write_snapshot(&dir, *snap)?;
+            let name = write_snapshot(&dir, snap)?;
             stats.snapshots_written += 1;
             entries.push(ManifestEntry {
                 shard: snap.shard,

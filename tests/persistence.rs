@@ -8,7 +8,7 @@ use ciao::{AdmissionPolicy, CiaoConfig, Loader, PushdownPlan};
 use ciao_columnar::{read_table, write_table, Schema, Table};
 use ciao_datagen::Dataset;
 use ciao_engine::Executor;
-use ciao_json::RecordChunk;
+use ciao_json::{RecordChunk, SharedRecord};
 use ciao_predicate::{parse_query, Query};
 use ciao_storage::{read_snapshot, write_snapshot, ScratchDir, ShardSnapshot};
 use ciao_workload::{build_pool, WorkloadConfig};
@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// executor that queries it.
 struct Loaded {
     table: Table,
-    parked: Vec<String>,
+    parked: Vec<SharedRecord>,
     executor: Executor,
     queries: Vec<Query>,
 }
@@ -125,7 +125,11 @@ fn shard_snapshot_roundtrips_on_disk() {
         stats: ciao::LoadStats::default(),
         schema: table.schema().map(|s| Arc::new(s.clone())),
         blocks: table.blocks().to_vec(),
-        parked: l.parked.clone(),
+        parked: l
+            .parked
+            .iter()
+            .map(|r| format!("{}\n", r.as_str()))
+            .collect(),
     };
 
     let scratch = ScratchDir::new("persist-snap");
