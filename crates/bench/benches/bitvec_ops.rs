@@ -21,8 +21,8 @@ fn bench_bitvec(c: &mut Criterion) {
     group.bench_function("count_ones_sparse", |b| {
         b.iter(|| black_box(&sparse).count_ones())
     });
-    group.bench_function("intersection_count", |b| {
-        b.iter(|| black_box(&sparse).intersection_count(black_box(&dense)))
+    group.bench_function("count_and", |b| {
+        b.iter(|| black_box(&sparse).count_and(black_box(&dense)))
     });
     group.bench_function("iter_ones_sparse", |b| {
         b.iter(|| black_box(&sparse).iter_ones().sum::<usize>())
@@ -34,10 +34,10 @@ fn bench_bitvec(c: &mut Criterion) {
         let vecs: Vec<BitVec> = (0..n)
             .map(|k| BitVec::from_fn(BITS, |i| (i + k) % (5 + k) != 0))
             .collect();
-        group.bench_with_input(BenchmarkId::new("intersect_all", n), &vecs, |b, vecs| {
+        group.bench_with_input(BenchmarkId::new("and_all", n), &vecs, |b, vecs| {
             b.iter(|| {
                 let refs: Vec<&BitVec> = vecs.iter().collect();
-                BitVec::intersect_all(&refs)
+                BitVec::and_all(&refs)
             })
         });
     }

@@ -88,8 +88,8 @@ pub fn run(scale: ExperimentScale, budgets: &[f64]) -> Vec<Fig6Row> {
                     let b = no_skip.scan_plan(&unskipped, pin.blocks(), pin.parked_scan(), &count);
                     without = without.min(t1.elapsed().as_secs_f64());
                     assert_eq!(
-                        a.metrics.total_matched(),
-                        b.metrics.total_matched(),
+                        a.profile.total_matched(),
+                        b.profile.total_matched(),
                         "skipping changed a result"
                     );
                 }

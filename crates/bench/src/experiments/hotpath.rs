@@ -117,7 +117,7 @@ fn row(
 }
 
 /// Shared inputs: one WinLog stream reused by every row.
-pub struct HotpathEnv {
+struct HotpathEnv {
     text: String,
     chunk: RecordChunk,
     keywords: Vec<String>,
@@ -125,7 +125,7 @@ pub struct HotpathEnv {
 
 impl HotpathEnv {
     /// Materializes the environment at a scale.
-    pub fn new(scale: ExperimentScale) -> HotpathEnv {
+    fn new(scale: ExperimentScale) -> HotpathEnv {
         let text = ndjson(Dataset::WinLog, scale);
         let chunk = RecordChunk::from_ndjson(&text);
         let keywords = ciao_datagen::text::keyword_pool(64);
@@ -137,18 +137,8 @@ impl HotpathEnv {
     }
 
     /// The raw NDJSON stream.
-    pub fn text(&self) -> &str {
+    fn text(&self) -> &str {
         &self.text
-    }
-
-    /// The stream parsed into one record chunk.
-    pub fn chunk(&self) -> &RecordChunk {
-        &self.chunk
-    }
-
-    /// A prefilter over `preds` LIKE clauses from the keyword pool.
-    pub fn prefilter(&self, preds: usize) -> Prefilter {
-        Prefilter::new(self.like_clauses(preds))
     }
 
     fn like_clauses(&self, n: usize) -> Vec<(u32, ClausePattern)> {
@@ -362,45 +352,14 @@ fn core_park_chunk_row(text: &str) -> HotpathRow {
     )
 }
 
-// Large enough (256 KiB of words per operand) that the accumulator
-// does not just sit in L1: the fused kernel's one-pass traffic win is
-// what the row measures, and it only exists past the cache.
+// Large enough (256 KiB of words per operand) that the operands do
+// not just sit in L1.
 const BITVEC_BITS: usize = 1 << 21;
-const BITVEC_OPERANDS: usize = 8;
-
-fn bitvec_inputs() -> Vec<BitVec> {
-    (0..BITVEC_OPERANDS)
-        .map(|k| BitVec::from_fn(BITVEC_BITS, |i| (i + k) % (k + 2) != 0))
-        .collect()
-}
-
-/// Fused multi-operand AND vs the clone-then-fold composition.
-fn bitvec_and_all_row() -> HotpathRow {
-    let vecs = bitvec_inputs();
-    let refs: Vec<&BitVec> = vecs.iter().collect();
-    let timings = interleaved_median_ns(
-        || BitVec::and_all(&refs).unwrap().count_ones() as u64,
-        || {
-            let mut acc = vecs[0].clone();
-            for v in &vecs[1..] {
-                acc.and_assign(v);
-            }
-            acc.count_ones() as u64
-        },
-    );
-    row(
-        "bitvec/and_all8",
-        "bitvec",
-        timings,
-        BITVEC_BITS / 8 * BITVEC_OPERANDS,
-        true,
-    )
-}
 
 /// Popcount-without-materializing vs materialize-then-count.
 fn bitvec_count_and_row() -> HotpathRow {
-    let vecs = bitvec_inputs();
-    let (a, b) = (&vecs[0], &vecs[1]);
+    let operand = |k: usize| BitVec::from_fn(BITVEC_BITS, |i| !(i + k).is_multiple_of(k + 2));
+    let (a, b) = (&operand(0), &operand(1));
     let timings = interleaved_median_ns(|| a.count_and(b) as u64, || a.and(b).count_ones() as u64);
     row("bitvec/count_and", "bitvec", timings, BITVEC_BITS / 4, true)
 }
@@ -776,7 +735,6 @@ pub fn run(scale: ExperimentScale) -> Vec<HotpathRow> {
     }
     rows.extend(plan_ycsb_skew_rows(&RecordChunk::from_ndjson(&ycsb)));
     rows.push(core_park_chunk_row(&ycsb));
-    rows.push(bitvec_and_all_row());
     rows.push(bitvec_count_and_row());
     rows.push(columnar_zone_row(scale.records.min(20_000)));
     rows.push(engine_block_filter_row(BLOCK_FILTER_ROWS));
@@ -818,7 +776,7 @@ mod tests {
             sample: 100,
         };
         let rows = run(scale);
-        assert_eq!(rows.len(), 20);
+        assert_eq!(rows.len(), 19);
         for r in &rows {
             assert!(r.median_ns > 0.0, "{}: zero median", r.name);
             assert!(r.baseline_ns > 0.0, "{}: zero baseline", r.name);
@@ -850,7 +808,7 @@ mod tests {
             let text = dataset.generate_ndjson(9, 400);
             let epoch = ParkedEpoch::new(&text);
             let plan = ciao_sql::compile(&count_sql(where_body), &epoch.schema).unwrap();
-            let count = |mapped| epoch.scan(&plan, mapped).metrics.total_matched();
+            let count = |mapped| epoch.scan(&plan, mapped).profile.total_matched();
             let unmapped = count(false);
             for _ in 0..2 {
                 assert_eq!(count(true), unmapped, "{where_body}");
@@ -899,7 +857,10 @@ mod tests {
             recs.len()
         );
         let m = scan_count(&table, &query, &ScanOptions::full());
-        assert_eq!((m.rows_matched, m.rows_scanned), (truth, recs.len()));
+        assert_eq!(
+            (m.rows_matched, m.rows_scanned),
+            (truth as u64, recs.len() as u64)
+        );
     }
 
     #[test]

@@ -178,7 +178,7 @@ pub fn run_with_trace_path(
             rows_skipped: p.rows_skipped_zone + p.rows_skipped_mask,
             parked_parsed: p.parked_rows_parsed,
             clauses: p.clauses.len(),
-            exec_ms: analyzed.metrics.elapsed.as_secs_f64() * 1e3,
+            exec_ms: analyzed.elapsed.as_secs_f64() * 1e3,
         });
     }
 

@@ -28,9 +28,9 @@ pub struct SqlRow {
     /// Whether ≥1 `WHERE` clause rode a pushed bitvector skip mask.
     pub covered: bool,
     /// Columnar blocks skipped wholesale by zone maps.
-    pub blocks_pruned: usize,
+    pub blocks_pruned: u64,
     /// Rows skipped (pruned blocks + skip-mask zeros).
-    pub rows_skipped: usize,
+    pub rows_skipped: u64,
     /// End-to-end execution time (fan-out + merge + finalize), ms.
     pub exec_ms: f64,
     /// Whether columns and rows match the full-scan oracle exactly.
@@ -124,10 +124,10 @@ pub fn run(scale: ExperimentScale, shards: usize) -> SqlReport {
         rows.push(SqlRow {
             statement: stmt.to_owned(),
             rows: got.rows.len(),
-            covered: got.metrics.used_skipping,
-            blocks_pruned: got.metrics.table_scan.blocks_pruned,
-            rows_skipped: got.metrics.table_scan.rows_skipped,
-            exec_ms: got.metrics.elapsed.as_secs_f64() * 1e3,
+            covered: got.profile.used_skipping(),
+            blocks_pruned: got.profile.blocks_pruned_zone,
+            rows_skipped: got.profile.rows_skipped_zone + got.profile.rows_skipped_mask,
+            exec_ms: got.elapsed.as_secs_f64() * 1e3,
             matches_oracle: got.columns == expected.columns && got.rows == expected.rows,
         });
     }

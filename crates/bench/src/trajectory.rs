@@ -116,11 +116,11 @@ pub struct HotpathTrajectory {
     pub runs: Vec<HotpathRun>,
 }
 
-/// One hot-path suite invocation (`repro -- micro` or the Criterion
-/// `hotpath` bench).
+/// One hot-path suite invocation (`repro -- micro`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HotpathRun {
-    /// `"repro"` for the sweep binary, `"bench"` for Criterion.
+    /// `"repro"` for the sweep binary; older runs appended by a
+    /// Criterion bench read `"bench"`.
     pub source: String,
     /// Seconds since the Unix epoch when the run finished.
     pub unix_time_s: u64,

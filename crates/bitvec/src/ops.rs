@@ -103,12 +103,6 @@ impl BitVec {
             .sum()
     }
 
-    /// `popcount(self & other)` without materializing the intersection.
-    /// Alias of [`BitVec::count_and`], kept for the original API.
-    pub fn intersection_count(&self, other: &BitVec) -> usize {
-        self.count_and(other)
-    }
-
     /// `popcount(self | other)` without materializing the union.
     pub fn union_count(&self, other: &BitVec) -> usize {
         self.check_len(other, "union_count");
@@ -128,58 +122,28 @@ impl BitVec {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// Fused multi-operand intersection. Folding with `k - 1`
-    /// [`BitVec::and_assign`] sweeps re-streams the whole accumulator
-    /// from memory once per operand; here the accumulator is walked
-    /// **once** in L1-sized tiles, with every operand folded into each
-    /// tile while it is hot. Inner loops stay `iter().zip()` so they
-    /// vectorize like the two-operand kernels. Returns `None` when the
-    /// slice is empty (an empty conjunction has no well-defined width
-    /// here; callers that want "all ones" should use [`BitVec::ones`]
-    /// explicitly).
+    /// Multi-operand intersection: the first operand, cloned, with
+    /// every other one ANDed in. Returns `None` when the slice is empty
+    /// (an empty conjunction has no well-defined width here; callers
+    /// that want "all ones" should use [`BitVec::ones`] explicitly).
     pub fn and_all(vecs: &[&BitVec]) -> Option<BitVec> {
-        Self::fused_reduce(vecs, "and_all", |a, b| *a &= b)
-    }
-
-    /// Fused multi-operand union; see [`BitVec::and_all`] for the
-    /// shape. Returns `None` when the slice is empty.
-    pub fn or_all(vecs: &[&BitVec]) -> Option<BitVec> {
-        Self::fused_reduce(vecs, "or_all", |a, b| *a |= b)
-    }
-
-    fn fused_reduce(vecs: &[&BitVec], op_name: &str, op: impl Fn(&mut u64, u64)) -> Option<BitVec> {
-        /// Words per tile: 4 KiB, comfortably inside L1 alongside one
-        /// operand stream.
-        const TILE_WORDS: usize = 512;
         let (first, rest) = vecs.split_first()?;
-        for v in rest {
-            first.check_len(v, op_name);
-        }
         let mut out = (*first).clone();
-        let mut offset = 0;
-        while offset < out.words.len() {
-            let end = (offset + TILE_WORDS).min(out.words.len());
-            let tile = &mut out.words[offset..end];
-            for v in rest {
-                for (a, &b) in tile.iter_mut().zip(&v.words[offset..end]) {
-                    op(a, b);
-                }
-            }
-            offset = end;
+        for v in rest {
+            out.and_assign(v);
         }
         Some(out)
     }
 
-    /// Intersects an arbitrary number of equal-length vectors. Alias of
-    /// the fused [`BitVec::and_all`], kept for the original API.
-    pub fn intersect_all(vecs: &[&BitVec]) -> Option<BitVec> {
-        BitVec::and_all(vecs)
-    }
-
-    /// Unions an arbitrary number of equal-length vectors. Alias of the
-    /// fused [`BitVec::or_all`], kept for the original API.
-    pub fn union_all(vecs: &[&BitVec]) -> Option<BitVec> {
-        BitVec::or_all(vecs)
+    /// Multi-operand union; see [`BitVec::and_all`]. Returns `None`
+    /// when the slice is empty.
+    pub fn or_all(vecs: &[&BitVec]) -> Option<BitVec> {
+        let (first, rest) = vecs.split_first()?;
+        let mut out = (*first).clone();
+        for v in rest {
+            out.or_assign(v);
+        }
+        Some(out)
     }
 
     #[inline]
@@ -291,7 +255,6 @@ mod tests {
     fn counts_without_materializing() {
         let a = evens(100);
         let b = div3(100);
-        assert_eq!(a.intersection_count(&b), a.and(&b).count_ones());
         assert_eq!(a.union_count(&b), a.or(&b).count_ones());
         assert_eq!(a.count_and(&b), a.and(&b).count_ones());
         let mut diff = a.clone();
@@ -357,15 +320,15 @@ mod tests {
         let b = div3(n);
         let c = BitVec::from_fn(n, |i| i % 5 == 0);
 
-        let inter = BitVec::intersect_all(&[&a, &b, &c]).unwrap();
-        let union = BitVec::union_all(&[&a, &b, &c]).unwrap();
+        let inter = BitVec::and_all(&[&a, &b, &c]).unwrap();
+        let union = BitVec::or_all(&[&a, &b, &c]).unwrap();
         for i in 0..n {
             assert_eq!(inter.bit(i), i % 30 == 0);
             assert_eq!(union.bit(i), i % 2 == 0 || i % 3 == 0 || i % 5 == 0);
         }
-        assert!(BitVec::intersect_all(&[]).is_none());
-        assert!(BitVec::union_all(&[]).is_none());
-        assert_eq!(BitVec::intersect_all(&[&a]).unwrap(), a);
+        assert!(BitVec::and_all(&[]).is_none());
+        assert!(BitVec::or_all(&[]).is_none());
+        assert_eq!(BitVec::and_all(&[&a]).unwrap(), a);
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl ChunkFilterResult {
     /// `None` when no predicates were pushed (then everything loads).
     pub fn admission_mask(&self) -> Option<BitVec> {
         let refs: Vec<&BitVec> = self.bitvecs.iter().collect();
-        BitVec::union_all(&refs)
+        BitVec::or_all(&refs)
     }
 
     /// Mean matching cost per record in microseconds.

@@ -1,7 +1,7 @@
 //! The executor: route a query across the columnar and parked sides.
 
-use crate::metrics::QueryMetrics;
 use crate::plan_exec::{count_plan, finalize};
+use crate::profile::QueryProfile;
 use crate::raw_scan::ParkedFragment;
 use crate::result::QueryResult;
 use crate::scan::{PreparedScan, ScanOptions};
@@ -9,20 +9,22 @@ use ciao_columnar::{Block, Table};
 use ciao_predicate::{Clause, Query};
 use ciao_sql::SqlValue;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The result of one `COUNT(*)` execution.
 #[derive(Debug, Clone, Default)]
 pub struct QueryOutcome {
     /// The count.
     pub count: usize,
-    /// Detailed counters and timing.
-    pub metrics: QueryMetrics,
+    /// What the scan did.
+    pub profile: QueryProfile,
+    /// Wall time, as [`QueryResult::elapsed`].
+    pub elapsed: Duration,
 }
 
 impl QueryOutcome {
-    /// Reads a finalized [`count_plan`] result: its one count, and its
-    /// metrics.
+    /// Reads a finalized [`count_plan`] result: its one count, its
+    /// profile and its wall time.
     pub fn from_count(result: QueryResult) -> QueryOutcome {
         let count = match result.rows.first().map(Vec::as_slice) {
             Some([SqlValue::Int(n)]) => *n as usize,
@@ -30,7 +32,8 @@ impl QueryOutcome {
         };
         QueryOutcome {
             count,
-            metrics: result.metrics,
+            profile: result.profile,
+            elapsed: result.elapsed,
         }
     }
 }
@@ -138,10 +141,8 @@ impl Executor {
         blocks: impl IntoIterator<Item = &'a Block>,
         parked_rows: usize,
     ) -> Prepared {
-        let start = Instant::now();
         let pushed_ids = self.pushed_ids_for(&query);
-        let skipping = !pushed_ids.is_empty();
-        let scan_parked = !skipping
+        let scan_parked = pushed_ids.is_empty()
             || !self
                 .parked_excludes
                 .iter()
@@ -151,10 +152,8 @@ impl Executor {
         Prepared {
             query,
             scan,
-            skipping,
             scan_parked,
             parked_rows: if scan_parked { parked_rows } else { 0 },
-            prepared_in: start.elapsed(),
         }
     }
 
@@ -189,12 +188,9 @@ impl Executor {
 pub struct Prepared {
     pub(crate) query: Query,
     pub(crate) scan: PreparedScan,
-    /// Whether ≥1 clause rides a pushed bitvector (a skip-mask runs).
-    skipping: bool,
     /// Whether the parked side is scanned ([`Executor::prepare`]).
     pub(crate) scan_parked: bool,
     parked_rows: usize,
-    prepared_in: Duration,
 }
 
 impl Prepared {
@@ -203,18 +199,6 @@ impl Prepared {
     /// be scanned. Known before a column is touched.
     pub fn surviving_rows(&self) -> usize {
         self.scan.surviving_rows + self.parked_rows
-    }
-
-    /// The accounting a scan starts from: routing flags set, the
-    /// preparation's time already on the clock.
-    pub(crate) fn metrics(&self) -> QueryMetrics {
-        QueryMetrics {
-            used_skipping: self.skipping,
-            scanned_parked: self.scan_parked,
-            elapsed: self.prepared_in,
-            table_scan_time: self.prepared_in,
-            ..QueryMetrics::default()
-        }
     }
 }
 
@@ -265,12 +249,10 @@ mod tests {
         let q = parse_query("q", "stars = 5").unwrap();
         let out = e.exec.execute_count(&e.table, &e.parked, &q);
         assert_eq!(out.count, 10);
-        assert!(out.metrics.used_skipping);
-        assert!(!out.metrics.scanned_parked);
-        assert_eq!(out.metrics.raw_scan.records_parsed, 0);
-        // No fallback ran, so no fallback time was spent.
-        assert_eq!(out.metrics.raw_scan_time, std::time::Duration::ZERO);
-        assert!(out.metrics.table_scan_time <= out.metrics.elapsed);
+        assert!(out.profile.used_skipping());
+        assert_eq!(out.profile.parked_rows_parsed, 0);
+        // Only the 10 rows the skip-mask left were evaluated.
+        assert_eq!(out.profile.rows_scanned, 10);
     }
 
     #[test]
@@ -279,13 +261,10 @@ mod tests {
         let q = parse_query("q", "stars = 3").unwrap();
         let out = e.exec.execute_count(&e.table, &e.parked, &q);
         assert_eq!(out.count, 10); // all stars=3 records are parked
-        assert!(!out.metrics.used_skipping);
-        assert!(out.metrics.scanned_parked);
-        assert_eq!(out.metrics.raw_scan.records_parsed, 40);
-        assert_eq!(out.metrics.raw_scan.rows_matched, 10);
-        assert_eq!(out.metrics.table_scan.rows_matched, 0);
-        // The parked-record fallback is timed separately.
-        assert!(out.metrics.raw_scan_time > std::time::Duration::ZERO);
+        assert!(!out.profile.used_skipping());
+        assert_eq!(out.profile.parked_rows_parsed, 40);
+        assert_eq!(out.profile.parked_rows_matched, 10);
+        assert_eq!(out.profile.rows_matched, 0);
     }
 
     #[test]
@@ -296,7 +275,7 @@ mod tests {
         assert_eq!(ids, vec![1]); // only the stars clause is pushed
         let out = e.exec.execute_count(&e.table, &e.parked, &q);
         assert_eq!(out.count, 1);
-        assert!(out.metrics.used_skipping);
+        assert!(out.profile.used_skipping());
     }
 
     #[test]
@@ -312,12 +291,13 @@ mod tests {
         .with_coverage(&[vec![2, 1]]);
         let part = exec.execute_count(&e.table, &e.parked, &parse_query("q", "stars = 5").unwrap());
         assert_eq!(part.count, 10);
-        assert!(part.metrics.used_skipping && part.metrics.scanned_parked);
-        assert_eq!(part.metrics.raw_scan.records_parsed, 40);
+        assert!(part.profile.used_skipping());
+        assert_eq!(part.profile.parked_rows_parsed, 40);
         let whole = parse_query("q", r#"name = "u4" AND stars = 5"#).unwrap();
         let whole = exec.execute_count(&e.table, &e.parked, &whole);
         assert_eq!(whole.count, 1);
-        assert!(whole.metrics.used_skipping && !whole.metrics.scanned_parked);
+        assert!(whole.profile.used_skipping());
+        assert_eq!(whole.profile.parked_rows_parsed, 0);
     }
 
     #[test]
@@ -369,7 +349,7 @@ mod tests {
         let q = parse_query("q", "stars = 5").unwrap();
         let out = exec.execute_count(&e.table, &e.parked, &q);
         assert_eq!(out.count, 10);
-        assert!(out.metrics.scanned_parked);
+        assert_eq!(out.profile.parked_rows_parsed, 40);
     }
 
     #[test]
@@ -398,10 +378,6 @@ mod tests {
         merged.merge(shard(&Table::default(), right));
         let merged = QueryOutcome::from_count(finalize(&plan, merged));
         assert_eq!(merged.count, whole.count);
-        assert_eq!(
-            merged.metrics.raw_scan.records_parsed,
-            whole.metrics.raw_scan.records_parsed
-        );
-        assert!(merged.metrics.scanned_parked);
+        assert_eq!(merged.profile, whole.profile);
     }
 }

@@ -24,7 +24,8 @@
 //!   pushed clauses contain one workload query's whole pushed set
 //!   skips this side wholesale; every other query reads it.
 //!
-//! [`exec::Executor`] ties the two together and reports [`metrics`].
+//! [`exec::Executor`] ties the two together, and a [`QueryProfile`]
+//! is the one record of what a scan did.
 //! Every execution runs in two steps: *prepare* ([`Executor::prepare`],
 //! [`PreparedScan`]) routes the query and settles, per block, what
 //! zone maps and the fused skip-mask leave — the surviving row count
@@ -45,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod exec;
-pub mod metrics;
 pub mod plan_exec;
 pub mod profile;
 pub mod raw_scan;
@@ -55,7 +55,6 @@ pub mod scan;
 pub mod zone;
 
 pub use exec::{Executor, Prepared, QueryOutcome};
-pub use metrics::{QueryMetrics, ScanMetrics};
 pub use plan_exec::{count_plan, finalize, plan_query, AggState, PartialData, PartialResult};
 pub use profile::{ClauseProfile, QueryProfile};
 pub use raw_scan::{scan_raw_records, ParkedFragment, ParkedIndex};

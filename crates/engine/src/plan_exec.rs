@@ -38,8 +38,7 @@
 //! row.
 
 use crate::exec::{Executor, Prepared};
-use crate::metrics::QueryMetrics;
-use crate::profile::{ClauseProfile, QueryProfile};
+use crate::profile::QueryProfile;
 use crate::raw_scan::{scan_parked, ParkedFragment, ParkedRow};
 use crate::result::{ColumnDesc, QueryResult};
 use crate::scan::BlockFilter;
@@ -50,7 +49,7 @@ use ciao_sql::{
     SqlType, SqlValue,
 };
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::time::Duration;
 
 /// Running state of one aggregate over one group.
 ///
@@ -258,10 +257,13 @@ pub enum PartialData {
 pub struct PartialResult {
     /// Rows or group states.
     pub data: PartialData,
-    /// This shard's scan counters and timings.
-    pub metrics: QueryMetrics,
     /// This shard's per-block / per-clause execution profile.
     pub profile: QueryProfile,
+    /// Epochs whose parked-record positional map this execution built
+    /// ([`crate::raw_scan::ParkedIndex`]); a scan that found every map
+    /// built reads 0. Not part of the profile: a cold and a warm run
+    /// of one statement profile alike.
+    pub parked_index_builds: usize,
 }
 
 impl PartialResult {
@@ -274,18 +276,17 @@ impl PartialResult {
         };
         PartialResult {
             data,
-            metrics: QueryMetrics::default(),
             profile: QueryProfile::default(),
+            parked_index_builds: 0,
         }
     }
 
     /// Folds another shard's partial in: projection rows append in
-    /// merge order; group states merge per key; metrics merge per
-    /// [`QueryMetrics::merge`]; profiles merge per
-    /// [`QueryProfile::merge`].
+    /// merge order; group states merge per key; profiles merge per
+    /// [`QueryProfile::merge`]; map builds add.
     pub fn merge(&mut self, other: PartialResult) {
-        self.metrics.merge(&other.metrics);
         self.profile.merge(&other.profile);
+        self.parked_index_builds += other.parked_index_builds;
         match (&mut self.data, other.data) {
             (PartialData::Rows(rows), PartialData::Rows(more)) => rows.extend(more),
             (PartialData::Groups(groups), PartialData::Groups(more)) => {
@@ -416,29 +417,9 @@ impl Executor {
         parked: impl IntoIterator<Item = ParkedFragment<'p, S>>,
         plan: &PhysicalPlan,
     ) -> PartialResult {
-        let start = Instant::now();
         let query = &prepared.query;
         let mut out = PartialResult::empty(plan);
-        out.metrics = prepared.metrics();
-        out.metrics.table_scan = prepared.scan.metrics();
-        out.profile = QueryProfile {
-            blocks_total: prepared.scan.survivors().len() as u64,
-            blocks_pruned_zone: prepared.scan.blocks_pruned_zone as u64,
-            blocks_pruned_mask: prepared.scan.blocks_pruned_mask as u64,
-            rows_skipped_zone: prepared.scan.rows_skipped_zone as u64,
-            rows_skipped_mask: prepared.scan.rows_skipped_mask as u64,
-            clauses: query
-                .clauses
-                .iter()
-                .map(|c| ClauseProfile {
-                    text: c.to_string(),
-                    pushed: self.is_pushed(c),
-                    rows_evaluated: 0,
-                    rows_passed: 0,
-                })
-                .collect(),
-            ..QueryProfile::default()
-        };
+        out.profile = prepared.scan.profile(&query.clauses, |c| self.is_pushed(c));
         let inputs = operator_inputs(&plan.op);
         let counts = count_stars(&plan.op);
 
@@ -449,7 +430,6 @@ impl Executor {
         let mut cols: Vec<Option<usize>> = Vec::with_capacity(inputs.len());
         for (block, survivors) in blocks.into_iter().zip(prepared.scan.survivors()) {
             let tally = filter.run(block, survivors);
-            out.metrics.table_scan.add_block(&tally);
             out.profile.add_block(&tally);
             if tally.selected.is_empty() || counts.is_some() {
                 continue;
@@ -464,37 +444,24 @@ impl Executor {
                 });
             }
         }
-        out.metrics.table_scan_time += start.elapsed();
 
         // Parked side: skipped only when the pushed clauses contain a
         // workload query's whole pushed set (no parked record passes).
         if prepared.scan_parked {
-            let raw_start = Instant::now();
             let data = &mut out.data;
             let feed = |row: ParkedRow<'_>| feed_operator(data, &plan.op, row);
-            let scan = scan_parked(
+            out.parked_index_builds = scan_parked(
                 parked,
                 &mut filter,
                 &inputs,
                 counts.is_none().then_some(feed),
+                &mut out.profile,
             );
-            out.metrics.raw_scan = scan.metrics;
-            out.metrics.parked_index_builds = scan.index_builds;
-            out.profile.parked_rows_parsed = scan.metrics.records_parsed as u64;
-            out.profile.parked_rows_matched = scan.metrics.rows_matched as u64;
-            out.profile.parked_fields_projected = scan.fields_projected as u64;
-            for (clause, (evaluated, passed)) in
-                out.profile.clauses.iter_mut().zip(scan.clause_counts)
-            {
-                clause.rows_evaluated += evaluated;
-                clause.rows_passed += passed;
-            }
-            out.metrics.raw_scan_time = raw_start.elapsed();
         }
 
         // Exactly the partial the row feed leaves: one group once a row
         // has matched.
-        let matched = out.metrics.total_matched() as i64;
+        let matched = out.profile.total_matched() as i64;
         if let (Some(aggs), 1..) = (counts, matched) {
             let states = aggs
                 .iter()
@@ -502,7 +469,6 @@ impl Executor {
                 .collect();
             out.data = PartialData::Groups(BTreeMap::from([(Vec::new(), states)]));
         }
-        out.metrics.elapsed += start.elapsed();
         out
     }
 
@@ -528,12 +494,13 @@ impl Executor {
 
 /// Turns the merged partials into the final answer: finalize group
 /// states (or take projection rows), apply ORDER BY with a full-row
-/// tie-break, then LIMIT.
+/// tie-break, then LIMIT. The result's `elapsed` is zero: only the
+/// caller that ran the scans knows their wall time.
 pub fn finalize(plan: &PhysicalPlan, partial: PartialResult) -> QueryResult {
     let PartialResult {
         data,
-        metrics,
         profile,
+        parked_index_builds,
     } = partial;
     let mut rows: Vec<Vec<SqlValue>> = match data {
         PartialData::Rows(rows) => rows,
@@ -609,8 +576,9 @@ pub fn finalize(plan: &PhysicalPlan, partial: PartialResult) -> QueryResult {
             })
             .collect(),
         rows,
-        metrics,
         profile,
+        elapsed: Duration::ZERO,
+        parked_index_builds,
     }
 }
 
@@ -694,10 +662,10 @@ mod tests {
             let query = ciao_predicate::parse_query("q", body).unwrap();
             let out = e.exec.execute_count(&e.table, &e.parked, &query);
             assert_eq!(out.count, count as usize, "{body}");
-            assert_eq!(out.metrics.table_scan, sql.metrics.table_scan, "{body}");
-            assert_eq!(out.metrics.raw_scan, sql.metrics.raw_scan, "{body}");
-            assert_eq!(out.metrics.used_skipping, covered, "{body}");
-            assert_eq!(out.metrics.scanned_parked, !covered, "{body}");
+            assert_eq!(out.profile, sql.profile, "{body}");
+            assert_eq!(out.profile.used_skipping(), covered, "{body}");
+            let parked = if covered { 0 } else { e.parked.len() as u64 };
+            assert_eq!(out.profile.parked_rows_parsed, parked, "{body}");
         }
     }
 
@@ -734,8 +702,7 @@ mod tests {
             .collect();
         assert_eq!(r.rows, expected);
         // Uncovered aggregate: full scan plus the parked fallback.
-        assert!(r.metrics.scanned_parked);
-        assert_eq!(r.metrics.raw_scan.records_parsed, e.parked.len());
+        assert_eq!(r.profile.parked_rows_parsed, e.parked.len() as u64);
     }
 
     #[test]
@@ -745,8 +712,8 @@ mod tests {
             &e,
             "SELECT MIN(name), MAX(name), COUNT(score) FROM t WHERE stars = 5",
         );
-        assert!(r.metrics.used_skipping);
-        assert!(!r.metrics.scanned_parked);
+        assert!(r.profile.used_skipping());
+        assert_eq!(r.profile.parked_rows_parsed, 0);
         // 12 stars=5 rows: u4, u9, ..., u59; lexicographic min/max.
         assert_eq!(r.rows[0][0], SqlValue::Str("u14".into()));
         assert_eq!(r.rows[0][1], SqlValue::Str("u9".into()));
@@ -806,18 +773,35 @@ mod tests {
         assert_eq!(whole.rows, sharded.rows);
     }
 
+    /// Independent facts a profile must agree with: every table row is
+    /// scanned or skipped exactly once, the parked side reads all of
+    /// `parked` records or none, and the matches are `eval_query`'s
+    /// count over every record.
+    fn assert_profile_facts(e: &Env, sql: &str, profile: &QueryProfile, parked: u64) {
+        let plan = ciao_sql::compile(sql, &e.schema).unwrap();
+        let query = plan_query(&plan);
+        let p = profile;
+        assert_eq!(
+            p.rows_scanned + p.rows_skipped_zone + p.rows_skipped_mask,
+            e.table.row_count() as u64,
+            "{sql}: {p:?}"
+        );
+        assert_eq!(p.parked_rows_parsed, parked, "{sql}: {p:?}");
+        let truth = e
+            .all
+            .iter()
+            .filter(|r| ciao_predicate::eval_query(&query, r))
+            .count();
+        assert_eq!(p.total_matched(), truth as u64, "{sql}: {p:?}");
+    }
+
     #[test]
-    fn profile_reconciles_with_metrics_on_both_paths() {
+    fn profile_conserves_rows_on_both_paths() {
         let e = env();
         // Covered path: skip-masks, no parked fallback.
-        let covered = run(&e, "SELECT COUNT(*) FROM t WHERE stars = 5");
-        assert!(
-            covered.profile.reconciles_with(&covered.metrics),
-            "covered: {:?} vs {:?}",
-            covered.profile,
-            covered.metrics
-        );
-        assert_eq!(covered.profile.parked_rows_parsed, 0);
+        let sql = "SELECT COUNT(*) FROM t WHERE stars = 5";
+        let covered = run(&e, sql);
+        assert_profile_facts(&e, sql, &covered.profile, 0);
         assert_eq!(covered.profile.clauses.len(), 1);
         assert!(covered.profile.clauses[0].pushed);
         assert_eq!(covered.profile.clauses[0].text, "stars = 5");
@@ -826,14 +810,9 @@ mod tests {
 
         // Uncovered path: full scan plus the parked-record fallback, with
         // short-circuited per-clause counters.
-        let uncovered = run(&e, r#"SELECT name FROM t WHERE stars < 3 AND city = "c0""#);
-        assert!(
-            uncovered.profile.reconciles_with(&uncovered.metrics),
-            "uncovered: {:?} vs {:?}",
-            uncovered.profile,
-            uncovered.metrics
-        );
-        assert_eq!(uncovered.profile.parked_rows_parsed, e.parked.len() as u64);
+        let sql = r#"SELECT name FROM t WHERE stars < 3 AND city = "c0""#;
+        let uncovered = run(&e, sql);
+        assert_profile_facts(&e, sql, &uncovered.profile, e.parked.len() as u64);
         let [first, second] = &uncovered.profile.clauses[..] else {
             panic!("expected two clause profiles");
         };
@@ -879,7 +858,8 @@ mod tests {
                 whole.profile.rows_scanned + whole.profile.parked_rows_parsed,
                 "{sql}"
             );
-            assert_eq!(whole.metrics.scanned_parked, reads_parked, "{sql}");
+            let parked = if reads_parked { e.parked.len() } else { 0 };
+            assert_profile_facts(&e, sql, &whole.profile, parked as u64);
             // A prepared scan owns what it decided: it can run later,
             // elsewhere, and more than once, to the same partial — also
             // when the first run builds the parked records' map and the
@@ -902,8 +882,8 @@ mod tests {
     #[test]
     fn sharded_profile_merge_reconciles() {
         let e = env();
-        let plan =
-            ciao_sql::compile("SELECT city, COUNT(*) FROM t GROUP BY city", &e.schema).unwrap();
+        let sql = "SELECT city, COUNT(*) FROM t GROUP BY city";
+        let plan = ciao_sql::compile(sql, &e.schema).unwrap();
         let (left, right) = e.parked.split_at(e.parked.len() / 2);
         let mut merged = e.exec.execute_plan(&e.table, left, &plan);
         merged.merge(
@@ -911,8 +891,8 @@ mod tests {
                 .execute_plan(&ciao_columnar::Table::default(), right, &plan),
         );
         let r = finalize(&plan, merged);
-        assert!(r.profile.reconciles_with(&r.metrics));
-        assert_eq!(r.profile.parked_rows_parsed, e.parked.len() as u64);
+        assert_eq!(r.profile, run(&e, sql).profile);
+        assert_profile_facts(&e, sql, &r.profile, e.parked.len() as u64);
     }
 
     #[test]
@@ -933,7 +913,8 @@ mod tests {
         let r = finalize(&plan, exec.execute_plan::<String>(&table, &[], &plan));
         let expected: i64 = (48..64).sum();
         assert_eq!(r.rows, vec![vec![SqlValue::Int(expected)]]);
-        assert!(r.metrics.table_scan.blocks_pruned >= 6);
-        assert_eq!(r.metrics.table_scan.blocks_visited, 1);
+        let p = &r.profile;
+        assert!(p.blocks_pruned_zone >= 6);
+        assert_eq!(p.blocks_total - p.blocks_pruned_zone, 1);
     }
 }

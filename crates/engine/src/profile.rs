@@ -1,18 +1,16 @@
 //! Per-query execution profiles: attributable, mergeable evidence of
 //! what the data-skipping machinery did for *one* statement.
 //!
-//! [`crate::QueryMetrics`] already counts scans and skips in
-//! aggregate; [`QueryProfile`] splits the same execution into the
-//! stories EXPLAIN ANALYZE and the service's workload collector need:
-//! blocks pruned by zone maps vs. blocks whose pushed skip-mask was
-//! all-zero, rows skipped by each mechanism, the parked-record scan,
-//! and a per-WHERE-clause hit/selectivity counter pair. Profiles merge
-//! across shards exactly like [`crate::PartialResult`]s (counters add,
-//! clauses combine positionally), and
-//! [`QueryProfile::reconciles_with`] pins the invariant that the
-//! profile never disagrees with the metrics it refines.
+//! A [`QueryProfile`] is the only record of what a statement's scan
+//! did, split into the stories EXPLAIN ANALYZE and the service's
+//! workload collector need: blocks pruned by zone maps vs. blocks whose
+//! pushed skip-mask was all-zero, rows skipped by each mechanism, the
+//! parked-record scan, and a per-WHERE-clause hit/selectivity counter
+//! pair. Every block row lands in exactly one of `rows_scanned`,
+//! `rows_skipped_zone` and `rows_skipped_mask`. Profiles merge across
+//! shards exactly like [`crate::PartialResult`]s (counters add, clauses
+//! combine positionally).
 
-use crate::metrics::QueryMetrics;
 use crate::scan::BlockTally;
 
 /// Observed behavior of one WHERE clause during a plan execution.
@@ -55,9 +53,10 @@ impl ClauseProfile {
 
 /// Per-stage and per-block execution stats for one plan execution.
 ///
-/// Produced by `Executor::execute_plan` alongside the partial result;
-/// shards' profiles merge into the query-wide profile the same way
-/// their partials do.
+/// Started by `PreparedScan::profile` and filled in by
+/// `Executor::scan_plan` as part of the partial result; shards'
+/// profiles merge into the query-wide profile the same way their
+/// partials do.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryProfile {
     /// Sealed blocks considered (pruned + visited).
@@ -75,8 +74,8 @@ pub struct QueryProfile {
     pub rows_scanned: u64,
     /// Columnar rows that satisfied every clause.
     pub rows_matched: u64,
-    /// Parked raw records the fallback's projected scan validated (0
-    /// whenever ≥1 clause was pushed).
+    /// Parked raw records the fallback went through, malformed ones
+    /// included (0 when routing skipped the parked side).
     pub parked_rows_parsed: u64,
     /// Parked rows that satisfied every clause.
     pub parked_rows_matched: u64,
@@ -92,6 +91,11 @@ impl QueryProfile {
     /// before grouping/limit).
     pub fn total_matched(&self) -> u64 {
         self.rows_matched + self.parked_rows_matched
+    }
+
+    /// Whether ≥1 clause rode a pushed bitvector, so a skip-mask ran.
+    pub fn used_skipping(&self) -> bool {
+        self.clauses.iter().any(|c| c.pushed)
     }
 
     /// Adds what the block-scan driver did to one block: rows scanned
@@ -130,24 +134,6 @@ impl QueryProfile {
                 cur.merge(inc);
             }
         }
-    }
-
-    /// True when this profile exactly refines `metrics` from the same
-    /// execution: the zone-pruned block count, the zone+mask row-skip
-    /// split, the scanned/matched row counts, and the parked fallback
-    /// all reconcile. The EXPLAIN ANALYZE e2e suite asserts this
-    /// across shard merges.
-    pub fn reconciles_with(&self, metrics: &QueryMetrics) -> bool {
-        self.blocks_pruned_zone == metrics.table_scan.blocks_pruned as u64
-            && self.blocks_total
-                == (metrics.table_scan.blocks_pruned + metrics.table_scan.blocks_visited) as u64
-            && self.rows_skipped_zone + self.rows_skipped_mask
-                == metrics.table_scan.rows_skipped as u64
-            && self.rows_scanned == metrics.table_scan.rows_scanned as u64
-            && self.rows_matched == metrics.table_scan.rows_matched as u64
-            && self.parked_rows_parsed == metrics.raw_scan.records_parsed as u64
-            && self.parked_rows_matched == metrics.raw_scan.rows_matched as u64
-            && self.total_matched() == metrics.total_matched() as u64
     }
 }
 
@@ -201,5 +187,18 @@ mod tests {
         let mut identity = QueryProfile::default();
         identity.merge(&a);
         assert_eq!(identity, a);
+
+        // One shard whose clause rode a skip-mask makes the merge one
+        // that used skipping.
+        assert!(!a.used_skipping());
+        let pushed = QueryProfile {
+            clauses: vec![ClauseProfile {
+                pushed: true,
+                ..clause("a = 1", 0, 0)
+            }],
+            ..QueryProfile::default()
+        };
+        a.merge(&pushed);
+        assert!(a.used_skipping());
     }
 }

@@ -50,8 +50,8 @@
 //! broken log line should — and each reads the values the full parse
 //! would build.
 
-use crate::metrics::ScanMetrics;
-use crate::scan::{BlockFilter, Survivors};
+use crate::profile::QueryProfile;
+use crate::scan::{BlockFilter, PreparedScan, Survivors};
 use ciao_columnar::{ColumnBuilder, DataType, Schema};
 use ciao_json::{
     parse_field_at, parse_member_offsets, parse_projected, parse_value_at, FieldValue, JsonValue,
@@ -317,19 +317,6 @@ impl<'a, S: AsRef<str>> ParkedFragment<'a, S> {
     }
 }
 
-/// What one pass over the parked records did.
-pub(crate) struct ParkedScan {
-    /// Scan counters; every record counts as parsed and scanned.
-    pub metrics: ScanMetrics,
-    /// Per clause, in order: records it was evaluated on and records
-    /// that passed it (the conjunction short-circuits).
-    pub clause_counts: Vec<(u64, u64)>,
-    /// How many distinct fields the scan built per record.
-    pub fields_projected: usize,
-    /// Epochs whose positional map this scan built.
-    pub index_builds: usize,
-}
-
 /// A matching parked record's value for each operator column, by slot
 /// of the scan's `inputs`.
 pub(crate) type ParkedRow<'r> = &'r dyn Fn(usize) -> SqlValue;
@@ -337,6 +324,11 @@ pub(crate) type ParkedRow<'r> = &'r dyn Fn(usize) -> SqlValue;
 /// Scans every parked record of every fragment under the conjunction
 /// `filter` runs, and hands `on_match` (when there is one) each matching
 /// record's values of the operator columns `inputs`, in record order.
+/// Adds to `profile` the records read (each one, malformed ones too),
+/// the matches, each clause's evaluations and passes (the conjunction
+/// short-circuits), and sets the fields built per record; `profile`
+/// holds one clause entry per clause of `filter`. Returns how many
+/// epochs' positional maps the scan built.
 ///
 /// A mapped record of a fragment with a schema joins a batch of up to
 /// [`BATCH_ROWS`] when every WHERE value it holds lands in its column
@@ -354,8 +346,11 @@ pub(crate) fn scan_parked<'p, S: AsRef<str> + 'p>(
     filter: &mut BlockFilter<'_>,
     inputs: &[&ColumnRef],
     mut on_match: Option<impl FnMut(ParkedRow<'_>)>,
-) -> ParkedScan {
+    profile: &mut QueryProfile,
+) -> usize {
     let clauses = filter.clauses();
+    // The row path's conjunction runs over both in step.
+    assert_eq!(profile.clauses.len(), clauses.len(), "one entry per clause");
     // The WHERE keys first, then the operator's other columns.
     let mut keys: Vec<&str> = Vec::new();
     let clause_keys = clauses
@@ -373,12 +368,8 @@ pub(crate) fn scan_parked<'p, S: AsRef<str> + 'p>(
             keys.push(&input.name);
         }
     }
-    let mut scan = ParkedScan {
-        metrics: ScanMetrics::default(),
-        clause_counts: vec![(0, 0); clauses.len()],
-        fields_projected: keys.len(),
-        index_builds: 0,
-    };
+    profile.parked_fields_projected = keys.len() as u64;
+    let mut index_builds = 0;
     let rows = RowReader {
         clauses,
         keys: &keys,
@@ -394,7 +385,7 @@ pub(crate) fn scan_parked<'p, S: AsRef<str> + 'p>(
         }
         let index = fragment.index.map(|cell| {
             cell.get_or_init(|| {
-                scan.index_builds += 1;
+                index_builds += 1;
                 ParkedIndex::build(fragment.records)
             })
         });
@@ -421,7 +412,7 @@ pub(crate) fn scan_parked<'p, S: AsRef<str> + 'p>(
                     Some(index) => index.project(i, record, &keys, &slots, &mut order),
                     None => parse_projected(record, &keys).ok(),
                 };
-                rows.read(&mut scan, value, &mut on_match);
+                rows.read(profile, value, &mut on_match);
             }
             continue;
         };
@@ -433,18 +424,17 @@ pub(crate) fn scan_parked<'p, S: AsRef<str> + 'p>(
         for (i, record) in fragment.records.iter().enumerate() {
             match index.entry(i) {
                 // A malformed parked record cannot match anything.
-                Entry::Malformed => scan.metrics.records_parsed += 1,
+                Entry::Malformed => profile.parked_rows_parsed += 1,
                 Entry::Mapped if batch.push(i, record.as_ref(), index.row(i), &slots) => {}
                 _ => batch.rest.push(i),
             }
             if batch.rows.len() + batch.rest.len() == BATCH_ROWS {
-                batch.flush(filter, &epoch, &rows, &mut scan, &mut order, &mut on_match);
+                batch.flush(filter, &epoch, &rows, profile, &mut order, &mut on_match);
             }
         }
-        batch.flush(filter, &epoch, &rows, &mut scan, &mut order, &mut on_match);
+        batch.flush(filter, &epoch, &rows, profile, &mut order, &mut on_match);
     }
-    scan.metrics.rows_scanned = scan.metrics.records_parsed;
-    scan
+    index_builds
 }
 
 /// Records a parked batch spans at most: a block's worth.
@@ -465,23 +455,23 @@ impl RowReader<'_> {
     /// short-circuiting, and hands a match to `on_match`.
     fn read(
         &self,
-        scan: &mut ParkedScan,
+        profile: &mut QueryProfile,
         value: Option<JsonValue>,
         on_match: &mut Option<impl FnMut(ParkedRow<'_>)>,
     ) {
-        scan.metrics.records_parsed += 1;
+        profile.parked_rows_parsed += 1;
         // A malformed parked record cannot match anything.
         let Some(value) = value else {
             return;
         };
-        let mut conjunction = self.clauses.iter().zip(&mut scan.clause_counts);
-        if conjunction.all(|(clause, (evaluated, passed))| {
+        let mut conjunction = self.clauses.iter().zip(&mut profile.clauses);
+        if conjunction.all(|(clause, counts)| {
             let pass = eval_clause(clause, &value);
-            *evaluated += 1;
-            *passed += u64::from(pass);
+            counts.rows_evaluated += 1;
+            counts.rows_passed += u64::from(pass);
             pass
         }) {
-            scan.metrics.rows_matched += 1;
+            profile.parked_rows_matched += 1;
             if let Some(on_match) = on_match {
                 let inputs = self.inputs;
                 on_match(&|slot| {
@@ -598,7 +588,7 @@ impl Batch {
         filter: &mut BlockFilter<'_>,
         epoch: &Epoch<'_, S>,
         reader: &RowReader<'r>,
-        scan: &mut ParkedScan,
+        profile: &mut QueryProfile,
         order: &mut Vec<(u16, &'r str)>,
         on_match: &mut Option<F>,
     ) {
@@ -614,11 +604,11 @@ impl Batch {
             let column = &filter_cols[keys.iter().position(|&k| k == key)?];
             Some((column.values(), column.validity()))
         });
-        scan.metrics.records_parsed += rows.len();
-        scan.metrics.rows_matched += tally.selected.len();
-        for ((evaluated, passed), clause) in scan.clause_counts.iter_mut().zip(tally.clauses) {
-            *evaluated += clause.evaluated;
-            *passed += clause.passed;
+        profile.parked_rows_parsed += rows.len() as u64;
+        profile.parked_rows_matched += tally.selected.len() as u64;
+        for (counts, clause) in profile.clauses.iter_mut().zip(tally.clauses) {
+            counts.rows_evaluated += clause.evaluated;
+            counts.rows_passed += clause.passed;
         }
         // A count reads no column: only its matches' number matters.
         let matches = if on_match.is_some() {
@@ -655,7 +645,7 @@ impl Batch {
             let value = epoch
                 .index
                 .project(i, record, reader.keys, epoch.slots, order);
-            reader.read(scan, value, on_match);
+            reader.read(profile, value, on_match);
         }
         feed(usize::MAX, on_match);
         for column in filter_cols.iter_mut() {
@@ -681,17 +671,21 @@ fn keeps_its_type(dtype: DataType, value: &FieldValue<'_>) -> bool {
     )
 }
 
-/// Counts parked records satisfying `query`.
+/// Counts parked records satisfying `query`, into the profile's
+/// `parked_rows_matched`.
 ///
-/// Unparseable records are counted in `records_parsed` but never match.
-pub fn scan_raw_records<S: AsRef<str>>(records: &[S], query: &Query) -> ScanMetrics {
+/// Unparseable records are counted in `parked_rows_parsed` but never
+/// match.
+pub fn scan_raw_records<S: AsRef<str>>(records: &[S], query: &Query) -> QueryProfile {
+    let mut profile = PreparedScan::default().profile(&query.clauses, |_| false);
     scan_parked(
         [ParkedFragment::unindexed(records)],
         &mut BlockFilter::new(&query.clauses),
         &[],
         None::<fn(ParkedRow<'_>)>,
-    )
-    .metrics
+        &mut profile,
+    );
+    profile
 }
 
 #[cfg(test)]
@@ -708,8 +702,8 @@ mod tests {
         ];
         let q = parse_query("q", "stars = 5").unwrap();
         let m = scan_raw_records(&records, &q);
-        assert_eq!(m.rows_matched, 2);
-        assert_eq!(m.records_parsed, 3);
+        assert_eq!(m.parked_rows_matched, 2);
+        assert_eq!(m.parked_rows_parsed, 3);
     }
 
     #[test]
@@ -723,8 +717,8 @@ mod tests {
         ];
         let q = parse_query("q", "stars = 5").unwrap();
         let m = scan_raw_records(&records, &q);
-        assert_eq!(m.rows_matched, 1);
-        assert_eq!(m.records_parsed, 4);
+        assert_eq!(m.parked_rows_matched, 1);
+        assert_eq!(m.parked_rows_parsed, 4);
     }
 
     #[test]
@@ -753,11 +747,23 @@ mod tests {
             let mut seen = Vec::new();
             let mut filter = BlockFilter::new(&q.clauses);
             let on_match = |row: ParkedRow<'_>| seen.push((row(0), row(1)));
-            let scan = scan_parked([fragment], &mut filter, &inputs, Some(on_match));
+            let mut profile = PreparedScan::default().profile(&q.clauses, |_| false);
+            scan_parked(
+                [fragment],
+                &mut filter,
+                &inputs,
+                Some(on_match),
+                &mut profile,
+            );
             let str = |s: &str| SqlValue::Str(s.to_owned());
             assert_eq!(seen, vec![(str("x"), str("a"))]);
-            assert_eq!(scan.fields_projected, 3);
-            assert_eq!(scan.clause_counts, vec![(3, 2), (2, 1)]);
+            assert_eq!(profile.parked_fields_projected, 3);
+            let counts: Vec<_> = profile
+                .clauses
+                .iter()
+                .map(|c| (c.rows_evaluated, c.rows_passed))
+                .collect();
+            assert_eq!(counts, vec![(3, 2), (2, 1)]);
         }
     }
 
@@ -765,8 +771,8 @@ mod tests {
     fn empty_store() {
         let q = parse_query("q", "stars = 5").unwrap();
         let m = scan_raw_records::<String>(&[], &q);
-        assert_eq!(m.rows_matched, 0);
-        assert_eq!(m.records_parsed, 0);
+        assert_eq!(m.parked_rows_matched, 0);
+        assert_eq!(m.parked_rows_parsed, 0);
     }
 
     /// What the map reads for each record and key set, against the
@@ -861,17 +867,20 @@ mod tests {
         let cell = OnceLock::new();
         let run = |fragment| {
             let mut filter = BlockFilter::new(&q.clauses);
-            scan_parked([fragment], &mut filter, &[], None::<fn(ParkedRow<'_>)>)
+            let mut profile = PreparedScan::default().profile(&q.clauses, |_| false);
+            let no_feed = None::<fn(ParkedRow<'_>)>;
+            let builds = scan_parked([fragment], &mut filter, &[], no_feed, &mut profile);
+            (builds, profile)
         };
         let cold = run(ParkedFragment::indexed(&records, &cell));
         let warm = run(ParkedFragment::indexed(&records, &cell));
-        assert_eq!((cold.index_builds, warm.index_builds), (1, 0));
-        assert_eq!(cold.metrics, warm.metrics);
-        assert_eq!(warm.metrics.records_parsed, 3);
-        assert_eq!(warm.metrics.rows_matched, 1);
+        assert_eq!((cold.0, warm.0), (1, 0));
+        assert_eq!(cold.1, warm.1);
+        assert_eq!(warm.1.parked_rows_parsed, 3);
+        assert_eq!(warm.1.parked_rows_matched, 1);
         // An empty fragment builds nothing.
         let empty = OnceLock::new();
-        assert_eq!(run(ParkedFragment::indexed(&[], &empty)).index_builds, 0);
+        assert_eq!(run(ParkedFragment::indexed(&[], &empty)).0, 0);
         assert!(empty.get().is_none());
     }
 }

@@ -1,8 +1,8 @@
 //! The typed result set a SQL plan execution produces.
 
-use crate::metrics::QueryMetrics;
 use crate::profile::QueryProfile;
 use ciao_sql::{SqlType, SqlValue};
+use std::time::Duration;
 
 /// One output column's name and type.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -14,7 +14,7 @@ pub struct ColumnDesc {
 }
 
 /// A fully materialized query answer: named+typed columns, rows, and
-/// the merged execution metrics. This one type replaces the old
+/// the merged execution profile. This one type replaces the old
 /// count/select split — `COUNT(*)` is simply a one-cell result.
 #[derive(Debug, Clone, Default)]
 pub struct QueryResult {
@@ -22,11 +22,16 @@ pub struct QueryResult {
     pub columns: Vec<ColumnDesc>,
     /// Result rows; each row has one [`SqlValue`] per column.
     pub rows: Vec<Vec<SqlValue>>,
-    /// Merged scan counters and timings across every shard touched.
-    pub metrics: QueryMetrics,
-    /// Merged per-stage / per-clause execution profile (the EXPLAIN
-    /// ANALYZE payload).
+    /// Merged per-stage / per-clause execution profile across every
+    /// shard touched (the EXPLAIN ANALYZE payload).
     pub profile: QueryProfile,
+    /// Wall time of the execution, set by the caller that ran and
+    /// timed it (`ciao_service::Service` measures drain to merge);
+    /// zero as [`crate::finalize`] leaves it.
+    pub elapsed: Duration,
+    /// Epochs whose parked-record positional map the execution built,
+    /// summed over shards ([`crate::PartialResult::parked_index_builds`]).
+    pub parked_index_builds: usize,
 }
 
 impl QueryResult {
@@ -117,8 +122,7 @@ mod tests {
                 vec![SqlValue::Str("Chicago".into()), SqlValue::Int(3)],
                 vec![SqlValue::Null, SqlValue::Int(1)],
             ],
-            metrics: QueryMetrics::default(),
-            profile: QueryProfile::default(),
+            ..QueryResult::default()
         };
         assert_eq!(r.render(), "city:str | count(*):int\nChicago | 3\nNULL | 1");
     }

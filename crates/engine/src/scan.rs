@@ -11,7 +11,7 @@
 //! in plan order, with one standalone kernel per (predicate, column
 //! type) over the typed slice and its validity bitmap. What is left is
 //! the block's matching rows in ascending order, and a [`BlockTally`]
-//! that metrics and profiles add once per block.
+//! the statement's [`QueryProfile`] adds once per block.
 //!
 //! `Executor::scan_plan` feeds each selected row to the SQL operator,
 //! or adds the selection's length for a `COUNT(*)`; [`scan_count`] counts
@@ -21,7 +21,7 @@
 //! [`crate::row_eval`] is the row-at-a-time reference the driver is
 //! tested against.
 
-use crate::metrics::ScanMetrics;
+use crate::profile::{ClauseProfile, QueryProfile};
 use ciao_columnar::{BitVec, Block, ColumnValues, Table};
 use ciao_predicate::{Clause, Query, SimplePredicate};
 
@@ -142,14 +142,32 @@ impl PreparedScan {
         &self.survivors
     }
 
-    /// The counters the preparation already settled; a scan adds
-    /// `rows_scanned` and `rows_matched`.
-    pub fn metrics(&self) -> ScanMetrics {
-        ScanMetrics {
-            blocks_visited: self.survivors.len() - self.blocks_pruned_zone,
-            blocks_pruned: self.blocks_pruned_zone,
-            rows_skipped: self.rows_skipped_zone + self.rows_skipped_mask,
-            ..ScanMetrics::default()
+    /// The profile a scan starts from: the block counters this
+    /// preparation settled, and one zeroed entry per WHERE clause,
+    /// `pushed` where `is_pushed` says so. The scan then adds the rows
+    /// it scanned and matched ([`QueryProfile::add_block`]) and the
+    /// parked side.
+    pub(crate) fn profile(
+        &self,
+        clauses: &[Clause],
+        is_pushed: impl Fn(&Clause) -> bool,
+    ) -> QueryProfile {
+        QueryProfile {
+            blocks_total: self.survivors.len() as u64,
+            blocks_pruned_zone: self.blocks_pruned_zone as u64,
+            blocks_pruned_mask: self.blocks_pruned_mask as u64,
+            rows_skipped_zone: self.rows_skipped_zone as u64,
+            rows_skipped_mask: self.rows_skipped_mask as u64,
+            clauses: clauses
+                .iter()
+                .map(|c| ClauseProfile {
+                    text: c.to_string(),
+                    pushed: is_pushed(c),
+                    rows_evaluated: 0,
+                    rows_passed: 0,
+                })
+                .collect(),
+            ..QueryProfile::default()
         }
     }
 }
@@ -390,15 +408,16 @@ fn float_eq_int(values: &[i64], valid: &BitVec, value: f64, rows: &mut Split) {
 
 /// Counts rows of `table` satisfying `query`, applying data skipping
 /// when requested (paper §VI-B): [`PreparedScan::new`], then the length
-/// of each block's selection.
-pub fn scan_count(table: &Table, query: &Query, options: &ScanOptions) -> ScanMetrics {
+/// of each block's selection, into `rows_matched`. A bare count keeps
+/// the block and row counters only: the profile has no clause entries.
+pub fn scan_count(table: &Table, query: &Query, options: &ScanOptions) -> QueryProfile {
     let prepared = PreparedScan::new(table.blocks(), query, options);
-    let mut metrics = prepared.metrics();
+    let mut profile = prepared.profile(&[], |_| false);
     let mut filter = BlockFilter::new(&query.clauses);
     for (block, survivors) in table.blocks().iter().zip(prepared.survivors()) {
-        metrics.add_block(&filter.run(block, survivors));
+        profile.add_block(&filter.run(block, survivors));
     }
-    metrics
+    profile
 }
 
 #[cfg(test)]
@@ -432,8 +451,8 @@ mod tests {
         let m = scan_count(&t, &q, &ScanOptions::full());
         assert_eq!(m.rows_matched, 20);
         assert_eq!(m.rows_scanned, 100);
-        assert_eq!(m.rows_skipped, 0);
-        assert_eq!(m.blocks_visited, 7);
+        assert_eq!(m.rows_skipped_zone + m.rows_skipped_mask, 0);
+        assert_eq!((m.blocks_total, m.blocks_pruned_zone), (7, 0));
     }
 
     #[test]
@@ -443,8 +462,7 @@ mod tests {
         let m = scan_count(&t, &q, &ScanOptions::skipping(vec![1]));
         assert_eq!(m.rows_matched, 20);
         assert_eq!(m.rows_scanned, 20);
-        assert_eq!(m.rows_skipped, 80);
-        assert!((m.skip_ratio() - 0.8).abs() < 1e-12);
+        assert_eq!((m.rows_skipped_zone, m.rows_skipped_mask), (0, 80));
     }
 
     #[test]
@@ -457,7 +475,7 @@ mod tests {
         let m = scan_count(&t, &q, &ScanOptions::skipping(vec![2]));
         assert_eq!(m.rows_matched, 20);
         assert_eq!(m.rows_scanned, 100);
-        assert_eq!(m.rows_skipped, 0);
+        assert_eq!(m.rows_skipped_mask, 0);
     }
 
     #[test]
@@ -476,7 +494,7 @@ mod tests {
         let m = scan_count(&t, &q, &ScanOptions::skipping(vec![99]));
         assert_eq!(m.rows_matched, 20);
         assert_eq!(m.rows_scanned, 100);
-        assert_eq!(m.rows_skipped, 0);
+        assert_eq!(m.rows_skipped_mask, 0);
     }
 
     #[test]
@@ -489,7 +507,7 @@ mod tests {
         assert_eq!(prepared.rows_skipped_mask, 80);
         assert_eq!(prepared.survivors().len(), t.blocks().len());
         let m = scan_count(&t, &q, &ScanOptions::skipping(vec![1]));
-        assert_eq!(m.rows_scanned, prepared.surviving_rows);
+        assert_eq!(m.rows_scanned, prepared.surviving_rows as u64);
 
         // An impossible range: zone maps leave nothing, no mask is
         // even fused.
@@ -528,9 +546,12 @@ mod tests {
         assert_eq!(prepared.blocks_pruned_mask, 2);
         assert_eq!(prepared.blocks_pruned_zone, 0);
         let m = scan_count(&t, &q, &ScanOptions::skipping(vec![3]));
-        assert_eq!((m.blocks_visited, m.blocks_pruned), (3, 0));
         assert_eq!(
-            (m.rows_scanned, m.rows_skipped, m.rows_matched),
+            (m.blocks_total, m.blocks_pruned_zone, m.blocks_pruned_mask),
+            (3, 0, 2)
+        );
+        assert_eq!(
+            (m.rows_scanned, m.rows_skipped_mask, m.rows_matched),
             (16, 32, 16)
         );
     }
@@ -541,6 +562,6 @@ mod tests {
         let q = parse_query("q", "stars = 5").unwrap();
         let m = scan_count(&t, &q, &ScanOptions::full());
         assert_eq!(m.rows_matched, 0);
-        assert_eq!(m.blocks_visited, 0);
+        assert_eq!(m.blocks_total, 0);
     }
 }

@@ -202,7 +202,7 @@ fn first_calls(data: &PartialData, calls: usize) -> String {
     format!("{:?}", PartialData::Groups(kept))
 }
 
-/// Everything but the operator's data and the timings. The parked
+/// Everything but the operator's data. The parked
 /// fields built for each plan's operator are its own (a `COUNT(*)`
 /// builds only those its WHERE clauses read).
 fn assert_same_scan(got: &PartialResult, expected: &PartialResult) -> Result<(), TestCaseError> {
@@ -211,10 +211,7 @@ fn assert_same_scan(got: &PartialResult, expected: &PartialResult) -> Result<(),
         ..p.profile.clone()
     };
     prop_assert_eq!(unprojected(got), unprojected(expected));
-    prop_assert_eq!(got.metrics.table_scan, expected.metrics.table_scan);
-    prop_assert_eq!(got.metrics.raw_scan, expected.metrics.raw_scan);
-    prop_assert_eq!(got.metrics.used_skipping, expected.metrics.used_skipping);
-    prop_assert_eq!(got.metrics.scanned_parked, expected.metrics.scanned_parked);
+    prop_assert_eq!(got.parked_index_builds, expected.parked_index_builds);
     Ok(())
 }
 
@@ -285,11 +282,18 @@ proptest! {
         }
         for (options, executor, want) in arms {
             let count = scan_count(&table, &query, &options);
-            prop_assert_eq!(count.rows_matched, want);
+            prop_assert_eq!(count.rows_matched, want as u64);
 
+            // The table side's counters are the count's.
             let partial = executor.execute_plan(&table, &parked, &plan);
-            prop_assert_eq!(partial.metrics.table_scan, count);
-            prop_assert_eq!(partial.profile.rows_scanned, count.rows_scanned as u64);
+            let blocks = |p: &QueryProfile| {
+                (
+                    (p.blocks_total, p.blocks_pruned_zone, p.blocks_pruned_mask),
+                    (p.rows_skipped_zone, p.rows_skipped_mask),
+                    (p.rows_scanned, p.rows_matched),
+                )
+            };
+            prop_assert_eq!(blocks(&partial.profile), blocks(&count));
             let result = finalize(&plan, partial);
             prop_assert_eq!(&result.rows, &vec![vec![SqlValue::Int(want as i64)]]);
         }
@@ -337,7 +341,7 @@ proptest! {
                 let (fed, _) = run(fed);
                 prop_assert_eq!(format!("{:?}", folded.data), first_calls(&fed.data, calls));
                 assert_same_scan(&folded, &fed)?;
-                let count = folded.metrics.total_matched();
+                let count = folded.profile.total_matched();
                 let rows = finalize(&plan, folded).rows;
                 prop_assert_eq!(rows, vec![vec![SqlValue::Int(count as i64); calls]]);
                 matched = Some((count, fed));
@@ -349,7 +353,7 @@ proptest! {
                     .iter()
                     .map(|b| row_loop(&clauses, b, &Survivors::All).1.len())
                     .sum();
-                prop_assert_eq!(count, table_truth + parked_truth);
+                prop_assert_eq!(count, (table_truth + parked_truth) as u64);
             }
 
             // Plans the fold must leave to the row feed: a column

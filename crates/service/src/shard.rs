@@ -395,12 +395,11 @@ impl Shard {
         let out = self
             .executor
             .scan_plan(prepared, pin.blocks(), pin.parked_scan(), plan);
-        if out.metrics.scanned_parked && pin.parked_count() > 0 {
+        if out.profile.parked_rows_parsed > 0 {
             self.heat.fetch_add(1, Ordering::Relaxed);
         }
         if let Some((_, t)) = &self.telemetry {
-            t.parked_index_builds
-                .add(out.metrics.parked_index_builds as u64);
+            t.parked_index_builds.add(out.parked_index_builds as u64);
         }
         out
     }
@@ -574,7 +573,7 @@ mod tests {
         assert_eq!(shard.execute(&q2).count, before2);
         assert_eq!(shard.snapshot().compaction.promoted, parked0);
         // Everything now columnar: uncovered queries parse nothing.
-        assert_eq!(shard.execute(&q2).metrics.raw_scan.records_parsed, 0);
+        assert_eq!(shard.execute(&q2).profile.parked_rows_parsed, 0);
     }
 
     #[test]
@@ -663,27 +662,36 @@ mod tests {
         let plan =
             ciao_sql::compile("SELECT COUNT(*) FROM t WHERE stars = 3", &shard.schema).unwrap();
 
+        // A count of `query`, and the maps its scan built.
+        let count = |query| {
+            let pin = shard.pin();
+            let count = count_plan();
+            let partial = shard.scan_plan(&pin, &shard.prepare(&pin, query), &count);
+            let builds = partial.parked_index_builds;
+            (QueryOutcome::from_count(finalize(&count, partial)), builds)
+        };
+
         shard.ingest(&chunks[0], &fs[0]);
-        assert_eq!(shard.execute(&covered).metrics.parked_index_builds, 0);
+        assert_eq!(count(&covered).1, 0);
         assert_eq!(shard.snapshot().parked_index_bytes, 0);
-        let cold = shard.execute(&uncovered);
-        assert_eq!(cold.metrics.parked_index_builds, 1);
+        let cold = count(&uncovered);
+        assert_eq!(cold.1, 1);
         let bytes = shard.snapshot().parked_index_bytes;
         assert!(bytes > 0);
         // The next statements read the same epoch through its map.
-        let warm = shard.execute(&uncovered);
-        assert_eq!(warm.metrics.parked_index_builds, 0);
+        let warm = count(&uncovered);
+        assert_eq!(warm.1, 0);
         assert_eq!(
-            (warm.count, warm.metrics.raw_scan),
-            (cold.count, cold.metrics.raw_scan)
+            (warm.0.count, &warm.0.profile),
+            (cold.0.count, &cold.0.profile)
         );
-        assert_eq!(shard.execute(&other).metrics.parked_index_builds, 0);
-        assert_eq!(shard.execute_plan(&plan).metrics.parked_index_builds, 0);
+        assert_eq!(count(&other).1, 0);
+        assert_eq!(shard.execute_plan(&plan).parked_index_builds, 0);
         assert_eq!(builds(), 1);
 
         // A second epoch gets a map of its own; the first keeps its.
         shard.ingest(&chunks[1], &fs[1]);
-        assert_eq!(shard.execute(&uncovered).metrics.parked_index_builds, 1);
+        assert_eq!(count(&uncovered).1, 1);
         assert!(shard.snapshot().parked_index_bytes > bytes);
         assert_eq!(builds(), 2);
 
@@ -696,10 +704,10 @@ mod tests {
                 .promoted,
             8
         );
-        let after = shard.execute(&uncovered);
-        assert_eq!(after.metrics.parked_index_builds, 1);
-        assert_eq!(after.count, before);
-        assert_eq!(shard.execute(&uncovered).metrics.parked_index_builds, 0);
+        let after = count(&uncovered);
+        assert_eq!(after.1, 1);
+        assert_eq!(after.0.count, before);
+        assert_eq!(count(&uncovered).1, 0);
         assert_eq!(builds(), 3);
     }
 
@@ -836,7 +844,7 @@ mod tests {
         let prepared = shard.prepare(&pin, &uncovered);
         let before = count(&prepared);
         assert_eq!(before.count, 8, "40 records, 1/5 stars = 2, all parked");
-        assert!(before.metrics.scanned_parked);
+        assert_eq!(before.profile.parked_rows_parsed, pin.parked_count() as u64);
 
         // While the reader holds its pin, another thread ingests into,
         // seals and compacts the same shard. The join returning is the
@@ -859,15 +867,14 @@ mod tests {
         for prepared in [&prepared, &shard.prepare(&pin, &uncovered)] {
             let again = count(prepared);
             assert_eq!(again.count, before.count);
-            assert_eq!(again.metrics.table_scan, before.metrics.table_scan);
-            assert_eq!(again.metrics.raw_scan, before.metrics.raw_scan);
+            assert_eq!(again.profile, before.profile);
         }
         // The next statement sees everything, compaction included.
         let after = shard.execute(&uncovered);
         assert_eq!(after.count, 16);
         assert_eq!(
-            after.metrics.raw_scan.records_parsed + 16,
-            2 * before.metrics.raw_scan.records_parsed,
+            after.profile.parked_rows_parsed + 16,
+            2 * before.profile.parked_rows_parsed,
             "16 of the parked rows are columnar now"
         );
         assert_eq!(shard.snapshot().load.total(), 80);

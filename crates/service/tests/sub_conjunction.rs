@@ -149,9 +149,12 @@ fn part_of_a_pushed_conjunction_reads_the_parked_side() {
 
     let part = shard.execute(&Query::new("q", vec![score.clone()]));
     assert_eq!(part.count, 51);
-    assert!(part.metrics.used_skipping && part.metrics.scanned_parked);
+    let parked = shard.snapshot().parked as u64;
+    assert!(part.profile.used_skipping());
+    assert_eq!(part.profile.parked_rows_parsed, parked);
     let whole = shard.execute(&workload[0]);
-    assert!(whole.metrics.used_skipping && !whole.metrics.scanned_parked);
+    assert!(whole.profile.used_skipping());
+    assert_eq!(whole.profile.parked_rows_parsed, 0);
 
     let statements = [vec![score], vec![weighted], pair];
     for _ in 0..2 {

@@ -115,7 +115,7 @@ fn main() {
     println!(
         "\nad-hoc `{adhoc}`: count = {} after parsing {} parked records; compaction then promoted {} ({} → {} parked)",
         out.count,
-        out.metrics.raw_scan.records_parsed,
+        out.profile.parked_rows_parsed,
         promoted,
         parked_before,
         shard.snapshot().parked,
@@ -123,6 +123,6 @@ fn main() {
     let again = shard.execute(&adhoc);
     println!(
         "re-run: count = {} with {} raw records parsed (promotion paid off)",
-        again.count, again.metrics.raw_scan.records_parsed
+        again.count, again.profile.parked_rows_parsed
     );
 }

@@ -169,7 +169,10 @@ fn main() {
         let out = service.query(q);
         println!(
             "query {:<10} count = {:<5} (skipping: {}, parked scanned: {})",
-            q.name, out.count, out.metrics.used_skipping, out.metrics.scanned_parked
+            q.name,
+            out.count,
+            out.profile.used_skipping(),
+            out.profile.parked_rows_parsed > 0
         );
     }
 
@@ -194,7 +197,7 @@ fn main() {
         let out = service.query(q);
         println!(
             "query {:<10} count = {:<5} (raw records parsed: {})",
-            q.name, out.count, out.metrics.raw_scan.records_parsed
+            q.name, out.count, out.profile.parked_rows_parsed
         );
     }
 

@@ -69,9 +69,9 @@ fn main() {
             "query {:<12} count = {:<6} skipping = {:<5} scanned {} rows, skipped {}",
             q.name,
             q.count,
-            q.metrics.used_skipping,
-            q.metrics.table_scan.rows_scanned,
-            q.metrics.table_scan.rows_skipped,
+            q.profile.used_skipping(),
+            q.profile.rows_scanned,
+            q.profile.rows_skipped_zone + q.profile.rows_skipped_mask,
         );
     }
     println!("timings: {}", report.timings);

@@ -77,7 +77,8 @@ fn loaded_state_roundtrips_through_bytes() {
             q.name
         );
         assert_eq!(
-            live.metrics.used_skipping, disk.metrics.used_skipping,
+            live.profile.used_skipping(),
+            disk.profile.used_skipping(),
             "skipping decision diverged after reload"
         );
     }

@@ -1,17 +1,18 @@
 //! Acceptance tests for the query profiler: the numbers `EXPLAIN
-//! ANALYZE` renders must reconcile exactly with the engine's
-//! [`QueryMetrics`](ciao_engine::QueryMetrics) and the service's
-//! [`ServiceMetrics`](ciao_service::ServiceMetrics) for the same
-//! statement, and the [`WorkloadStats`](ciao_service::WorkloadStats)
-//! selectivity EWMAs must converge to ground-truth selectivity on a
-//! fixed workload.
+//! ANALYZE` renders must restate the statement's
+//! [`QueryProfile`](ciao_engine::QueryProfile), which must agree with
+//! what is known without the engine — the rows the service's
+//! [`ServiceMetrics`](ciao_service::ServiceMetrics) hold and the
+//! full-scan answer — and the
+//! [`WorkloadStats`](ciao_service::WorkloadStats) selectivity EWMAs
+//! must converge to ground-truth selectivity on a fixed workload.
 
 use ciao::PushdownPlan;
 use ciao_columnar::Schema;
 use ciao_engine::QueryResult;
 use ciao_json::RecordChunk;
 use ciao_optimizer::CostModel;
-use ciao_predicate::parse_query;
+use ciao_predicate::{eval_query, parse_query};
 use ciao_service::{Service, ServiceConfig};
 use ciao_sql::SqlValue;
 use std::sync::Arc;
@@ -92,7 +93,7 @@ fn field(line: &str, key: &str) -> u64 {
 }
 
 #[test]
-fn explain_analyze_reconciles_with_query_and_service_metrics() {
+fn explain_analyze_restates_the_profile_and_agrees_with_the_service() {
     let records = dataset();
     let service = start_service(&records, 30.0, 3);
     let stmt = "SELECT city, COUNT(*) AS n FROM t \
@@ -105,41 +106,55 @@ fn explain_analyze_reconciles_with_query_and_service_metrics() {
         .unwrap();
 
     // Same statement, same data: the ANALYZE run's carried profile is
-    // identical to the plain run's, and both reconcile with their own
-    // scan metrics.
+    // identical to the plain run's.
     assert_eq!(analyzed.profile, selected.profile);
-    assert!(selected.profile.reconciles_with(&selected.metrics));
-    assert!(analyzed.profile.reconciles_with(&analyzed.metrics));
 
-    // The rendered numbers are the metrics, re-read from the text.
+    // The profile agrees with facts known without the engine: every
+    // columnar row the service holds was scanned or skipped exactly
+    // once; the pushed WHERE rules the parked records out, so none was
+    // read; and the matches are the full-scan answer.
+    let p = &analyzed.profile;
+    let sm = service.metrics();
+    assert!(sm.parked() > 0, "the parked side holds records");
+    let held: usize = sm.shards.iter().map(|s| s.rows).sum();
+    assert_eq!(
+        p.rows_scanned + p.rows_skipped_zone + p.rows_skipped_mask,
+        held as u64
+    );
+    assert_eq!(p.parked_rows_parsed, 0);
+    let query = parse_query("q", "stars = 5 AND active = true").unwrap();
+    let truth = records
+        .iter()
+        .filter(|r| eval_query(&query, &ciao_json::parse(r).unwrap()))
+        .count();
+    assert_eq!(p.total_matched(), truth as u64);
+
+    // The rendered numbers are the profile, re-read from the text.
     let lines = plan_lines(&analyzed);
-    let m = &analyzed.metrics;
     let blocks = lines
         .iter()
         .find(|l| l.starts_with("blocks:"))
         .expect("blocks line");
+    assert_eq!(field(blocks, "total"), p.blocks_total);
+    assert_eq!(field(blocks, "pruned_zone"), p.blocks_pruned_zone);
+    assert_eq!(field(blocks, "pruned_mask"), p.blocks_pruned_mask);
     assert_eq!(
-        field(blocks, "pruned_zone"),
-        m.table_scan.blocks_pruned as u64
-    );
-    assert_eq!(
-        field(blocks, "total"),
-        (m.table_scan.blocks_pruned + m.table_scan.blocks_visited) as u64
+        field(blocks, "visited"),
+        p.blocks_total - p.blocks_pruned_zone
     );
     let rows = lines
         .iter()
         .find(|l| l.starts_with("rows:"))
         .expect("rows line");
-    assert_eq!(
-        field(rows, "skipped_zone") + field(rows, "skipped_mask"),
-        m.table_scan.rows_skipped as u64
-    );
-    assert_eq!(field(rows, "scanned"), m.table_scan.rows_scanned as u64);
+    assert_eq!(field(rows, "scanned"), p.rows_scanned);
+    assert_eq!(field(rows, "skipped_zone"), p.rows_skipped_zone);
+    assert_eq!(field(rows, "skipped_mask"), p.rows_skipped_mask);
     let parked = lines
         .iter()
         .find(|l| l.starts_with("parked fallback:"))
         .expect("parked line");
-    assert_eq!(field(parked, "parsed"), m.raw_scan.records_parsed as u64);
+    assert_eq!(field(parked, "parsed"), p.parked_rows_parsed);
+    assert_eq!(field(parked, "matched"), p.parked_rows_matched);
     let matched = lines
         .iter()
         .find(|l| l.starts_with("rows matched:"))
@@ -168,7 +183,6 @@ fn explain_analyze_reconciles_with_query_and_service_metrics() {
     // Service-level accounting agrees: the plain SELECT and the
     // ANALYZE both executed (plain EXPLAIN would not), and both landed
     // in the zero-threshold slow-query log with the same row counts.
-    let sm = service.metrics();
     assert_eq!(sm.queries, 2);
     assert_eq!(sm.slow_queries, 2);
     let slow = service.slow_queries();

@@ -73,7 +73,10 @@ fn quickstart_path_end_to_end() {
 
     // At least one pushed-down query must have used bitvector skipping.
     assert!(
-        report.query_results.iter().any(|q| q.metrics.used_skipping),
+        report
+            .query_results
+            .iter()
+            .any(|q| q.profile.used_skipping()),
         "no query used data skipping"
     );
 

@@ -106,15 +106,11 @@ fn grouped_aggregate_over_sharded_service_is_bit_identical_and_skips() {
     // The aggregate path consumed the skipping machinery: pushed
     // clauses activated skip masks, zone maps pruned whole blocks,
     // and the parked store was never parsed.
-    assert!(got.metrics.used_skipping, "{:?}", got.metrics);
-    assert!(
-        got.metrics.table_scan.blocks_pruned > 0,
-        "{:?}",
-        got.metrics
-    );
-    assert!(got.metrics.table_scan.rows_skipped > 0, "{:?}", got.metrics);
-    assert!(!got.metrics.scanned_parked, "{:?}", got.metrics);
-    assert_eq!(got.metrics.raw_scan.records_parsed, 0, "{:?}", got.metrics);
+    let p = &got.profile;
+    assert!(p.used_skipping(), "{p:?}");
+    assert!(p.blocks_pruned_zone > 0, "{p:?}");
+    assert!(p.rows_skipped_zone + p.rows_skipped_mask > 0, "{p:?}");
+    assert_eq!(p.parked_rows_parsed, 0, "{p:?}");
 
     // Per-stage latencies landed in the service telemetry.
     let snap = service.telemetry_snapshot().unwrap();
@@ -151,7 +147,7 @@ fn uncovered_sql_query_falls_back_to_full_scan() {
         .unwrap();
     assert_eq!(got.rows, vec![vec![SqlValue::Int(60)]]);
     assert!(
-        !got.metrics.used_skipping,
+        !got.profile.used_skipping(),
         "nothing pushed, nothing skipped"
     );
     service.shutdown();
