@@ -7,8 +7,10 @@ use std::time::Duration;
 /// How an incoming chunk is routed to a shard.
 ///
 /// Both policies decide the shard **at enqueue time**, so the
-/// assignment is deterministic regardless of which worker thread later
-/// drains the job — merged query results never depend on scheduling.
+/// assignment is deterministic regardless of which thread later
+/// ingests the job, and the queue hands each shard its chunks one at a
+/// time in seq order — merged query results never depend on
+/// scheduling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Routing {
     /// Chunk `i` (in enqueue order) goes to shard `i % shards`. Evens
@@ -27,9 +29,11 @@ pub struct ServiceConfig {
     /// Number of shards, each owning an independent partial-loading
     /// state behind its own lock.
     pub shards: usize,
-    /// Ingest worker threads draining the queue. `0` means no
-    /// background workers: jobs sit queued until [`crate::Service::drain`]
-    /// processes them inline (deterministic mode for tests).
+    /// Ingest worker threads draining the queue. A producer refused
+    /// by a full queue and every [`crate::Service::drain`] ingest
+    /// queued chunks too, beside them. `0` means no background
+    /// workers: jobs are ingested only by those callers, in seq order
+    /// (deterministic mode for tests).
     pub workers: usize,
     /// Bounded ingest-queue capacity in chunks; an enqueue beyond this
     /// observes [`crate::EnqueueResult::QueueFull`] (backpressure).

@@ -16,9 +16,11 @@
 //! * **Bounded ingest with backpressure** — producers enqueue
 //!   prefiltered chunks into a bounded queue and observe
 //!   [`EnqueueResult::QueueFull`] when the service falls behind;
-//!   worker threads drain jobs into shards. Chunk → shard routing is
-//!   decided at enqueue time ([`Routing`]), so results never depend on
-//!   worker scheduling.
+//!   worker threads drain jobs into shards, and a producer refused
+//!   space or a drainer ingests queued jobs itself instead of waiting.
+//!   Chunk → shard routing is decided at enqueue time ([`Routing`]),
+//!   and each shard takes its chunks one at a time in seq order, so
+//!   results never depend on scheduling.
 //! * **Fan-out queries** — [`Service::query_sql`] runs SQL `SELECT`
 //!   statements (projections, aggregates, `GROUP BY`, `ORDER BY`,
 //!   `LIMIT`), and [`Service::query`] a predicate query's `COUNT(*)`,

@@ -17,10 +17,18 @@ pub struct ServiceMetrics {
     pub accepted_chunks: u64,
     /// Enqueue attempts refused with `QueueFull` (backpressure events).
     pub rejected_chunks: u64,
-    /// Chunks fully ingested by workers or inline drains.
+    /// Chunks fully ingested, by the workers or by threads that would
+    /// otherwise have waited for them ([`ServiceMetrics::helped_chunks`]
+    /// of them).
     pub ingested_chunks: u64,
     /// Records inside those ingested chunks.
     pub ingested_records: u64,
+    /// Chunks ingested on a producer's thread (refused space by
+    /// [`crate::Service::enqueue_wait`]), a drainer's
+    /// ([`crate::Service::drain`], a checkpoint, a shutdown) or a
+    /// statement's, instead of a worker's. With no workers, every
+    /// ingested chunk is one.
+    pub helped_chunks: u64,
     /// Queries answered (fan-out counts once, not per shard).
     pub queries: u64,
     /// SQL statements whose execution crossed the configured
@@ -28,8 +36,11 @@ pub struct ServiceMetrics {
     /// bounded log ring has since evicted). Zero with telemetry off.
     pub slow_queries: u64,
     /// Cumulative wall-clock time producers spent blocked inside
-    /// [`crate::Service::enqueue_wait`] waiting for queue capacity —
-    /// the backpressure cost the bounded queue passes upstream.
+    /// [`crate::Service::enqueue_wait`] waiting — for queue capacity,
+    /// or for a busy shard to free a chunk they could ingest — the
+    /// backpressure cost the bounded queue passes upstream. Time a
+    /// refused producer spent ingesting queued chunks is work, not
+    /// waiting, and is not counted.
     pub blocked: Duration,
     /// Per-shard views, indexed by shard.
     pub shards: Vec<ShardSnapshot>,

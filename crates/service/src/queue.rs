@@ -1,18 +1,36 @@
 //! The bounded ingest queue: chunks in, backpressure out.
 //!
-//! A plain `Mutex<VecDeque>` with two condvars (`jobs` wakes workers,
-//! `space`/`idle` wake producers and drainers). No lock-free cleverness:
-//! ingest jobs are whole chunks (~1k records), so queue operations are
-//! nanoseconds against milliseconds of parsing per job — contention on
-//! this lock is never the bottleneck, and the simple structure is easy
-//! to reason about under shutdown.
+//! A plain `Mutex<VecDeque>` with three condvars (`jobs` wakes workers,
+//! `space` wakes producers, `idle` wakes drainers). No lock-free
+//! cleverness: ingest jobs are whole chunks (~1k records), so queue
+//! operations are nanoseconds against milliseconds of parsing per job
+//! — contention on this lock is never the bottleneck, and the simple
+//! structure is easy to reason about under shutdown.
+//!
+//! **Who pops.** The workers ([`IngestQueue::pop_wait`]), and every
+//! thread that would otherwise wait for them: a producer whose push
+//! was refused ([`IngestQueue::try_pop`], then
+//! [`IngestQueue::wait_space`] only when nothing can be popped) and a
+//! drainer ([`IngestQueue::pop_or_wait_idle`]). The caller always
+//! works, never only waits, so a service with one worker loads on two
+//! cores while its producer would otherwise sleep on a full queue.
+//!
+//! **One chunk per shard in flight.** Every pop takes the oldest job
+//! whose shard has no chunk popped and not yet
+//! [`IngestQueue::complete`]d, and marks that shard busy until it is.
+//! Jobs of one shard sit in the deque in seq order, so each shard
+//! applies its chunks one at a time in seq order, whichever threads pop
+//! them — its rows, and every float sum over them, come out in the same
+//! order on every run. A job held back by a busy shard does not block
+//! younger jobs of other shards.
 //!
 //! The same workers also run **scan jobs**: a statement too large to
 //! scan on its caller's thread hands per-shard scans over through a
 //! second deque under the same lock and the same `jobs` condvar
 //! ([`IngestQueue::push_scan`]). Scan jobs are unbounded (a statement
-//! posts at most `shards − 1`), never count as in-flight ingest, and
-//! are popped before chunks — they are short and a caller is waiting.
+//! posts at most `shards − 1`), never count as in-flight ingest, are
+//! popped before chunks — they are short and a caller is waiting — and
+//! are never popped by a helping producer or drainer.
 
 use ciao_client::ChunkFilterResult;
 use ciao_json::RecordChunk;
@@ -101,11 +119,39 @@ impl EnqueueResult {
 struct QueueState {
     jobs: VecDeque<IngestJob>,
     scans: VecDeque<ScanJob>,
+    /// Per shard index: a chunk of the shard is popped and not yet
+    /// completed. Grown on push to cover every shard seen.
+    busy: Vec<bool>,
     /// Jobs popped but not yet ingested (keeps `drain` honest: an
     /// empty deque with a job mid-ingest is not "drained").
     in_flight: usize,
     next_seq: u64,
     closed: bool,
+}
+
+impl QueueState {
+    /// Takes the oldest job whose shard has no chunk in flight and
+    /// marks the shard busy.
+    fn pop_ready(&mut self) -> Option<IngestJob> {
+        let at = self.jobs.iter().position(|job| !self.busy[job.shard])?;
+        let job = self.jobs.remove(at).expect("position is in range");
+        self.busy[job.shard] = true;
+        self.in_flight += 1;
+        Some(job)
+    }
+
+    /// Whether [`QueueState::pop_ready`] would return a job.
+    fn has_ready(&self) -> bool {
+        self.jobs.iter().any(|job| !self.busy[job.shard])
+    }
+
+    fn is_full(&self, capacity: usize) -> bool {
+        self.jobs.len() >= capacity
+    }
+
+    fn is_idle(&self) -> bool {
+        self.jobs.is_empty() && self.in_flight == 0
+    }
 }
 
 /// The bounded MPMC ingest queue.
@@ -115,9 +161,10 @@ pub struct IngestQueue {
     state: Mutex<QueueState>,
     /// Signalled when a job arrives or the queue closes.
     jobs: Condvar,
-    /// Signalled when capacity frees up.
+    /// Signalled when capacity frees up or a shard's chunk completes.
     space: Condvar,
-    /// Signalled when the queue becomes empty with nothing in flight.
+    /// Signalled when a shard's chunk completes (the queue may have
+    /// gone idle, or a held-back job may have become poppable).
     idle: Condvar,
 }
 
@@ -180,8 +227,11 @@ impl IngestQueue {
         filter: ChunkFilterResult,
     ) -> Result<u64, (RecordChunk, ChunkFilterResult)> {
         let mut st = self.state.lock().unwrap();
-        if st.closed || st.jobs.len() >= self.capacity {
+        if st.closed || st.is_full(self.capacity) {
             return Err((chunk, filter));
+        }
+        if st.busy.len() <= shard {
+            st.busy.resize(shard + 1, false);
         }
         let seq = st.next_seq;
         st.next_seq += 1;
@@ -203,15 +253,19 @@ impl IngestQueue {
     /// seq *before* handing the chunk to the queue.
     pub fn next_seq_if_space(&self) -> Option<u64> {
         let st = self.state.lock().unwrap();
-        (!st.closed && st.jobs.len() < self.capacity).then_some(st.next_seq)
+        (!st.closed && !st.is_full(self.capacity)).then_some(st.next_seq)
     }
 
-    /// Blocks until the queue has free capacity or is closed; returns
-    /// `false` on close. Space is not reserved — a competing producer
-    /// can take it first, so callers loop over [`IngestQueue::try_push`].
+    /// Blocks until the queue has free capacity, holds a job
+    /// [`IngestQueue::try_pop`] would take, or is closed; returns
+    /// `false` on close. Neither is reserved — a competing thread can
+    /// take it first, so callers loop over [`IngestQueue::try_push`]
+    /// and [`IngestQueue::try_pop`]. Returning on a poppable job is
+    /// what keeps a producer of a service without workers from
+    /// sleeping on a full queue that only it could empty.
     pub fn wait_space(&self) -> bool {
         let mut st = self.state.lock().unwrap();
-        while !st.closed && st.jobs.len() >= self.capacity {
+        while !st.closed && st.is_full(self.capacity) && !st.has_ready() {
             st = self.space.wait(st).unwrap();
         }
         !st.closed
@@ -236,52 +290,68 @@ impl IngestQueue {
     }
 
     /// Worker side: blocks for the next piece of work, scans before
-    /// chunks; `None` once the queue is closed **and** empty
-    /// (drain-then-stop shutdown semantics).
+    /// chunks, a chunk only when its shard has none in flight; `None`
+    /// once the queue is closed **and** empty (drain-then-stop
+    /// shutdown semantics). A closed queue whose remaining jobs wait on
+    /// busy shards is waited on, not abandoned.
     pub fn pop_wait(&self) -> Option<Work> {
         let mut st = self.state.lock().unwrap();
         loop {
             if let Some(scan) = st.scans.pop_front() {
                 return Some(Work::Scan(scan));
             }
-            if let Some(job) = st.jobs.pop_front() {
-                st.in_flight += 1;
+            if let Some(job) = st.pop_ready() {
                 self.space.notify_one();
                 return Some(Work::Ingest(job));
             }
-            if st.closed {
+            if st.closed && st.jobs.is_empty() {
                 return None;
             }
             st = self.jobs.wait(st).unwrap();
         }
     }
 
-    /// Non-blocking pop (inline-drain mode).
+    /// Non-blocking pop of the oldest job whose shard has no chunk in
+    /// flight — what a producer refused space ingests instead of
+    /// waiting. Never returns a scan.
     pub fn try_pop(&self) -> Option<IngestJob> {
         let mut st = self.state.lock().unwrap();
-        let job = st.jobs.pop_front();
+        let job = st.pop_ready();
         if job.is_some() {
-            st.in_flight += 1;
             self.space.notify_one();
         }
         job
     }
 
-    /// Marks one popped job as ingested.
-    pub fn complete(&self) {
+    /// Drainer side: the oldest job whose shard has no chunk in
+    /// flight, blocking while every queued job waits on a busy shard;
+    /// `None` once the queue is empty with nothing in flight. Never
+    /// returns a scan.
+    pub fn pop_or_wait_idle(&self) -> Option<IngestJob> {
         let mut st = self.state.lock().unwrap();
-        st.in_flight -= 1;
-        if st.jobs.is_empty() && st.in_flight == 0 {
-            self.idle.notify_all();
+        loop {
+            if let Some(job) = st.pop_ready() {
+                self.space.notify_one();
+                return Some(job);
+            }
+            if st.is_idle() {
+                return None;
+            }
+            st = self.idle.wait(st).unwrap();
         }
     }
 
-    /// Blocks until the queue is empty with nothing in flight.
-    pub fn wait_idle(&self) {
+    /// Marks the popped job of `shard` as ingested, freeing the shard
+    /// for its next chunk, and wakes whoever may take that chunk: a
+    /// worker, a producer waiting in [`IngestQueue::wait_space`], a
+    /// drainer.
+    pub fn complete(&self, shard: usize) {
         let mut st = self.state.lock().unwrap();
-        while !(st.jobs.is_empty() && st.in_flight == 0) {
-            st = self.idle.wait(st).unwrap();
-        }
+        st.in_flight -= 1;
+        st.busy[shard] = false;
+        self.jobs.notify_one();
+        self.space.notify_all();
+        self.idle.notify_all();
     }
 
     /// Closes the queue: pending jobs still drain, new pushes observe
@@ -334,7 +404,7 @@ mod tests {
         assert_eq!(q.try_push(0, c, f).unwrap(), 7);
         assert_eq!(q.next_seq_if_space(), None, "full");
         let _job = q.try_pop().unwrap();
-        q.complete();
+        q.complete(0);
         assert_eq!(q.next_seq_if_space(), Some(8));
         q.close();
         assert_eq!(q.next_seq_if_space(), None, "closed");
@@ -349,7 +419,7 @@ mod tests {
         assert_eq!((job.seq, job.shard), (0, 3));
         let (c, f) = job_parts();
         assert!(q.push(1, c, f).is_enqueued());
-        q.complete();
+        q.complete(3);
     }
 
     #[test]
@@ -360,8 +430,8 @@ mod tests {
         let _job = q.try_pop().unwrap();
         // Empty deque but one job in flight: not idle yet.
         assert_eq!(q.depth(), 0);
-        q.complete();
-        q.wait_idle(); // returns immediately now
+        q.complete(0);
+        assert!(q.pop_or_wait_idle().is_none(), "idle now");
     }
 
     #[test]
@@ -372,7 +442,7 @@ mod tests {
         q.close();
         // Backlog still pops after close...
         assert!(q.pop_wait().is_some());
-        q.complete();
+        q.complete(0);
         // ...then workers see the end.
         assert!(q.pop_wait().is_none());
         // And producers are refused: non-blocking pushes report full,
@@ -409,8 +479,9 @@ mod tests {
             "the chunk still fills the queue"
         );
         assert!(matches!(q.pop_wait(), Some(Work::Ingest(_))));
-        q.complete();
-        q.wait_idle(); // the scan left no in-flight count behind
+        q.complete(0);
+        // The scan left no in-flight count behind.
+        assert!(q.pop_or_wait_idle().is_none());
 
         // A posted scan can be taken back by the thread waiting on it.
         q.push_scan(scan(&ran_on)).unwrap();
@@ -435,7 +506,7 @@ mod tests {
         let (c, f) = q.try_push(0, c, f).expect_err("queue is full");
         // The job came back intact; after space frees it goes in.
         let _job = q.try_pop().unwrap();
-        q.complete();
+        q.complete(0);
         assert!(q.wait_space());
         assert_eq!(q.try_push(0, c, f).unwrap(), 1);
     }
@@ -462,7 +533,80 @@ mod tests {
         });
         // Free the slot; the blocked producer must complete.
         let _job = q.try_pop().unwrap();
-        q.complete();
+        q.complete(0);
         assert!(producer.join().unwrap().is_enqueued());
+    }
+
+    #[test]
+    fn one_chunk_per_shard_in_flight_in_seq_order() {
+        let q = IngestQueue::new(4);
+        for shard in [0, 0, 1, 0] {
+            let (c, f) = job_parts();
+            assert!(q.push(shard, c, f).is_enqueued());
+        }
+        let first = q.try_pop().unwrap();
+        assert_eq!((first.seq, first.shard), (0, 0));
+        // Seq 1 waits on shard 0; the younger job of shard 1 does not.
+        let second = q.try_pop().unwrap();
+        assert_eq!((second.seq, second.shard), (2, 1));
+        assert!(q.try_pop().is_none(), "both shards are busy");
+        q.complete(1);
+        assert!(q.try_pop().is_none(), "shard 1 has nothing queued");
+        q.complete(0);
+        assert_eq!(q.try_pop().unwrap().seq, 1, "shard 0 resumes in seq order");
+        assert!(q.try_pop().is_none());
+        q.complete(0);
+        assert_eq!(q.try_pop().unwrap().seq, 3);
+        q.complete(0);
+        assert!(q.pop_or_wait_idle().is_none(), "idle");
+    }
+
+    #[test]
+    fn a_closed_queue_with_jobs_on_a_busy_shard_is_waited_on() {
+        use std::sync::Arc;
+        let q = Arc::new(IngestQueue::new(4));
+        for _ in 0..2 {
+            let (c, f) = job_parts();
+            assert!(q.push(0, c, f).is_enqueued());
+        }
+        let _first = q.try_pop().unwrap();
+        q.close();
+        let q2 = Arc::clone(&q);
+        let worker = std::thread::spawn(move || match q2.pop_wait() {
+            Some(Work::Ingest(job)) => {
+                q2.complete(job.shard);
+                (job.seq, q2.pop_wait().is_none())
+            }
+            other => panic!("expected the held-back chunk, got {other:?}"),
+        });
+        // Were it to give up on the closed queue, the worker would
+        // panic above instead of returning the held-back chunk.
+        q.complete(0);
+        assert_eq!(worker.join().unwrap(), (1, true));
+    }
+
+    #[test]
+    fn helpers_wake_when_a_busy_shard_completes() {
+        use std::sync::Arc;
+        let q = Arc::new(IngestQueue::new(1));
+        let (c, f) = job_parts();
+        assert!(q.push(0, c, f).is_enqueued());
+        // Full, but the job is poppable: a producer is told to help.
+        assert!(q.wait_space());
+        let _job = q.try_pop().unwrap();
+        let (c, f) = job_parts();
+        assert!(q.push(0, c, f).is_enqueued());
+        // Full again, and its only job waits on shard 0: both helpers
+        // block until the shard completes.
+        let (q2, q3) = (Arc::clone(&q), Arc::clone(&q));
+        let producer = std::thread::spawn(move || q2.wait_space());
+        let drainer = std::thread::spawn(move || q3.pop_or_wait_idle().map(|job| job.seq));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!producer.is_finished() && !drainer.is_finished());
+        q.complete(0);
+        assert!(producer.join().unwrap());
+        assert_eq!(drainer.join().unwrap(), Some(1));
+        q.complete(0);
+        assert!(q.pop_or_wait_idle().is_none());
     }
 }

@@ -35,10 +35,14 @@ struct Inner {
     rejected: AtomicU64,
     ingested_chunks: AtomicU64,
     ingested_records: AtomicU64,
+    /// Chunks ingested on a producer's, drainer's or statement's
+    /// thread instead of a worker's ([`Inner::help`]).
+    helped_chunks: AtomicU64,
     queries: AtomicU64,
-    /// Nanoseconds producers spent blocked in `enqueue_wait` —
-    /// tracked even with telemetry off (it is one add per blocking
-    /// enqueue, and `ServiceMetrics::blocked` always reports it).
+    /// Nanoseconds producers spent waiting in `enqueue_wait` — not
+    /// the time they spent ingesting while refused. Tracked even with
+    /// telemetry off (it is one add per blocking enqueue, and
+    /// `ServiceMetrics::blocked` always reports it).
     blocked_nanos: AtomicU64,
     telemetry: Option<Arc<ServiceTelemetry>>,
     /// The durable store, `None` for a purely in-memory service. The
@@ -95,7 +99,21 @@ impl Inner {
         if let Some(t) = &self.telemetry {
             t.ingest_ack[job.shard].record_duration(job.enqueued_at.elapsed());
         }
-        self.queue.complete();
+        self.queue.complete(job.shard);
+    }
+
+    /// Ingests a chunk on a thread that would otherwise wait for the
+    /// workers — a producer refused space, a drainer, a statement —
+    /// and returns when the ingest started and how long it took.
+    fn help(&self, job: IngestJob) -> (Instant, Duration) {
+        let started = Instant::now();
+        self.ingest(job);
+        let took = started.elapsed();
+        self.helped_chunks.fetch_add(1, Ordering::Relaxed);
+        if let Some(t) = &self.telemetry {
+            t.ingest_helped.inc();
+        }
+        (started, took)
     }
 
     /// Offers one chunk to the queue and — for a durable service —
@@ -380,6 +398,7 @@ impl Service {
             rejected: AtomicU64::new(0),
             ingested_chunks: AtomicU64::new(0),
             ingested_records: AtomicU64::new(0),
+            helped_chunks: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             blocked_nanos: AtomicU64::new(0),
             telemetry,
@@ -485,9 +504,16 @@ impl Service {
         }
     }
 
-    /// Blocking enqueue: waits for queue capacity instead of reporting
-    /// `QueueFull` (which it returns only if the service shuts down
-    /// while waiting).
+    /// Blocking enqueue: never reports `QueueFull` for a full queue
+    /// (only if the service shuts down while waiting). While its push
+    /// is refused, the caller ingests the oldest queued chunk whose
+    /// shard has none in flight, and waits for capacity only when
+    /// there is no such chunk — so a producer never sleeps on a full
+    /// queue it could empty, with or without workers. It neither holds
+    /// the checkpoint gate nor pops a statement's scan while it helps.
+    /// [`ServiceMetrics::blocked`] gains the time spent waiting, not
+    /// the time spent ingesting; the `enqueue_wait_ns` histogram times
+    /// the whole call, the ack the producer sees.
     ///
     /// Panics when `filter` does not cover exactly `chunk`'s records.
     pub fn enqueue_wait(&self, chunk: RecordChunk, filter: ChunkFilterResult) -> EnqueueResult {
@@ -500,10 +526,11 @@ impl Service {
         }
         let shard = self.inner.route(self.inner.queue.accepted(), &chunk);
         let started = Instant::now();
-        // Attempt under the shared gate; wait for capacity *outside*
-        // it. Holding the gate while blocked would deadlock a pending
-        // checkpoint in inline-drain mode (the checkpoint is the only
-        // thing that would free capacity).
+        let mut helping = Duration::ZERO;
+        // Attempt under the shared gate; help or wait for capacity
+        // *outside* it. Holding the gate while blocked would deadlock a
+        // pending checkpoint (its drain waits for the chunk this thread
+        // is ingesting or for capacity this thread is waiting on).
         let (mut chunk, mut filter) = (chunk, filter);
         let result = loop {
             let gate = self.inner.ingest_gate.read().expect("ingest gate");
@@ -512,19 +539,24 @@ impl Service {
                 Err(back) => (chunk, filter) = back,
             }
             drop(gate);
+            if let Some(job) = self.inner.queue.try_pop() {
+                helping += self.inner.help(job).1;
+                continue;
+            }
             if !self.inner.queue.wait_space() {
                 break EnqueueResult::QueueFull {
                     capacity: self.inner.queue.capacity(),
                 };
             }
         };
-        let blocked = started.elapsed();
+        let call = started.elapsed();
+        let blocked = call.saturating_sub(helping);
         self.inner.blocked_nanos.fetch_add(
             u64::try_from(blocked.as_nanos()).unwrap_or(u64::MAX),
             Ordering::Relaxed,
         );
         if let Some(t) = &self.inner.telemetry {
-            t.enqueue_wait.record_duration(blocked);
+            t.enqueue_wait.record_duration(call);
         }
         result
     }
@@ -537,16 +569,32 @@ impl Service {
         self.enqueue(chunk, filter)
     }
 
-    /// Blocks until every queued chunk has been ingested. With
-    /// `workers == 0` the calling thread drains the queue itself —
-    /// the deterministic mode tests use.
+    /// Blocks until every queued chunk has been ingested, ingesting
+    /// queued chunks on the calling thread meanwhile, beside the
+    /// workers: it pops the oldest chunk whose shard has none in
+    /// flight, and waits only while every queued chunk waits on a busy
+    /// shard or the last ones are still being ingested. With
+    /// `workers == 0` the caller ingests everything itself, in seq
+    /// order — the deterministic mode tests use.
     pub fn drain(&self) {
-        if self.workers.is_empty() {
-            while let Some(job) = self.inner.queue.try_pop() {
-                self.inner.ingest(job);
+        self.drain_traced(None);
+    }
+
+    /// [`Service::drain`], recording each chunk this thread ingests as
+    /// an `ingest` span on lane 0 (the statement's own) under `span`.
+    fn drain_traced(&self, mut trace: Option<(&mut SpanTree, SpanId)>) {
+        while let Some(job) = self.inner.queue.pop_or_wait_idle() {
+            let (shard, seq, records) = (job.shard, job.seq, job.chunk.len());
+            let (started, took) = self.inner.help(job);
+            if let Some((tree, span)) = trace.as_mut() {
+                let start_ns = started.duration_since(tree.origin()).as_nanos() as u64;
+                let id =
+                    tree.add_complete(Some(*span), "ingest", 0, start_ns, took.as_nanos() as u64);
+                tree.attr(id, "shard", shard);
+                tree.attr(id, "seq", seq);
+                tree.attr(id, "records", records);
             }
         }
-        self.inner.queue.wait_idle();
     }
 
     /// Executes `SELECT COUNT(*) WHERE query`: the [`count_plan`]
@@ -602,11 +650,11 @@ impl Service {
         query: &Query,
         plan: &Arc<PhysicalPlan>,
         forced: Option<Dispatch>,
-        trace: Option<(&mut SpanTree, SpanId)>,
+        mut trace: Option<(&mut SpanTree, SpanId)>,
     ) -> QueryResult {
         let started = Instant::now();
         let origin = trace.as_ref().map_or(started, |(tree, _)| tree.origin());
-        self.drain();
+        self.drain_traced(trace.as_mut().map(|(tree, span)| (&mut **tree, *span)));
         let shards = &self.inner.shards;
         let prepared: Vec<(EpochPin, Prepared)> = shards
             .iter()
@@ -1030,6 +1078,7 @@ impl Service {
             rejected_chunks: self.inner.rejected.load(Ordering::Relaxed),
             ingested_chunks: self.inner.ingested_chunks.load(Ordering::Relaxed),
             ingested_records: self.inner.ingested_records.load(Ordering::Relaxed),
+            helped_chunks: self.inner.helped_chunks.load(Ordering::Relaxed),
             queries: self.inner.queries.load(Ordering::Relaxed),
             slow_queries: self.inner.slow_log.lock().total(),
             blocked: Duration::from_nanos(self.inner.blocked_nanos.load(Ordering::Relaxed)),
@@ -1073,6 +1122,10 @@ impl Drop for Service {
 #[cfg(test)]
 #[path = "dispatch_tests.rs"]
 mod dispatch_tests;
+
+#[cfg(test)]
+#[path = "scheduling_tests.rs"]
+mod scheduling_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1360,19 +1413,32 @@ mod tests {
                 .with_queue_capacity(1),
         ));
         let chunks = all.split(200);
+        // This thread takes the first chunk (its shard is then busy)
+        // and queues the second behind it: the queue is full and holds
+        // nothing a producer may ingest, so a producer can only wait.
         assert!(service.enqueue_raw(chunks[0].clone()).is_enqueued());
+        let first = service.inner.queue.try_pop().unwrap();
+        let filter = service.prefilter().run_chunk(&chunks[1]);
+        assert!(service.enqueue(chunks[1].clone(), filter).is_enqueued());
         assert_eq!(service.metrics().blocked, std::time::Duration::ZERO);
 
-        // A producer blocks on the full queue until the main thread
-        // drains it ~30ms later; that wait must surface as blocked time.
+        // The producer blocks ~30ms; that wait must surface as blocked
+        // time.
         let svc = Arc::clone(&service);
-        let chunk = chunks[1].clone();
+        let chunk = chunks[0].clone();
         let producer = std::thread::spawn(move || {
             let filter = svc.prefilter().run_chunk(&chunk);
             svc.enqueue_wait(chunk, filter)
         });
         std::thread::sleep(std::time::Duration::from_millis(30));
-        service.drain();
+        // Completing the first chunk frees its shard for the second;
+        // this thread takes that one too, under the ingest gate the
+        // producer needs before it may retry, so the producer finds
+        // space and nothing to ingest.
+        let gate = service.inner.ingest_gate.write().unwrap();
+        service.inner.ingest(first);
+        let second = service.inner.queue.try_pop().unwrap();
+        drop(gate);
         assert!(producer.join().unwrap().is_enqueued());
 
         let blocked = service.metrics().blocked;
@@ -1380,9 +1446,17 @@ mod tests {
             blocked >= std::time::Duration::from_millis(20),
             "blocked for ~30ms but recorded {blocked:?}"
         );
+        assert_eq!(
+            service.metrics().helped_chunks,
+            0,
+            "the producer only waited"
+        );
         let t = service.telemetry().unwrap();
         assert_eq!(t.enqueue_wait.count(), 1);
         assert!(t.enqueue_wait.max() >= 20_000_000);
+        service.inner.ingest(second);
+        service.drain();
+        assert_eq!(service.metrics().ingested_chunks, 3);
     }
 
     #[test]

@@ -19,8 +19,12 @@ use std::sync::Arc;
 /// [`ServiceTelemetry::ingest_ack_merged`] and
 /// [`ServiceTelemetry::compaction_tick_merged`].
 pub mod names {
-    /// Time producers spent blocked in [`crate::Service::enqueue_wait`].
+    /// Duration of each [`crate::Service::enqueue_wait`] call, the
+    /// ack its producer sees (ingest it did while refused included).
     pub const ENQUEUE_WAIT_NS: &str = "ciao_service_enqueue_wait_ns";
+    /// Chunks ingested on a producer's, drainer's or statement's
+    /// thread instead of a worker's.
+    pub const INGEST_HELPED_TOTAL: &str = "ciao_service_ingest_helped_total";
     /// Enqueue → ingested latency per chunk (prefix; one histogram per
     /// shard, suffixed `_shard<i>`).
     pub const INGEST_ACK_NS: &str = "ciao_service_ingest_ack_ns";
@@ -98,8 +102,10 @@ pub mod names {
 #[derive(Debug)]
 pub struct ServiceTelemetry {
     registry: Arc<Telemetry>,
-    /// Producer blocked time in [`crate::Service::enqueue_wait`].
+    /// Per-call duration of [`crate::Service::enqueue_wait`].
     pub enqueue_wait: Histogram,
+    /// Chunks ingested off the workers.
+    pub ingest_helped: Counter,
     /// End-to-end query latency.
     pub query: Histogram,
     /// SQL lex+parse stage latency.
@@ -160,6 +166,10 @@ impl ServiceTelemetry {
             "Enqueue attempts refused with QueueFull (backpressure)",
         );
         registry.set_help(
+            names::INGEST_HELPED_TOTAL,
+            "Chunks ingested on a producer's, drainer's or statement's thread, not a worker's",
+        );
+        registry.set_help(
             names::SLOW_QUERIES_TOTAL,
             "SQL statements slower than the configured slow-query threshold",
         );
@@ -175,6 +185,7 @@ impl ServiceTelemetry {
             .collect();
         Arc::new(ServiceTelemetry {
             enqueue_wait: registry.histogram(names::ENQUEUE_WAIT_NS),
+            ingest_helped: registry.counter(names::INGEST_HELPED_TOTAL),
             query: registry.histogram(names::QUERY_NS),
             sql_parse: registry.histogram(names::SQL_PARSE_NS),
             sql_plan: registry.histogram(names::SQL_PLAN_NS),
