@@ -293,7 +293,9 @@ impl IngestQueue {
     /// chunks, a chunk only when its shard has none in flight; `None`
     /// once the queue is closed **and** empty (drain-then-stop
     /// shutdown semantics). A closed queue whose remaining jobs wait on
-    /// busy shards is waited on, not abandoned.
+    /// busy shards is waited on, not abandoned; every
+    /// [`IngestQueue::complete`] after the close wakes all such
+    /// waiters, so each sees the backlog end.
     pub fn pop_wait(&self) -> Option<Work> {
         let mut st = self.state.lock().unwrap();
         loop {
@@ -344,12 +346,18 @@ impl IngestQueue {
     /// Marks the popped job of `shard` as ingested, freeing the shard
     /// for its next chunk, and wakes whoever may take that chunk: a
     /// worker, a producer waiting in [`IngestQueue::wait_space`], a
-    /// drainer.
+    /// drainer. On a closed queue it wakes every worker: those waiting
+    /// on a busy shard since [`IngestQueue::close`]'s one wake-up must
+    /// each see the backlog end, or joining them hangs.
     pub fn complete(&self, shard: usize) {
         let mut st = self.state.lock().unwrap();
         st.in_flight -= 1;
         st.busy[shard] = false;
-        self.jobs.notify_one();
+        if st.closed {
+            self.jobs.notify_all();
+        } else {
+            self.jobs.notify_one();
+        }
         self.space.notify_all();
         self.idle.notify_all();
     }
@@ -583,6 +591,46 @@ mod tests {
         // panic above instead of returning the held-back chunk.
         q.complete(0);
         assert_eq!(worker.join().unwrap(), (1, true));
+    }
+
+    #[test]
+    fn every_worker_exits_a_closed_backlog_on_a_busy_shard() {
+        use std::sync::mpsc;
+        use std::sync::Arc;
+        use std::time::Duration;
+        const WORKERS: usize = 4;
+        let q = Arc::new(IngestQueue::new(4));
+        for _ in 0..3 {
+            let (c, f) = job_parts();
+            assert!(q.push(0, c, f).is_enqueued());
+        }
+        // Shard 0 is busy, so the workers wait on its two held-back
+        // chunks once the queue closes.
+        let _first = q.try_pop().unwrap();
+        let (exited, exits) = mpsc::channel();
+        for _ in 0..WORKERS {
+            let (q, exited) = (Arc::clone(&q), exited.clone());
+            std::thread::spawn(move || {
+                while let Some(work) = q.pop_wait() {
+                    let Work::Ingest(job) = work else {
+                        panic!("no scans were posted");
+                    };
+                    q.complete(job.shard);
+                }
+                exited.send(()).unwrap();
+            });
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        q.close();
+        q.complete(0);
+        // Two completions follow the close; one wake-up each would
+        // leave two of the four workers waiting forever.
+        for w in 0..WORKERS {
+            exits
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("worker {w} of {WORKERS} never exited"));
+        }
+        assert!(q.pop_or_wait_idle().is_none(), "idle");
     }
 
     #[test]

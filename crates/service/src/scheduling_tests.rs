@@ -34,6 +34,17 @@ fn service(
     budget: f64,
     storage: Option<&std::path::Path>,
 ) -> Service {
+    service_on(2, workers, capacity, budget, storage)
+}
+
+/// [`service`] with `shards` shards.
+fn service_on(
+    shards: usize,
+    workers: usize,
+    capacity: usize,
+    budget: f64,
+    storage: Option<&std::path::Path>,
+) -> Service {
     let sample: Vec<_> = (0..200)
         .map(|i| ciao_json::parse(&record(i)).unwrap())
         .collect();
@@ -46,7 +57,7 @@ fn service(
     )
     .unwrap();
     let mut config = ServiceConfig::default()
-        .with_shards(2)
+        .with_shards(shards)
         .with_workers(workers)
         .with_queue_capacity(capacity)
         .with_block_size(64);
@@ -230,6 +241,39 @@ fn a_full_queue_without_workers_is_emptied_by_its_producer() {
     assert!(ingest[0]
         .attrs()
         .contains(&("seq", ciao_telemetry::AttrValue::Int(50))));
+}
+
+#[test]
+fn dropping_a_one_shard_backlog_with_four_workers_joins_them_all() {
+    // One shard keeps one chunk in flight, so three of the four
+    // workers wait on a busy shard when the drop closes the queue;
+    // each must still be woken to see the backlog end.
+    for round in 0..5 {
+        let service = service_on(1, 4, 64, 0.0, None);
+        // Filtered up front, so the chunks arrive far faster than one
+        // shard's ingest takes them and the drop finds a backlog.
+        let chunks: Vec<_> = (0..40)
+            .map(|c| {
+                let chunk = chunk(c, 200);
+                let filter = service.prefilter().run_chunk(&chunk);
+                (chunk, filter)
+            })
+            .collect();
+        for (chunk, filter) in chunks {
+            assert!(service.enqueue(chunk, filter).is_enqueued());
+        }
+        assert!(
+            service.metrics().queue_depth > 0,
+            "round {round}: no backlog"
+        );
+        let (dropped, done) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(service);
+            dropped.send(()).unwrap();
+        });
+        done.recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("round {round}: dropping the service never joined"));
+    }
 }
 
 #[test]
