@@ -18,14 +18,16 @@ use ciao::{AdmissionPolicy, Loader, PushdownPlan};
 use ciao_bitvec::BitVec;
 use ciao_client::pattern_set::ScanTarget;
 use ciao_client::{ChunkFilterResult, Finder, PatternSet, Prefilter};
-use ciao_columnar::Block;
-use ciao_columnar::{Schema, Table, TableBuilder};
+use ciao_columnar::{
+    Block, ColumnBuilder, ColumnStats, DataType, Schema, Table, TableBuilder, DEFAULT_BLOCK_SIZE,
+    STR_DICT_STATS_MAX,
+};
 use ciao_datagen::Dataset;
 use ciao_engine::{
     eval_query_on_block, finalize, plan_query, scan_count, Executor, ParkedFragment, ParkedIndex,
     PartialResult, ScanOptions,
 };
-use ciao_json::{RecordChunk, SharedRecord};
+use ciao_json::{FieldValue, JsonValue, RecordChunk, SharedRecord};
 use ciao_optimizer::CostModel;
 use ciao_predicate::{compile_clause, parse_clause, parse_query, ClausePattern};
 use ciao_sql::PhysicalPlan;
@@ -33,7 +35,7 @@ use ciao_storage::wal::frame_prefix;
 use ciao_workload::{build_pool, WorkloadConfig, WorkloadKind};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 use std::hint::black_box;
 use std::sync::{Arc, OnceLock};
@@ -522,6 +524,106 @@ fn columnar_load_text_row(records: usize) -> HotpathRow {
     )
 }
 
+/// The string and nested cells of YCSB records, one list per such
+/// column of the schema they infer: each row's text, or `None` where
+/// the column is NULL.
+fn ycsb_text_cells(records: usize) -> Vec<(DataType, Vec<Option<String>>)> {
+    let (text, schema) = ycsb_lines(records);
+    let parsed: Vec<_> = text
+        .lines()
+        .map(|r| ciao_json::parse(r).expect("valid record"))
+        .collect();
+    schema
+        .fields()
+        .iter()
+        .filter(|f| matches!(f.dtype, DataType::Str | DataType::Json))
+        .map(|f| {
+            let cells = parsed.iter().map(|r| match (f.dtype, r.get(&f.name)) {
+                (DataType::Str, Some(JsonValue::String(s))) => Some(s.clone()),
+                (DataType::Json, Some(v @ (JsonValue::Array(_) | JsonValue::Object(_)))) => {
+                    Some(ciao_json::to_string(v))
+                }
+                _ => None,
+            });
+            (f.dtype, cells.collect())
+        })
+        .collect()
+}
+
+/// What both sides of `columnar/str_cells_ycsb` answer for one built
+/// column chunk.
+fn str_chunk_checksum(rows: usize, nulls: usize, dict: Option<usize>) -> u64 {
+    (rows + nulls * 7 + dict.map_or(0, |d| d * 131 + 1)) as u64
+}
+
+/// The block build of YCSB's string and nested cells, a 1024-row chunk
+/// at a time: each cell copied into its column's one text buffer
+/// ([`ColumnBuilder::push_field`]), the chunk finished and its stats
+/// computed ([`ColumnStats::compute`]) — vs one `String` per cell and a
+/// `BTreeSet` of the strings for the stats dictionary, the
+/// representation the buffer replaced, kept here as its reference.
+fn columnar_str_cells_row(records: usize) -> HotpathRow {
+    let columns = ycsb_text_cells(records);
+    let bytes: usize = columns
+        .iter()
+        .flat_map(|(_, cells)| cells.iter().flatten())
+        .map(String::len)
+        .sum();
+    let timings = interleaved_median_ns(
+        || {
+            let mut sum = 0;
+            for (dtype, cells) in &columns {
+                for block in cells.chunks(DEFAULT_BLOCK_SIZE) {
+                    let mut builder = ColumnBuilder::new(*dtype);
+                    builder.reserve(block.len());
+                    for cell in block {
+                        match (dtype, cell) {
+                            (_, None) => builder.push_null(),
+                            (DataType::Str, Some(s)) => {
+                                builder.push_field(FieldValue::Str(s.into()))
+                            }
+                            (_, Some(s)) => builder.push_field(FieldValue::Json(s.into())),
+                        }
+                    }
+                    let column = builder.finish();
+                    let stats = ColumnStats::compute(&column);
+                    let dict = stats.str_dict.as_ref().map(Vec::len);
+                    sum += str_chunk_checksum(column.len(), column.null_count(), dict);
+                }
+            }
+            sum
+        },
+        || {
+            let mut sum = 0;
+            for (dtype, cells) in &columns {
+                for block in cells.chunks(DEFAULT_BLOCK_SIZE) {
+                    let mut values: Vec<String> = Vec::with_capacity(block.len());
+                    let mut dict: BTreeSet<&str> = BTreeSet::new();
+                    let mut overflow = false;
+                    for cell in block {
+                        values.push(match (dtype, cell) {
+                            (DataType::Str, None) => String::new(),
+                            (_, None) => "null".to_owned(),
+                            (_, Some(s)) => s.clone(),
+                        });
+                    }
+                    for (value, cell) in values.iter().zip(block) {
+                        if *dtype == DataType::Str && cell.is_some() && !overflow {
+                            dict.insert(value);
+                            overflow = dict.len() > STR_DICT_STATS_MAX;
+                        }
+                    }
+                    let nulls = block.iter().filter(|c| c.is_none()).count();
+                    let dict = (!overflow && !dict.is_empty()).then_some(dict.len());
+                    sum += str_chunk_checksum(values.len(), nulls, dict);
+                }
+            }
+            sum
+        },
+    );
+    row("columnar/str_cells_ycsb", "columnar", timings, bytes, true)
+}
+
 /// The two fields each `json/projected2_*` row builds per record.
 const YCSB_KEYS: [&str; 2] = ["linear_score", "age_group"];
 const WINLOG_KEYS: [&str; 2] = ["pid", "level"];
@@ -741,6 +843,9 @@ pub fn run(scale: ExperimentScale) -> Vec<HotpathRow> {
     rows.push(columnar_load_text_row(
         LOAD_TEXT_ROWS.min(12 * scale.records),
     ));
+    rows.push(columnar_str_cells_row(
+        LOAD_TEXT_ROWS.min(12 * scale.records),
+    ));
     rows.push(json_projected_row("ycsb", &ycsb, YCSB_KEYS));
     rows.push(json_projected_row("winlog", env.text(), WINLOG_KEYS));
     rows.push(engine_parked_rescan_row(
@@ -776,7 +881,7 @@ mod tests {
             sample: 100,
         };
         let rows = run(scale);
-        assert_eq!(rows.len(), 19);
+        assert_eq!(rows.len(), 20);
         for r in &rows {
             assert!(r.median_ns > 0.0, "{}: zero median", r.name);
             assert!(r.baseline_ns > 0.0, "{}: zero baseline", r.name);

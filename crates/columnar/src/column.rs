@@ -1,6 +1,7 @@
 //! Typed columns with validity bitmaps.
 
 use crate::schema::DataType;
+use crate::str_column::StrColumn;
 use ciao_bitvec::BitVec;
 use ciao_json::{FieldValue, JsonValue};
 
@@ -64,17 +65,18 @@ impl<'a> Cell<'a> {
 /// Physical storage for one column of one block.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnValues {
-    /// Strings, stored dictionary-style by the io layer; in memory a
-    /// plain vector keeps scans simple.
-    Str(Vec<String>),
+    /// Strings, in one buffer with an end offset per row; the io layer
+    /// dictionary-encodes them on disk when that is smaller.
+    Str(StrColumn),
     /// Integers.
     Int(Vec<i64>),
     /// Floats.
     Float(Vec<f64>),
     /// Booleans, bit-packed.
     Bool(BitVec),
-    /// Serialized nested JSON.
-    Json(Vec<String>),
+    /// Serialized nested JSON, one compact text per row, held as
+    /// strings are.
+    Json(StrColumn),
 }
 
 impl ColumnValues {
@@ -84,11 +86,11 @@ impl ColumnValues {
             return Cell::Null;
         }
         match self {
-            ColumnValues::Str(v) => Cell::Str(&v[row]),
+            ColumnValues::Str(v) => Cell::Str(v.get(row)),
             ColumnValues::Int(v) => Cell::Int(v[row]),
             ColumnValues::Float(v) => Cell::Float(v[row]),
             ColumnValues::Bool(b) => Cell::Bool(b.bit(row)),
-            ColumnValues::Json(v) => Cell::Json(&v[row]),
+            ColumnValues::Json(v) => Cell::Json(v.get(row)),
         }
     }
 
@@ -176,6 +178,12 @@ impl Column {
     }
 }
 
+/// The text room [`ColumnBuilder::reserve`] makes per row of a string
+/// or nested column. Longer text grows the column's buffer, which
+/// doubles, so a block costs a few more allocations, never one per
+/// cell.
+pub const TEXT_BYTES_PER_ROW: usize = 32;
+
 /// Incrementally builds one column from JSON cells.
 ///
 /// Type handling is lenient by design (CIAO loads heterogeneous machine
@@ -195,11 +203,11 @@ impl ColumnBuilder {
     /// Creates a builder for the given type.
     pub fn new(dtype: DataType) -> ColumnBuilder {
         let values = match dtype {
-            DataType::Str => ColumnValues::Str(Vec::new()),
+            DataType::Str => ColumnValues::Str(StrColumn::new()),
             DataType::Int => ColumnValues::Int(Vec::new()),
             DataType::Float => ColumnValues::Float(Vec::new()),
             DataType::Bool => ColumnValues::Bool(BitVec::new()),
-            DataType::Json => ColumnValues::Json(Vec::new()),
+            DataType::Json => ColumnValues::Json(StrColumn::new()),
         };
         ColumnBuilder {
             dtype,
@@ -220,17 +228,17 @@ impl ColumnBuilder {
     /// Appends a cell from a value [`ciao_json::parse_fields`] handed
     /// over, coerced exactly as [`ColumnBuilder::push`] coerces the
     /// value [`ciao_json::parse`] builds for it. A string or nested
-    /// value costs one allocation — none if it was unescaped into an
-    /// owned string already.
+    /// value's text is copied into the column's buffer: no allocation
+    /// while the buffer has room.
     pub fn push_field(&mut self, value: FieldValue<'_>) {
         match (&mut self.values, value) {
             (_, FieldValue::Null) => return self.push_null(),
-            (ColumnValues::Str(col), FieldValue::Str(s)) => col.push(s.into_owned()),
+            (ColumnValues::Str(col), FieldValue::Str(s)) => col.push(&s),
             (ColumnValues::Int(col), FieldValue::Int(i)) => col.push(i),
             (ColumnValues::Float(col), FieldValue::Int(i)) => col.push(i as f64),
             (ColumnValues::Float(col), FieldValue::Float(f)) => col.push(f),
             (ColumnValues::Bool(col), FieldValue::Bool(b)) => col.push(b),
-            (ColumnValues::Json(col), FieldValue::Json(text)) => col.push(text.into_owned()),
+            (ColumnValues::Json(col), FieldValue::Json(text)) => col.push(&text),
             _ => {
                 self.failed_rows.push(self.len());
                 return self.push_null();
@@ -239,14 +247,16 @@ impl ColumnBuilder {
         self.valid.push(true);
     }
 
-    /// Appends a NULL cell.
+    /// Appends a NULL cell. Its value is a placeholder that is written
+    /// to disk with the column: `""` for a string, `null` for a nested
+    /// value.
     pub fn push_null(&mut self) {
         match &mut self.values {
-            ColumnValues::Str(col) => col.push(String::new()),
+            ColumnValues::Str(col) => col.push(""),
             ColumnValues::Int(col) => col.push(0),
             ColumnValues::Float(col) => col.push(0.0),
             ColumnValues::Bool(col) => col.push(false),
-            ColumnValues::Json(col) => col.push("null".to_owned()),
+            ColumnValues::Json(col) => col.push("null"),
         }
         self.valid.push(false);
     }
@@ -309,10 +319,14 @@ impl ColumnBuilder {
         self.failed_rows.truncate(kept);
     }
 
-    /// Makes room for `rows` more rows without reallocating.
+    /// Makes room for `rows` more rows without reallocating — for a
+    /// string or nested column, rows of up to [`TEXT_BYTES_PER_ROW`]
+    /// bytes on average.
     pub fn reserve(&mut self, rows: usize) {
         match &mut self.values {
-            ColumnValues::Str(v) | ColumnValues::Json(v) => v.reserve_exact(rows),
+            ColumnValues::Str(v) | ColumnValues::Json(v) => {
+                v.reserve(rows, rows * TEXT_BYTES_PER_ROW);
+            }
             ColumnValues::Int(v) => v.reserve_exact(rows),
             ColumnValues::Float(v) => v.reserve_exact(rows),
             ColumnValues::Bool(b) => b.reserve(rows),

@@ -12,7 +12,9 @@
 //! Encodings are chosen adaptively per column chunk; a plain encoding
 //! backs everything else.
 
+use crate::str_column::StrColumn;
 use bytes::{Buf, BufMut, BytesMut};
+use std::collections::HashMap;
 
 /// Errors from decoding an encoded column chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,6 +32,9 @@ pub enum DecodeError {
     UnknownEncoding(u8),
     /// A string was not valid UTF-8.
     BadUtf8,
+    /// A string column chunk holds more than [`StrColumn::MAX_TEXT`]
+    /// bytes of text.
+    TextTooLong,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -44,6 +49,7 @@ impl std::fmt::Display for DecodeError {
             }
             DecodeError::UnknownEncoding(t) => write!(f, "unknown encoding tag {t}"),
             DecodeError::BadUtf8 => write!(f, "encoded string is not valid UTF-8"),
+            DecodeError::TextTooLong => write!(f, "string column chunk text too long"),
         }
     }
 }
@@ -72,14 +78,15 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut impl Buf) -> Result<String, DecodeError> {
+/// Reads one length-prefixed string, borrowed from `buf`.
+fn get_str<'b>(buf: &mut &'b [u8]) -> Result<&'b str, DecodeError> {
     let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
+    if buf.len() < len {
         return Err(DecodeError::Truncated);
     }
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)
+    let (bytes, rest) = buf.split_at(len);
+    *buf = rest;
+    std::str::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)
 }
 
 // --- integer RLE ----------------------------------------------------------
@@ -165,16 +172,16 @@ const STR_DICT: u8 = 1;
 
 /// Encodes a string column chunk: dictionary when the distinct count is
 /// at most half the row count, plain otherwise.
-pub fn encode_strings(values: &[String], out: &mut BytesMut) {
+pub fn encode_strings(values: &StrColumn, out: &mut BytesMut) {
     let mut dict: Vec<&str> = Vec::new();
-    let mut codes: Vec<u32> = Vec::with_capacity(values.len());
-    let mut index: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
-    for v in values {
-        let code = *index.entry(v.as_str()).or_insert_with(|| {
-            dict.push(v.as_str());
+    let mut codes: Vec<i64> = Vec::with_capacity(values.len());
+    let mut index: HashMap<&str, u32> = HashMap::new();
+    for v in values.iter() {
+        let code = *index.entry(v).or_insert_with(|| {
+            dict.push(v);
             (dict.len() - 1) as u32
         });
-        codes.push(code);
+        codes.push(i64::from(code));
     }
 
     if !values.is_empty() && dict.len() * 2 <= values.len() {
@@ -185,32 +192,43 @@ pub fn encode_strings(values: &[String], out: &mut BytesMut) {
             put_str(out, entry);
         }
         // Codes as RLE-able ints (reuse the int codec).
-        let code_ints: Vec<i64> = codes.iter().map(|&c| c as i64).collect();
-        encode_ints(&code_ints, out);
+        encode_ints(&codes, out);
     } else {
         out.put_u8(STR_PLAIN);
         out.put_u64_le(values.len() as u64);
-        for v in values {
+        for v in values.iter() {
             put_str(out, v);
         }
     }
 }
 
-/// Decodes a string column chunk.
-pub fn decode_strings(buf: &mut impl Buf) -> Result<Vec<String>, DecodeError> {
+/// Appends `s` to `out`, unless that takes `out` past the text a
+/// column can hold.
+fn push_checked(out: &mut StrColumn, s: &str) -> Result<(), DecodeError> {
+    if s.len() > StrColumn::MAX_TEXT - out.text_len() {
+        return Err(DecodeError::TextTooLong);
+    }
+    out.push(s);
+    Ok(())
+}
+
+/// Decodes a string column chunk straight into one buffer.
+pub fn decode_strings(buf: &mut &[u8]) -> Result<StrColumn, DecodeError> {
     let tag = get_checked::<1>(buf)?[0];
     let n = get_u64(buf)? as usize;
+    let mut out = StrColumn::new();
     match tag {
         STR_PLAIN => {
-            let mut out = Vec::with_capacity(n);
+            // Every string takes at least its 4-byte length.
+            out.reserve(n.min(buf.len() / 4), 0);
             for _ in 0..n {
-                out.push(get_str(buf)?);
+                push_checked(&mut out, get_str(buf)?)?;
             }
-            Ok(out)
         }
         STR_DICT => {
             let dict_len = get_u32(buf)? as usize;
-            let mut dict = Vec::with_capacity(dict_len);
+            // Every entry takes at least its 4-byte length.
+            let mut dict = Vec::with_capacity(dict_len.min(buf.len() / 4));
             for _ in 0..dict_len {
                 dict.push(get_str(buf)?);
             }
@@ -218,21 +236,20 @@ pub fn decode_strings(buf: &mut impl Buf) -> Result<Vec<String>, DecodeError> {
             if codes.len() != n {
                 return Err(DecodeError::Truncated);
             }
-            codes
-                .into_iter()
-                .map(|c| {
-                    let c = c as u32;
-                    dict.get(c as usize)
-                        .cloned()
-                        .ok_or(DecodeError::BadDictionaryCode {
-                            code: c,
-                            dict_len: dict.len(),
-                        })
-                })
-                .collect()
+            out.reserve(n, 0);
+            for c in codes {
+                let c = c as u32;
+                let entry = dict.get(c as usize).ok_or(DecodeError::BadDictionaryCode {
+                    code: c,
+                    dict_len: dict.len(),
+                })?;
+                push_checked(&mut out, entry)?;
+            }
         }
-        other => Err(DecodeError::UnknownEncoding(other)),
+        other => return Err(DecodeError::UnknownEncoding(other)),
     }
+    out.shrink_to_fit();
+    Ok(out)
 }
 
 // --- floats (plain) ---------------------------------------------------------
@@ -295,33 +312,49 @@ mod tests {
         assert_eq!(buf[0], INT_PLAIN);
     }
 
+    fn roundtrip_strings(values: &StrColumn) -> u8 {
+        let mut buf = BytesMut::new();
+        encode_strings(values, &mut buf);
+        let mut rest = &buf[..];
+        let back = decode_strings(&mut rest).unwrap();
+        assert_eq!(&back, values);
+        assert!(rest.is_empty());
+        buf[0]
+    }
+
     #[test]
     fn string_dict_roundtrip() {
-        let values: Vec<String> = (0..300).map(|i| format!("level-{}", i % 4)).collect();
-        let mut buf = BytesMut::new();
-        encode_strings(&values, &mut buf);
-        assert_eq!(buf[0], STR_DICT);
-        let back = decode_strings(&mut buf.freeze()).unwrap();
-        assert_eq!(back, values);
+        let values: StrColumn = (0..300).map(|i| format!("level-{}", i % 4)).collect();
+        assert_eq!(roundtrip_strings(&values), STR_DICT);
     }
 
     #[test]
     fn string_high_cardinality_stays_plain() {
-        let values: Vec<String> = (0..50).map(|i| format!("unique-{i}")).collect();
-        let mut buf = BytesMut::new();
-        encode_strings(&values, &mut buf);
-        assert_eq!(buf[0], STR_PLAIN);
-        let back = decode_strings(&mut buf.freeze()).unwrap();
-        assert_eq!(back, values);
+        let values: StrColumn = (0..50).map(|i| format!("unique-{i}")).collect();
+        assert_eq!(roundtrip_strings(&values), STR_PLAIN);
     }
 
     #[test]
     fn string_empty_and_unicode() {
-        let values = vec!["".to_owned(), "héllo 😀".to_owned(), "".to_owned()];
+        roundtrip_strings(&["", "héllo 😀", ""].into_iter().collect());
+        roundtrip_strings(&StrColumn::new());
+    }
+
+    #[test]
+    fn bad_dictionary_code_rejected() {
         let mut buf = BytesMut::new();
-        encode_strings(&values, &mut buf);
-        let back = decode_strings(&mut buf.freeze()).unwrap();
-        assert_eq!(back, values);
+        buf.put_u8(STR_DICT);
+        buf.put_u64_le(1);
+        buf.put_u32_le(1);
+        put_str(&mut buf, "only");
+        encode_ints(&[1], &mut buf);
+        assert_eq!(
+            decode_strings(&mut &buf[..]).unwrap_err(),
+            DecodeError::BadDictionaryCode {
+                code: 1,
+                dict_len: 1
+            }
+        );
     }
 
     #[test]
@@ -363,7 +396,7 @@ mod tests {
         buf.put_u32_le(2);
         buf.put_slice(&[0xff, 0xfe]);
         assert_eq!(
-            decode_strings(&mut buf.freeze()).unwrap_err(),
+            decode_strings(&mut &buf[..]).unwrap_err(),
             DecodeError::BadUtf8
         );
     }

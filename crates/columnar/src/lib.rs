@@ -23,6 +23,7 @@ pub mod encoding;
 pub mod io;
 pub mod metadata;
 pub mod schema;
+pub mod str_column;
 pub mod table;
 
 pub use block::{Block, BlockBuilder};
@@ -36,4 +37,5 @@ pub use io::{
 };
 pub use metadata::{BlockMetadata, ColumnStats, STR_DICT_STATS_MAX};
 pub use schema::{DataType, Field, Schema, SchemaError};
+pub use str_column::StrColumn;
 pub use table::{Table, TableBuilder, DEFAULT_BLOCK_SIZE};

@@ -6,9 +6,10 @@
 //! into the metadata of each data block"). Query processing ANDs the
 //! bitvectors of a query's pushed clauses to skip rows (§VI-B).
 
-use crate::column::{Cell, Column};
+use crate::column::{Column, ColumnValues};
+use crate::str_column::StrColumn;
 use ciao_bitvec::BitVec;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Cardinality ceiling for [`ColumnStats::str_dict`]: above this many
 /// distinct strings a dictionary stops being a useful zone map (and the
@@ -39,30 +40,23 @@ impl ColumnStats {
     /// snapshot-reload path, so pruning behaves identically across a
     /// restart.
     pub fn compute(col: &Column) -> ColumnStats {
+        let valid = col.validity();
         let mut stats = ColumnStats {
             null_count: col.null_count(),
             ..ColumnStats::default()
         };
-        let mut dict: BTreeSet<&str> = BTreeSet::new();
-        let mut dict_overflow = false;
-        for row in 0..col.len() {
-            match col.cell(row) {
-                Cell::Int(v) => {
-                    stats.min_int = Some(stats.min_int.map_or(v, |m| m.min(v)));
-                    stats.max_int = Some(stats.max_int.map_or(v, |m| m.max(v)));
+        match col.values() {
+            ColumnValues::Int(values) => {
+                let mut rows = values.iter().enumerate().filter(|&(row, _)| valid.bit(row));
+                if let Some((_, &first)) = rows.next() {
+                    let (min, max) = rows.fold((first, first), |(min, max), (_, &v)| {
+                        (min.min(v), max.max(v))
+                    });
+                    (stats.min_int, stats.max_int) = (Some(min), Some(max));
                 }
-                Cell::Str(s) if !dict_overflow => {
-                    dict.insert(s);
-                    if dict.len() > STR_DICT_STATS_MAX {
-                        dict_overflow = true;
-                        dict.clear();
-                    }
-                }
-                _ => {}
             }
-        }
-        if !dict_overflow && !dict.is_empty() {
-            stats.str_dict = Some(dict.into_iter().map(str::to_owned).collect());
+            ColumnValues::Str(values) => stats.str_dict = str_dict(values, valid),
+            _ => {}
         }
         stats
     }
@@ -83,6 +77,70 @@ impl ColumnStats {
             None => false,
         }
     }
+}
+
+/// Every distinct string of the rows `valid` marks, sorted, or `None`
+/// when there are none or more than [`STR_DICT_STATS_MAX`]. Each string
+/// is looked up in a small open-addressing table of the distinct ones
+/// seen so far (a repeat of the previous row's string skips even that),
+/// and the scan stops at the first string one too many. The table never
+/// holds more than [`STR_DICT_STATS_MAX`] strings, so values crafted to
+/// collide cost at most that many probes a row.
+fn str_dict(values: &StrColumn, valid: &BitVec) -> Option<Vec<String>> {
+    /// Slots of the table: a power of two, at least twice the most
+    /// strings it holds, so probes stay short.
+    const SLOTS: usize = 128;
+    const EMPTY: u8 = u8::MAX;
+    const _: () = assert!(SLOTS >= 2 * (STR_DICT_STATS_MAX + 1) && SLOTS.is_power_of_two());
+    const _: () = assert!(STR_DICT_STATS_MAX < EMPTY as usize);
+    // The position in `distinct` of the string each slot holds.
+    let mut slots = [EMPTY; SLOTS];
+    let mut distinct: Vec<&str> = Vec::with_capacity(STR_DICT_STATS_MAX);
+    let mut previous = None;
+    for (row, s) in values.iter().enumerate() {
+        if !valid.bit(row) || previous == Some(s) {
+            continue;
+        }
+        previous = Some(s);
+        let mut slot = (fx_hash(s.as_bytes()) >> (64 - SLOTS.trailing_zeros())) as usize;
+        loop {
+            match slots[slot] {
+                EMPTY if distinct.len() == STR_DICT_STATS_MAX => return None,
+                EMPTY => {
+                    slots[slot] = distinct.len() as u8;
+                    distinct.push(s);
+                    break;
+                }
+                seen if distinct[seen as usize] == s => break,
+                _ => slot = (slot + 1) % SLOTS,
+            }
+        }
+    }
+    if distinct.is_empty() {
+        return None;
+    }
+    distinct.sort_unstable();
+    Some(distinct.into_iter().map(str::to_owned).collect())
+}
+
+/// A fast, non-cryptographic hash of `bytes` (the multiply-rotate step
+/// of rustc's `FxHasher`, a word at a time); its high bits are the
+/// best mixed.
+fn fx_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let step = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = step(0, bytes.len() as u64);
+    for word in &mut words {
+        h = step(h, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(word));
+    }
+    h
 }
 
 /// Metadata attached to one block.

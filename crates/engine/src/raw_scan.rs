@@ -29,8 +29,12 @@
 //! [`BlockFilter`] narrows a selection vector over them with the block
 //! kernels, and the operator's columns are read, the same way, for the
 //! selected rows only — each fed as a block's cell is. A count adds the
-//! selection's length. Warm, such a scan builds no tree and, for scalar
-//! keys, allocates nothing per record.
+//! selection's length. Warm, such a scan builds no tree and allocates
+//! nothing per record: a string or nested WHERE value is copied into
+//! its scratch column's one text buffer ([`ciao_columnar::StrColumn`]),
+//! which keeps its room from batch to batch. Only a string spelled with
+//! an escape costs an allocation, the unescaped copy
+//! [`ciao_json::parse_field_at`] makes of it.
 //!
 //! Everything else is read row at a time: the record's projection onto
 //! the statement's keys — built from the map's offsets

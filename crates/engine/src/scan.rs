@@ -22,7 +22,7 @@
 //! tested against.
 
 use crate::profile::{ClauseProfile, QueryProfile};
-use ciao_columnar::{BitVec, Block, ColumnValues, Table};
+use ciao_columnar::{BitVec, Block, ColumnValues, StrColumn, Table};
 use ciao_predicate::{Clause, Query, SimplePredicate};
 
 /// Scan configuration.
@@ -361,13 +361,14 @@ fn mask_rows(mask: &BitVec, rows: &mut Vec<u32>) {
 }
 
 #[inline(never)]
-fn str_eq(values: &[String], valid: &BitVec, value: &str, rows: &mut Split) {
-    rows.partition(|row| valid.bit(row) && values[row] == value);
+fn str_eq(values: &StrColumn, valid: &BitVec, value: &str, rows: &mut Split) {
+    let value = value.as_bytes();
+    rows.partition(|row| valid.bit(row) && values.bytes(row) == value);
 }
 
 #[inline(never)]
-fn str_contains(values: &[String], valid: &BitVec, needle: &str, rows: &mut Split) {
-    rows.partition(|row| valid.bit(row) && values[row].contains(needle));
+fn str_contains(values: &StrColumn, valid: &BitVec, needle: &str, rows: &mut Split) {
+    rows.partition(|row| valid.bit(row) && values.get(row).contains(needle));
 }
 
 #[inline(never)]
