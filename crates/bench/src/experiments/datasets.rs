@@ -46,6 +46,10 @@ impl ExperimentScale {
     }
 }
 
+/// Records per client chunk (the paper's clients ship ~1k-record
+/// chunks, §III).
+pub const CHUNK_RECORDS: usize = 1024;
+
 /// Materializes a dataset as NDJSON at the given scale (deterministic
 /// per dataset).
 pub fn ndjson(dataset: Dataset, scale: ExperimentScale) -> String {

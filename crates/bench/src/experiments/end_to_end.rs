@@ -1,11 +1,23 @@
 //! Figs. 3–5: end-to-end time vs budget, per workload, per dataset —
 //! plus the headline speedup numbers.
+//!
+//! Every point runs the production sequence on a 1-shard,
+//! `workers = 0` [`Service`]: plan, client prefilter, `enqueue_wait`,
+//! `drain`, [`Service::query`]. That keeps the single-core sequence
+//! the paper times, on the code that serves.
 
-use crate::experiments::datasets::{budget_sweep, ndjson, ExperimentScale};
-use ciao::CiaoConfig;
+use crate::experiments::datasets::{budget_sweep, ndjson, ExperimentScale, CHUNK_RECORDS};
+use ciao::PushdownPlan;
+use ciao_client::ClientStats;
+use ciao_columnar::Schema;
 use ciao_datagen::Dataset;
-use ciao_service::Pipeline;
+use ciao_json::{JsonValue, RecordChunk};
+use ciao_optimizer::CostModel;
+use ciao_predicate::Query;
+use ciao_service::{Service, ServiceConfig};
 use ciao_workload::{build_pool, WorkloadConfig};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// One point of a Fig. 3/4/5 series.
 #[derive(Debug, Clone)]
@@ -38,34 +50,85 @@ impl EndToEndRow {
 /// Runs the Fig. 3/4/5 sweep for one dataset: workloads A/B/C × the
 /// dataset's budget sweep.
 pub fn run(dataset: Dataset, scale: ExperimentScale) -> Vec<EndToEndRow> {
-    let data = ndjson(dataset, scale);
+    let data = RecordChunk::from_ndjson(&ndjson(dataset, scale));
+    let sample: Vec<JsonValue> = data
+        .iter()
+        .take(scale.sample)
+        .filter_map(|r| ciao_json::parse(r).ok())
+        .collect();
+    // Lenient inference: a conflicting value loads as NULL and counts
+    // as a coercion failure instead of blocking ingestion.
+    let schema = Arc::new(Schema::infer_lenient(&sample).expect("schema"));
+    let chunks = data.split(CHUNK_RECORDS);
     let pool = build_pool(dataset);
     let mut rows = Vec::new();
     for (label, mut cfg) in WorkloadConfig::presets(dataset, 99) {
         cfg.queries = scale.queries;
         let queries = cfg.generate(&pool);
         for &budget in budget_sweep(dataset) {
-            let report = Pipeline::new(
-                CiaoConfig::default()
-                    .with_budget_micros(budget)
-                    .with_sample_size(scale.sample),
-            )
-            .run(&data, &queries)
-            .expect("pipeline");
-            let (p, l, q) = report.timings.as_secs();
-            rows.push(EndToEndRow {
-                workload: label,
+            let plan = PushdownPlan::build(
+                &queries,
+                &sample,
+                &CostModel::default_uncalibrated(),
                 budget,
-                pushed: report.plan.len(),
-                prefilter_s: p,
-                load_s: l,
-                query_s: q,
-                loading_ratio: report.load.loading_ratio(),
-                queries_with_skipping: report.queries_with_skipping(),
-            });
+            )
+            .expect("plan");
+            rows.push(run_point(label, plan, &schema, &chunks, &queries));
         }
     }
     rows
+}
+
+/// One (workload, budget) point. The prefilter time is the client's
+/// own `matching_time`, the query time the service's query histogram;
+/// loading is the caller's wall time over `enqueue_wait` + `drain`,
+/// since no service instrument times ingest end to end. The last
+/// epoch seals inside the first statement, as it does in production.
+fn run_point(
+    workload: char,
+    plan: PushdownPlan,
+    schema: &Arc<Schema>,
+    chunks: &[RecordChunk],
+    queries: &[Query],
+) -> EndToEndRow {
+    let budget = plan.budget;
+    let pushed = plan.len();
+    let svc = Service::start(
+        plan,
+        Arc::clone(schema),
+        ServiceConfig::default().with_shards(1).with_workers(0),
+    );
+    let prefilter = svc.prefilter();
+    let mut client = ClientStats::default();
+    let jobs: Vec<_> = chunks
+        .iter()
+        .map(|c| (c.clone(), prefilter.run_chunk_with_stats(c, &mut client)))
+        .collect();
+
+    let load_start = Instant::now();
+    for (chunk, filter) in jobs {
+        assert!(svc.enqueue_wait(chunk, filter).is_enqueued());
+    }
+    svc.drain();
+    let load_s = load_start.elapsed().as_secs_f64();
+
+    let queries_with_skipping = queries
+        .iter()
+        .map(|q| svc.query(q).profile)
+        .filter(|p| p.used_skipping() && p.rows_skipped_zone + p.rows_skipped_mask > 0)
+        .count();
+    let query_ns = svc.telemetry().expect("telemetry is on").query.sum();
+    let loading_ratio = svc.shutdown().load().loading_ratio();
+    EndToEndRow {
+        workload,
+        budget,
+        pushed,
+        prefilter_s: client.matching_time.as_secs_f64(),
+        load_s,
+        query_s: query_ns as f64 * 1e-9,
+        loading_ratio,
+        queries_with_skipping,
+    }
 }
 
 /// The paper's headline: best speedups over the zero-budget baseline

@@ -8,13 +8,14 @@
 //! empty registry (full scans) — and count the queries whose skipping
 //! run was faster.
 
-use crate::experiments::datasets::{ndjson, ExperimentScale};
-use ciao::{CiaoConfig, PushdownPlan};
+use crate::experiments::datasets::{ndjson, ExperimentScale, CHUNK_RECORDS};
+use ciao::PushdownPlan;
 use ciao_columnar::Schema;
 use ciao_datagen::Dataset;
 use ciao_engine::{count_plan, Executor};
 use ciao_json::RecordChunk;
-use ciao_service::Shard;
+use ciao_optimizer::CostModel;
+use ciao_service::{ServiceConfig, Shard};
 use ciao_workload::{build_pool, WorkloadConfig};
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,16 +57,16 @@ pub fn run(scale: ExperimentScale, budgets: &[f64]) -> Vec<Fig6Row> {
         .filter_map(|r| ciao_json::parse(r).ok())
         .collect();
     let schema = Arc::new(Schema::infer(&sample).expect("schema"));
-    let config = CiaoConfig::default();
+    let cost_model = CostModel::default_uncalibrated();
+    let block_size = ServiceConfig::default().block_size;
 
     budgets
         .iter()
         .map(|&budget| {
-            let plan =
-                PushdownPlan::build(&queries, &sample, &config.cost_model, budget).expect("plan");
+            let plan = PushdownPlan::build(&queries, &sample, &cost_model, budget).expect("plan");
             let prefilter = plan.prefilter();
-            let shard = Shard::new(Arc::new(plan), Arc::clone(&schema), config.block_size);
-            for chunk in all.split(config.chunk_size) {
+            let shard = Shard::new(Arc::new(plan), Arc::clone(&schema), block_size);
+            for chunk in all.split(CHUNK_RECORDS) {
                 shard.ingest(&chunk, &prefilter.run_chunk(&chunk));
             }
             let pin = shard.pin();

@@ -5,13 +5,14 @@
 //! pushes 2, 2, and 1 predicates respectively), so the optimizer is
 //! out of the loop and the measured variable is isolated.
 
-use crate::experiments::datasets::{ndjson, ExperimentScale};
-use ciao::{CiaoConfig, PushdownPlan};
+use crate::experiments::datasets::{ndjson, ExperimentScale, CHUNK_RECORDS};
+use ciao::PushdownPlan;
 use ciao_columnar::Schema;
 use ciao_datagen::Dataset;
 use ciao_json::{JsonValue, RecordChunk};
+use ciao_optimizer::CostModel;
 use ciao_predicate::{estimate_clause_selectivity, Clause, Query, SimplePredicate};
-use ciao_service::Shard;
+use ciao_service::{ServiceConfig, Shard};
 use ciao_workload::{predicate_counts, skewness_factor};
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,7 +41,6 @@ pub struct MicroEnv {
     data: RecordChunk,
     sample: Vec<JsonValue>,
     schema: Arc<Schema>,
-    config: CiaoConfig,
 }
 
 impl MicroEnv {
@@ -58,7 +58,6 @@ impl MicroEnv {
             data,
             sample,
             schema,
-            config: CiaoConfig::default(),
         }
     }
 
@@ -90,7 +89,12 @@ impl MicroEnv {
 
     /// Runs one configuration: fixed pushdown + 5 queries.
     pub fn run(&self, label: &str, queries: &[Query], pushed: &[Clause]) -> MicroOutcome {
-        let plan = PushdownPlan::manual(pushed, queries, &self.sample, &self.config.cost_model);
+        let plan = PushdownPlan::manual(
+            pushed,
+            queries,
+            &self.sample,
+            &CostModel::default_uncalibrated(),
+        );
         let covered_queries = plan
             .query_coverage
             .iter()
@@ -100,9 +104,9 @@ impl MicroEnv {
         let shard = Shard::new(
             Arc::new(plan),
             Arc::clone(&self.schema),
-            self.config.block_size,
+            ServiceConfig::default().block_size,
         );
-        let chunks = self.data.split(self.config.chunk_size);
+        let chunks = self.data.split(CHUNK_RECORDS);
         let filters: Vec<_> = chunks.iter().map(|c| prefilter.run_chunk(c)).collect();
 
         let t_load = Instant::now();

@@ -16,10 +16,10 @@
 //! 2. **Data skipping** — per-block bitvectors are ANDed into skip
 //!    masks at query time.
 //!
-//! This crate holds planning ([`PushdownPlan`], [`CiaoConfig`]) and
-//! loading ([`Loader`], [`AdmissionPolicy`], and parked-row promotion
-//! in [`jit`]). `ciao_service` runs them: its `Shard` is the one
-//! loading-and-query state, and its `Pipeline` drives one shard through
+//! This crate holds planning ([`PushdownPlan`]) and loading
+//! ([`Loader`], [`AdmissionPolicy`], and parked-row promotion in
+//! [`jit`]). `ciao_service` runs them: its `Shard` is the one
+//! loading-and-query state, and its `Service` runs N of them through
 //! the sequence the paper measures.
 //!
 //! ## Quickstart
@@ -61,13 +61,11 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod config;
 pub mod jit;
 pub mod loader;
 pub mod plan;
 
 pub use adaptive::{drift_report, replan_with_observations, DriftEntry};
-pub use config::CiaoConfig;
 pub use jit::PromotionStats;
 pub use loader::{AdmissionPolicy, LoadStats, Loader};
 pub use plan::{PlanError, PushdownPlan, PushedPredicate};

@@ -4,9 +4,8 @@
 //! prefilter in parallel, but ingest is exclusive, queries block
 //! ingest, and rows parked by partial loading stay raw JSON for every
 //! query that reads them to parse again. A [`Shard`] is that loop's
-//! loading-and-query state, made epochal; [`Pipeline`] drives one shard
-//! through the paper's sequence, and this crate runs N of them as a
-//! long-running service:
+//! loading-and-query state, made epochal, and this crate runs N of them
+//! as a long-running service:
 //!
 //! * **Sharding** — N [`Shard`]s, each an independently locked
 //!   partial-loading state (sealed epochs of columnar blocks + parked
@@ -55,38 +54,11 @@
 //!   lands in a bounded slow-query log ([`Service::slow_queries`])
 //!   when it crosses [`ServiceConfig::slow_query_threshold`].
 //!
-//! ## The paper's pipeline
-//!
-//! [`Pipeline`] runs the sequence the paper measures — plan, client
-//! prefilter, partial load, queries — through one [`Shard`]:
-//!
-//! ```
-//! use ciao::CiaoConfig;
-//! use ciao_predicate::parse_query;
-//! use ciao_service::Pipeline;
-//!
-//! // Some raw NDJSON records (normally produced by edge clients).
-//! let ndjson: String = (0..500)
-//!     .map(|i| format!("{{\"level\":\"{}\",\"code\":{}}}\n",
-//!                      if i % 10 == 0 { "Error" } else { "Info" }, i % 7))
-//!     .collect();
-//!
-//! // A prospective workload.
-//! let queries = vec![
-//!     parse_query("q0", r#"level = "Error""#).unwrap(),
-//!     parse_query("q1", r#"level = "Error" AND code = 3"#).unwrap(),
-//! ];
-//!
-//! // Run the whole system: plan → client prefilter → partial load → queries.
-//! let report = Pipeline::new(CiaoConfig::default().with_budget_micros(1.0))
-//!     .run(&ndjson, &queries)
-//!     .unwrap();
-//!
-//! assert_eq!(report.query_results[0].count, 50);
-//! assert!(report.load.loaded_records <= 500);
-//! ```
-//!
 //! ## Running as a service
+//!
+//! The paper's sequence — plan, client prefilter, partial load,
+//! queries — is this one; `repro`'s Figs. 3–5 run it on one shard with
+//! no workers.
 //!
 //! ```
 //! use ciao::PushdownPlan;
@@ -126,9 +98,7 @@
 pub mod compactor;
 pub mod config;
 pub mod metrics;
-pub mod pipeline;
 pub mod queue;
-pub mod report;
 pub mod service;
 pub mod shard;
 pub mod telemetry;
@@ -137,9 +107,7 @@ pub mod workload;
 pub use compactor::{CompactionPolicy, CompactionStats};
 pub use config::{Routing, ServiceConfig};
 pub use metrics::ServiceMetrics;
-pub use pipeline::{Pipeline, PipelineError, PipelineReport, QueryReport};
 pub use queue::{EnqueueResult, IngestQueue, ScanJob, Work};
-pub use report::TimingBreakdown;
 pub use service::{DurabilityStatus, Service};
 pub use shard::{EpochPin, Shard, ShardSnapshot};
 pub use telemetry::ServiceTelemetry;

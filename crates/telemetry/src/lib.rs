@@ -15,8 +15,6 @@
 //!   atomic buckets, p50/p90/p99/max quantiles, and an associative,
 //!   commutative [`Histogram::merge`] so per-shard histograms fold
 //!   into fleet-wide ones.
-//! * [`ScopedTimer`] — records the elapsed time of a scope into a
-//!   histogram on drop.
 //! * [`EventRing`] — a bounded ring buffer of structured
 //!   [`TraceEvent`]s (epoch seals, compaction ticks, `QueueFull`
 //!   backpressure, plan evaluations) with a dropped-event counter.
@@ -54,12 +52,10 @@ pub mod events;
 pub mod export;
 pub mod histogram;
 pub mod registry;
-pub mod span;
 pub mod spantree;
 
 pub use events::{EventRing, TraceEvent};
 pub use export::TelemetrySnapshot;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Telemetry};
-pub use span::ScopedTimer;
 pub use spantree::{AttrValue, Span, SpanId, SpanTree};

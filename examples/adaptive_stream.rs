@@ -11,12 +11,13 @@
 //! query that no pushed predicate covers scans the parked store, and a
 //! compaction pass promotes that store into columns for the re-run.
 
-use ciao::{adaptive, CiaoConfig, PushdownPlan};
+use ciao::{adaptive, PushdownPlan};
 use ciao_client::ClientStats;
 use ciao_columnar::Schema;
 use ciao_json::RecordChunk;
+use ciao_optimizer::CostModel;
 use ciao_predicate::parse_query;
-use ciao_service::{CompactionPolicy, Shard};
+use ciao_service::{CompactionPolicy, ServiceConfig, Shard};
 use std::sync::Arc;
 
 fn record(i: usize, error_rate_pct: usize) -> String {
@@ -33,7 +34,8 @@ fn record(i: usize, error_rate_pct: usize) -> String {
 }
 
 fn main() {
-    let config = CiaoConfig::default().with_budget_micros(0.35);
+    let budget = 0.35;
+    let cost_model = CostModel::default_uncalibrated();
 
     // Yesterday's sample: errors are rare (2%).
     let sample: Vec<_> = (0..2000)
@@ -43,9 +45,8 @@ fn main() {
         parse_query("errors", r#"level = "Error""#).unwrap(),
         parse_query("svc3", r#"service = "svc3""#).unwrap(),
     ];
-    let plan = PushdownPlan::build(&queries, &sample, &config.cost_model, config.budget_micros)
-        .expect("plan");
-    println!("== initial plan (budget {:.2} µs) ==", config.budget_micros);
+    let plan = PushdownPlan::build(&queries, &sample, &cost_model, budget).expect("plan");
+    println!("== initial plan (budget {budget:.2} µs) ==");
     for p in &plan.predicates {
         println!(
             "  #{} {}  (planned sel {:.3}, cost {:.3} µs)",
@@ -58,10 +59,11 @@ fn main() {
     let chunk = RecordChunk::from_records(&stream).expect("chunk");
     let schema = Arc::new(Schema::infer(&sample).expect("schema"));
     let plan = Arc::new(plan);
-    let shard = Shard::new(Arc::clone(&plan), Arc::clone(&schema), config.block_size);
+    let block_size = ServiceConfig::default().block_size;
+    let shard = Shard::new(Arc::clone(&plan), Arc::clone(&schema), block_size);
     let prefilter = plan.prefilter();
     let mut stats = ClientStats::default();
-    for sub in chunk.split(config.chunk_size) {
+    for sub in chunk.split(1024) {
         let filter = prefilter.run_chunk_with_stats(&sub, &mut stats);
         shard.ingest(&sub, &filter);
     }
@@ -90,8 +92,8 @@ fn main() {
             &sample,
             &plan,
             &stats,
-            &config.cost_model,
-            config.budget_micros,
+            &cost_model,
+            budget,
         )
         .expect("replan");
         println!("\n== replanned (drift > {threshold}) ==");

@@ -7,13 +7,13 @@
 
 mod support;
 
-use ciao::{AdmissionPolicy, CiaoConfig, Loader, PushdownPlan};
+use ciao::{AdmissionPolicy, Loader, PushdownPlan};
 use ciao_client::{Budget, BudgetedPrefilter, ClientStats, Prefilter};
 use ciao_columnar::Schema;
 use ciao_json::RecordChunk;
 use ciao_optimizer::CostModel;
 use ciao_predicate::{compile_clause, parse_clause, parse_query};
-use ciao_service::{Pipeline, Shard};
+use ciao_service::{ServiceConfig, Shard};
 use std::sync::Arc;
 
 fn dirty_ndjson(n: usize) -> String {
@@ -35,19 +35,17 @@ fn malformed_records_survive_end_to_end() {
         parse_query("q0", "stars = 5").unwrap(),
         parse_query("q1", r#"name = "u7""#).unwrap(), // i=7 is the bad-stars record
     ];
-    let report = Pipeline::new(CiaoConfig::default().with_budget_micros(5.0))
-        .run(&data, &queries)
-        .expect("pipeline survives dirty input");
+    let report = support::run_on_service(&data, &queries, 5.0, 1000, 64, ServiceConfig::default());
 
     // Ground truth over the 500 lines: malformed lines match nothing;
     // stars = 5 ⇔ i % 5 == 4 and i % 10 ∉ {3, 7}.
     let expected_stars5 = (0..500)
         .filter(|i| i % 5 == 4 && i % 10 != 3 && i % 10 != 7)
         .count();
-    assert_eq!(report.query_results[0].count, expected_stars5);
+    assert_eq!(report.outcomes[0].count, expected_stars5);
     // u7's stars field is the string "five": stored as NULL in the int
     // column, but the name predicate still finds the record.
-    assert_eq!(report.query_results[1].count, 1);
+    assert_eq!(report.outcomes[1].count, 1);
     // Nothing was dropped.
     assert_eq!(report.records, 500);
     assert_eq!(report.load.total(), 500);

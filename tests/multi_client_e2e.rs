@@ -3,13 +3,13 @@
 //! must equal the single-client ground truth regardless of how budgets
 //! were allocated across the fleet.
 
-use ciao::{CiaoConfig, PushdownPlan};
+use ciao::PushdownPlan;
 use ciao_columnar::Schema;
 use ciao_datagen::Dataset;
 use ciao_json::RecordChunk;
 use ciao_optimizer::{allocate_budgets, ClientSpec, CostModel, InstanceBuilder};
 use ciao_predicate::{compile_clause, eval_query, parse_query, SelectivityEstimator};
-use ciao_service::Shard;
+use ciao_service::{ServiceConfig, Shard};
 use std::sync::Arc;
 
 #[test]
@@ -25,11 +25,11 @@ fn sharded_ingest_matches_ground_truth() {
     ];
     let sample: Vec<_> = records.iter().take(500).cloned().collect();
 
-    let config = CiaoConfig::default();
-    let plan = PushdownPlan::build(&queries, &sample, &config.cost_model, 30.0).unwrap();
+    let plan =
+        PushdownPlan::build(&queries, &sample, &CostModel::default_uncalibrated(), 30.0).unwrap();
     let schema = Arc::new(Schema::infer(&sample).unwrap());
     let prefilter = plan.prefilter();
-    let shard = Shard::new(Arc::new(plan), schema, config.block_size);
+    let shard = Shard::new(Arc::new(plan), schema, ServiceConfig::default().block_size);
 
     // Three clients take round-robin shards of the chunk stream.
     let chunks = all.split(256);

@@ -4,11 +4,12 @@
 //! disk-touching tests must each own a unique, self-cleaning directory
 //! (a fixed path collides the moment two test binaries run at once).
 
-use ciao::{AdmissionPolicy, CiaoConfig, Loader, PushdownPlan};
+use ciao::{AdmissionPolicy, Loader, PushdownPlan};
 use ciao_columnar::{read_table, write_table, Schema, Table};
 use ciao_datagen::Dataset;
 use ciao_engine::Executor;
 use ciao_json::{RecordChunk, SharedRecord};
+use ciao_optimizer::CostModel;
 use ciao_predicate::{parse_query, Query};
 use ciao_storage::{read_snapshot, write_snapshot, ScratchDir, ShardSnapshot};
 use ciao_workload::{build_pool, WorkloadConfig};
@@ -38,13 +39,13 @@ fn loaded() -> Loaded {
     cfg.queries = 10;
     let queries = cfg.generate(&pool);
 
-    let config = CiaoConfig::default();
-    let plan = PushdownPlan::build(&queries, &sample, &config.cost_model, 20.0).unwrap();
+    let plan =
+        PushdownPlan::build(&queries, &sample, &CostModel::default_uncalibrated(), 20.0).unwrap();
     let schema = Arc::new(Schema::infer(&sample).unwrap());
     let policy = AdmissionPolicy::from_coverage(&plan.query_coverage);
-    let mut loader = Loader::new(schema, &plan.ids(), policy, config.block_size);
+    let mut loader = Loader::new(schema, &plan.ids(), policy, 1024);
     let prefilter = plan.prefilter();
-    for chunk in all.split(config.chunk_size) {
+    for chunk in all.split(1024) {
         loader.load_chunk(&chunk, &prefilter.run_chunk(&chunk));
     }
     let (table, parked, _) = loader.finish();
@@ -149,13 +150,8 @@ fn plan_roundtrips_through_serde() {
         parse_query("q0", r#"level = "Error""#).unwrap(),
         parse_query("q1", r#"level = "Error" AND service = "CBS""#).unwrap(),
     ];
-    let plan = PushdownPlan::build(
-        &queries,
-        &sample,
-        &ciao_optimizer::CostModel::default_uncalibrated(),
-        5.0,
-    )
-    .unwrap();
+    let plan =
+        PushdownPlan::build(&queries, &sample, &CostModel::default_uncalibrated(), 5.0).unwrap();
     assert!(!plan.is_empty());
 
     let json = serde_json::to_string(&plan).unwrap();

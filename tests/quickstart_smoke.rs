@@ -1,14 +1,16 @@
 //! Workspace smoke test: the quickstart example's exact path, asserted.
 //!
-//! Runs the full system end-to-end — plan the pushdown, prefilter on
-//! the client, partially load, answer queries with data skipping — and
-//! checks every query's count against a ground-truth full scan of the
-//! raw records through typed evaluation. Partial loading and skipping
-//! are optimizations; they must never change an answer.
+//! Runs the full system end-to-end through a `Service` — plan the
+//! pushdown, prefilter on the client, partially load, answer queries
+//! with data skipping — and checks every query's count against a
+//! ground-truth full scan of the raw records through typed evaluation.
+//! Partial loading and skipping are optimizations; they must never
+//! change an answer.
 
-use ciao::CiaoConfig;
+mod support;
+
 use ciao_predicate::{eval_query, parse_query};
-use ciao_service::Pipeline;
+use ciao_service::ServiceConfig;
 
 fn quickstart_ndjson(records: usize) -> String {
     (0..records)
@@ -36,13 +38,11 @@ fn quickstart_path_end_to_end() {
         parse_query("warnings", r#"level = "Warning""#).unwrap(),
     ];
 
-    let config = CiaoConfig::default().with_budget_micros(1.0);
-    let report = Pipeline::new(config)
-        .run(&ndjson, &queries)
-        .expect("pipeline");
+    let report =
+        support::run_on_service(&ndjson, &queries, 1.0, 1000, 1024, ServiceConfig::default());
 
     // The plan actually pushed something down and loading was partial:
-    // the pipeline exercised prefilter → park → skip, not a degenerate
+    // the service exercised prefilter → park → skip, not a degenerate
     // load-everything path.
     assert!(!report.plan.predicates.is_empty(), "no predicates pushed");
     assert_eq!(report.records, 20_000);
@@ -61,8 +61,7 @@ fn quickstart_path_end_to_end() {
         .collect();
     assert_eq!(records.len(), report.records);
 
-    for (query, result) in queries.iter().zip(&report.query_results) {
-        assert_eq!(query.name, result.name);
+    for (query, result) in queries.iter().zip(&report.outcomes) {
         let truth = records.iter().filter(|r| eval_query(query, r)).count();
         assert_eq!(
             result.count, truth,
@@ -73,14 +72,11 @@ fn quickstart_path_end_to_end() {
 
     // At least one pushed-down query must have used bitvector skipping.
     assert!(
-        report
-            .query_results
-            .iter()
-            .any(|q| q.profile.used_skipping()),
+        report.outcomes.iter().any(|q| q.profile.used_skipping()),
         "no query used data skipping"
     );
 
     // Expected quickstart shape: 5% errors, 20% warnings.
-    assert_eq!(report.query_results[0].count, 1_000);
-    assert_eq!(report.query_results[2].count, 4_000);
+    assert_eq!(report.outcomes[0].count, 1_000);
+    assert_eq!(report.outcomes[2].count, 4_000);
 }

@@ -6,11 +6,13 @@
 
 pub mod crash;
 
-use ciao::PushdownPlan;
+use ciao::{LoadStats, PushdownPlan};
 use ciao_columnar::Schema;
-use ciao_json::RecordChunk;
+use ciao_engine::QueryOutcome;
+use ciao_json::{JsonValue, RecordChunk};
 use ciao_optimizer::CostModel;
 use ciao_predicate::{parse_query, Query};
+use ciao_service::{Service, ServiceConfig};
 use std::sync::Arc;
 
 /// Records per deterministic ingest chunk.
@@ -54,4 +56,54 @@ pub fn plan_and_schema() -> (PushdownPlan, Arc<Schema>) {
     .unwrap();
     let schema = Arc::new(Schema::infer(&sample).unwrap());
     (plan, schema)
+}
+
+/// What one [`run_on_service`] produced.
+pub struct ServiceRun {
+    /// The plan pushed to the client.
+    pub plan: PushdownPlan,
+    /// Records in the input, parseable or not.
+    pub records: usize,
+    /// Loading statistics summed over every shard.
+    pub load: LoadStats,
+    /// One outcome per query, in workload order.
+    pub outcomes: Vec<QueryOutcome>,
+}
+
+/// Runs NDJSON through the production sequence: the first `sample`
+/// parseable records → lenient schema inference (a conflicting value
+/// loads as NULL and counts as a coercion failure) → plan at `budget`
+/// → `Service::start(config)` → client prefilter over
+/// `chunk_size`-record chunks → `enqueue_wait` → one `Service::query`
+/// per query → shutdown.
+pub fn run_on_service(
+    ndjson: &str,
+    queries: &[Query],
+    budget: f64,
+    sample: usize,
+    chunk_size: usize,
+    config: ServiceConfig,
+) -> ServiceRun {
+    let all = RecordChunk::from_ndjson(ndjson);
+    let sample: Vec<JsonValue> = all
+        .iter()
+        .take(sample)
+        .filter_map(|r| ciao_json::parse(r).ok())
+        .collect();
+    let schema = Arc::new(Schema::infer_lenient(&sample).expect("schema"));
+    let plan = PushdownPlan::build(queries, &sample, &CostModel::default_uncalibrated(), budget)
+        .expect("plan");
+    let svc = Service::start(plan.clone(), schema, config);
+    let prefilter = svc.prefilter();
+    for chunk in all.split(chunk_size) {
+        let filter = prefilter.run_chunk(&chunk);
+        assert!(svc.enqueue_wait(chunk, filter).is_enqueued());
+    }
+    let outcomes = queries.iter().map(|q| svc.query(q)).collect();
+    ServiceRun {
+        plan,
+        records: all.len(),
+        load: svc.shutdown().load(),
+        outcomes,
+    }
 }
